@@ -1,9 +1,11 @@
 """Built-in model catalog: flat space, flat torus, round sphere, surface of revolution.
 
-Every entry returns a fully wired :class:`~grauert.geometry.MetricModel` whose
-metric evaluators are written over the jets facade, so the same closed forms
-serve real evaluation, holomorphic extension in the coordinates, and exact
-differentiation through derivative channels.
+Every entry returns a fully wired :class:`~grauert.geometry.MetricModel`. A
+model supplies its atlas (chart boxes, margins, and transitions) and, per
+chart, the metric and its first derivative, written over the jets facade so
+the same closed forms serve real evaluation, holomorphic extension in the
+coordinates, and exact differentiation through derivative channels;
+everything else is derived from those.
 
 The curved entries are two-dimensional. The sphere carries a two-chart atlas
 (spherical coordinates in two frames rotated by a quarter turn about the y
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import jets
 from .errors import InvalidParamsError, UnknownModelError
-from .geometry import Chart, MetricModel, push_through
+from .geometry import Chart, MetricModel, metric_inv_matrix, metric_matrix, push_through
 from .jets import value
 
 __all__ = [
@@ -100,26 +102,14 @@ class SphereEmbedding:
             return [theta, phi]
         return np.array([theta, phi], dtype=complex)
 
+    def transition(self, from_chart, to_chart, qs):
+        if from_chart == to_chart:
+            return list(qs)
+        return self.world_to_chart(to_chart, self.to_world(from_chart, qs))
+
     def push_to_world(self, chart_id, q, vecs):
         _, pushed = push_through(lambda qs: self.to_world(chart_id, qs), q, vecs)
         return pushed
-
-
-def _sphere_transition(from_chart, to_chart, qs):
-    if from_chart == to_chart:
-        return list(qs)
-    theta, phi = qs
-    st, ct = jets.sin(theta), jets.cos(theta)
-    sp, cp = jets.sin(phi), jets.cos(phi)
-    x = [st * cp, st * sp, ct]
-    R = _SPHERE_FRAMES[to_chart].T @ _SPHERE_FRAMES[from_chart]
-    w = [R[k, 0] * x[0] + R[k, 1] * x[1] + R[k, 2] * x[2] for k in range(3)]
-    theta_new = jets.arccos(w[2])
-    st_new = jets.sqrt(1.0 - w[2] * w[2])
-    u = (w[0] + 1j * w[1]) / st_new
-    seed = cmath.phase(complex(value(u)))
-    phi_new = seed - 1j * jets.log(u * cmath.exp(-1j * seed))
-    return [theta_new, phi_new]
 
 
 # -- oracles ------------------------------------------------------------------
@@ -166,11 +156,7 @@ class SphereOracle:
     def _world_state(self, chart_id, q, p):
         q = np.asarray(q, dtype=complex)
         p = np.asarray(p, dtype=complex)
-        gi = np.array(
-            [[value(x) for x in row] for row in self.model.ginv(chart_id, list(q))],
-            dtype=complex,
-        )
-        v = gi @ p
+        v = metric_inv_matrix(self.model, chart_id, q) @ p
         P0 = np.array([value(x) for x in self.emb.to_world(chart_id, list(q))])
         V0 = self.emb.push_to_world(chart_id, q, v[:, None])[:, 0]
         return P0, V0, p @ v  # third slot: 2E = |v|^2
@@ -186,11 +172,7 @@ class SphereOracle:
         q_new = self.emb.world_to_chart(cid, P)
         J = self.emb.push_to_world(cid, q_new, np.eye(2))
         v_new = np.linalg.lstsq(J, V, rcond=None)[0]
-        g = np.array(
-            [[value(x) for x in row] for row in self.model.g(cid, list(q_new))],
-            dtype=complex,
-        )
-        return cid, q_new, g @ v_new
+        return cid, q_new, metric_matrix(self.model, cid, q_new) @ v_new
 
     def _pick_chart(self, P):
         best, depth = None, -1.0
@@ -240,63 +222,44 @@ class SphereOracle:
 # -- catalog entries ----------------------------------------------------------
 
 
-def flat_space(dim=2):
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise InvalidParamsError("flat_space needs a positive integer dim")
-    dim = int(dim)
+def _flat(name, params, lo, hi, periodic):
+    dim = len(lo)
     chart = Chart(
         id="main",
-        lo=np.full(dim, -20.0),
-        hi=np.full(dim, 20.0),
-        periodic=np.zeros(dim, dtype=bool),
+        lo=np.asarray(lo, dtype=float),
+        hi=np.asarray(hi, dtype=float),
+        periodic=np.full(dim, periodic),
         margin=np.full(dim, np.inf),
     )
     eye = [[1.0 if j == k else 0.0 for k in range(dim)] for j in range(dim)]
     zeros3 = [[[0.0] * dim for _ in range(dim)] for _ in range(dim)]
     model = MetricModel(
-        name="flat_space",
+        name=name,
         dim=dim,
-        params={"dim": dim},
+        params=params,
         charts=[chart],
         default_chart="main",
         g_fns={"main": lambda qs: eye},
-        ginv_fns={"main": lambda qs: eye},
         dg_fns={"main": lambda qs: zeros3},
-        dginv_fns={"main": lambda qs: zeros3},
         embedding=AffineEmbedding(dim),
     )
     model.oracle = FlatOracle(model)
     return model
+
+
+def flat_space(dim=2):
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise InvalidParamsError("flat_space needs a positive integer dim")
+    dim = int(dim)
+    return _flat("flat_space", {"dim": dim}, [-20.0] * dim, [20.0] * dim, False)
 
 
 def flat_torus(periods=(2.0 * math.pi, 2.0 * math.pi)):
     periods = tuple(float(p) for p in np.atleast_1d(periods))
     if len(periods) < 1 or any(p <= 0 for p in periods):
         raise InvalidParamsError("flat_torus needs positive periods")
-    dim = len(periods)
-    chart = Chart(
-        id="main",
-        lo=np.array([-p / 2.0 for p in periods]),
-        hi=np.array([p / 2.0 for p in periods]),
-        periodic=np.ones(dim, dtype=bool),
-        margin=np.full(dim, np.inf),
-    )
-    eye = [[1.0 if j == k else 0.0 for k in range(dim)] for j in range(dim)]
-    zeros3 = [[[0.0] * dim for _ in range(dim)] for _ in range(dim)]
-    model = MetricModel(
-        name="flat_torus",
-        dim=dim,
-        params={"periods": periods},
-        charts=[chart],
-        default_chart="main",
-        g_fns={"main": lambda qs: eye},
-        ginv_fns={"main": lambda qs: eye},
-        dg_fns={"main": lambda qs: zeros3},
-        dginv_fns={"main": lambda qs: zeros3},
-        embedding=AffineEmbedding(dim),
-    )
-    model.oracle = FlatOracle(model)
-    return model
+    return _flat("flat_torus", {"periods": periods},
+                 [-p / 2.0 for p in periods], [p / 2.0 for p in periods], True)
 
 
 def round_sphere(radius=1.0, dim=2):
@@ -313,11 +276,6 @@ def round_sphere(radius=1.0, dim=2):
         s = jets.sin(th)
         return [[a2, 0.0], [0.0, a2 * s * s]]
 
-    def ginv_fn(qs):
-        th = qs[0]
-        s = jets.sin(th)
-        return [[1.0 / a2, 0.0], [0.0, _recip_sq(s) * (1.0 / a2)]]
-
     def dg_fn(qs):
         th = qs[0]
         s, c = jets.sin(th), jets.cos(th)
@@ -327,16 +285,6 @@ def round_sphere(radius=1.0, dim=2):
             [[z, z], [z, z]],
         ]
 
-    def dginv_fn(qs):
-        th = qs[0]
-        s, c = jets.sin(th), jets.cos(th)
-        z = 0.0
-        return [
-            [[z, z], [z, (-2.0 / a2) * c * _recip_sq(s) / s]],
-            [[z, z], [z, z]],
-        ]
-
-    gauss = lambda qs: 1.0 / a2
     charts = [
         Chart(
             id=cid,
@@ -354,21 +302,14 @@ def round_sphere(radius=1.0, dim=2):
         charts=charts,
         default_chart="a",
         g_fns={"a": g_fn, "b": g_fn},
-        ginv_fns={"a": ginv_fn, "b": ginv_fn},
         dg_fns={"a": dg_fn, "b": dg_fn},
-        dginv_fns={"a": dginv_fn, "b": dginv_fn},
-        gauss_fns={"a": gauss, "b": gauss},
-        transition_fn=_sphere_transition,
+        # chart changes do not depend on the radius; at radius 1 the
+        # embedding's scaling adds no roundoff near the poles
+        transition_fn=SphereEmbedding(1.0).transition,
         embedding=SphereEmbedding(radius),
     )
     model.oracle = SphereOracle(model)
     return model
-
-
-def _recip_sq(s):
-    if isinstance(s, jets.Jet):
-        return (s * s).reciprocal()
-    return 1.0 / (s * s)
 
 
 def surface_of_revolution(base=2.0, amp=1.0):
@@ -388,10 +329,6 @@ def surface_of_revolution(base=2.0, amp=1.0):
         r, rp, _ = pieces(qs[0])
         return [[1.0 + rp * rp, 0.0], [0.0, r * r]]
 
-    def ginv_fn(qs):
-        r, rp, _ = pieces(qs[0])
-        return [[_recip(1.0 + rp * rp), 0.0], [0.0, _recip(r * r)]]
-
     def dg_fn(qs):
         r, rp, rpp = pieces(qs[0])
         z = 0.0
@@ -399,22 +336,6 @@ def surface_of_revolution(base=2.0, amp=1.0):
             [[2.0 * rp * rpp, z], [z, 2.0 * r * rp]],
             [[z, z], [z, z]],
         ]
-
-    def dginv_fn(qs):
-        r, rp, rpp = pieces(qs[0])
-        guu = 1.0 + rp * rp
-        z = 0.0
-        d_guu_inv = (-2.0) * rp * rpp * _recip(guu * guu)
-        d_gpp_inv = (-2.0) * rp * _recip(r * r * r)
-        return [
-            [[d_guu_inv, z], [z, d_gpp_inv]],
-            [[z, z], [z, z]],
-        ]
-
-    def gauss(qs):
-        r, rp, rpp = pieces(qs[0])
-        guu = 1.0 + rp * rp
-        return (-1.0) * rpp * _recip(r * guu * guu)
 
     chart = Chart(
         id="main",
@@ -430,15 +351,8 @@ def surface_of_revolution(base=2.0, amp=1.0):
         charts=[chart],
         default_chart="main",
         g_fns={"main": g_fn},
-        ginv_fns={"main": ginv_fn},
         dg_fns={"main": dg_fn},
-        dginv_fns={"main": dginv_fn},
-        gauss_fns={"main": gauss},
     )
-
-
-def _recip(x):
-    return x.reciprocal() if isinstance(x, jets.Jet) else 1.0 / x
 
 
 _BUILDERS = {

@@ -42,6 +42,7 @@ import numpy as np
 from . import __version__
 from .catalog import catalog
 from .errors import (
+    ChartDomainError,
     ConfigError,
     GrauertError,
     InvalidParamsError,
@@ -59,6 +60,7 @@ from .lagrangian import (
 )
 from .verify import (
     CHECK_NAMES,
+    _plain,
     estimate_tube_radius,
     run_battery,
     sample_tube_points,
@@ -104,7 +106,7 @@ class RunConfig:
     def build_model(self):
         try:
             return catalog(self.model_name, **self.model_params)
-        except TypeError as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"bad model parameters: {e}") from e
 
     def hash(self):
@@ -148,6 +150,14 @@ def _parse_complex(text, what):
         raise ConfigError(f"{what} must be a complex number, got {text!r}")
 
 
+def _number(text, what, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        kind_name = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {kind_name}, got {text!r}")
+
+
 def _positive(value, what):
     if not value > 0:
         raise ConfigError(f"{what} must be positive, got {value}")
@@ -188,11 +198,11 @@ def load_config(path=None):
                     raise ConfigError(f"unknown checks: {sorted(unknown)}")
                 cfg.checks = names
             elif key == "dbar_sign":
-                cfg.dbar_sign = float(_parse_scalar(val))
+                cfg.dbar_sign = _number(val, key)
             elif key == "flow_tol":
-                cfg.flow_tol = _positive(float(val), "flow_tol")
+                cfg.flow_tol = _positive(_number(val, key), key)
             else:
-                cfg.tolerances[key[4:]] = _positive(float(val), key)
+                cfg.tolerances[key[4:]] = _positive(_number(val, key), key)
 
     if parser.has_section("grids"):
         for key, val in parser.items("grids"):
@@ -205,11 +215,11 @@ def load_config(path=None):
             elif key == "function":
                 cfg.function = val.strip()
             elif key in ("rho_min", "rho_max"):
-                setattr(cfg, key, float(val))
+                setattr(cfg, key, _number(val, key))
             elif key in ("sweep_cap", "resolution"):
-                setattr(cfg, key, _positive(float(val), key))
+                setattr(cfg, key, _positive(_number(val, key), key))
             else:
-                iv = int(val)
+                iv = _number(val, key, int)
                 if iv < 0 or (iv == 0 and key != "seed"):
                     raise ConfigError(f"{key} must be positive, got {iv}")
                 setattr(cfg, key, iv)
@@ -237,21 +247,13 @@ def load_config(path=None):
 
 
 def _header(cfg, model):
-    params = json.dumps({k: _jsonable(v) for k, v in sorted(model.params.items())})
+    params = json.dumps({k: _plain(v) for k, v in sorted(model.params.items())})
     return [
         f"# toolkit_version: {__version__}",
         f"# config_hash: {cfg.hash()}",
         f"# model: {model.name}",
         f"# params: {params}",
     ]
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, tuple):
-        return list(v)
-    return v
 
 
 def _fmt(x):
@@ -278,6 +280,8 @@ def write_records(path, header_lines, records):
 
 def _start_point(cfg, model):
     cid = cfg.chart or model.default_chart
+    if cid not in model.charts:
+        raise ConfigError(f"unknown chart {cid!r}; {model.name} has {sorted(model.charts)}")
     ch = model.chart(cid)
     if cfg.q0 is not None:
         q = np.array(cfg.q0, dtype=float)
@@ -285,6 +289,10 @@ def _start_point(cfg, model):
         q = 0.5 * (ch.lo + ch.hi)
     if len(q) != model.dim:
         raise ConfigError(f"q0 needs {model.dim} components")
+    try:
+        model.require_inside(cid, q)
+    except ChartDomainError as e:
+        raise ConfigError(f"q0 is not a point of the model: {e}") from e
     if cfg.p0 is not None:
         p = np.array(cfg.p0, dtype=float)
         if len(p) != model.dim:

@@ -19,7 +19,6 @@ __all__ = [
     "PositivityError",
     "DivergenceError",
     "UnsupportedModelError",
-    "BranchError",
     "UnknownModelError",
     "InvalidParamsError",
     "ConfigError",
@@ -83,10 +82,6 @@ class DivergenceError(GrauertError):
 
 class UnsupportedModelError(GrauertError):
     """Operation not available for this model (e.g. no closed-form oracle)."""
-
-
-class BranchError(GrauertError):
-    """A multivalued function was evaluated where no branch choice is safe."""
 
 
 class UnknownModelError(GrauertError):

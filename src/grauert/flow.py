@@ -161,10 +161,14 @@ class FlowResult:
 
 
 def hamiltonian_vector_field(model, chart_id, qs, ps):
-    """(dq, dp) components of the energy field over generic scalars."""
+    """(dq, dp) components of the energy field over generic scalars.
+
+    dq = g^-1 p and dp_l = 1/2 v^T (d_l g) v with v = dq, which equals
+    -1/2 p^T (d_l g^-1) p, so only the metric and its derivative are needed.
+    """
     n = model.dim
     gi = model.ginv(chart_id, qs)
-    dgi = model.dginv(chart_id, qs)
+    dg = model.dg(chart_id, qs)
     dq = []
     for j in range(n):
         acc = 0.0
@@ -176,8 +180,8 @@ def hamiltonian_vector_field(model, chart_id, qs, ps):
         acc = 0.0
         for j in range(n):
             for k in range(n):
-                acc = acc + dgi[l][j][k] * ps[j] * ps[k]
-        dp.append(-0.5 * acc)
+                acc = acc + dg[l][j][k] * dq[j] * dq[k]
+        dp.append(0.5 * acc)
     return dq, dp
 
 
@@ -253,9 +257,7 @@ def flow(
     order=DEFAULT_ORDER,
     tol=DEFAULT_TOL,
     variational=False,
-    jac0=None,
     dense=False,
-    h_max=None,
     max_steps=10000,
 ):
     """Continue the geodesic flow of ``model`` from ``point`` along a complex-time path.
@@ -276,10 +278,8 @@ def flow(
     q = ch.wrap(point.q)
     p = point.p.copy()
     model.require_inside(cid, q)
-    R = 1 + m if (variational or jac0 is not None) else 1
-    D = None
-    if R > 1:
-        D = np.eye(m, dtype=complex) if jac0 is None else np.asarray(jac0, dtype=complex)
+    R = 1 + m if variational else 1
+    D = np.eye(m, dtype=complex) if variational else None
     diag = FlowDiagnostics(order=order, tol=tol)
     diag.energy_initial = complex(energy(model, cid, q, p, check_domain=False))
     segments = []
@@ -301,8 +301,6 @@ def flow(
                 )
             coeffs = _taylor_series(model, cid, q, p, D, u, order, R)
             h = _choose_step(coeffs[:, 0, :], order, tol)
-            if h_max is not None:
-                h = min(h, h_max)
             dt = min(h, leg_len - t_done)
             if dt < STEP_FLOOR and leg_len - t_done > STEP_FLOOR:
                 raise SingularityError(

@@ -1,18 +1,19 @@
 """Charts, metric models, and pointwise geometric evaluators.
 
-A model is an atlas of box charts plus closed-form metric evaluators written
-over the generic scalar namespace in :mod:`grauert.jets`. Because the same
-code path runs on floats, complex numbers, dual jets, and truncated series,
-every evaluator is simultaneously a real evaluator, a holomorphic extension,
-and a derivative generator. Each chart declares how far into the imaginary
-directions its evaluators remain trustworthy (the margin); leaving the margin
-is a domain error, not a numerical accident.
+A model is an atlas of box charts plus, per chart, the metric and its first
+derivative written over the generic scalar namespace in :mod:`grauert.jets`;
+the inverse metric, the energy and the Christoffel symbols are derived from
+those two. Because the same code path runs on floats, complex numbers, dual
+jets, and truncated series, every evaluator is simultaneously a real
+evaluator, a holomorphic extension, and a derivative generator. Each chart
+declares how far into the imaginary directions its evaluators remain
+trustworthy (the margin); leaving the margin is a domain error, not a
+numerical accident.
 
 Index conventions used throughout:
 
 * ``g(chart, q)[j][k]`` is the metric g_jk, ``ginv`` its inverse g^jk,
-* ``dg(chart, q)[l][j][k]`` is the partial derivative d g_jk / d q^l, and
-  likewise ``dginv`` for the inverse components,
+* ``dg(chart, q)[l][j][k]`` is the partial derivative d g_jk / d q^l,
 * ``christoffel(...)[i][j][k]`` is Gamma^i_jk.
 
 Phase-space conventions: momenta are covectors, the canonical one-form is
@@ -22,7 +23,7 @@ p dq, the symplectic form acts as omega(a + b, a' + b') = a.b' - b.a' on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +33,9 @@ from .jets import value
 
 __all__ = [
     "Chart",
-    "ManifoldPoint",
-    "TangentVector",
     "MetricModel",
     "energy",
     "christoffel",
-    "curvature_applied",
     "metric_matrix",
     "metric_inv_matrix",
     "transition_phase",
@@ -103,35 +101,15 @@ class Chart:
         return q
 
 
-@dataclass(frozen=True)
-class ManifoldPoint:
-    chart_id: str
-    q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=complex))
-
-    @property
-    def is_real(self):
-        return bool(np.all(np.abs(self.q.imag) < 1e-13))
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    point: ManifoldPoint
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=complex))
-
-
 class MetricModel:
     """Atlas plus metric evaluators for one catalog entry.
 
-    The evaluator dictionaries map chart ids to functions of a coordinate
-    sequence; entries may be any scalar the jets facade accepts. Curved
-    two-dimensional models supply a Gauss-curvature evaluator; flat models
-    supply ``None`` and curvature terms vanish identically.
+    ``g_fns`` and ``dg_fns`` map chart ids to functions of a coordinate
+    sequence returning the metric and its first derivative; entries may be
+    any scalar the jets facade accepts. The inverse metric is derived from
+    ``g``: by the adjugate on two-dimensional charts, which works on plain
+    numbers and jets alike, and by ``numpy.linalg.inv`` on plain numbers in
+    other dimensions.
     """
 
     def __init__(
@@ -142,10 +120,7 @@ class MetricModel:
         charts,
         default_chart,
         g_fns,
-        ginv_fns,
         dg_fns,
-        dginv_fns,
-        gauss_fns=None,
         transition_fn=None,
         embedding=None,
         oracle=None,
@@ -156,10 +131,7 @@ class MetricModel:
         self.charts = {c.id: c for c in charts}
         self.default_chart = default_chart
         self._g = g_fns
-        self._ginv = ginv_fns
         self._dg = dg_fns
-        self._dginv = dginv_fns
-        self._gauss = gauss_fns or {}
         self._transition = transition_fn
         self.embedding = embedding
         self.oracle = oracle
@@ -187,10 +159,6 @@ class MetricModel:
                 q,
             )
 
-    @property
-    def is_flat(self):
-        return not self._gauss
-
     def has_transitions(self):
         return self._transition is not None and len(self.charts) > 1
 
@@ -199,17 +167,16 @@ class MetricModel:
         return self._g[chart_id](q)
 
     def ginv(self, chart_id, q):
-        return self._ginv[chart_id](q)
+        g = self.g(chart_id, q)
+        if self.dim != 2:
+            return np.linalg.inv(np.array(g, dtype=complex)).tolist()
+        (a, b), (c, d) = g
+        det = a * d - b * c
+        r = det.reciprocal() if isinstance(det, jets.Jet) else 1.0 / det
+        return [[d * r, -b * r], [-c * r, a * r]]
 
     def dg(self, chart_id, q):
         return self._dg[chart_id](q)
-
-    def dginv(self, chart_id, q):
-        return self._dginv[chart_id](q)
-
-    def gauss_curvature(self, chart_id, q):
-        fn = self._gauss.get(chart_id)
-        return None if fn is None else fn(q)
 
     def transition_coords(self, from_chart, to_chart, q_scalars):
         if self._transition is None:
@@ -279,27 +246,6 @@ def christoffel(model, chart_id, q):
             row_i.append(row_j)
         out.append(row_i)
     return out
-
-
-def curvature_applied(model, chart_id, q, w, u):
-    """R(w, u)u as chart components.
-
-    Flat models return zeros. Curved models are two-dimensional here, so the
-    curvature operator reduces to the Gauss form
-    R(w, u)u = K (g(u,u) w - g(u,w) u).
-    """
-    n = model.dim
-    K = model.gauss_curvature(chart_id, q)
-    if K is None:
-        return [0.0] * n
-    gm = model.g(chart_id, list(q))
-    guu = 0.0
-    guw = 0.0
-    for j in range(n):
-        for k in range(n):
-            guu = guu + gm[j][k] * u[j] * u[k]
-            guw = guw + gm[j][k] * u[j] * w[k]
-    return [K * (guu * w[i] - guw * u[i]) for i in range(n)]
 
 
 def push_through(fn, q, vectors):

@@ -30,12 +30,13 @@ from .errors import (
     SingularityError,
 )
 from .flow import PhasePoint, flow, hamiltonian_vector_field
-from .geometry import christoffel, metric_matrix
+from .geometry import christoffel
 from .lagrangian import (
     LagrangianFrame,
     distribution_at,
     f_matrix_from_frame,
     j_tensor_from_frame,
+    lift_coefficients,
     lifted_frames,
     orthonormal_tangent_basis,
 )
@@ -53,20 +54,10 @@ __all__ = [
 ]
 
 
-def _frame_coefficients(model, frame, basis=None):
-    if basis is None:
-        basis = orthonormal_tangent_basis(model, frame.chart_id, frame.q, frame.p)
-    Xi, Eta = lifted_frames(model, frame.chart_id, frame.q, frame.p, basis)
-    M = np.hstack([Xi, Eta])
-    coef = np.linalg.solve(M, frame.columns)
-    n = frame.n
-    return coef[:n, :], coef[n:, :]
-
-
 def frame_vertical_det(model, z, sigma, basis=None, order=16, tol=1e-12):
     """det of the vertical coefficient block of the frame at z; zeros mark f poles."""
     fr = distribution_at(model, z, sigma, order=order, tol=tol)
-    _, c = _frame_coefficients(model, fr, basis=basis)
+    _, c = lift_coefficients(model, fr, basis=basis)
     return complex(np.linalg.det(c))
 
 

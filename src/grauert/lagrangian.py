@@ -34,6 +34,7 @@ __all__ = [
     "distribution_at",
     "orthonormal_tangent_basis",
     "lifted_frames",
+    "lift_coefficients",
     "f_matrix_from_frame",
     "j_tensor_from_frame",
     "positivity_check",
@@ -139,22 +140,28 @@ def lifted_frames(model, chart_id, q, p, V):
     return Xi, Eta
 
 
-def f_matrix_from_frame(model, frame, basis=None):
-    """Spreading matrix of a frame in a lifted tangent basis.
+def lift_coefficients(model, frame, basis=None):
+    """(b, c) with frame columns = Xi b + Eta c in the lifts of ``basis``.
 
-    Columns are decomposed as Xi b + Eta c against the horizontal and
-    vertical lifts of ``basis`` (default: momentum-led g-orthonormal basis);
-    the result is f = b c^{-1}, the matrix relating configuration spread to
-    covariant momentum spread. A nearly singular vertical coefficient block
-    signals a conjugate-point degeneracy of the frame.
+    Xi and Eta are the horizontal and vertical lifts of the basis (default:
+    momentum-led g-orthonormal basis).
     """
     if basis is None:
         basis = orthonormal_tangent_basis(model, frame.chart_id, frame.q, frame.p)
     Xi, Eta = lifted_frames(model, frame.chart_id, frame.q, frame.p, basis)
-    M = np.hstack([Xi, Eta])
-    coef = np.linalg.solve(M, frame.columns)
-    n = frame.n
-    b, c = coef[:n, :], coef[n:, :]
+    coef = np.linalg.solve(np.hstack([Xi, Eta]), frame.columns)
+    return coef[: frame.n, :], coef[frame.n :, :]
+
+
+def f_matrix_from_frame(model, frame, basis=None):
+    """Spreading matrix of a frame in a lifted tangent basis.
+
+    With the frame decomposed by :func:`lift_coefficients` as Xi b + Eta c,
+    the result is f = b c^{-1}, the matrix relating configuration spread to
+    covariant momentum spread. A nearly singular vertical coefficient block
+    signals a conjugate-point degeneracy of the frame.
+    """
+    b, c = lift_coefficients(model, frame, basis)
     if np.linalg.cond(c) > 1e8:
         raise DegenerateFrameError(
             "vertical coefficients of the frame are numerically singular"

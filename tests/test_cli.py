@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line driver and its exit-code contract."""
 
 import csv
+import importlib
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import grauert
 from grauert.cli import RunConfig, load_config, main
 from grauert.errors import ConfigError
 
@@ -82,10 +85,29 @@ def test_hash_ignores_output_dir():
     assert a.hash() != c.hash()
 
 
+# (command, config) pairs that must be rejected as configuration errors
+BAD_CONFIGS = [
+    ("verify", "[grids]\nbogus = 1\n"),
+    ("verify", "[grids]\nn_samples = abc\n"),
+    ("verify", "[grids]\nseed = 1.5\n"),
+    ("verify", "[checks]\ndbar_sign = x\n"),
+    ("verify", "[checks]\nflow_tol = tiny\n"),
+    ("verify", "[checks]\ntol_nijenhuis = loose\n"),
+    ("verify", "[grids]\nrho_min = low\n"),
+    ("verify", "[grids]\nrho_max = high\n"),
+    ("verify", "[model]\nname = round_sphere\nradius = big\n"),
+    ("tube-radius", "[grids]\nsweep_cap = far\n"),
+    ("tube-radius", "[grids]\nresolution = fine\n"),
+    ("flow", "[model]\nname = round_sphere\n[grids]\nq0 = 0.01, 0.0\n"),
+    ("flow", "[model]\nname = round_sphere\n[grids]\nchart = z\n"),
+]
+
+
 def test_exit_code_3_on_bad_config(tmp_path):
-    path = write_ini(tmp_path, "[grids]\nbogus = 1\n")
-    code, _ = run(tmp_path, "verify", "--config", path)
-    assert code == 3
+    for i, (command, text) in enumerate(BAD_CONFIGS):
+        path = write_ini(tmp_path, text, name=f"cfg{i}.ini")
+        code, _ = run(tmp_path, command, "--config", path)
+        assert code == 3, (command, text)
 
 
 def test_exit_code_3_on_unknown_model(tmp_path):
@@ -297,3 +319,10 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "o" / "flow.csv").exists()
+
+
+def test_every_exported_name_resolves():
+    for info in pkgutil.iter_modules(grauert.__path__):
+        module = importlib.import_module(f"grauert.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"grauert.{info.name}.__all__ names {name!r}"

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from grauert import jets
 from grauert.catalog import catalog
 from grauert.errors import SingularityError
+from grauert.geometry import energy
 from grauert.flow import (
     PhasePoint,
     SigmaPath,
@@ -23,6 +25,24 @@ from grauert.flow import (
 OMEGA4 = np.block(
     [[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]]
 ).astype(complex)
+
+
+def test_field_is_hamiltonian_field_of_energy():
+    # (dE/dp, -dE/dq) by dual channels through the energy, against the field
+    q = np.array([1.1 + 0.1j, 0.4 - 0.2j])
+    p = np.array([0.3 + 0.05j, -0.7 + 0.1j])
+    cases = [
+        (catalog("round_sphere", radius=1.3), "a"),
+        (catalog("round_sphere", radius=1.3), "b"),
+        (catalog("surface_of_revolution"), "main"),
+    ]
+    for model, cid in cases:
+        qs = [jets.variable(q[i], i, 4) for i in range(2)]
+        ps = [jets.variable(p[i], 2 + i, 4) for i in range(2)]
+        grad = energy(model, cid, qs, ps, check_domain=False).c[1:, 0]
+        dq, dp = hamiltonian_vector_field(model, cid, list(q), list(p))
+        assert np.max(np.abs(np.array(dq) - grad[2:])) < 1e-13
+        assert np.max(np.abs(np.array(dp) + grad[:2])) < 1e-13
 
 
 def test_flat_flow_is_exact_single_step():

@@ -1,4 +1,4 @@
-"""Metric evaluators, Christoffel symbols, curvature, charts, and transitions."""
+"""Metric evaluators, Christoffel symbols, charts, and transitions."""
 
 import math
 
@@ -12,7 +12,6 @@ from grauert.catalog import catalog, round_sphere, surface_of_revolution
 from grauert.errors import ChartDomainError, InvalidParamsError, UnknownModelError
 from grauert.geometry import (
     christoffel,
-    curvature_applied,
     energy,
     metric_inv_matrix,
     metric_matrix,
@@ -27,7 +26,6 @@ OMEGA4 = np.block(
 # hand-derived reference values, unit sphere coordinates (theta, phi)
 GAMMA_SPHERE_T_PP = -0.4330127018922193  # -sin(pi/3) cos(pi/3)
 # surface r(u) = 2 + cos(u) at u = pi/3: r = 2.5, r' = -sqrt(3)/2, r'' = -1/2
-SURFREV_K_PI3 = 0.06530612244897959  # 0.5 / (2.5 * 1.75^2)
 SURFREV_G_U_PP = 1.2371791482634837  # -r r' / (1 + r'^2)
 SURFREV_G_P_UP = -0.34641016151377546  # r'/r
 SURFREV_G_U_UU = 0.24743582965269675  # r'r'' / (1 + r'^2)
@@ -119,6 +117,7 @@ def test_christoffel_matches_fd_of_metric():
 
 
 def test_metric_inverse_and_derivative_consistency():
+    # g g^-1 = I for the inverse derived from g, and g stays positive definite
     rng = np.random.default_rng(7)
     for model, cid in [
         (catalog("round_sphere", radius=0.8), "a"),
@@ -131,13 +130,32 @@ def test_metric_inverse_and_derivative_consistency():
             assert np.allclose(g @ gi, np.eye(2), atol=1e-13)
             ev = np.linalg.eigvalsh(g.real)
             assert ev.min() > 0
-            # d(g^-1) = -g^-1 (dg) g^-1
-            dg = model.dg(cid, list(q.astype(complex)))
-            dgi = model.dginv(cid, list(q.astype(complex)))
+    flat3 = catalog("flat_space", dim=3)
+    assert np.array_equal(metric_inv_matrix(flat3, "main", np.zeros(3)), np.eye(3))
+
+
+def test_derived_inverse_on_variational_series():
+    # the jets the Taylor step passes: series with identity-seeded channels
+    rng = np.random.default_rng(3)
+    for model, cid, q0 in [
+        (catalog("round_sphere", radius=0.8), "b", [1.2 + 0.1j, -0.5 + 0.2j]),
+        (catalog("surface_of_revolution"), "main", [0.6 - 0.2j, 2.0 + 0.1j]),
+    ]:
+        qs = []
+        for i in range(2):
+            c = 0.1 * (rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6)))
+            c[0, 0] = q0[i]
+            c[1:, 0] = 0.0
+            c[1 + i, 0] = 1.0
+            qs.append(jets.Jet(c))
+        g = model.g(cid, qs)
+        gi = model.ginv(cid, qs)
+        for j in range(2):
             for l in range(2):
-                lhs = np.array(dgi[l], dtype=complex)
-                rhs = -gi @ np.array(dg[l], dtype=complex) @ gi
-                assert np.max(np.abs(lhs - rhs)) < 1e-12
+                prod = gi[j][0] * g[0][l] + gi[j][1] * g[1][l]
+                want = np.zeros((5, 6), dtype=complex)
+                want[0, 0] = 1.0 if j == l else 0.0
+                assert np.max(np.abs(prod.c - want)) < 1e-13
 
 
 def test_metric_positive_definite_sweep():
@@ -185,53 +203,6 @@ def test_dual_channel_matches_complex_step():
     cs = (model.g("main", [q0 + 1j * eps, 0.0])[0][0]
           - model.g("main", [q0 - 1j * eps, 0.0])[0][0]) / (2j * eps)
     assert abs(exact - cs) < 1e-9
-
-
-# -- curvature -------------------------------------------------------------------
-
-
-def brioschi_gauss(model, cid, u, h=1e-4):
-    """Independent curvature for a diagonal u-only metric, outer derivative by FD."""
-
-    def inner(t):
-        q = [complex(u + t), 0.0]
-        g = model.g(cid, q)
-        dgu = model.dg(cid, q)[0]
-        E, G = complex(g[0][0]), complex(g[1][1])
-        return complex(dgu[1][1]) / np.sqrt(E * G)
-
-    q0 = [complex(u), 0.0]
-    g = model.g(cid, q0)
-    E, G = complex(g[0][0]), complex(g[1][1])
-    return (-fd5(inner, 0.0, h) / (2.0 * np.sqrt(E * G))).real
-
-
-def test_gauss_curvature_surface_of_revolution():
-    m = catalog("surface_of_revolution")
-    assert np.isclose(m.gauss_curvature("main", [math.pi / 3, 0.0]), SURFREV_K_PI3, rtol=1e-12)
-    for u in (-2.5, -0.9, 0.3, 1.7, 3.0):
-        assert abs(m.gauss_curvature("main", [u, 0.1]) - brioschi_gauss(m, "main", u)) < 1e-9
-
-
-def test_gauss_curvature_sphere():
-    for a in (0.5, 1.0, 2.0):
-        m = catalog("round_sphere", radius=a)
-        assert np.isclose(m.gauss_curvature("a", [1.2, 0.0]), 1.0 / a**2, rtol=1e-14)
-        assert abs(brioschi_gauss(m, "a", 1.2) - 1.0 / a**2) < 1e-9
-
-
-def test_curvature_applied_forms():
-    flat = catalog("flat_space", dim=3)
-    out = curvature_applied(flat, "main", [0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
-    assert np.allclose(out, 0.0)
-    sph = catalog("round_sphere", radius=2.0)
-    q = [1.0, 0.5]
-    g = metric_matrix(sph, "a", q).real
-    # orthonormal pair: R(w,u)u = K w for unit orthogonal w, u
-    u = np.array([1.0, 0.0]) / math.sqrt(g[0, 0])
-    w = np.array([0.0, 1.0]) / math.sqrt(g[1, 1])
-    out = np.array(curvature_applied(sph, "a", q, list(w), list(u)), dtype=complex)
-    assert np.allclose(out, 0.25 * w, atol=1e-14)
 
 
 # -- sphere transitions and embedding -------------------------------------------
