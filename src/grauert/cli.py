@@ -23,7 +23,8 @@ identical config and seed give byte-identical files.
 
 Exit codes: 0 success, 1 a verification check failed, 2 numerical breakdown
 (a singularity; the last good time is written to a sidecar record), 3
-configuration error.
+configuration error, 4 internal error (an exception the toolkit does not
+diagnose, such as a singular linear solve; reported on one line of stderr).
 """
 
 from __future__ import annotations
@@ -539,12 +540,13 @@ def main(argv=None):
     except (ConfigError, UnknownModelError, InvalidParamsError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
-    except SingularityError as e:
-        print(f"numerical breakdown: {e}", file=sys.stderr)
-        return 2
     except GrauertError as e:
         print(f"numerical breakdown: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # a defect, not a verdict: one line, and never exit 1
+        print(" ".join(f"internal error: {type(e).__name__}: {e}".split()), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -42,13 +42,15 @@ class SingularityError(GrauertError):
     """Continuation broke down: step collapse or margin exit mid-flow.
 
     ``last_good_sigma`` is the last path parameter at which the state was
-    still certified.
+    still certified. ``segments`` holds the dense output accepted before the
+    breakdown (empty unless the flow kept dense output).
     """
 
-    def __init__(self, message, last_good_sigma=None, reason=None):
+    def __init__(self, message, last_good_sigma=None, reason=None, segments=()):
         super().__init__(message)
         self.last_good_sigma = last_good_sigma
         self.reason = reason
+        self.segments = list(segments)
 
 
 class DegenerateFrameError(GrauertError):

@@ -21,6 +21,7 @@ transported exactly alongside the state, through chart transitions included.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "Segment",
     "FlowDiagnostics",
     "FlowResult",
+    "segment_at",
     "hamiltonian_vector_field",
     "flow",
     "phase_residual",
@@ -144,20 +146,23 @@ class FlowResult:
         if not self.segments:
             raise ValueError("flow was run without dense output")
         total = self.segments[-1].t0_global + self.segments[-1].dt
-        taus = np.linspace(0.0, total, num)
         out = []
-        k = 0
-        for t in taus:
-            while (
-                k + 1 < len(self.segments)
-                and t > self.segments[k].t0_global + self.segments[k].dt + 1e-14
-            ):
-                k += 1
-            seg = self.segments[k]
-            tl = min(max(t - seg.t0_global, 0.0), seg.dt)
+        for t in np.linspace(0.0, total, num):
+            seg, tl = segment_at(self.segments, t)
             q, p = seg.state_at(tl)
             out.append((seg.sigma0 + seg.direction * tl, PhasePoint(seg.chart_id, q, p)))
         return out
+
+
+def segment_at(segments, t):
+    """The dense-output segment holding arc length t, and t's local parameter on it.
+
+    At a step boundary the earlier segment is taken; t outside the covered
+    arc length is clamped to it.
+    """
+    k = bisect.bisect_left(segments, t, key=lambda s: s.t0_global + s.dt + 1e-14)
+    seg = segments[min(k, len(segments) - 1)]
+    return seg, min(max(t - seg.t0_global, 0.0), seg.dt)
 
 
 def hamiltonian_vector_field(model, chart_id, qs, ps):
@@ -265,7 +270,9 @@ def flow(
     Exactly one of ``sigma`` (straight path) or ``path`` must be given.
     Returns a :class:`FlowResult`; raises :class:`SingularityError` when the
     series step collapses below the floor, the state leaves the chart's
-    imaginary margin, or its real part exits the atlas.
+    imaginary margin, or its real part exits the atlas. With ``dense=True``
+    the error keeps the accepted segments, which are trustworthy up to its
+    ``last_good_sigma``.
     """
     if (sigma is None) == (path is None):
         raise ValueError("pass exactly one of sigma or path")
@@ -298,6 +305,7 @@ def flow(
                     f"step budget exhausted at {sigma_now}",
                     last_good_sigma=sigma_now,
                     reason="step budget",
+                    segments=segments,
                 )
             coeffs = _taylor_series(model, cid, q, p, D, u, order, R)
             h = _choose_step(coeffs[:, 0, :], order, tol)
@@ -307,6 +315,7 @@ def flow(
                     f"series step collapsed to {h:.3e} at {sigma_now}",
                     last_good_sigma=sigma_now,
                     reason="step collapse",
+                    segments=segments,
                 )
             if dense:
                 segments.append(Segment(cid, s0 + u * t_done, u, dt, t_global, coeffs))
@@ -328,6 +337,7 @@ def flow(
                     f"imaginary part left the chart margin near {s_ok}",
                     last_good_sigma=s_ok,
                     reason="imaginary margin",
+                    segments=segments,
                 )
             if model.has_transitions() and not ch.in_safe_interior(q.real):
                 best = model.best_chart(cid, q)
@@ -343,6 +353,7 @@ def flow(
                     f"real part left the chart box near {s_ok}",
                     last_good_sigma=s_ok,
                     reason="chart box",
+                    segments=segments,
                 )
     diag.energy_final = complex(energy(model, cid, q, p, check_domain=False))
     return FlowResult(

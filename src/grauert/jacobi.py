@@ -9,12 +9,13 @@ a direct imaginary-time flow is the central two-route consistency check of
 the package.
 
 Two independent extraction routes are provided. ``f_samples`` reuses the
-backward-flow frame (one linear solve per sample). ``f_by_jacobi_transport``
-instead integrates the parallel-transport equation with an off-the-shelf
-ODE solver, seeds the vertical lifts of the transported frame at the
-backward point, and pushes them forward with a second variational flow; no
-jacobian is ever inverted. Agreement of the two is a strong end-to-end test
-of the variational machinery.
+backward-flow frame, with frames read from one dense backward flow per ray
+of times (a polynomial evaluation and a linear solve per sample).
+``f_by_jacobi_transport`` instead integrates the parallel-transport equation
+with an off-the-shelf ODE solver, seeds the vertical lifts of the transported
+frame at the backward point, and pushes them forward with a second
+variational flow; no jacobian is ever inverted. Agreement of the two is a
+strong end-to-end test of the variational machinery.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from .errors import (
     PadeDegeneracyError,
     SingularityError,
 )
-from .flow import PhasePoint, flow, hamiltonian_vector_field
+from .flow import PhasePoint, flow, hamiltonian_vector_field, segment_at
 from .geometry import christoffel
 from .lagrangian import (
+    FrameRays,
     LagrangianFrame,
     distribution_at,
     f_matrix_from_frame,
@@ -54,24 +56,31 @@ __all__ = [
 ]
 
 
-def frame_vertical_det(model, z, sigma, basis=None, order=16, tol=1e-12):
-    """det of the vertical coefficient block of the frame at z; zeros mark f poles."""
-    fr = distribution_at(model, z, sigma, order=order, tol=tol)
-    _, c = lift_coefficients(model, fr, basis=basis)
+def _vertical_det(model, frame, basis):
+    _, c = lift_coefficients(model, frame, basis=basis)
     return complex(np.linalg.det(c))
 
 
-def f_samples(model, z, taus, basis=None, order=16, tol=1e-12):
+def frame_vertical_det(model, z, sigma, basis=None, order=16, tol=1e-12):
+    """det of the vertical coefficient block of the frame at z; zeros mark f poles."""
+    return _vertical_det(model, distribution_at(model, z, sigma, order=order, tol=tol), basis)
+
+
+def f_samples(model, z, taus, basis=None, order=16, tol=1e-12, frames=None):
     """Spreading matrices at the given real times, all in one fixed basis at z.
 
-    Raises :class:`ConjugatePointError` if a sample sits numerically on a
+    Frames come from ``frames`` (a :class:`FrameRays` at z reaching every
+    tau), by default one dense backward flow per time direction. Raises
+    :class:`ConjugatePointError` if a sample sits numerically on a
     conjugate-point pole.
     """
     if basis is None:
         basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
+    if frames is None:
+        frames = FrameRays(model, z, max(map(abs, taus), default=0.0), order=order, tol=tol)
     out = np.empty((len(taus), model.dim, model.dim), dtype=complex)
     for i, tau in enumerate(taus):
-        fr = distribution_at(model, z, complex(tau), order=order, tol=tol)
+        fr = frames.at(tau)
         try:
             out[i] = f_matrix_from_frame(model, fr, basis=basis)
         except DegenerateFrameError as e:
@@ -94,10 +103,8 @@ def _parallel_transport(model, geo, V0, tau):
             )
 
     def q_of(t):
-        for s in segs:
-            if t <= s.t0_global + s.dt + 1e-14:
-                return s.state_at(min(max(t - s.t0_global, 0.0), s.dt))
-        return segs[-1].state_at(segs[-1].dt)
+        seg, t_local = segment_at(segs, t)
+        return seg.state_at(t_local)
 
     sgn = geo.sigma.real / abs(geo.sigma.real)
 
@@ -154,18 +161,24 @@ def f_by_jacobi_transport(model, z, tau, order=16, tol=1e-12):
     return f_matrix_from_frame(model, fr, basis=basis)
 
 
-def first_f_singularity(model, z, tau_max=3.0, coarse=0.1, refine=1e-6, order=16, tol=1e-12):
+def first_f_singularity(model, z, tau_max=3.0, coarse=0.1, refine=1e-6, order=16, tol=1e-12,
+                        frames=None):
     """Smallest |tau| with a spreading-matrix pole on the real axis, or None.
 
     Poles are located as sign changes of the real part of the vertical-block
     determinant, which decays through zero linearly at a conjugate point;
-    each bracket is polished by root finding. Scans both time directions.
+    each bracket is polished by root finding on the dense output of the
+    backward flow. Scans both time directions, reading frames from
+    ``frames`` (a :class:`FrameRays` at z reaching ``tau_max``; by default
+    one dense backward flow per direction).
     """
     basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
+    if frames is None:
+        frames = FrameRays(model, z, tau_max, order=order, tol=tol)
     hits = []
-    d0 = frame_vertical_det(model, z, 0.0, basis=basis, order=order, tol=tol).real
+    d0 = _vertical_det(model, frames.at(0.0), basis).real
     for sgn in (1.0, -1.0):
-        d = lambda t: frame_vertical_det(model, z, sgn * t, basis=basis, order=order, tol=tol).real
+        d = lambda t: _vertical_det(model, frames.at(sgn * t), basis).real
         t_prev, d_prev = 0.0, d0
         t = coarse
         while t <= tau_max + 1e-12:
@@ -235,11 +248,12 @@ def pade_poles(q):
 
 
 def continue_f_to_i(model, z, window, n_samples=21, num_degree=8, den_degree=8,
-                    order=16, tol=1e-12):
+                    order=16, tol=1e-12, frames=None):
     """Continue the spreading matrix from a real sample window to time i.
 
     Samples each entry on a Chebyshev grid over [-window, window] (scaled to
-    [-1, 1] for conditioning), fits a rational function per entry, and
+    [-1, 1] for conditioning) with :func:`f_samples`, reading frames from
+    ``frames`` when given, fits a rational function per entry, and
     evaluates at the scaled image of i. Returns (f_at_i, diagnostics) where
     diagnostics holds the per-entry pole sets mapped back to the time plane.
     """
@@ -247,7 +261,7 @@ def continue_f_to_i(model, z, window, n_samples=21, num_degree=8, den_degree=8,
         raise ValueError("window must be positive")
     nodes = np.cos(np.pi * np.arange(n_samples) / (n_samples - 1))  # [-1, 1]
     taus = window * nodes
-    fs = f_samples(model, z, taus, order=order, tol=tol)
+    fs = f_samples(model, z, taus, order=order, tol=tol, frames=frames)
     n = model.dim
     f_i = np.empty((n, n), dtype=complex)
     poles = {}

@@ -5,7 +5,9 @@ the vertical subspace carried from the point one backward flow away:
 push the vertical space at w = flow(-sigma)(z) forward through flow(sigma).
 Numerically that is a single backward variational flow: if B is the jacobian
 of the backward map at z, the forward pushforward is B^{-1} restricted to
-vertical columns (inverse function theorem; no second integration).
+vertical columns (inverse function theorem; no second integration). Along a
+ray of times sigma the backward flow's dense output gives B(sigma) at every
+point of the ray, so one flow per ray serves every sample on it.
 
 At sigma = i and real z these n complex directions are the (1,0) subspace of
 an almost complex structure on the tube, recovered from the frame by
@@ -23,8 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateFrameError, PositivityError, TransversalityError
-from .flow import flow
+from .errors import (
+    DegenerateFrameError,
+    PositivityError,
+    SingularityError,
+    TransversalityError,
+)
+from .flow import flow, segment_at
 from .geometry import christoffel, metric_inv_matrix, metric_matrix
 
 __all__ = [
@@ -32,6 +39,7 @@ __all__ = [
     "symplectic_form_matrix",
     "vertical_frame",
     "distribution_at",
+    "FrameRays",
     "orthonormal_tangent_basis",
     "lifted_frames",
     "lift_coefficients",
@@ -90,6 +98,65 @@ def distribution_at(model, z, sigma, order=16, tol=1e-12):
         columns=F,
         backward_chart=back.point.chart_id,
     )
+
+
+class FrameRays:
+    """Frames of the sigma-shifted vertical distribution at z for sigma on rays from 0.
+
+    Each ray direction costs one dense backward variational flow, to time
+    -reach along it, run on first use. The frame at sigma is then
+    B(sigma)^{-1} V with B(sigma) read from the accepted step polynomial that
+    holds |sigma|: the frame :func:`distribution_at` builds, without a flow of
+    its own. A backward flow that breaks down keeps its accepted steps, and a
+    frame beyond its last good time raises the :class:`SingularityError` a
+    fresh flow would.
+    """
+
+    def __init__(self, model, z, reach, order=16, tol=1e-12):
+        self.model = model
+        self.z = z
+        self.reach = float(reach)
+        self.order = order
+        self.tol = tol
+        self._rays = {}  # direction -> (segments, reach, breakdown or None)
+
+    def _ray(self, u):
+        if u not in self._rays:
+            try:
+                back = flow(self.model, self.z, sigma=-self.reach * u, variational=True,
+                            dense=True, order=self.order, tol=self.tol)
+                self._rays[u] = (back.segments, self.reach, None)
+            except SingularityError as e:
+                self._rays[u] = (e.segments, abs(e.last_good_sigma), e)
+        return self._rays[u]
+
+    def at(self, sigma):
+        """Frame at sigma, read from the ray through sigma."""
+        sigma = complex(sigma)
+        s = abs(sigma)
+        n = self.model.dim
+        B, chart = np.eye(2 * n, dtype=complex), self.z.chart_id
+        if s > 0:
+            segments, reach, breakdown = self._ray(sigma / s)
+            if s > reach + 1e-12:
+                if breakdown is None:
+                    raise ValueError(f"sigma {sigma} lies beyond the rays' reach {self.reach}")
+                raise SingularityError(
+                    f"frame at {sigma} lies past the backward flow's breakdown: {breakdown}",
+                    last_good_sigma=breakdown.last_good_sigma,
+                    reason=breakdown.reason,
+                )
+            if segments:
+                seg, t_local = segment_at(segments, s)
+                B, chart = seg.jacobian_at(t_local), seg.chart_id
+        return LagrangianFrame(
+            chart_id=self.z.chart_id,
+            q=self.z.q.copy(),
+            p=self.z.p.copy(),
+            sigma=sigma,
+            columns=np.linalg.solve(B, vertical_frame(n)),
+            backward_chart=chart,
+        )
 
 
 def orthonormal_tangent_basis(model, chart_id, q, p=None):

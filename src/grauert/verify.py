@@ -32,6 +32,7 @@ from .geometry import metric_matrix
 from .jets import value
 from .jacobi import continue_f_to_i, first_f_singularity
 from .lagrangian import (
+    FrameRays,
     distribution_at,
     j_tensor_from_frame,
     orthonormal_tangent_basis,
@@ -434,26 +435,30 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
     so they are bounded by what this atlas can certify. Every non-capped
     direction is rechecked 10% beyond its located radius so a non-monotone
     or flickering failure would be flagged rather than silently averaged.
+
+    Each direction costs three dense backward variational flows, one per ray
+    (positive and negative real time, positive imaginary time) out to
+    ``sweep_cap``; every frame the scans, fits and bisections use is read
+    from them (:class:`~grauert.lagrangian.FrameRays`).
     """
     if not sweep_cap > 0:
         raise ValueError("sweep_cap must be positive")
     dirs = sample_tube_points(model, n_directions, seed, 1.0, 1.0)
     refine = min(resolution, 1e-6)
 
-    def transversality_ok(z):
+    def transversality_ok(frames):
         def pred(tau):
             try:
-                j_tensor_from_frame(distribution_at(model, z, 1j * tau, tol=flow_tol))
+                j_tensor_from_frame(frames.at(1j * tau))
                 return True
             except GrauertError:
                 return False
         return pred
 
-    def positivity_ok(z):
+    def positivity_ok(frames):
         def pred(tau):
             try:
-                fr = distribution_at(model, z, 1j * tau, tol=flow_tol)
-                min_eig, _ = positivity_check(fr)
+                min_eig, _ = positivity_check(frames.at(1j * tau))
                 return min_eig > 0.0
             except GrauertError:
                 return False
@@ -464,19 +469,22 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
     monotone = True
     pade_moduli = []
     for z in dirs:
+        # one dense backward flow per ray (+real, -real, +imaginary) serves
+        # every scan, fit and bisection of this direction
+        frames = FrameRays(model, z, sweep_cap, tol=flow_tol)
         hit = first_f_singularity(model, z, tau_max=sweep_cap, coarse=0.05,
-                                  refine=refine, tol=flow_tol)
+                                  refine=refine, frames=frames)
         if hit is not None:
-            # independent rescan with a shorter horizon must find it again
+            # a rescan with a shorter horizon must find it again
             again = first_f_singularity(model, z,
                                         tau_max=min(sweep_cap, 1.1 * hit + resolution),
-                                        coarse=0.05, refine=refine, tol=flow_tol)
+                                        coarse=0.05, refine=refine, frames=frames)
             if again is None or abs(again - hit) > resolution:
                 monotone = False
         window = 0.8 * min(hit or sweep_cap, sweep_cap)
         off_axis = None
         try:
-            _, diag = continue_f_to_i(model, z, window=window, tol=flow_tol)
+            _, diag = continue_f_to_i(model, z, window=window, frames=frames)
             near = []
             for key, entry in diag["poles"].items():
                 p, q = diag["fits"][key]
@@ -509,7 +517,7 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
             ("transversality", transversality_ok),
             ("positivity", positivity_ok),
         ):
-            pred = maker(z)
+            pred = maker(frames)
             r, hit_cap = _largest_good_tau(pred, sweep_cap, resolution)
             radii[name].append(r)
             if not hit_cap:

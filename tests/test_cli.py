@@ -125,6 +125,18 @@ def test_exit_code_3_on_bad_flag(tmp_path):
     assert main(["verify", "--frobnicate"]) == 3
 
 
+def test_exit_code_4_on_internal_error(tmp_path, monkeypatch, capsys):
+    def broken(cfg, out):
+        return 1.0 / 0.0
+
+    monkeypatch.setitem(grauert.cli._COMMANDS, "flow", broken)
+    code, _ = run(tmp_path, "flow", "--model", "flat_space")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ZeroDivisionError")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # -- flow command --------------------------------------------------------------
 
 

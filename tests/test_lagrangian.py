@@ -8,9 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grauert.catalog import catalog
-from grauert.errors import DegenerateFrameError, PositivityError, TransversalityError
-from grauert.flow import PhasePoint
+from grauert.errors import (
+    DegenerateFrameError,
+    PositivityError,
+    SingularityError,
+    TransversalityError,
+)
+from grauert.flow import PhasePoint, flow
 from grauert.lagrangian import (
+    FrameRays,
     LagrangianFrame,
     distribution_at,
     f_matrix_from_frame,
@@ -22,6 +28,7 @@ from grauert.lagrangian import (
     symplectic_form_matrix,
     vertical_frame,
 )
+from grauert.verify import sample_tube_points
 
 J0 = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]]).astype(complex)
 OMEGA4 = symplectic_form_matrix(2)
@@ -185,3 +192,55 @@ def test_sphere_f_diagonal_in_adapted_basis(pt, pp, tau):
     f_ref = sph.oracle.f_matrix("a", z.q, z.p, tau * 1j)
     assert np.max(np.abs(f - f_ref)) < 1e-8
     assert fr.lagrangian_residual() < 1e-10
+
+
+def test_frame_rays_match_fresh_frames():
+    # the unit-speed direction of config seed 7: its negative real ray leaves
+    # chart a for chart b, and its imaginary ray breaks down near 1.596 i
+    sph = catalog("round_sphere")
+    z = sample_tube_points(sph, 1, 7, 1.0, 1.0)[0]
+    basis = orthonormal_tangent_basis(sph, z.chart_id, z.q, z.p)
+    rays = FrameRays(sph, z, 1.4)
+    for u in (1.0, -1.0, 1j):
+        charts = set()
+        for s in np.linspace(0.2, 1.4, 7):
+            dense = rays.at(u * s)
+            fresh = distribution_at(sph, z, u * s)
+            charts.add(dense.backward_chart)
+            f_dense = f_matrix_from_frame(sph, dense, basis)
+            f_fresh = f_matrix_from_frame(sph, fresh, basis)
+            assert np.max(np.abs(f_dense - f_fresh)) < 1e-9, (u, s)
+        if u == -1.0:
+            assert charts == {"a", "b"}
+    assert np.max(np.abs(rays.at(0.0).columns - vertical_frame(2))) == 0.0
+
+    # past the imaginary ray's breakdown the reader fails as a fresh flow does
+    far = FrameRays(sph, z, 2.0)
+    f_dense = f_matrix_from_frame(sph, far.at(1.55j), basis)
+    f_fresh = f_matrix_from_frame(sph, distribution_at(sph, z, 1.55j), basis)
+    assert np.max(np.abs(f_dense - f_fresh)) < 1e-9
+    with pytest.raises(SingularityError) as fresh_exc:
+        distribution_at(sph, z, 1.7j)
+    with pytest.raises(SingularityError) as dense_exc:
+        far.at(1.7j)
+    assert dense_exc.value.reason == fresh_exc.value.reason == "imaginary margin"
+    assert abs(dense_exc.value.last_good_sigma - fresh_exc.value.last_good_sigma) < 1e-9
+
+
+def test_dense_breakdown_keeps_segments():
+    sph = catalog("round_sphere")
+    z = sample_tube_points(sph, 1, 7, 1.0, 1.0)[0]
+    with pytest.raises(SingularityError) as exc:
+        flow(sph, z, sigma=-2j, variational=True, dense=True)
+    err = exc.value
+    assert abs(err.last_good_sigma + 1.596j) < 1e-3
+    segs = err.segments
+    assert segs and segs[0].t0_global == 0.0
+    for a, b in zip(segs, segs[1:]):
+        assert abs(a.t0_global + a.dt - b.t0_global) < 1e-14
+    # the accepted steps reach the last good time, the last one straddles it
+    assert segs[-1].t0_global < abs(err.last_good_sigma) <= segs[-1].t0_global + segs[-1].dt
+    # a flow without dense output keeps none
+    with pytest.raises(SingularityError) as plain:
+        flow(sph, z, sigma=-2j, variational=True)
+    assert plain.value.segments == []

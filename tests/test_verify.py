@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grauert
 from grauert.catalog import catalog
+from grauert.errors import GrauertError
 from grauert.flow import PhasePoint
 from grauert.lagrangian import distribution_at, j_tensor_from_frame
 from grauert import verify
@@ -187,6 +189,40 @@ def test_tube_radius_sphere_conjugate_point(sphere):
     assert 0.5 < est.radius_transversality < 2.0
     assert 0.5 < est.radius_positivity < 2.0
     assert not est.capped["transversality"]
+
+
+def test_tube_radius_by_fresh_frames(sphere, monkeypatch):
+    # independent route: fresh backward flows, one per frame, at the reported
+    # transversality radius and one resolution beyond it
+    real_flow = grauert.flow.flow
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("sigma"))
+        return real_flow(*args, **kwargs)
+
+    for name in ("flow", "lagrangian", "jacobi", "verify"):
+        monkeypatch.setattr(f"grauert.{name}.flow", counted)
+    est = estimate_tube_radius(sphere, n_directions=1, seed=5, sweep_cap=2.0,
+                               resolution=1e-3)
+    assert len(calls) <= 4
+    monkeypatch.undo()
+
+    # this direction's imaginary-time flow leaves the chart margin first
+    r = est.radius_transversality
+    assert abs(r - 1.5149) < 1e-3
+    z = sample_tube_points(sphere, 1, 5, 1.0, 1.0)[0]
+
+    def transversal(tau):
+        try:
+            j_tensor_from_frame(distribution_at(sphere, z, 1j * tau))
+            return True
+        except GrauertError:
+            return False
+
+    assert transversal(r)
+    assert not transversal(r + 1e-3)
+    assert est.radius_positivity == r
 
 
 def test_tube_radius_rejects_bad_cap(sphere):
