@@ -8,15 +8,19 @@ on each leg the trajectory solves dz/dt = u X(z) with u the unit leg
 direction, t arc length.
 
 Each step builds the Taylor series of the solution at the current state by
-the standard recurrence (coefficient k+1 of the state is coefficient k of
-the right side divided by k+1), evaluated in truncated series arithmetic.
-The step size comes from the tail of the computed series, so a shrinking
-radius of convergence is felt directly: when the admissible step falls below
-the floor the flow reports a singularity with the last trustworthy time.
+Newton doubling (Brent-Kung): one field evaluation in truncated series
+arithmetic, with derivative channels seeded with the identity, on the
+coefficients known so far gives the field's series and its jacobian series
+along them, and a linear recurrence in those doubles the number of known
+coefficients. An order-16 step takes 5 field evaluations, not 16. The step
+size comes from the tail of the computed series, so a shrinking radius of
+convergence is felt directly: when the admissible step falls below the floor
+the flow reports a singularity with the last trustworthy time.
 
-With ``variational=True`` every series carries derivative channels seeded
-with the identity, so the full phase-space jacobian of the flow map is
-transported exactly alongside the state, through chart transitions included.
+With ``variational=True`` the series of the phase-space jacobian of the flow
+map follows from the field's jacobian series by the linear recurrence of
+the first variational equation, so the jacobian is transported exactly
+alongside the state, through chart transitions included.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .errors import SingularityError
 from .geometry import energy, transition_phase
-from .jets import Jet, eval_poly
+from .jets import Jet, eval_poly, is_plain_zero
 
 __all__ = [
     "PhasePoint",
@@ -170,6 +174,8 @@ def hamiltonian_vector_field(model, chart_id, qs, ps):
 
     dq = g^-1 p and dp_l = 1/2 v^T (d_l g) v with v = dq, which equals
     -1/2 p^T (d_l g^-1) p, so only the metric and its derivative are needed.
+    Terms whose metric factor is a plain (non-jet) zero are skipped: they are
+    exact zeros, and most entries of dg are.
     """
     n = model.dim
     gi = model.ginv(chart_id, qs)
@@ -178,49 +184,92 @@ def hamiltonian_vector_field(model, chart_id, qs, ps):
     for j in range(n):
         acc = 0.0
         for k in range(n):
-            acc = acc + gi[j][k] * ps[k]
+            if not is_plain_zero(gi[j][k]):
+                acc = acc + gi[j][k] * ps[k]
         dq.append(acc)
     dp = []
     for l in range(n):
         acc = 0.0
         for j in range(n):
             for k in range(n):
-                acc = acc + dg[l][j][k] * dq[j] * dq[k]
+                if not is_plain_zero(dg[l][j][k]):
+                    acc = acc + dg[l][j][k] * dq[j] * dq[k]
         dp.append(0.5 * acc)
     return dq, dp
 
 
-def _coeff_block(x, k, R):
-    out = np.zeros(R, dtype=complex)
-    if isinstance(x, Jet):
-        if x.R == R:
-            out[:] = x.c[:, k]
-        elif x.R == 1:
-            out[0] = x.c[0, k]
-        else:
-            raise ValueError("channel count mismatch in field evaluation")
-    elif k == 0:
-        out[0] = complex(x)
-    return out
+def _field_series(model, chart_id, z, L, N):
+    """Field series X (N, 2n) and jacobian series A (N, 2n, 2n) along a polynomial.
+
+    The polynomial has the state coefficients z[:L] (z is (order+1, 2n), one
+    row per order); it is evaluated as jets of length N whose 2n channels are
+    seeded with the identity, so A_j[i, a] is coefficient j of dX_i/dz_a.
+    """
+    m = z.shape[1]
+    n = m // 2
+    zs = []
+    for a in range(m):
+        c = np.zeros((1 + m, N), dtype=complex)
+        c[0, :L] = z[:L, a]
+        c[1 + a, 0] = 1.0
+        zs.append(Jet(c))
+    dq, dp = hamiltonian_vector_field(model, chart_id, zs[:n], zs[n:])
+    X = np.zeros((N, m), dtype=complex)
+    A = np.zeros((N, m, m), dtype=complex)
+    for i, x in enumerate(dq + dp):
+        if not isinstance(x, Jet):
+            X[0, i] = x
+            continue
+        X[:, i] = x.c[0]
+        if x.R > 1:
+            A[:, i, :] = x.c[1:].T
+    return X, A
 
 
-def _taylor_series(model, chart_id, q, p, D, direction, order, R):
+def _taylor_series(model, chart_id, q, p, D, direction, order):
+    """Taylor coefficients (2n, R, order+1) of dz/dt = u X(z) at z(0) = (q, p).
+
+    Row 0 of the middle axis is the state. Without D, R = 1; with D, rows
+    1..2n are the state's jacobian, starting from D (R = 1 + 2n).
+
+    The state series is built by Newton doubling. With z_0..z_{L-1} known,
+    one field evaluation at length N = min(2L - 1, order) gives X and
+    A = DX along that polynomial, and since z minus it is O(t^L),
+    X(z) = X + A (z - z_<L) + O(t^2L), so
+
+        (k+1) z_{k+1} = u (X_k + sum_{j <= k-L} A_j z_{k-j}),  k = L-1 .. N-1.
+
+    Passes have lengths 1, 3, 7, 15, ... The jacobian Phi solves
+    dPhi/dt = u A Phi, (k+1) Phi_{k+1} = u sum_{j <= k} A_j Phi_{k-j}, which
+    needs A_0..A_{order-1} exact: A of a pass is exact for j < L only, so when
+    the last pass started from L < order the field is evaluated once more on
+    the whole polynomial.
+    """
     n = q.shape[0]
     m = 2 * n
-    coeffs = np.zeros((m, R, order + 1), dtype=complex)
-    coeffs[:n, 0, 0] = q
-    coeffs[n:, 0, 0] = p
-    if R > 1:
-        coeffs[:, 1:, 0] = D
+    z = np.zeros((order + 1, m), dtype=complex)
+    z[0, :n] = q
+    z[0, n:] = p
+    L = 1
+    while L <= order:
+        N = min(2 * L - 1, order)
+        X, A = _field_series(model, chart_id, z, L, N)
+        for k in range(L - 1, N):
+            rhs = X[k]
+            if k >= L:
+                rhs = rhs + np.einsum("jab,jb->a", A[: k - L + 1], z[k : L - 1 : -1])
+            z[k + 1] = direction * rhs / (k + 1)
+        L_last, L = L, N + 1
+    state = z.T[:, None, :]
+    if D is None:
+        return state.copy()
+    if L_last < order:
+        _, A = _field_series(model, chart_id, z, order, order)
+    phi = np.zeros((order + 1, m, m), dtype=complex)
+    phi[0] = D
     for k in range(order):
-        L = k + 1
-        qs = [Jet(coeffs[i, :, :L].copy()) for i in range(n)]
-        ps = [Jet(coeffs[n + i, :, :L].copy()) for i in range(n)]
-        dq, dp = hamiltonian_vector_field(model, chart_id, qs, ps)
-        for i in range(n):
-            coeffs[i, :, k + 1] = direction * _coeff_block(dq[i], k, R) / (k + 1)
-            coeffs[n + i, :, k + 1] = direction * _coeff_block(dp[i], k, R) / (k + 1)
-    return coeffs
+        phi[k + 1] = direction * np.einsum("jab,jbc->ac", A[: k + 1], phi[k::-1]) / (k + 1)
+    return np.concatenate([state, phi.transpose(1, 2, 0)], axis=1)
 
 
 def _last_inside(coeffs, dt, n, pred):
@@ -285,7 +334,6 @@ def flow(
     q = ch.wrap(point.q)
     p = point.p.copy()
     model.require_inside(cid, q)
-    R = 1 + m if variational else 1
     D = np.eye(m, dtype=complex) if variational else None
     diag = FlowDiagnostics(order=order, tol=tol)
     diag.energy_initial = complex(energy(model, cid, q, p, check_domain=False))
@@ -307,7 +355,7 @@ def flow(
                     reason="step budget",
                     segments=segments,
                 )
-            coeffs = _taylor_series(model, cid, q, p, D, u, order, R)
+            coeffs = _taylor_series(model, cid, q, p, D, u, order)
             h = _choose_step(coeffs[:, 0, :], order, tol)
             dt = min(h, leg_len - t_done)
             if dt < STEP_FLOOR and leg_len - t_done > STEP_FLOOR:
@@ -321,7 +369,7 @@ def flow(
                 segments.append(Segment(cid, s0 + u * t_done, u, dt, t_global, coeffs))
             state = eval_poly(coeffs, dt)
             q, p = state[:n, 0], state[n:, 0]
-            if R > 1:
+            if variational:
                 D = state[:, 1:]
             t_done += dt
             t_global += dt

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import jets
 from .errors import ChartDomainError
-from .jets import value
+from .jets import is_plain_zero, value
 
 __all__ = [
     "Chart",
@@ -173,7 +173,8 @@ class MetricModel:
         (a, b), (c, d) = g
         det = a * d - b * c
         r = det.reciprocal() if isinstance(det, jets.Jet) else 1.0 / det
-        return [[d * r, -b * r], [-c * r, a * r]]
+        off = lambda x: 0.0 if is_plain_zero(x) else -x * r
+        return [[d * r, off(b)], [off(c), a * r]]
 
     def dg(self, chart_id, q):
         return self._dg[chart_id](q)

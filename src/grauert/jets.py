@@ -3,16 +3,17 @@
 One class does triple duty:
 
 * ``L > 1, R == 1``: a truncated Taylor series in one (complex) parameter.
-  This is the state representation inside the series integrator: the ODE
-  recursion fills coefficients order by order, and elementary functions
-  (sin, exp, ...) use the classical coefficient recurrences.
+  Functions of a flow's state series are evaluated this way, and
+  elementary functions (sin, exp, ...) use the classical coefficient
+  recurrences.
 * ``L == 1, R > 1``: a first-order dual number with ``R - 1`` derivative
   channels, used to push jacobians through closed-form maps (chart
   transitions, embeddings) without hand-coded derivative formulas.
-* ``L > 1, R > 1``: both at once. Seeding the channels with an identity
-  brings the first variational equations along for free during a series
-  step: if z(s) solves dz/ds = X(z) then channel a of z carries
-  d z / d z0_a as its own series.
+* ``L > 1, R > 1``: both at once. The series integrator seeds the channels
+  of the state polynomial with the identity, once per doubling pass, so the
+  channels of the field X(z(s)) carry its jacobian series DX(z(s)); the
+  flow's jacobian series then follows from the linear recurrence of the
+  first variational equation.
 
 Coefficients live in a single (R, L) complex array; row 0 is the value
 series, rows 1..R-1 the channels. Products use the first-order rule in the
@@ -44,6 +45,7 @@ __all__ = [
     "sqrt",
     "arccos",
     "eval_poly",
+    "is_plain_zero",
 ]
 
 _TOEP_IDX: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -341,6 +343,15 @@ def value(x):
 
 def channels(x):
     return x.c[1:, 0] if isinstance(x, Jet) else None
+
+
+def is_plain_zero(x):
+    """True for a plain-number zero, a structural zero of a model evaluator.
+
+    A jet is never one, even with all coefficients zero, so skipping the
+    products of plain zeros changes no result.
+    """
+    return not isinstance(x, Jet) and x == 0
 
 
 def eval_poly(coeffs, dt):

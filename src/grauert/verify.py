@@ -475,10 +475,11 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
         hit = first_f_singularity(model, z, tau_max=sweep_cap, coarse=0.05,
                                   refine=refine, frames=frames)
         if hit is not None:
-            # a rescan with a shorter horizon must find it again
+            # a rescan on another sample grid and a shorter horizon must find
+            # it again
             again = first_f_singularity(model, z,
                                         tau_max=min(sweep_cap, 1.1 * hit + resolution),
-                                        coarse=0.05, refine=refine, frames=frames)
+                                        coarse=0.03, refine=refine, frames=frames)
             if again is None or abs(again - hit) > resolution:
                 monotone = False
         window = 0.8 * min(hit or sweep_cap, sweep_cap)

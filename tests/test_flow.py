@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import grauert.flow as flow_module
 from grauert import jets
 from grauert.catalog import catalog
 from grauert.errors import SingularityError
@@ -43,6 +44,60 @@ def test_field_is_hamiltonian_field_of_energy():
         dq, dp = hamiltonian_vector_field(model, cid, list(q), list(p))
         assert np.max(np.abs(np.array(dq) - grad[2:])) < 1e-13
         assert np.max(np.abs(np.array(dp) + grad[:2])) < 1e-13
+
+
+def _series_by_order(model, cid, q, p, D, u, order, R):
+    # reference: coefficient k+1 is coefficient k of the field on the series
+    # known through order k, one field evaluation per order
+    n = q.shape[0]
+    c = np.zeros((2 * n, R, order + 1), dtype=complex)
+    c[:n, 0, 0], c[n:, 0, 0] = q, p
+    if R > 1:
+        c[:, 1:, 0] = D
+    for k in range(order):
+        zs = [jets.Jet(c[i, :, : k + 1].copy()) for i in range(2 * n)]
+        dq, dp = hamiltonian_vector_field(model, cid, zs[:n], zs[n:])
+        for i, x in enumerate(dq + dp):
+            if isinstance(x, jets.Jet):
+                c[i, : x.R, k + 1] = u * x.c[:, k] / (k + 1)
+            elif k == 0:
+                c[i, 0, 1] = u * x
+    return c
+
+
+def test_series_build_matches_order_by_order_recurrence():
+    rng = np.random.default_rng(3)
+    u = np.exp(0.7j)
+    p = np.array([0.3 + 0.1j, -0.7 + 0.05j])
+    cases = [
+        (catalog("round_sphere"), "a", [1.2, 0.3]),
+        (catalog("round_sphere"), "b", [1.4, -0.5]),
+        (catalog("surface_of_revolution"), "main", [0.4, -1.0]),
+        (catalog("flat_torus"), "main", [0.2, 0.5]),
+    ]
+    for model, cid, q in cases:
+        q = np.array(q) + 0.05j
+        for order in (16, 40):
+            for R in (1, 5):
+                D = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) if R > 1 else None
+                got = flow_module._taylor_series(model, cid, q, p, D, u, order)
+                want = _series_by_order(model, cid, q, p, D, u, order, R)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_variational_step_costs_five_field_evaluations(monkeypatch):
+    calls = []
+    field = flow_module.hamiltonian_vector_field
+
+    def counted(*args):
+        calls.append(1)
+        return field(*args)
+
+    monkeypatch.setattr(flow_module, "hamiltonian_vector_field", counted)
+    sph = catalog("round_sphere")
+    r = flow(sph, PhasePoint("a", [1.2, 0.4], [0.6, 0.5]), sigma=1.0 + 0.5j, variational=True)
+    assert r.diagnostics.steps >= 3
+    assert len(calls) == 5 * r.diagnostics.steps
 
 
 def test_flat_flow_is_exact_single_step():

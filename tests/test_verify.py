@@ -225,6 +225,42 @@ def test_tube_radius_by_fresh_frames(sphere, monkeypatch):
     assert est.radius_positivity == r
 
 
+def test_tube_radius_rescan_samples_another_grid(sphere, monkeypatch):
+    # the monotonicity rescan must read frames the scan did not, or it could
+    # never disagree with it
+    scans, scanning = [], [False]
+    real_scan = verify.first_f_singularity
+    real_at = grauert.lagrangian.FrameRays.at
+
+    def scan(*args, **kwargs):
+        scans.append([])
+        scanning[0] = True
+        try:
+            return real_scan(*args, **kwargs)
+        finally:
+            scanning[0] = False
+
+    def at(self, sigma):
+        if scanning[0]:
+            scans[-1].append(abs(sigma))
+        return real_at(self, sigma)
+
+    monkeypatch.setattr(verify, "first_f_singularity", scan)
+    monkeypatch.setattr(grauert.lagrangian.FrameRays, "at", at)
+    est = estimate_tube_radius(sphere, n_directions=1, seed=7, sweep_cap=2.0,
+                               resolution=1e-3)
+    assert est.monotone
+    first, rescan = scans
+    hit = est.radius_continuation
+
+    def off_grid(times):
+        # sample times short of the root bracket that are not multiples of 0.05
+        return [t for t in times if t < hit - 0.1 and abs(t / 0.05 - round(t / 0.05)) > 1e-6]
+
+    assert not off_grid(first)
+    assert len(off_grid(rescan)) > 10
+
+
 def test_tube_radius_rejects_bad_cap(sphere):
     with pytest.raises(ValueError):
         estimate_tube_radius(sphere, sweep_cap=0.0)
