@@ -70,8 +70,8 @@ class ConjugatePointError(GrauertError):
 
 
 class PadeDegeneracyError(GrauertError):
-    """Rational fit cannot reproduce its samples, or the fitted denominator
-    vanishes at the evaluation target."""
+    """The rational (AAA) fit of a continuation misses its samples, or the
+    evaluation target sits on one of its poles."""
 
 
 class PositivityError(GrauertError):

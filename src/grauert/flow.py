@@ -97,9 +97,6 @@ class SigmaPath:
     def endpoint(self):
         return self.waypoints[-1]
 
-    def total_length(self):
-        return float(np.sum(np.abs(np.diff(self.waypoints))))
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -308,7 +305,6 @@ def flow(
     point,
     sigma=None,
     path=None,
-    order=DEFAULT_ORDER,
     tol=DEFAULT_TOL,
     variational=False,
     dense=False,
@@ -335,7 +331,7 @@ def flow(
     p = point.p.copy()
     model.require_inside(cid, q)
     D = np.eye(m, dtype=complex) if variational else None
-    diag = FlowDiagnostics(order=order, tol=tol)
+    diag = FlowDiagnostics(tol=tol)
     diag.energy_initial = complex(energy(model, cid, q, p, check_domain=False))
     segments = []
     t_global = 0.0
@@ -355,8 +351,8 @@ def flow(
                     reason="step budget",
                     segments=segments,
                 )
-            coeffs = _taylor_series(model, cid, q, p, D, u, order)
-            h = _choose_step(coeffs[:, 0, :], order, tol)
+            coeffs = _taylor_series(model, cid, q, p, D, u, DEFAULT_ORDER)
+            h = _choose_step(coeffs[:, 0, :], DEFAULT_ORDER, tol)
             dt = min(h, leg_len - t_done)
             if dt < STEP_FLOOR and leg_len - t_done > STEP_FLOOR:
                 raise SingularityError(

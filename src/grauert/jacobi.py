@@ -4,9 +4,10 @@ The spreading matrix f(tau) at a phase point relates configuration spread to
 covariant momentum spread of the shifted-vertical frame, sampled here along
 REAL flow times only. Its entries are meromorphic in the time parameter with
 poles at conjugate-point times, so values on a real window continue to
-imaginary time by rational (Pade) fitting; comparing that continuation with
-a direct imaginary-time flow is the central two-route consistency check of
-the package.
+imaginary time by a rational fit (AAA, through ``rational_continuation``,
+the one place that knows how a fit is stored); comparing that continuation
+with a direct imaginary-time flow is the central two-route consistency check
+of the package.
 
 Two independent extraction routes are provided. ``f_samples`` reuses the
 backward-flow frame, with frames read from one dense backward flow per ray
@@ -20,8 +21,11 @@ strong end-to-end test of the variational machinery.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import AAA
 from scipy.optimize import brentq
 
 from .errors import (
@@ -35,7 +39,6 @@ from .geometry import christoffel
 from .lagrangian import (
     FrameRays,
     LagrangianFrame,
-    distribution_at,
     f_matrix_from_frame,
     j_tensor_from_frame,
     lift_coefficients,
@@ -46,11 +49,8 @@ from .lagrangian import (
 __all__ = [
     "f_samples",
     "f_by_jacobi_transport",
-    "frame_vertical_det",
     "first_f_singularity",
-    "pade_fit",
-    "pade_eval",
-    "pade_poles",
+    "rational_continuation",
     "continue_f_to_i",
     "j_tensor_from_f",
 ]
@@ -61,12 +61,7 @@ def _vertical_det(model, frame, basis):
     return complex(np.linalg.det(c))
 
 
-def frame_vertical_det(model, z, sigma, basis=None, order=16, tol=1e-12):
-    """det of the vertical coefficient block of the frame at z; zeros mark f poles."""
-    return _vertical_det(model, distribution_at(model, z, sigma, order=order, tol=tol), basis)
-
-
-def f_samples(model, z, taus, basis=None, order=16, tol=1e-12, frames=None):
+def f_samples(model, z, taus, basis=None, tol=1e-12, frames=None):
     """Spreading matrices at the given real times, all in one fixed basis at z.
 
     Frames come from ``frames`` (a :class:`FrameRays` at z reaching every
@@ -77,7 +72,7 @@ def f_samples(model, z, taus, basis=None, order=16, tol=1e-12, frames=None):
     if basis is None:
         basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
     if frames is None:
-        frames = FrameRays(model, z, max(map(abs, taus), default=0.0), order=order, tol=tol)
+        frames = FrameRays(model, z, max(map(abs, taus), default=0.0), tol=tol)
     out = np.empty((len(taus), model.dim, model.dim), dtype=complex)
     for i, tau in enumerate(taus):
         fr = frames.at(tau)
@@ -129,7 +124,7 @@ def _parallel_transport(model, geo, V0, tau):
     return y[0] + 1j * y[1]
 
 
-def f_by_jacobi_transport(model, z, tau, order=16, tol=1e-12):
+def f_by_jacobi_transport(model, z, tau, tol=1e-12):
     """Spreading matrix at real time tau without inverting any flow jacobian.
 
     Flows backward (state only, dense), parallel-transports the momentum-led
@@ -140,11 +135,11 @@ def f_by_jacobi_transport(model, z, tau, order=16, tol=1e-12):
     if tau == 0:
         return np.zeros((model.dim, model.dim), dtype=complex)
     basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
-    back = flow(model, z, sigma=-complex(tau), dense=True, order=order, tol=tol)
+    back = flow(model, z, sigma=-complex(tau), dense=True, tol=tol)
     w = back.point
     V_w = _parallel_transport(model, back, basis, -tau)
     _, Eta_w = lifted_frames(model, w.chart_id, w.q, w.p, V_w)
-    fwd = flow(model, w, sigma=complex(tau), variational=True, order=order, tol=tol)
+    fwd = flow(model, w, sigma=complex(tau), variational=True, tol=tol)
     if fwd.point.chart_id != z.chart_id:
         raise SingularityError(
             "forward leg did not return to the base chart", reason="chart transition"
@@ -161,7 +156,7 @@ def f_by_jacobi_transport(model, z, tau, order=16, tol=1e-12):
     return f_matrix_from_frame(model, fr, basis=basis)
 
 
-def first_f_singularity(model, z, tau_max=3.0, coarse=0.1, refine=1e-6, order=16, tol=1e-12,
+def first_f_singularity(model, z, tau_max=3.0, coarse=0.1, refine=1e-6, tol=1e-12,
                         frames=None):
     """Smallest |tau| with a spreading-matrix pole on the real axis, or None.
 
@@ -174,7 +169,7 @@ def first_f_singularity(model, z, tau_max=3.0, coarse=0.1, refine=1e-6, order=16
     """
     basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
     if frames is None:
-        frames = FrameRays(model, z, tau_max, order=order, tol=tol)
+        frames = FrameRays(model, z, tau_max, tol=tol)
     hits = []
     d0 = _vertical_det(model, frames.at(0.0), basis).real
     for sgn in (1.0, -1.0):
@@ -199,81 +194,58 @@ def first_f_singularity(model, z, tau_max=3.0, coarse=0.1, refine=1e-6, order=16
 
 # -- rational continuation ------------------------------------------------------
 
+_NODES = np.cos(np.pi * np.arange(21) / 20)  # Chebyshev points of [-1, 1]
 
-def pade_fit(xs, ys, num_degree=8, den_degree=8):
-    """Least-squares rational fit p/q with q(0) = 1 on the given samples.
 
-    Returns (p, q) as ascending coefficient arrays. Raises
-    :class:`PadeDegeneracyError` when the fit cannot reproduce the samples,
-    which is what non-rational (e.g. kinked) data produces.
+def rational_continuation(xs, ys, target):
+    """Value at ``target`` of a type (8, 8) rational fit to samples, and its poles.
+
+    The fit is AAA (Nakatsukasa-Sete-Trefethen, 2018) with 9 support points;
+    the other samples validate it. The poles returned are the fitted ones
+    whose |residue| exceeds 1e-4: spurious pole-zero pairs carry next to
+    none. Raises :class:`PadeDegeneracyError` when the fit misses a sample by
+    more than 1e-6 max(1, max|y|), which is what non-rational (e.g. kinked)
+    data produces, or when ``target`` sits on a fitted pole.
     """
-    xs = np.asarray(xs, dtype=complex)
+    xs = np.asarray(xs)
     ys = np.asarray(ys, dtype=complex)
-    m = len(xs)
-    n_unknown = num_degree + 1 + den_degree
-    if m < n_unknown:
-        raise PadeDegeneracyError("not enough samples for the requested degrees")
-    # p(x) - y q(x) = y  with q = 1 + x qtail; parity of the data can make this
-    # rank deficient without harm, so fitness is judged by the residual alone
-    A = np.zeros((m, n_unknown), dtype=complex)
-    for k in range(num_degree + 1):
-        A[:, k] = xs**k
-    for k in range(1, den_degree + 1):
-        A[:, num_degree + k] = -ys * xs**k
-    sol = np.linalg.lstsq(A, ys, rcond=None)[0]
-    scale = max(1.0, float(np.max(np.abs(ys))))
-    resid = float(np.max(np.abs(A @ sol - ys)))
-    if resid > 1e-6 * scale:
+    with warnings.catch_warnings():
+        # AAA warns when it stops short of rtol; the sample check below decides
+        warnings.simplefilter("ignore", RuntimeWarning)
+        r = AAA(xs, ys, rtol=1e-14, max_terms=9)
+    miss = float(np.max(np.abs(r(xs) - ys)))
+    if miss > 1e-6 * max(1.0, float(np.max(np.abs(ys)))):
         raise PadeDegeneracyError(
-            f"rational fit does not reproduce the samples (residual {resid:.3e})"
+            f"rational fit does not reproduce the samples (residual {miss:.3e})"
         )
-    p = sol[: num_degree + 1]
-    q = np.concatenate([[1.0 + 0.0j], sol[num_degree + 1 :]])
-    return p, q
+    poles = r.poles()
+    if np.any(np.abs(poles - target) <= 1e-12 * max(1.0, abs(target))):
+        raise PadeDegeneracyError(f"rational fit has a pole at {target}")
+    return complex(r(target)), poles[np.abs(r.residues()) > 1e-4]
 
 
-def pade_eval(p, q, x):
-    num = np.polyval(p[::-1], x)
-    den = np.polyval(q[::-1], x)
-    if abs(den) < 1e-12 * max(1.0, float(np.max(np.abs(q)))):
-        raise PadeDegeneracyError(f"rational denominator vanishes at {x}")
-    return num / den
-
-
-def pade_poles(q):
-    qq = np.trim_zeros(np.asarray(q), "b")
-    if len(qq) < 2:
-        return np.array([], dtype=complex)
-    return np.roots(qq[::-1])
-
-
-def continue_f_to_i(model, z, window, n_samples=21, num_degree=8, den_degree=8,
-                    order=16, tol=1e-12, frames=None):
+def continue_f_to_i(model, z, window, tol=1e-12, frames=None):
     """Continue the spreading matrix from a real sample window to time i.
 
-    Samples each entry on a Chebyshev grid over [-window, window] (scaled to
-    [-1, 1] for conditioning) with :func:`f_samples`, reading frames from
-    ``frames`` when given, fits a rational function per entry, and
-    evaluates at the scaled image of i. Returns (f_at_i, diagnostics) where
-    diagnostics holds the per-entry pole sets mapped back to the time plane.
+    Samples the matrix at the 21 Chebyshev points of [-window, window] with
+    :func:`f_samples`, reading frames from ``frames`` when given, and
+    continues each entry to i by :func:`rational_continuation` in the scaled
+    time tau / window. Returns (f_at_i, diagnostics) where diagnostics holds
+    the sample times under "taus" and, under "poles", each entry's fitted
+    poles of non-negligible residue mapped back to the time plane.
     """
     if window <= 0:
         raise ValueError("window must be positive")
-    nodes = np.cos(np.pi * np.arange(n_samples) / (n_samples - 1))  # [-1, 1]
-    taus = window * nodes
-    fs = f_samples(model, z, taus, order=order, tol=tol, frames=frames)
+    taus = window * _NODES
+    fs = f_samples(model, z, taus, tol=tol, frames=frames)
     n = model.dim
     f_i = np.empty((n, n), dtype=complex)
     poles = {}
-    fits = {}
-    target = 1j / window
     for a in range(n):
         for b in range(n):
-            p, q = pade_fit(nodes, fs[:, a, b], num_degree, den_degree)
-            f_i[a, b] = pade_eval(p, q, target)
-            poles[(a, b)] = pade_poles(q) * window
-            fits[(a, b)] = (p, q)
-    return f_i, {"poles": poles, "fits": fits, "window": window, "taus": taus}
+            f_i[a, b], x_poles = rational_continuation(_NODES, fs[:, a, b], 1j / window)
+            poles[(a, b)] = window * x_poles
+    return f_i, {"poles": poles, "taus": taus}
 
 
 def j_tensor_from_f(model, z, f, basis=None):

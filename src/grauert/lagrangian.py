@@ -84,9 +84,9 @@ class LagrangianFrame:
         return float(np.max(np.abs(self.columns.T @ O @ self.columns)))
 
 
-def distribution_at(model, z, sigma, order=16, tol=1e-12):
+def distribution_at(model, z, sigma, tol=1e-12):
     """Frame of the sigma-shifted vertical distribution at z by one backward flow."""
-    back = flow(model, z, sigma=-sigma, variational=True, order=order, tol=tol)
+    back = flow(model, z, sigma=-sigma, variational=True, tol=tol)
     B = back.jacobian
     n = model.dim
     F = np.linalg.solve(B, vertical_frame(n))
@@ -112,11 +112,10 @@ class FrameRays:
     fresh flow would.
     """
 
-    def __init__(self, model, z, reach, order=16, tol=1e-12):
+    def __init__(self, model, z, reach, tol=1e-12):
         self.model = model
         self.z = z
         self.reach = float(reach)
-        self.order = order
         self.tol = tol
         self._rays = {}  # direction -> (segments, reach, breakdown or None)
 
@@ -124,7 +123,7 @@ class FrameRays:
         if u not in self._rays:
             try:
                 back = flow(self.model, self.z, sigma=-self.reach * u, variational=True,
-                            dense=True, order=self.order, tol=self.tol)
+                            dense=True, tol=self.tol)
                 self._rays[u] = (back.segments, self.reach, None)
             except SingularityError as e:
                 self._rays[u] = (e.segments, abs(e.last_good_sigma), e)

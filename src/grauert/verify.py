@@ -27,7 +27,7 @@ import numpy as np
 from scipy.stats import norm, qmc
 
 from .errors import GrauertError
-from .flow import PhasePoint, flow, hamiltonian_vector_field
+from .flow import PhasePoint, flow, hamiltonian_vector_field, segment_at
 from .geometry import metric_matrix
 from .jets import value
 from .jacobi import continue_f_to_i, first_f_singularity
@@ -251,15 +251,15 @@ def check_kahler_potential(model, points,
 
 
 def check_adaptedness(model, points, sigma_max=0.5, tau_max=0.4, n_sigma=5,
-                      n_tau=5, h=1e-4,
-                      tolerance=DEFAULT_TOLERANCES["adaptedness"],
+                      n_tau=5, tolerance=DEFAULT_TOLERANCES["adaptedness"],
                       flow_tol=1e-12):
     """The geodesic strips are holomorphic curves for the computed structure.
 
     Each unit covector spans a strip (sigma, tau) -> (position at sigma, tau
     times momentum at sigma); J applied to the sigma-derivative must give the
-    tau-derivative. The sigma-derivative is a central difference of the real
-    flow, the tau-derivative is exact since the strip is linear in tau.
+    tau-derivative. Strip states come from one dense real flow per sign of
+    sigma, the sigma-derivative is the Hamiltonian field at the state, and
+    the tau-derivative is exact since the strip is linear in tau.
     """
     residuals = []
     for z in points:
@@ -267,26 +267,18 @@ def check_adaptedness(model, points, sigma_max=0.5, tau_max=0.4, n_sigma=5,
         gi = np.linalg.inv(g)
         speed = math.sqrt(float((z.p.real @ gi @ z.p.real)))
         zu = PhasePoint(z.chart_id, z.q, z.p / speed)
-        states = {}
+        rays = {sgn: flow(model, zu, sigma=sgn * sigma_max, dense=True, tol=flow_tol).segments
+                for sgn in (1.0, -1.0)}
         for s in np.linspace(-sigma_max, sigma_max, n_sigma):
-            for ds in (-h, 0.0, h):
-                key = round(float(s + ds), 12)
-                if key not in states:
-                    states[key] = flow(model, zu, sigma=float(s + ds), tol=flow_tol).point
-        for s in np.linspace(-sigma_max, sigma_max, n_sigma):
-            c0 = states[round(float(s), 12)]
-            cp = states[round(float(s + h), 12)]
-            cm = states[round(float(s - h), 12)]
-            if not (c0.chart_id == cp.chart_id == cm.chart_id):
-                continue  # stencil straddles an atlas seam; skip the node
-            dq = (cp.q - cm.q) / (2.0 * h)
-            dp = (cp.p - cm.p) / (2.0 * h)
+            seg, t_local = segment_at(rays[math.copysign(1.0, s)], abs(s))
+            q, p = (x.real for x in seg.state_at(t_local))
+            dq, dp = (np.array(x, dtype=complex) for x in
+                      hamiltonian_vector_field(model, seg.chart_id, list(q), list(p)))
             for t in np.linspace(-tau_max, tau_max, n_tau):
-                node = PhasePoint(c0.chart_id, c0.q.real, t * c0.p.real)
-                fr = distribution_at(model, node, 1j, tol=flow_tol)
-                J = j_tensor_from_frame(fr)
+                node = PhasePoint(seg.chart_id, q, t * p)
+                J = j_tensor_from_frame(distribution_at(model, node, 1j, tol=flow_tol))
                 push_sigma = np.concatenate([dq, t * dp])
-                push_tau = np.concatenate([np.zeros_like(c0.q), c0.p])
+                push_tau = np.concatenate([np.zeros_like(q), p])
                 r = float(np.max(np.abs(J @ push_sigma - push_tau)))
                 residuals.append((_label(zu, f"sigma={s:.2f},tau={t:.2f}"), r))
     return _report(model, "adaptedness", residuals, tolerance)
@@ -425,10 +417,12 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
     whose unit-disk continuation stays clear of every pole. Real-axis
     singularities (conjugate points) are located by a scan with root
     polishing; off-axis singularities, which curved models without constant
-    curvature do produce, are located as the filtered poles of a rational
-    fit over the scanned window, and the direction's radius is the smaller
-    of the two mechanisms. The nearest filtered pole modulus is also
-    reported on its own so the two mechanisms stay separately visible.
+    curvature do produce, are located as the poles of the rational
+    continuation over the scanned window (:func:`continue_f_to_i`, which
+    keeps only poles of non-negligible residue), and the direction's radius
+    is the smaller of the two mechanisms. The nearest such pole within twice
+    ``sweep_cap`` is also reported on its own so the two mechanisms stay
+    separately visible.
 
     Transversality and positivity radii are measured along the imaginary
     axis directly, taking any breakdown of the frame computation as failure,
@@ -486,22 +480,8 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
         off_axis = None
         try:
             _, diag = continue_f_to_i(model, z, window=window, frames=frames)
-            near = []
-            for key, entry in diag["poles"].items():
-                p, q = diag["fits"][key]
-                dq = np.polynomial.polynomial.polyder(q)
-                for pole in entry:
-                    if not abs(pole) < 2.0 * sweep_cap:
-                        continue
-                    # spurious pole-zero pairs of the least-squares fit carry
-                    # next to no residue; genuine singularities do not
-                    x = pole / diag["window"]
-                    denom = np.polynomial.polynomial.polyval(x, dq)
-                    if abs(denom) < 1e-14:
-                        continue
-                    residue = np.polynomial.polynomial.polyval(x, p) / denom
-                    if abs(residue) > 1e-4:
-                        near.append(abs(pole))
+            near = [abs(pole) for poles in diag["poles"].values() for pole in poles
+                    if abs(pole) < 2.0 * sweep_cap]
             if near:
                 pade_moduli.append(min(near))
                 off_axis = min(near)

@@ -323,6 +323,22 @@ def test_tube_radius_flat_capped(tmp_path):
     assert rec["monotone"] is True
 
 
+def test_tube_radius_keeps_stderr_clean(tmp_path):
+    # numerical warnings of the rational fit must not reach the user
+    path = write_ini(
+        tmp_path,
+        "[model]\nname = round_sphere\nradius = 1.0\n"
+        "[grids]\nn_directions = 1\nsweep_cap = 2.0\n",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "grauert.cli", "tube-radius", "--config", path,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "grauert.cli", "flow", "--model", "flat_space",

@@ -112,6 +112,16 @@ def test_adaptedness_strips(flat, sphere):
     assert rep.verdict == "pass", rep.to_record()
 
 
+def test_adaptedness_at_roundoff(sphere, surfrev):
+    # strip states from dense flows and the exact field as sigma-derivative
+    # leave nothing but roundoff; the inputs are those of `grauert verify`
+    # with 8 points, one strip and seed 1
+    for model in (sphere, surfrev):
+        rep = run_battery(model, checks=["adaptedness"], n_samples=8, seed=1, n_strips=1)[0]
+        assert rep.n_samples == 25
+        assert rep.max_residual <= 1e-12, rep.to_record()
+
+
 def test_involution_and_scaling(flat, sphere):
     pts = sample_tube_points(flat, 8, 8, 0.2, 0.8)
     assert check_involution(flat, pts).max_residual < 1e-12
