@@ -40,7 +40,6 @@ __all__ = [
     "round_sphere",
     "surface_of_revolution",
     "SphereEmbedding",
-    "AffineEmbedding",
     "FlatOracle",
     "SphereOracle",
 ]
@@ -53,20 +52,6 @@ _SPHERE_FRAMES = {
 
 
 # -- embeddings ---------------------------------------------------------------
-
-
-class AffineEmbedding:
-    """Identity embedding for flat models; the universal cover of the torus."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.world_dim = dim
-
-    def to_world(self, chart_id, qs):
-        return list(qs)
-
-    def world_to_chart(self, chart_id, w):
-        return np.asarray(w, dtype=complex)
 
 
 class SphereEmbedding:
@@ -241,7 +226,6 @@ def _flat(name, params, lo, hi, periodic):
         default_chart="main",
         g_fns={"main": lambda qs: eye},
         dg_fns={"main": lambda qs: zeros3},
-        embedding=AffineEmbedding(dim),
     )
     model.oracle = FlatOracle(model)
     return model

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 STEP_FLOOR = 1e-8
+MAX_STEPS = 10000
 SAFETY = 0.8
 DEFAULT_ORDER = 16
 DEFAULT_TOL = 1e-12
@@ -124,7 +125,6 @@ class FlowDiagnostics:
     steps: int = 0
     transitions: int = 0
     min_step: float = np.inf
-    order: int = DEFAULT_ORDER
     tol: float = DEFAULT_TOL
     energy_initial: complex = 0.0
     energy_final: complex = 0.0
@@ -308,7 +308,6 @@ def flow(
     tol=DEFAULT_TOL,
     variational=False,
     dense=False,
-    max_steps=10000,
 ):
     """Continue the geodesic flow of ``model`` from ``point`` along a complex-time path.
 
@@ -344,7 +343,7 @@ def flow(
         u = leg / leg_len
         t_done = 0.0
         while t_done < leg_len * (1.0 - 1e-15):
-            if diag.steps >= max_steps:
+            if diag.steps >= MAX_STEPS:
                 raise SingularityError(
                     f"step budget exhausted at {sigma_now}",
                     last_good_sigma=sigma_now,

@@ -42,6 +42,9 @@ __all__ = [
     "push_through",
 ]
 
+# central fraction of a chart box, per axis, inside which a flow keeps its chart
+SAFE_FRAC = 0.8
+
 
 @dataclass(frozen=True)
 class Chart:
@@ -52,7 +55,6 @@ class Chart:
     hi: np.ndarray
     periodic: np.ndarray
     margin: np.ndarray
-    safe_frac: float = 0.8
 
     @property
     def dim(self):
@@ -61,16 +63,16 @@ class Chart:
     def width(self):
         return self.hi - self.lo
 
-    def contains_re(self, q_re, slack=0.0):
+    def contains_re(self, q_re):
         ok = True
         for i in range(self.dim):
             if self.periodic[i]:
                 continue
-            ok = ok and (self.lo[i] - slack <= q_re[i] <= self.hi[i] + slack)
+            ok = ok and (self.lo[i] <= q_re[i] <= self.hi[i])
         return ok
 
     def in_safe_interior(self, q_re):
-        pad = 0.5 * (1.0 - self.safe_frac) * self.width()
+        pad = 0.5 * (1.0 - SAFE_FRAC) * self.width()
         for i in range(self.dim):
             if self.periodic[i]:
                 continue
@@ -88,8 +90,8 @@ class Chart:
             d = min(d, (q_re[i] - self.lo[i]) / w, (self.hi[i] - q_re[i]) / w)
         return d
 
-    def margin_ok(self, q_im, factor=1.0):
-        return bool(np.all(np.abs(q_im) <= factor * self.margin))
+    def margin_ok(self, q_im):
+        return bool(np.all(np.abs(q_im) <= self.margin))
 
     def wrap(self, q):
         """Fold the real part of periodic axes back into the box; imaginary parts pass through."""
@@ -143,16 +145,16 @@ class MetricModel:
         except KeyError:
             raise ChartDomainError(f"model {self.name!r} has no chart {chart_id!r}", chart_id)
 
-    def require_inside(self, chart_id, q, slack=0.0, margin_factor=1.0):
+    def require_inside(self, chart_id, q):
         ch = self.chart(chart_id)
         q = np.asarray(q, dtype=complex)
-        if not ch.contains_re(q.real, slack=slack):
+        if not ch.contains_re(q.real):
             raise ChartDomainError(
                 f"real part {q.real} outside chart {chart_id!r} box of {self.name}",
                 chart_id,
                 q,
             )
-        if not ch.margin_ok(q.imag, factor=margin_factor):
+        if not ch.margin_ok(q.imag):
             raise ChartDomainError(
                 f"imaginary part {q.imag} exceeds chart {chart_id!r} margin {ch.margin}",
                 chart_id,

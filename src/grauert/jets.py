@@ -34,7 +34,6 @@ import numpy as np
 __all__ = [
     "Jet",
     "value",
-    "channels",
     "constant",
     "variable",
     "seeded_state",
@@ -339,10 +338,6 @@ def seeded_state(values, L, with_channels=True):
 
 def value(x):
     return x.c[0, 0] if isinstance(x, Jet) else x
-
-
-def channels(x):
-    return x.c[1:, 0] if isinstance(x, Jet) else None
 
 
 def is_plain_zero(x):

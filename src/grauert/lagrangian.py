@@ -9,6 +9,10 @@ vertical columns (inverse function theorem; no second integration). Along a
 ray of times sigma the backward flow's dense output gives B(sigma) at every
 point of the ray, so one flow per ray serves every sample on it.
 
+There is one frame builder, :meth:`FrameRays.at`; a single frame
+(:func:`distribution_at`) is a read of a one-ray :class:`FrameRays` that
+reaches just that far.
+
 At sigma = i and real z these n complex directions are the (1,0) subspace of
 an almost complex structure on the tube, recovered from the frame by
 J = [iF | -i conj(F)] [F | conj(F)]^{-1}, which squares to -I by
@@ -85,31 +89,26 @@ class LagrangianFrame:
 
 
 def distribution_at(model, z, sigma, tol=1e-12):
-    """Frame of the sigma-shifted vertical distribution at z by one backward flow."""
-    back = flow(model, z, sigma=-sigma, variational=True, tol=tol)
-    B = back.jacobian
-    n = model.dim
-    F = np.linalg.solve(B, vertical_frame(n))
-    return LagrangianFrame(
-        chart_id=z.chart_id,
-        q=z.q.copy(),
-        p=z.p.copy(),
-        sigma=complex(sigma),
-        columns=F,
-        backward_chart=back.point.chart_id,
-    )
+    """Frame of the sigma-shifted vertical distribution at z.
+
+    A one-ray read of :class:`FrameRays` reaching |sigma|: one backward
+    variational flow, and the same frame and errors as any other read of a
+    ray through sigma.
+    """
+    return FrameRays(model, z, abs(sigma), tol=tol).at(sigma)
 
 
 class FrameRays:
     """Frames of the sigma-shifted vertical distribution at z for sigma on rays from 0.
 
-    Each ray direction costs one dense backward variational flow, to time
-    -reach along it, run on first use. The frame at sigma is then
-    B(sigma)^{-1} V with B(sigma) read from the accepted step polynomial that
-    holds |sigma|: the frame :func:`distribution_at` builds, without a flow of
-    its own. A backward flow that breaks down keeps its accepted steps, and a
-    frame beyond its last good time raises the :class:`SingularityError` a
-    fresh flow would.
+    The one frame builder: every frame pushed through the backward flow is
+    read here. Each ray direction costs one dense backward variational flow,
+    to time -reach along it, run on first use. The frame at sigma is then B(sigma)^{-1} V
+    with B(sigma) read from the accepted step polynomial that holds |sigma|,
+    so every sample on a ray shares its flow. A backward flow that breaks
+    down keeps its accepted steps, and a frame beyond its last good time
+    raises the :class:`SingularityError` of the breakdown (same reason and
+    last good time).
     """
 
     def __init__(self, model, z, reach, tol=1e-12):

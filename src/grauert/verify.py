@@ -207,14 +207,16 @@ def check_theta_sigma_identity(model, points, sigmas=THETA_SIGMAS,
     For every frame column Z of the distribution at parameter sigma, the
     pairing p . Z_q must equal sigma times the derivative of the energy along
     Z; this ties the flow-transported frames to the symplectic structure.
+    One backward flow per ray of ``sigmas`` per point serves every sigma on it.
     """
+    reach = max(map(abs, sigmas), default=0.0)
     residuals = []
     for z in points:
         dE = _grad_energy(model, z.chart_id, z.q, z.p)
         n = z.dim
+        frames = FrameRays(model, z, reach, tol=flow_tol)
         for s in sigmas:
-            fr = distribution_at(model, z, s, tol=flow_tol)
-            cols = fr.columns
+            cols = frames.at(s).columns
             r = 0.0
             for j in range(cols.shape[1]):
                 Z = cols[:, j]
@@ -307,17 +309,21 @@ def check_scaling(model, points, factors=SCALING_FACTORS, sigmas=SCALING_SIGMAS,
 
     The distribution at the dilated point and parameter sigma must span the
     dilated image of the distribution at parameter c sigma; compared by
-    principal angles so the frame normalization drops out.
+    principal angles so the frame normalization drops out. The frames at
+    c sigma share one backward flow per ray per point; each dilated point
+    and sigma keeps its own flow, the route being checked against.
     """
+    reach = max((abs(c * s) for c in factors for s in sigmas), default=0.0)
     residuals = []
     for z in points:
         n = z.dim
+        frames = FrameRays(model, z, reach, tol=flow_tol)
         for c in factors:
             S = np.diag(np.concatenate([np.ones(n), c * np.ones(n)]))
             scaled = PhasePoint(z.chart_id, z.q, c * z.p)
             for s in sigmas:
                 left = distribution_at(model, scaled, s, tol=flow_tol).columns
-                right = S @ distribution_at(model, z, c * s, tol=flow_tol).columns
+                right = S @ frames.at(c * s).columns
                 ang = principal_angles(left, right)
                 r = float(np.max(ang)) if ang.size else 0.0
                 residuals.append((_label(z, f"c={c},sigma={s}"), r))
@@ -327,7 +333,12 @@ def check_scaling(model, points, factors=SCALING_FACTORS, sigmas=SCALING_SIGMAS,
 def check_zero_section(model, points, sigmas=ZERO_SECTION_SIGMAS,
                        tolerance=DEFAULT_TOLERANCES["zero_section"],
                        flow_tol=1e-12):
-    """On the zero section the flow jacobian is unipotent shear in the lift basis."""
+    """On the zero section the flow jacobian is unipotent shear in the lift basis.
+
+    ``sigmas`` lie on one ray from 0; one dense variational flow per point
+    to the farthest of them gives the jacobian at every one.
+    """
+    reach = max(sigmas, key=abs, default=0.0)
     residuals = []
     for z in points:
         n = z.dim
@@ -338,11 +349,13 @@ def check_zero_section(model, points, sigmas=ZERO_SECTION_SIGMAS,
         L[:n, :n] = V
         L[n:, n:] = g @ V
         Linv = np.linalg.inv(L)
+        segments = flow(model, rest, sigma=reach, variational=True, dense=True,
+                        tol=flow_tol).segments
         for s in sigmas:
-            res = flow(model, rest, sigma=s, variational=True, tol=flow_tol)
+            seg, t_local = segment_at(segments, abs(s))
             want = np.eye(2 * n, dtype=complex)
             want[:n, n:] = s * np.eye(n)
-            got = Linv @ res.jacobian @ L
+            got = Linv @ seg.jacobian_at(t_local) @ L
             r = float(np.max(np.abs(got - want)))
             residuals.append((_label(rest, f"sigma={s}"), r))
     return _report(model, "zero_section", residuals, tolerance)

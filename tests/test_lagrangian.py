@@ -200,16 +200,25 @@ def test_frame_rays_match_fresh_frames():
     sph = catalog("round_sphere")
     z = sample_tube_points(sph, 1, 7, 1.0, 1.0)[0]
     basis = orthonormal_tangent_basis(sph, z.chart_id, z.q, z.p)
+
+    def fresh(sigma):
+        # B^-1 V from a backward flow of its own, independent of FrameRays
+        back = flow(sph, z, sigma=-sigma, variational=True)
+        columns = np.linalg.solve(back.jacobian, vertical_frame(2))
+        return LagrangianFrame(z.chart_id, z.q, z.p, sigma, columns, back.point.chart_id)
+
     rays = FrameRays(sph, z, 1.4)
     for u in (1.0, -1.0, 1j):
         charts = set()
         for s in np.linspace(0.2, 1.4, 7):
             dense = rays.at(u * s)
-            fresh = distribution_at(sph, z, u * s)
             charts.add(dense.backward_chart)
             f_dense = f_matrix_from_frame(sph, dense, basis)
-            f_fresh = f_matrix_from_frame(sph, fresh, basis)
+            f_fresh = f_matrix_from_frame(sph, fresh(u * s), basis)
             assert np.max(np.abs(f_dense - f_fresh)) < 1e-9, (u, s)
+            # a single frame is a one-ray read
+            f_single = f_matrix_from_frame(sph, distribution_at(sph, z, u * s), basis)
+            assert np.max(np.abs(f_single - f_fresh)) < 1e-9, (u, s)
         if u == -1.0:
             assert charts == {"a", "b"}
     assert np.max(np.abs(rays.at(0.0).columns - vertical_frame(2))) == 0.0
@@ -217,12 +226,16 @@ def test_frame_rays_match_fresh_frames():
     # past the imaginary ray's breakdown the reader fails as a fresh flow does
     far = FrameRays(sph, z, 2.0)
     f_dense = f_matrix_from_frame(sph, far.at(1.55j), basis)
-    f_fresh = f_matrix_from_frame(sph, distribution_at(sph, z, 1.55j), basis)
+    f_fresh = f_matrix_from_frame(sph, fresh(1.55j), basis)
     assert np.max(np.abs(f_dense - f_fresh)) < 1e-9
     with pytest.raises(SingularityError) as fresh_exc:
-        distribution_at(sph, z, 1.7j)
+        fresh(1.7j)
     with pytest.raises(SingularityError) as dense_exc:
         far.at(1.7j)
+    with pytest.raises(SingularityError) as single_exc:
+        distribution_at(sph, z, 1.7j)
+    assert single_exc.value.reason == fresh_exc.value.reason
+    assert single_exc.value.last_good_sigma == fresh_exc.value.last_good_sigma
     assert dense_exc.value.reason == fresh_exc.value.reason == "imaginary margin"
     assert abs(dense_exc.value.last_good_sigma - fresh_exc.value.last_good_sigma) < 1e-9
 

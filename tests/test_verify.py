@@ -144,6 +144,25 @@ def test_zero_section_unipotent(flat, sphere, surfrev):
         assert rep.max_residual < bound
 
 
+def test_one_flow_per_ray(sphere, monkeypatch):
+    # every sample on a ray a check has integrated is read from that flow
+    flows = []
+    real_flow = grauert.flow.flow
+
+    def counted(*args, **kwargs):
+        flows.append(kwargs.get("sigma"))
+        return real_flow(*args, **kwargs)
+
+    monkeypatch.setattr(grauert.lagrangian, "flow", counted)
+    monkeypatch.setattr(verify, "flow", counted)
+    z = sample_tube_points(sphere, 1, 12, 0.1, 0.25)[0]
+    for check, want in ((check_theta_sigma_identity, 2), (check_zero_section, 1),
+                        (check_scaling, 6)):
+        flows.clear()
+        assert check(sphere, [z]).verdict == "pass"
+        assert len(flows) == want, (check.__name__, flows)
+
+
 def test_nijenhuis(flat, sphere):
     pts = sample_tube_points(flat, 4, 13, 0.2, 0.8)
     rep = check_nijenhuis(flat, pts)
