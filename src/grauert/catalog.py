@@ -2,10 +2,10 @@
 
 Every entry returns a fully wired :class:`~grauert.geometry.MetricModel`. A
 model supplies its atlas (chart boxes, margins, and transitions) and, per
-chart, the metric and its first derivative, written over the jets facade so
-the same closed forms serve real evaluation, holomorphic extension in the
-coordinates, and exact differentiation through derivative channels;
-everything else is derived from those.
+chart, one evaluator returning the metric and its first derivative, written
+over the jets facade so the same closed forms serve real evaluation,
+holomorphic extension in the coordinates, and exact differentiation through
+derivative channels; everything else is derived from those.
 
 The curved entries are two-dimensional. The sphere carries a two-chart atlas
 (spherical coordinates in two frames rotated by a quarter turn about the y
@@ -63,8 +63,8 @@ class SphereEmbedding:
 
     def to_world(self, chart_id, qs):
         theta, phi = qs
-        st, ct = jets.sin(theta), jets.cos(theta)
-        sp, cp = jets.sin(phi), jets.cos(phi)
+        st, ct = jets.sincos(theta)
+        sp, cp = jets.sincos(phi)
         x = [st * cp, st * sp, ct]
         F = _SPHERE_FRAMES[chart_id]
         return [
@@ -224,8 +224,7 @@ def _flat(name, params, lo, hi, periodic):
         params=params,
         charts=[chart],
         default_chart="main",
-        g_fns={"main": lambda qs: eye},
-        dg_fns={"main": lambda qs: zeros3},
+        metric_fns={"main": lambda qs: (eye, zeros3)},
     )
     model.oracle = FlatOracle(model)
     return model
@@ -255,19 +254,15 @@ def round_sphere(radius=1.0, dim=2):
     a2 = radius * radius
     cut = 0.15
 
-    def g_fn(qs):
-        th = qs[0]
-        s = jets.sin(th)
-        return [[a2, 0.0], [0.0, a2 * s * s]]
-
-    def dg_fn(qs):
-        th = qs[0]
-        s, c = jets.sin(th), jets.cos(th)
+    def metric_fn(qs):
+        s, c = jets.sincos(qs[0])
         z = 0.0
-        return [
+        g = [[a2, z], [z, a2 * s * s]]
+        dg = [
             [[z, z], [z, 2.0 * a2 * s * c]],
             [[z, z], [z, z]],
         ]
+        return g, dg
 
     charts = [
         Chart(
@@ -285,8 +280,7 @@ def round_sphere(radius=1.0, dim=2):
         params={"radius": radius},
         charts=charts,
         default_chart="a",
-        g_fns={"a": g_fn, "b": g_fn},
-        dg_fns={"a": dg_fn, "b": dg_fn},
+        metric_fns={"a": metric_fn, "b": metric_fn},
         # chart changes do not depend on the radius; at radius 1 the
         # embedding's scaling adds no roundoff near the poles
         transition_fn=SphereEmbedding(1.0).transition,
@@ -302,24 +296,18 @@ def surface_of_revolution(base=2.0, amp=1.0):
         raise InvalidParamsError("surface_of_revolution needs base > amp >= 0")
 
     # profile r(u) = base + amp cos u; metric diag(1 + r'(u)^2, r(u)^2)
-    def pieces(u):
-        s, c = jets.sin(u), jets.cos(u)
+    def metric_fn(qs):
+        s, c = jets.sincos(qs[0])
         r = base + amp * c
         rp = -amp * s
         rpp = -amp * c
-        return r, rp, rpp
-
-    def g_fn(qs):
-        r, rp, _ = pieces(qs[0])
-        return [[1.0 + rp * rp, 0.0], [0.0, r * r]]
-
-    def dg_fn(qs):
-        r, rp, rpp = pieces(qs[0])
         z = 0.0
-        return [
+        g = [[1.0 + rp * rp, z], [z, r * r]]
+        dg = [
             [[2.0 * rp * rpp, z], [z, 2.0 * r * rp]],
             [[z, z], [z, z]],
         ]
+        return g, dg
 
     chart = Chart(
         id="main",
@@ -334,8 +322,7 @@ def surface_of_revolution(base=2.0, amp=1.0):
         params={"base": base, "amp": amp},
         charts=[chart],
         default_chart="main",
-        g_fns={"main": g_fn},
-        dg_fns={"main": dg_fn},
+        metric_fns={"main": metric_fn},
     )
 
 

@@ -8,9 +8,10 @@ rejected so a typo cannot silently fall back to a default. The schema:
 [checks]  names (comma list of battery checks, empty for none), flow_tol,
           tol_<check> overrides, dbar_sign (demonstration knob, see
           configs/broken_sign.ini).
-[grids]   n_samples, n_strips, seed, rho_min, rho_max, n_directions,
-          sweep_cap, resolution, n_points, rows, q0, p0 (comma lists),
-          chart, function (auto | wave | height | const).
+[grids]   n_samples, n_strips, seed, rho_min, rho_max (verify takes both
+          or neither), n_directions, sweep_cap, resolution, n_points, rows,
+          q0, p0 (comma lists), chart, function (auto | wave | height |
+          const).
 [paths]   sigma (complex, e.g. 1j) or waypoints (comma list of complex
           corners for a multi-leg time path).
 [output]  dir.
@@ -358,7 +359,8 @@ def cmd_flow(cfg, out):
 
 def cmd_jtensor(cfg, out):
     model = cfg.build_model()
-    rho = (cfg.rho_min or 0.1, cfg.rho_max or 0.5)
+    rho = (0.1 if cfg.rho_min is None else cfg.rho_min,
+           0.5 if cfg.rho_max is None else cfg.rho_max)
     pts = sample_tube_points(model, cfg.n_points, cfg.seed, *rho)
     n = model.dim
     names = ["chart"]
@@ -413,7 +415,8 @@ def _base_function(cfg, model):
 def cmd_extend(cfg, out):
     model = cfg.build_model()
     f = _base_function(cfg, model)
-    rho = (cfg.rho_min or 0.1, cfg.rho_max or 0.4)
+    rho = (0.1 if cfg.rho_min is None else cfg.rho_min,
+           0.4 if cfg.rho_max is None else cfg.rho_max)
     pts = sample_tube_points(model, cfg.n_points, cfg.seed, *rho)
     n = model.dim
     names = ["chart"]
@@ -443,10 +446,12 @@ def cmd_extend(cfg, out):
 
 
 def cmd_verify(cfg, out):
+    if (cfg.rho_min is None) != (cfg.rho_max is None):
+        # the battery's default momentum range is per model, so a lone bound
+        # has no other end to pair with
+        raise ConfigError("verify needs both rho_min and rho_max, or neither")
     model = cfg.build_model()
-    rho = None
-    if cfg.rho_min is not None and cfg.rho_max is not None:
-        rho = (cfg.rho_min, cfg.rho_max)
+    rho = None if cfg.rho_min is None else (cfg.rho_min, cfg.rho_max)
     reports = run_battery(
         model,
         checks=cfg.checks,

@@ -16,7 +16,6 @@ __all__ = [
     "TransversalityError",
     "ConjugatePointError",
     "PadeDegeneracyError",
-    "PositivityError",
     "DivergenceError",
     "UnsupportedModelError",
     "UnknownModelError",
@@ -72,10 +71,6 @@ class ConjugatePointError(GrauertError):
 class PadeDegeneracyError(GrauertError):
     """The rational (AAA) fit of a continuation misses its samples, or the
     evaluation target sits on one of its poles."""
-
-
-class PositivityError(GrauertError):
-    """A matrix required to be positive definite is not."""
 
 
 class DivergenceError(GrauertError):

@@ -243,7 +243,7 @@ def extend_by_flow(model, f, z, path=None, tol=DEFAULT_TOL):
 
 def extend_by_exp(model, f, z):
     """Closed-form route: declared extension at the continued exponential map."""
-    orc = getattr(model, "oracle", None)
+    orc = model.oracle
     if orc is None or not hasattr(orc, "exp_complex"):
         raise UnsupportedModelError(
             f"{model.name} has no closed-form exponential map"
@@ -266,7 +266,7 @@ def crosscheck(model, f, z, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
         "series": extend_by_series(model, f, z, max_terms=max_terms),
         "flow": extend_by_flow(model, f, z, tol=tol),
     }
-    orc = getattr(model, "oracle", None)
+    orc = model.oracle
     if orc is not None and hasattr(orc, "exp_complex") and f.extension is not None:
         results["exp_map"] = extend_by_exp(model, f, z)
     pairwise = {
@@ -346,7 +346,7 @@ def strip_identity_residual(model, z, sigma, tau, tol=DEFAULT_TOL):
     first, then continues by i tau from the transported base point. Both land
     in the model's complexified ambient coordinates.
     """
-    orc = getattr(model, "oracle", None)
+    orc = model.oracle
     if orc is None or not hasattr(orc, "exp_complex"):
         raise UnsupportedModelError(f"{model.name} has no closed-form exponential map")
     cid = z.chart_id

@@ -175,8 +175,7 @@ def hamiltonian_vector_field(model, chart_id, qs, ps):
     exact zeros, and most entries of dg are.
     """
     n = model.dim
-    gi = model.ginv(chart_id, qs)
-    dg = model.dg(chart_id, qs)
+    _, gi, dg = model.metric(chart_id, qs)
     dq = []
     for j in range(n):
         acc = 0.0

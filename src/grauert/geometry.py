@@ -1,8 +1,9 @@
 """Charts, metric models, and pointwise geometric evaluators.
 
-A model is an atlas of box charts plus, per chart, the metric and its first
-derivative written over the generic scalar namespace in :mod:`grauert.jets`;
-the inverse metric, the energy and the Christoffel symbols are derived from
+A model is an atlas of box charts plus, per chart, one metric evaluator
+written over the generic scalar namespace in :mod:`grauert.jets`: it returns
+the metric and its first derivative from one pass over shared intermediates.
+The inverse metric, the energy and the Christoffel symbols are derived from
 those two. Because the same code path runs on floats, complex numbers, dual
 jets, and truncated series, every evaluator is simultaneously a real
 evaluator, a holomorphic extension, and a derivative generator. Each chart
@@ -10,10 +11,10 @@ declares how far into the imaginary directions its evaluators remain
 trustworthy (the margin); leaving the margin is a domain error, not a
 numerical accident.
 
-Index conventions used throughout:
+Index conventions used throughout, with ``g, ginv, dg = model.metric(chart, q)``:
 
-* ``g(chart, q)[j][k]`` is the metric g_jk, ``ginv`` its inverse g^jk,
-* ``dg(chart, q)[l][j][k]`` is the partial derivative d g_jk / d q^l,
+* ``g[j][k]`` is the metric g_jk, ``ginv[j][k]`` its inverse g^jk,
+* ``dg[l][j][k]`` is the partial derivative d g_jk / d q^l,
 * ``christoffel(...)[i][j][k]`` is Gamma^i_jk.
 
 Phase-space conventions: momenta are covectors, the canonical one-form is
@@ -104,11 +105,11 @@ class Chart:
 
 
 class MetricModel:
-    """Atlas plus metric evaluators for one catalog entry.
+    """Atlas plus one metric evaluator per chart for one catalog entry.
 
-    ``g_fns`` and ``dg_fns`` map chart ids to functions of a coordinate
-    sequence returning the metric and its first derivative; entries may be
-    any scalar the jets facade accepts. The inverse metric is derived from
+    ``metric_fns`` maps chart ids to functions of a coordinate sequence
+    returning ``(g, dg)``, the metric and its first derivative; entries may
+    be any scalar the jets facade accepts. The inverse metric is derived from
     ``g``: by the adjugate on two-dimensional charts, which works on plain
     numbers and jets alike, and by ``numpy.linalg.inv`` on plain numbers in
     other dimensions.
@@ -121,22 +122,20 @@ class MetricModel:
         params,
         charts,
         default_chart,
-        g_fns,
-        dg_fns,
+        metric_fns,
         transition_fn=None,
         embedding=None,
-        oracle=None,
     ):
         self.name = name
         self.dim = dim
         self.params = dict(params)
         self.charts = {c.id: c for c in charts}
         self.default_chart = default_chart
-        self._g = g_fns
-        self._dg = dg_fns
+        self._metric = metric_fns
         self._transition = transition_fn
         self.embedding = embedding
-        self.oracle = oracle
+        # closed-form reference answers; the catalog sets one where it has them
+        self.oracle = None
 
     # -- chart plumbing ----------------------------------------------------
     def chart(self, chart_id):
@@ -165,21 +164,16 @@ class MetricModel:
         return self._transition is not None and len(self.charts) > 1
 
     # -- evaluators ---------------------------------------------------------
-    def g(self, chart_id, q):
-        return self._g[chart_id](q)
-
-    def ginv(self, chart_id, q):
-        g = self.g(chart_id, q)
+    def metric(self, chart_id, q):
+        """(g, g^-1, dg) at q from one call of the chart's evaluator."""
+        g, dg = self._metric[chart_id](q)
         if self.dim != 2:
-            return np.linalg.inv(np.array(g, dtype=complex)).tolist()
+            return g, np.linalg.inv(np.array(g, dtype=complex)).tolist(), dg
         (a, b), (c, d) = g
         det = a * d - b * c
         r = det.reciprocal() if isinstance(det, jets.Jet) else 1.0 / det
         off = lambda x: 0.0 if is_plain_zero(x) else -x * r
-        return [[d * r, off(b)], [off(c), a * r]]
-
-    def dg(self, chart_id, q):
-        return self._dg[chart_id](q)
+        return g, [[d * r, off(b)], [off(c), a * r]], dg
 
     def transition_coords(self, from_chart, to_chart, q_scalars):
         if self._transition is None:
@@ -209,12 +203,12 @@ class MetricModel:
 
 
 def metric_matrix(model, chart_id, q):
-    rows = model.g(chart_id, list(q))
+    rows, _, _ = model.metric(chart_id, list(q))
     return np.array([[value(x) for x in row] for row in rows], dtype=complex)
 
 
 def metric_inv_matrix(model, chart_id, q):
-    rows = model.ginv(chart_id, list(q))
+    _, rows, _ = model.metric(chart_id, list(q))
     return np.array([[value(x) for x in row] for row in rows], dtype=complex)
 
 
@@ -222,7 +216,7 @@ def energy(model, chart_id, q, p, check_domain=True):
     """Fiberwise quadratic energy (half the squared momentum norm)."""
     if check_domain:
         model.require_inside(chart_id, q)
-    gi = model.ginv(chart_id, list(q))
+    _, gi, _ = model.metric(chart_id, list(q))
     n = model.dim
     acc = 0.0
     for j in range(n):
@@ -234,8 +228,7 @@ def energy(model, chart_id, q, p, check_domain=True):
 def christoffel(model, chart_id, q):
     """Levi-Civita symbols Gamma^i_jk from the closed-form metric derivatives."""
     n = model.dim
-    gi = model.ginv(chart_id, list(q))
-    dg = model.dg(chart_id, list(q))
+    _, gi, dg = model.metric(chart_id, list(q))
     out = []
     for i in range(n):
         row_i = []

@@ -4,8 +4,8 @@ One class does triple duty:
 
 * ``L > 1, R == 1``: a truncated Taylor series in one (complex) parameter.
   Functions of a flow's state series are evaluated this way, and
-  elementary functions (sin, exp, ...) use the classical coefficient
-  recurrences.
+  elementary functions (sincos, exp, ...) use the classical coefficient
+  recurrences; sin and cos come as one pair from one recurrence.
 * ``L == 1, R > 1``: a first-order dual number with ``R - 1`` derivative
   channels, used to push jacobians through closed-form maps (chart
   transitions, embeddings) without hand-coded derivative formulas.
@@ -22,7 +22,7 @@ products along the series axis, realized as small Toeplitz matmuls so the
 inner loops stay in BLAS.
 
 Scalars (int/float/complex/numpy numbers) mix freely with jets. The
-functions at module level (``sin``, ``exp``, ...) dispatch on type, so model
+functions at module level (``sincos``, ``exp``, ...) dispatch on type, so model
 evaluators written against them run unchanged on plain numbers, duals, or
 series.
 """
@@ -36,9 +36,7 @@ __all__ = [
     "value",
     "constant",
     "variable",
-    "seeded_state",
-    "sin",
-    "cos",
+    "sincos",
     "exp",
     "log",
     "sqrt",
@@ -192,13 +190,9 @@ class Jet:
         out[1:] = c[1:] @ _toep(dval_series).T
         return Jet(out)
 
-    def sin(self):
+    def sincos(self):
         s, co = _sincos_series(self.c[0])
-        return self._apply(s, co)
-
-    def cos(self):
-        s, co = _sincos_series(self.c[0])
-        return self._apply(co, -s)
+        return self._apply(s, co), self._apply(co, -s)
 
     def exp(self):
         e = _exp_series(self.c[0])
@@ -318,24 +312,6 @@ def variable(x, channel, n_channels, L=1):
     return Jet(c)
 
 
-def seeded_state(values, L, with_channels=True):
-    """State components as jets, channels seeded with the identity.
-
-    Returns a list of jets, one per component; component i gets channel i.
-    """
-    values = np.asarray(values, dtype=complex)
-    n = values.shape[0]
-    out = []
-    R = 1 + n if with_channels else 1
-    for i in range(n):
-        c = np.zeros((R, L), dtype=complex)
-        c[0, 0] = values[i]
-        if with_channels:
-            c[1 + i, 0] = 1.0
-        out.append(Jet(c))
-    return out
-
-
 def value(x):
     return x.c[0, 0] if isinstance(x, Jet) else x
 
@@ -360,12 +336,9 @@ def eval_poly(coeffs, dt):
 # -- dispatching math ------------------------------------------------------
 
 
-def sin(x):
-    return x.sin() if isinstance(x, Jet) else np.sin(x)
-
-
-def cos(x):
-    return x.cos() if isinstance(x, Jet) else np.cos(x)
+def sincos(x):
+    """(sin x, cos x); a jet runs one coefficient recurrence for both."""
+    return x.sincos() if isinstance(x, Jet) else (np.sin(x), np.cos(x))
 
 
 def exp(x):

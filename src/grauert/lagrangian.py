@@ -29,12 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DegenerateFrameError,
-    PositivityError,
-    SingularityError,
-    TransversalityError,
-)
+from .errors import DegenerateFrameError, SingularityError, TransversalityError
 from .flow import flow, segment_at
 from .geometry import christoffel, metric_inv_matrix, metric_matrix
 
@@ -52,6 +47,10 @@ __all__ = [
     "positivity_check",
     "principal_angles",
 ]
+
+# smallest singular value ratio of [F | conj F] below which a frame counts as
+# meeting its conjugate
+TRANSVERSALITY_THRESHOLD = 1e-8
 
 
 def symplectic_form_matrix(n):
@@ -234,12 +233,12 @@ def f_matrix_from_frame(model, frame, basis=None):
     return b @ np.linalg.inv(c)
 
 
-def j_tensor_from_frame(frame, threshold=1e-8):
+def j_tensor_from_frame(frame):
     """Real 2n x 2n tensor with J^2 = -I whose +i eigenspace is the frame span."""
     F = frame.columns
     W = np.hstack([F, np.conj(F)])
     sv = np.linalg.svd(W, compute_uv=False)
-    if sv[-1] < threshold * sv[0]:
+    if sv[-1] < TRANSVERSALITY_THRESHOLD * sv[0]:
         raise TransversalityError(
             f"frame meets its conjugate: singular value ratio {sv[-1] / sv[0]:.3e}"
         )
@@ -247,7 +246,7 @@ def j_tensor_from_frame(frame, threshold=1e-8):
     return V @ np.linalg.inv(W)
 
 
-def positivity_check(frame, raise_on_fail=False):
+def positivity_check(frame):
     """Smallest eigenvalue of the hermitian form -i omega(F_j, conj F_k).
 
     Positive definiteness certifies that the frame spans a strictly
@@ -258,8 +257,6 @@ def positivity_check(frame, raise_on_fail=False):
     H = -1j * (F.T @ O @ np.conj(F))
     H = 0.5 * (H + np.conj(H.T))
     eigs = np.linalg.eigvalsh(H)
-    if raise_on_fail and eigs[0] <= 0:
-        raise PositivityError(f"hermitian pairing not positive: min eig {eigs[0]:.3e}")
     return float(eigs[0]), H
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 from .errors import GrauertError
 from .flow import PhasePoint, flow, hamiltonian_vector_field, segment_at
@@ -167,15 +166,16 @@ def sample_tube_points(model, n, seed, rho_min, rho_max, chart_id=None):
     from inverse-normal-mapped Sobol coordinates normalized in the metric,
     scaled to |v| in [rho_min, rho_max].
     """
+    # imported here, not at module level: scipy.stats costs about half a
+    # second of import time, and commands that do not sample never pay it
+    from scipy.stats import norm, qmc
+
     cid = chart_id or model.default_chart
     ch = model.chart(cid)
     dim = model.dim
     eng = qmc.Sobol(d=2 * dim + 1, scramble=True, seed=seed)
-    m = max(1, math.ceil(math.log2(max(n, 2))))
-    u = eng.random_base2(m=m)
-    while u.shape[0] < n:
-        u = np.vstack([u, eng.random_base2(m=m)])
-    u = u[:n]
+    # 2^m >= n rows
+    u = eng.random_base2(m=max(1, math.ceil(math.log2(max(n, 2)))))[:n]
     lo = ch.lo + 0.15 * ch.width()
     hi = ch.hi - 0.15 * ch.width()
     out = []

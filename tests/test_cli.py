@@ -95,6 +95,7 @@ BAD_CONFIGS = [
     ("verify", "[checks]\ntol_nijenhuis = loose\n"),
     ("verify", "[grids]\nrho_min = low\n"),
     ("verify", "[grids]\nrho_max = high\n"),
+    ("verify", "[grids]\nrho_max = 0.05\n"),
     ("verify", "[model]\nname = round_sphere\nradius = big\n"),
     ("tube-radius", "[grids]\nsweep_cap = far\n"),
     ("tube-radius", "[grids]\nresolution = fine\n"),
@@ -198,6 +199,16 @@ def test_jtensor_flat_torus_standard_structure(tmp_path):
         assert np.allclose(G, np.eye(4), atol=1e-9)
         assert float(r["pos_min_eig"]) > 0.5
         assert float(r["j_imag_max"]) < 1e-9
+
+
+def test_jtensor_zero_momentum_bounds(tmp_path):
+    path = write_ini(tmp_path, "[grids]\nn_points = 3\nrho_min = 0\nrho_max = 0\n")
+    code, out = run(tmp_path, "jtensor", "--config", path)
+    assert code == 0
+    _, rows = read_rows(out / "jtensor.csv")
+    assert len(rows) == 3
+    for r in rows:
+        assert float(r["p0"]) == 0.0 and float(r["p1"]) == 0.0
 
 
 # -- extend command ------------------------------------------------------------

@@ -33,7 +33,7 @@ POLE_IM = math.log(2.0)
 
 def pole_function():
     ev = lambda qs: 1.0 / (1.25 + np.cos(qs[0])) if not hasattr(qs[0], "c") else (
-        1.0 / (1.25 + qs[0].cos())
+        1.0 / (1.25 + qs[0].sincos()[1])
     )
     ext = lambda xc: 1.0 / (1.25 + np.cos(complex(xc[0])))
     return from_chart_functions("cos_pole", {"main": ev}, margin=POLE_IM, extension=ext)

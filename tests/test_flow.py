@@ -100,6 +100,36 @@ def test_variational_step_costs_five_field_evaluations(monkeypatch):
     assert len(calls) == 5 * r.diagnostics.steps
 
 
+def test_one_sincos_recurrence_per_field_evaluation(monkeypatch):
+    # g, g^-1 and dg come from one metric evaluator call, so the sin/cos
+    # series recurrence runs once per field evaluation on the curved models
+    calls = []
+    recurrence = jets._sincos_series
+
+    def counted(f):
+        calls.append(1)
+        return recurrence(f)
+
+    monkeypatch.setattr(jets, "_sincos_series", counted)
+    rng = np.random.default_rng(5)
+    cases = [
+        (catalog("round_sphere"), "a", [1.2, 0.4], 1),
+        (catalog("round_sphere"), "b", [1.2, 0.4], 1),
+        (catalog("surface_of_revolution"), "main", [0.6, 2.0], 1),
+        (catalog("flat_torus"), "main", [0.6, 2.0], 0),
+    ]
+    for model, cid, q, expected in cases:
+        zs = []
+        for a, x0 in enumerate(q + [0.3, -0.5]):
+            c = 0.1 * (rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6)))
+            c[:, 0] = 0.0
+            c[0, 0], c[1 + a, 0] = x0, 1.0
+            zs.append(jets.Jet(c))
+        calls.clear()
+        hamiltonian_vector_field(model, cid, zs[:2], zs[2:])
+        assert len(calls) == expected, (model.name, cid)
+
+
 def test_flat_flow_is_exact_single_step():
     flat = catalog("flat_space", dim=2)
     z = PhasePoint("main", [1.0, -2.0], [0.5, 0.25])

@@ -106,7 +106,7 @@ def test_christoffel_matches_fd_of_metric():
         (catalog("surface_of_revolution"), "main", np.array([0.9, 1.2])),
     ]:
         n = model.dim
-        dg_closed = model.dg(cid, list(q0.astype(complex)))
+        _, _, dg_closed = model.metric(cid, list(q0.astype(complex)))
         h = 1e-2
         for l in range(n):
             e = np.zeros(n)
@@ -148,8 +148,7 @@ def test_derived_inverse_on_variational_series():
             c[1:, 0] = 0.0
             c[1 + i, 0] = 1.0
             qs.append(jets.Jet(c))
-        g = model.g(cid, qs)
-        gi = model.ginv(cid, qs)
+        g, gi, _ = model.metric(cid, qs)
         for j in range(2):
             for l in range(2):
                 prod = gi[j][0] * g[0][l] + gi[j][1] * g[1][l]
@@ -197,11 +196,11 @@ def test_dual_channel_matches_complex_step():
     model = catalog("surface_of_revolution")
     q0 = 0.8 + 0.1j
     arg = jets.Jet(np.array([[q0], [1.0]], dtype=complex))
-    g_dual = model.g("main", [arg, 0.0 * arg])[0][0]
+    g_dual = model.metric("main", [arg, 0.0 * arg])[0][0][0]
     exact = g_dual.c[1, 0]
     eps = 1e-7
-    cs = (model.g("main", [q0 + 1j * eps, 0.0])[0][0]
-          - model.g("main", [q0 - 1j * eps, 0.0])[0][0]) / (2j * eps)
+    cs = (model.metric("main", [q0 + 1j * eps, 0.0])[0][0][0]
+          - model.metric("main", [q0 - 1j * eps, 0.0])[0][0][0]) / (2j * eps)
     assert abs(exact - cs) < 1e-9
 
 
