@@ -79,7 +79,7 @@ class SphereEmbedding:
             for k in range(3)
         ]
         theta = jets.arccos(ws[2])
-        st = jets.sqrt(1.0 - ws[2] * ws[2])
+        st, _ = jets.sincos(theta)
         u = (ws[0] + 1j * ws[1]) / st
         seed = cmath.phase(complex(value(u)))
         phi = seed - 1j * jets.log(u * cmath.exp(-1j * seed))

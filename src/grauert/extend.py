@@ -158,7 +158,7 @@ def _series_coefficients(model, f, z, max_terms):
     q = model.chart(cid).wrap(z.q)
     model.require_inside(cid, q)
     n = model.dim
-    coeffs = _taylor_series(model, cid, q, z.p, None, 1.0, max_terms)
+    coeffs = _taylor_series(model, cid, q[None], z.p[None], None, 1.0, max_terms)[0]
     qjets = [Jet(coeffs[i].copy()) for i in range(n)]
     out = f.chart_eval(cid, qjets)
     if isinstance(out, Jet):

@@ -12,15 +12,24 @@ Newton doubling (Brent-Kung): one field evaluation in truncated series
 arithmetic, with derivative channels seeded with the identity, on the
 coefficients known so far gives the field's series and its jacobian series
 along them, and a linear recurrence in those doubles the number of known
-coefficients. An order-16 step takes 5 field evaluations, not 16. The step
-size comes from the tail of the computed series, so a shrinking radius of
-convergence is felt directly: when the admissible step falls below the floor
-the flow reports a singularity with the last trustworthy time.
+coefficients. An order-16 step takes 4 field evaluations (5 with the
+jacobian), not 16. The step size comes from the tail of the computed series,
+so a shrinking radius of convergence is felt directly: when the admissible
+step falls below the floor the flow reports a singularity with the last
+trustworthy time.
 
 With ``variational=True`` the series of the phase-space jacobian of the flow
 map follows from the field's jacobian series by the linear recurrence of
 the first variational equation, so the jacobian is transported exactly
 alongside the state, through chart transitions included.
+
+There is one flow kernel, :func:`flow_lanes`, which integrates a batch of
+trajectories as lanes (the batch mode of Taylor integrators such as heyoka,
+Biscani and Izzo, MNRAS 2021). The jets carry a leading lane axis, so one
+field evaluation builds the series of every lane in a chart at once, while
+each lane keeps its own step size, chart, transitions, margin and box
+checks and dense output, and leaves the batch when it finishes or breaks
+down. :func:`flow` is a one-lane call of the kernel.
 """
 
 from __future__ import annotations
@@ -30,9 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularityError
+from .errors import ChartDomainError, GrauertError, SingularityError
 from .geometry import energy, transition_phase
-from .jets import Jet, eval_poly, is_plain_zero
+from .jets import Jet, SeriesBreakdown, eval_poly, is_plain_zero
 
 __all__ = [
     "PhasePoint",
@@ -43,6 +52,7 @@ __all__ = [
     "segment_at",
     "hamiltonian_vector_field",
     "flow",
+    "flow_lanes",
     "phase_residual",
     "flow_group_residual",
     "scaling_conjugation_residual",
@@ -195,77 +205,94 @@ def hamiltonian_vector_field(model, chart_id, qs, ps):
 
 
 def _field_series(model, chart_id, z, L, N):
-    """Field series X (N, 2n) and jacobian series A (N, 2n, 2n) along a polynomial.
+    """Field series X (B, N, 2n) and reversed jacobian blocks along each lane's polynomial.
 
-    The polynomial has the state coefficients z[:L] (z is (order+1, 2n), one
-    row per order); it is evaluated as jets of length N whose 2n channels are
-    seeded with the identity, so A_j[i, a] is coefficient j of dX_i/dz_a.
+    The polynomials have the state coefficients z[:, :L] (z is (B, order+1, 2n),
+    one row per order); they are evaluated as lane jets of length N whose 2n
+    channels are seeded with the identity, so A_j[i, a], coefficient j of
+    dX_i/dz_a, comes out for every lane. It is returned as Ahat (B, 2n, N*2n),
+    the blocks A_{N-1}, ..., A_1, A_0 side by side, so that every sum
+    sum_j A_j w_{k-j} of the recurrences is one matmul of a trailing block
+    range with the stacked w. A single lane is evaluated on jets without a
+    lane axis: the same operations on smaller arrays, which numpy runs with
+    less overhead.
     """
-    m = z.shape[1]
+    B, _, m = z.shape
     n = m // 2
-    zs = []
+    c = np.zeros((m, B, 1 + m, N), dtype=complex)
+    c[:, :, 0, :L] = z[:, :L].transpose(2, 0, 1)
     for a in range(m):
-        c = np.zeros((1 + m, N), dtype=complex)
-        c[0, :L] = z[:L, a]
-        c[1 + a, 0] = 1.0
-        zs.append(Jet(c))
+        c[a, :, 1 + a, 0] = 1.0
+    zs = [Jet(c[a] if B > 1 else c[a, 0]) for a in range(m)]
     dq, dp = hamiltonian_vector_field(model, chart_id, zs[:n], zs[n:])
-    X = np.zeros((N, m), dtype=complex)
-    A = np.zeros((N, m, m), dtype=complex)
+    X = np.zeros((B, N, m), dtype=complex)
+    Ahat = np.zeros((B, m, N, m), dtype=complex)
     for i, x in enumerate(dq + dp):
         if not isinstance(x, Jet):
-            X[0, i] = x
+            X[:, 0, i] = x
             continue
-        X[:, i] = x.c[0]
+        X[:, :, i] = x.c[..., 0, :]
         if x.R > 1:
-            A[:, i, :] = x.c[1:].T
-    return X, A
+            Ahat[:, i] = x.c[..., 1:, ::-1].swapaxes(-1, -2)
+    return X, Ahat.reshape(B, m, N * m)
 
 
 def _taylor_series(model, chart_id, q, p, D, direction, order):
-    """Taylor coefficients (2n, R, order+1) of dz/dt = u X(z) at z(0) = (q, p).
+    """Taylor coefficients (B, 2n, R, order+1) of dz/dt = u X(z) at z(0) = (q, p), per lane.
 
-    Row 0 of the middle axis is the state. Without D, R = 1; with D, rows
-    1..2n are the state's jacobian, starting from D (R = 1 + 2n).
+    q and p are (B, n), one lane per row; ``direction`` is one unit number for
+    every lane or one per lane. Row 0 of the third axis is the state. Without
+    D, R = 1; with D (B, 2n, 2n), rows 1..2n are the state's jacobian,
+    starting from D (R = 1 + 2n). Each doubling pass is one field evaluation
+    for all lanes.
 
     The state series is built by Newton doubling. With z_0..z_{L-1} known,
-    one field evaluation at length N = min(2L - 1, order) gives X and
-    A = DX along that polynomial, and since z minus it is O(t^L),
-    X(z) = X + A (z - z_<L) + O(t^2L), so
+    one field evaluation at length N gives X and A = DX along that
+    polynomial, and since z minus it is O(t^L), X(z) = X + A (z - z_<L) +
+    O(t^2L), so orders up to 2L - 1 of X(z) are exact and
 
         (k+1) z_{k+1} = u (X_k + sum_{j <= k-L} A_j z_{k-j}),  k = L-1 .. N-1.
 
-    Passes have lengths 1, 3, 7, 15, ... The jacobian Phi solves
-    dPhi/dt = u A Phi, (k+1) Phi_{k+1} = u sum_{j <= k} A_j Phi_{k-j}, which
-    needs A_0..A_{order-1} exact: A of a pass is exact for j < L only, so when
-    the last pass started from L < order the field is evaluated once more on
-    the whole polynomial.
+    The jacobian Phi solves dPhi/dt = u A Phi,
+    (k+1) Phi_{k+1} = u sum_{j <= k} A_j Phi_{k-j}, which needs A_0..A_{order-1}
+    exact; A of a pass is exact for j < L only. Without D the passes take
+    N = min(2L, order), lengths 2, 6, 14, 16: 4 field evaluations for order
+    16. With D they take N = min(2L - 1, order), lengths 1, 3, 7, 15, 16, so
+    the last pass starts at L = order and its A serves Phi: 5 evaluations.
+    When the last pass started from L < order (longer series) the field is
+    evaluated once more on the whole polynomial.
     """
-    n = q.shape[0]
+    B, n = q.shape
     m = 2 * n
-    z = np.zeros((order + 1, m), dtype=complex)
-    z[0, :n] = q
-    z[0, n:] = p
+    u = np.reshape(direction, (-1, 1))
+    z = np.zeros((B, order + 1, m), dtype=complex)
+    z[:, 0, :n] = q
+    z[:, 0, n:] = p
     L = 1
     while L <= order:
-        N = min(2 * L - 1, order)
-        X, A = _field_series(model, chart_id, z, L, N)
+        N = min(2 * L - (D is not None), order)
+        X, Ahat = _field_series(model, chart_id, z, L, N)
         for k in range(L - 1, N):
-            rhs = X[k]
+            rhs = X[:, k]
             if k >= L:
-                rhs = rhs + np.einsum("jab,jb->a", A[: k - L + 1], z[k : L - 1 : -1])
-            z[k + 1] = direction * rhs / (k + 1)
+                # A_{k-L}, ..., A_0 against z_L, ..., z_k
+                w = z[:, L : k + 1].reshape(B, (k + 1 - L) * m, 1)
+                rhs = rhs + (Ahat[:, :, (N - 1 - k + L) * m :] @ w)[..., 0]
+            z[:, k + 1] = u * rhs / (k + 1)
         L_last, L = L, N + 1
-    state = z.T[:, None, :]
+    state = z.transpose(0, 2, 1)[:, :, None, :]
     if D is None:
         return state.copy()
     if L_last < order:
-        _, A = _field_series(model, chart_id, z, order, order)
-    phi = np.zeros((order + 1, m, m), dtype=complex)
-    phi[0] = D
+        _, Ahat = _field_series(model, chart_id, z, order, order)
+    phi = np.zeros((B, order + 1, m, m), dtype=complex)
+    phi[:, 0] = D
+    u = u[..., None]
     for k in range(order):
-        phi[k + 1] = direction * np.einsum("jab,jbc->ac", A[: k + 1], phi[k::-1]) / (k + 1)
-    return np.concatenate([state, phi.transpose(1, 2, 0)], axis=1)
+        # A_k, ..., A_0 against Phi_0, ..., Phi_k
+        w = phi[:, : k + 1].reshape(B, (k + 1) * m, m)
+        phi[:, k + 1] = u * (Ahat[:, :, (order - 1 - k) * m :] @ w) / (k + 1)
+    return np.concatenate([state, phi.transpose(0, 2, 3, 1)], axis=2)
 
 
 def _last_inside(coeffs, dt, n, pred):
@@ -287,8 +314,8 @@ def _last_inside(coeffs, dt, n, pred):
     return lo
 
 
-def _choose_step(value_coeffs, order, tol):
-    a = np.max(np.abs(value_coeffs), axis=0)
+def _choose_step(a, order, tol):
+    """Step from the largest coefficient magnitude a[k] of each order k of one lane."""
     scale = tol * max(1.0, a[0])
     cands = []
     for kk in (order, order - 1):
@@ -297,6 +324,228 @@ def _choose_step(value_coeffs, order, tol):
     if not cands:
         return np.inf
     return SAFETY * min(cands)
+
+
+@dataclass
+class _Lane:
+    """One trajectory of a lane batch: its state, where it is on its path, what it accepted."""
+
+    index: int
+    cid: str
+    q: np.ndarray
+    p: np.ndarray
+    D: np.ndarray | None
+    legs: list  # (start sigma, unit direction, length) of each nonempty leg
+    diag: FlowDiagnostics
+    leg: int = 0
+    t_done: float = 0.0
+    t_global: float = 0.0
+    sigma_now: complex = 0j
+    segments: list = field(default_factory=list)
+
+    def on_path(self):
+        """Move past finished legs; False once the whole path is done."""
+        while self.leg < len(self.legs):
+            if self.t_done < self.legs[self.leg][2] * (1.0 - 1e-15):
+                return True
+            self.leg += 1
+            self.t_done = 0.0
+        return False
+
+    def breakdown(self, message, sigma, reason):
+        return SingularityError(message, last_good_sigma=sigma, reason=reason,
+                                segments=self.segments)
+
+
+def _set_energies(model, lanes, attr):
+    """Energy of every lane's state into its diagnostics, one metric evaluation per chart."""
+    by_chart = {}
+    for lane in lanes:
+        by_chart.setdefault(lane.cid, []).append(lane)
+    for cid, group in by_chart.items():
+        q = np.array([lane.q for lane in group]).T
+        p = np.array([lane.p for lane in group]).T
+        # a lane started on a singular metric has no finite energy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = energy(model, cid, q, p, check_domain=False)
+        for lane, x in zip(group, e):
+            setattr(lane.diag, attr, complex(x))
+
+
+def _group_series(model, cid, group, outcomes, variational):
+    """Series of every lane of ``group`` (all in chart cid), and the lanes it is for.
+
+    A lane whose series meets a vanishing constant term retires with a
+    SingularityError; the others are built again without it.
+    """
+    while group:
+        q = np.array([lane.q for lane in group])
+        p = np.array([lane.p for lane in group])
+        D = np.array([lane.D for lane in group]) if variational else None
+        u = np.array([lane.legs[lane.leg][1] for lane in group])
+        try:
+            return group, _taylor_series(model, cid, q, p, D, u, DEFAULT_ORDER)
+        except SeriesBreakdown as e:
+            bad = np.broadcast_to(e.lanes, (len(group),))
+            for lane, b in zip(group, bad):
+                if b:
+                    outcomes[lane.index] = lane.breakdown(
+                        f"{e} at {lane.sigma_now}", lane.sigma_now, "singular series")
+            group = [lane for lane, b in zip(group, bad) if not b]
+    return group, None
+
+
+def _accept(model, lane, ch, coeffs, state, dt):
+    """Move one lane along its accepted step; a SingularityError if it leaves its chart."""
+    n = model.dim
+    s0, u, _ = lane.legs[lane.leg]
+    q, p = state[:n, 0], state[n:, 0]
+    if lane.D is not None:
+        lane.D = state[:, 1:]
+    lane.t_done += dt
+    lane.t_global += dt
+    lane.sigma_now = s0 + u * lane.t_done
+    lane.diag.steps += 1
+    lane.diag.min_step = min(lane.diag.min_step, dt)
+    q = ch.wrap(q)
+    if not ch.margin_ok(q.imag):
+        t_ok = _last_inside(coeffs, dt, n, lambda qq: ch.margin_ok(qq.imag))
+        s_ok = s0 + u * (lane.t_done - dt + t_ok)
+        return lane.breakdown(f"imaginary part left the chart margin near {s_ok}", s_ok,
+                              "imaginary margin")
+    cid = lane.cid
+    if model.has_transitions() and not ch.in_safe_interior(q.real):
+        best = model.best_chart(cid, q)
+        if best != cid:
+            q, p, lane.D = transition_phase(model, cid, best, q, p, jac=lane.D)
+            q = model.chart(best).wrap(q)
+            lane.cid = best
+            lane.diag.transitions += 1
+    if not model.chart(lane.cid).contains_re(q.real):
+        t_ok = _last_inside(coeffs, dt, n, lambda qq: ch.contains_re(qq.real))
+        s_ok = s0 + u * (lane.t_done - dt + t_ok)
+        return lane.breakdown(f"real part left the chart box near {s_ok}", s_ok, "chart box")
+    lane.q, lane.p = q, p
+    return None
+
+
+def _step_group(model, cid, group, outcomes, tol, variational, dense):
+    """One accepted step of every lane of ``group`` (all in chart cid); the lanes that go on."""
+    group, coeffs = _group_series(model, cid, group, outcomes, variational)
+    if not group:
+        return []
+    mags = np.max(np.abs(coeffs[:, :, 0, :]), axis=1)
+    dts = np.zeros(len(group))
+    stepping = []
+    for g, lane in enumerate(group):
+        s0, u, leg_len = lane.legs[lane.leg]
+        h = _choose_step(mags[g], DEFAULT_ORDER, tol)
+        left = leg_len - lane.t_done
+        dt = min(h, left)
+        if dt < STEP_FLOOR and left > STEP_FLOOR:
+            outcomes[lane.index] = lane.breakdown(
+                f"series step collapsed to {h:.3e} at {lane.sigma_now}", lane.sigma_now,
+                "step collapse")
+            continue
+        if dense:
+            lane.segments.append(
+                Segment(cid, s0 + u * lane.t_done, u, dt, lane.t_global, coeffs[g]))
+        dts[g] = dt
+        stepping.append(g)
+    state = eval_poly(coeffs, dts[:, None, None])
+    ch = model.chart(cid)
+    going = []
+    for g in stepping:
+        lane = group[g]
+        try:
+            err = _accept(model, lane, ch, coeffs[g], state[g], dts[g])
+        except GrauertError as e:
+            err = e
+        if err is None:
+            going.append(lane)
+        else:
+            outcomes[lane.index] = err
+    return going
+
+
+def flow_lanes(
+    model,
+    points,
+    sigma=None,
+    path=None,
+    tol=DEFAULT_TOL,
+    variational=False,
+    dense=False,
+):
+    """Continue the geodesic flow of ``model`` from every point of ``points`` at once.
+
+    Each point is a lane. Exactly one of ``sigma`` (straight paths; one
+    value for every lane or one per lane) or ``path`` (for every lane) must
+    be given. Returns a list with one entry per lane: its
+    :class:`FlowResult`, or the :class:`~grauert.errors.GrauertError` that
+    ended it (a :class:`SingularityError` when its series step collapses
+    below the floor, its series meets a vanishing constant term, its state
+    leaves the chart's imaginary margin, or its real part exits the atlas; a
+    :class:`~grauert.errors.ChartDomainError` when it starts outside its
+    chart). With ``dense=True`` a SingularityError keeps the lane's accepted
+    segments, which are trustworthy up to its ``last_good_sigma``.
+
+    Lanes run in lockstep, each with its own step size, chart and checks, so
+    every lane takes the steps it would take alone. Each step builds the
+    series of all lanes in one chart with one field evaluation per doubling
+    pass; lanes that finish or break down leave the batch.
+    """
+    if (sigma is None) == (path is None):
+        raise ValueError("pass exactly one of sigma or path")
+    B = len(points)
+    if path is None:
+        paths = [SigmaPath.straight(s)
+                 for s in np.broadcast_to(np.asarray(sigma, dtype=complex), (B,))]
+    else:
+        paths = [path] * B
+    m = 2 * model.dim
+    outcomes = [None] * B
+    lanes = []
+    for i, (z, pth) in enumerate(zip(points, paths)):
+        try:
+            q = model.chart(z.chart_id).wrap(z.q)
+            model.require_inside(z.chart_id, q)
+        except ChartDomainError as e:
+            outcomes[i] = e
+            continue
+        legs = []
+        for s0, s1 in pth.legs():
+            leg_len = abs(s1 - s0)
+            if leg_len >= 1e-200:  # a shorter leg has no representable effect on the state
+                legs.append((s0, (s1 - s0) / leg_len, leg_len))
+        D = np.eye(m, dtype=complex) if variational else None
+        lanes.append(_Lane(i, z.chart_id, q, z.p.copy(), D, legs, FlowDiagnostics(tol=tol)))
+    _set_energies(model, lanes, "energy_initial")
+    active = lanes
+    while active:
+        groups = {}
+        for lane in active:
+            if not lane.on_path():
+                continue
+            if lane.diag.steps >= MAX_STEPS:
+                outcomes[lane.index] = lane.breakdown(
+                    f"step budget exhausted at {lane.sigma_now}", lane.sigma_now, "step budget")
+                continue
+            groups.setdefault(lane.cid, []).append(lane)
+        active = []
+        for cid, group in groups.items():
+            active += _step_group(model, cid, group, outcomes, tol, variational, dense)
+    done = [lane for lane in lanes if outcomes[lane.index] is None]
+    _set_energies(model, done, "energy_final")
+    for lane in done:
+        outcomes[lane.index] = FlowResult(
+            point=PhasePoint(lane.cid, lane.q, lane.p),
+            sigma=paths[lane.index].endpoint,
+            jacobian=lane.D,
+            diagnostics=lane.diag,
+            segments=lane.segments,
+        )
+    return outcomes
 
 
 def flow(
@@ -310,101 +559,19 @@ def flow(
 ):
     """Continue the geodesic flow of ``model`` from ``point`` along a complex-time path.
 
-    Exactly one of ``sigma`` (straight path) or ``path`` must be given.
-    Returns a :class:`FlowResult`; raises :class:`SingularityError` when the
-    series step collapses below the floor, the state leaves the chart's
-    imaginary margin, or its real part exits the atlas. With ``dense=True``
-    the error keeps the accepted segments, which are trustworthy up to its
-    ``last_good_sigma``.
+    A one-lane call of :func:`flow_lanes`. Exactly one of ``sigma`` (straight
+    path) or ``path`` must be given. Returns a :class:`FlowResult`; raises the
+    lane's :class:`SingularityError` when the series step collapses below the
+    floor, the series meets a vanishing constant term, the state leaves the
+    chart's imaginary margin, or its real part exits the atlas. With
+    ``dense=True`` the error keeps the accepted segments, which are
+    trustworthy up to its ``last_good_sigma``.
     """
-    if (sigma is None) == (path is None):
-        raise ValueError("pass exactly one of sigma or path")
-    if path is None:
-        path = SigmaPath.straight(sigma)
-    n = model.dim
-    m = 2 * n
-    cid = point.chart_id
-    ch = model.chart(cid)
-    q = ch.wrap(point.q)
-    p = point.p.copy()
-    model.require_inside(cid, q)
-    D = np.eye(m, dtype=complex) if variational else None
-    diag = FlowDiagnostics(tol=tol)
-    diag.energy_initial = complex(energy(model, cid, q, p, check_domain=False))
-    segments = []
-    t_global = 0.0
-    sigma_now = 0.0 + 0.0j
-    for s0, s1 in path.legs():
-        leg = s1 - s0
-        leg_len = abs(leg)
-        if leg_len < 1e-200:  # no representable effect on the state
-            continue
-        u = leg / leg_len
-        t_done = 0.0
-        while t_done < leg_len * (1.0 - 1e-15):
-            if diag.steps >= MAX_STEPS:
-                raise SingularityError(
-                    f"step budget exhausted at {sigma_now}",
-                    last_good_sigma=sigma_now,
-                    reason="step budget",
-                    segments=segments,
-                )
-            coeffs = _taylor_series(model, cid, q, p, D, u, DEFAULT_ORDER)
-            h = _choose_step(coeffs[:, 0, :], DEFAULT_ORDER, tol)
-            dt = min(h, leg_len - t_done)
-            if dt < STEP_FLOOR and leg_len - t_done > STEP_FLOOR:
-                raise SingularityError(
-                    f"series step collapsed to {h:.3e} at {sigma_now}",
-                    last_good_sigma=sigma_now,
-                    reason="step collapse",
-                    segments=segments,
-                )
-            if dense:
-                segments.append(Segment(cid, s0 + u * t_done, u, dt, t_global, coeffs))
-            state = eval_poly(coeffs, dt)
-            q, p = state[:n, 0], state[n:, 0]
-            if variational:
-                D = state[:, 1:]
-            t_done += dt
-            t_global += dt
-            prev_sigma, sigma_now = sigma_now, s0 + u * t_done
-            diag.steps += 1
-            diag.min_step = min(diag.min_step, dt)
-            ch = model.chart(cid)
-            q = ch.wrap(q)
-            if not ch.margin_ok(q.imag):
-                t_ok = _last_inside(coeffs, dt, n, lambda qq: ch.margin_ok(qq.imag))
-                s_ok = s0 + u * (t_done - dt + t_ok)
-                raise SingularityError(
-                    f"imaginary part left the chart margin near {s_ok}",
-                    last_good_sigma=s_ok,
-                    reason="imaginary margin",
-                    segments=segments,
-                )
-            if model.has_transitions() and not ch.in_safe_interior(q.real):
-                best = model.best_chart(cid, q)
-                if best != cid:
-                    q, p, D = transition_phase(model, cid, best, q, p, jac=D)
-                    q = model.chart(best).wrap(q)
-                    cid = best
-                    diag.transitions += 1
-            if not model.chart(cid).contains_re(q.real):
-                t_ok = _last_inside(coeffs, dt, n, lambda qq: ch.contains_re(qq.real))
-                s_ok = s0 + u * (t_done - dt + t_ok)
-                raise SingularityError(
-                    f"real part left the chart box near {s_ok}",
-                    last_good_sigma=s_ok,
-                    reason="chart box",
-                    segments=segments,
-                )
-    diag.energy_final = complex(energy(model, cid, q, p, check_domain=False))
-    return FlowResult(
-        point=PhasePoint(cid, q, p),
-        sigma=path.endpoint,
-        jacobian=D,
-        diagnostics=diag,
-        segments=segments,
-    )
+    (out,) = flow_lanes(model, [point], sigma=sigma, path=path, tol=tol,
+                        variational=variational, dense=dense)
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def phase_residual(model, a, b):

@@ -213,7 +213,11 @@ def metric_inv_matrix(model, chart_id, q):
 
 
 def energy(model, chart_id, q, p, check_domain=True):
-    """Fiberwise quadratic energy (half the squared momentum norm)."""
+    """Fiberwise quadratic energy (half the squared momentum norm).
+
+    The entries of q and p may be numbers, jets, or arrays holding one value
+    per lane (then without the domain check).
+    """
     if check_domain:
         model.require_inside(chart_id, q)
     _, gi, _ = model.metric(chart_id, list(q))

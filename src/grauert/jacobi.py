@@ -64,15 +64,15 @@ def _vertical_det(model, frame, basis):
 def f_samples(model, z, taus, basis=None, tol=1e-12, frames=None):
     """Spreading matrices at the given real times, all in one fixed basis at z.
 
-    Frames come from ``frames`` (a :class:`FrameRays` at z reaching every
-    tau), by default one dense backward flow per time direction. Raises
-    :class:`ConjugatePointError` if a sample sits numerically on a
-    conjugate-point pole.
+    Frames come from ``frames`` (a :class:`FrameRays` whose point 0 is z,
+    reaching every tau), by default one dense backward flow per time
+    direction. Raises :class:`ConjugatePointError` if a sample sits
+    numerically on a conjugate-point pole.
     """
     if basis is None:
         basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
     if frames is None:
-        frames = FrameRays(model, z, max(map(abs, taus), default=0.0), tol=tol)
+        frames = FrameRays(model, [z], max(map(abs, taus), default=0.0), tol=tol)
     out = np.empty((len(taus), model.dim, model.dim), dtype=complex)
     for i, tau in enumerate(taus):
         fr = frames.at(tau)
@@ -164,12 +164,12 @@ def first_f_singularity(model, z, tau_max=3.0, coarse=0.1, refine=1e-6, tol=1e-1
     determinant, which decays through zero linearly at a conjugate point;
     each bracket is polished by root finding on the dense output of the
     backward flow. Scans both time directions, reading frames from
-    ``frames`` (a :class:`FrameRays` at z reaching ``tau_max``; by default
-    one dense backward flow per direction).
+    ``frames`` (a :class:`FrameRays` whose point 0 is z, reaching
+    ``tau_max``; by default one dense backward flow per direction).
     """
     basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
     if frames is None:
-        frames = FrameRays(model, z, tau_max, tol=tol)
+        frames = FrameRays(model, [z], tau_max, tol=tol)
     hits = []
     d0 = _vertical_det(model, frames.at(0.0), basis).real
     for sgn in (1.0, -1.0):

@@ -1,4 +1,4 @@
-"""Truncated power-series scalars with first-order derivative channels.
+"""Truncated power-series scalars with first-order derivative channels, over lanes.
 
 One class does triple duty:
 
@@ -15,16 +15,23 @@ One class does triple duty:
   flow's jacobian series then follows from the linear recurrence of the
   first variational equation.
 
-Coefficients live in a single (R, L) complex array; row 0 is the value
-series, rows 1..R-1 the channels. Products use the first-order rule in the
-channels (channels never multiply each other) and full truncated Cauchy
-products along the series axis, realized as small Toeplitz matmuls so the
-inner loops stay in BLAS.
+Coefficients live in one complex array of shape (..., R, L); row 0 is the
+value series, rows 1..R-1 the channels. The leading axes are lanes: a jet
+holds one independent scalar per lane, and every operation acts on all lanes
+at once, which is how the flow kernel integrates many trajectories with one
+pass of a model evaluator. A jet without leading axes is one scalar. Products
+use the first-order rule in the channels (channels never multiply each
+other) and full truncated Cauchy products along the series axis, realized as
+small Toeplitz matmuls so the inner loops stay in BLAS.
 
 Scalars (int/float/complex/numpy numbers) mix freely with jets. The
 functions at module level (``sincos``, ``exp``, ...) dispatch on type, so model
 evaluators written against them run unchanged on plain numbers, duals, or
-series.
+series, one lane or many.
+
+A series function whose argument has a vanishing constant term (reciprocal,
+log, sqrt) raises :class:`SeriesBreakdown`, which names the lanes it
+happened in.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import numpy as np
 
 __all__ = [
     "Jet",
+    "SeriesBreakdown",
     "value",
     "constant",
     "variable",
@@ -45,29 +53,33 @@ __all__ = [
     "is_plain_zero",
 ]
 
-_TOEP_IDX: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+class SeriesBreakdown(ZeroDivisionError):
+    """A series with a vanishing constant term; ``lanes`` is True in the lanes where it vanished."""
+
+    def __init__(self, what, lanes):
+        super().__init__(f"{what} of series with vanishing constant term")
+        self.lanes = lanes
 
 
-def _toep_parts(L):
-    cached = _TOEP_IDX.get(L)
-    if cached is None:
-        i = np.arange(L)
-        d = i[:, None] - i[None, :]
-        mask = d >= 0
-        cached = (np.where(mask, d, 0), mask)
-        _TOEP_IDX[L] = cached
-    return cached
+_TOEP_IDX: dict[int, np.ndarray] = {}
 
 
 def _toep(series):
-    """Lower-triangular Toeplitz matrix: _toep(a) @ x == truncated conv(a, x)."""
-    idx, mask = _toep_parts(series.shape[0])
-    return series[idx] * mask
+    """Transposed lower-triangular Toeplitz matrices, one per lane.
 
-
-def _conv1(a, b):
-    L = a.shape[0]
-    return np.convolve(a, b)[:L]
+    ``x @ _toep(a)`` is the truncated Cauchy product of x's rows with a. Entry
+    [j, i] is a[i - j], zero above i = j; it is gathered from the series with
+    L - 1 zeros in front of it.
+    """
+    L = series.shape[-1]
+    idx = _TOEP_IDX.get(L)
+    if idx is None:
+        i = np.arange(L)
+        idx = _TOEP_IDX[L] = L - 1 + i[None, :] - i[:, None]
+    padded = np.zeros(series.shape[:-1] + (2 * L - 1,), dtype=complex)
+    padded[..., L - 1 :] = series
+    return padded.take(idx, axis=-1)
 
 
 class Jet:
@@ -79,33 +91,35 @@ class Jet:
     # -- taxonomy ---------------------------------------------------------
     @property
     def L(self):
-        return self.c.shape[1]
+        return self.c.shape[-1]
 
     @property
     def R(self):
-        return self.c.shape[0]
+        return self.c.shape[-2]
 
     @property
     def val(self):
-        """Constant (order-0) value."""
-        return self.c[0, 0]
+        """Constant (order-0) value, per lane."""
+        return self.c[..., 0, 0]
 
     @property
     def grad(self):
-        """Order-0 value of each derivative channel, shape (R-1,)."""
-        return self.c[1:, 0]
+        """Order-0 value of each derivative channel, shape (..., R-1)."""
+        return self.c[..., 1:, 0]
 
     def copy(self):
         return Jet(self.c.copy())
 
     def __repr__(self):
-        return f"Jet(L={self.L}, R={self.R}, val={self.c[0, 0]!r})"
+        return f"Jet(lanes={self.c.shape[:-2]}, L={self.L}, R={self.R})"
 
     # -- ring operations --------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, Jet):
+            if is_plain_zero(other):
+                return self
             out = self.c.copy()
-            out[0, 0] += other
+            out[..., 0, 0] += other
             return Jet(out)
         a, b = self.c, other.c
         if a.shape == b.shape:
@@ -120,7 +134,7 @@ class Jet:
     def __sub__(self, other):
         if not isinstance(other, Jet):
             out = self.c.copy()
-            out[0, 0] -= other
+            out[..., 0, 0] -= other
             return Jet(out)
         a, b = self.c, other.c
         if a.shape == b.shape:
@@ -129,22 +143,22 @@ class Jet:
 
     def __rsub__(self, other):
         out = -self.c
-        out[0, 0] += other
+        out[..., 0, 0] += other
         return Jet(out)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.c * other)
         a, b = self.c, other.c
-        if a.shape[1] != b.shape[1]:
+        if a.shape[-1] != b.shape[-1]:
             raise ValueError("jet truncation lengths differ")
-        out = a @ _toep(b[0]).T
-        if b.shape[0] > 1:
-            extra = b[1:] @ _toep(a[0]).T
-            if a.shape[0] == 1:
-                out = np.concatenate([out, extra], axis=0)
-            elif a.shape[0] == b.shape[0]:
-                out[1:] += extra
+        out = a @ _toep(b[..., 0, :])
+        if b.shape[-2] > 1:
+            extra = b[..., 1:, :] @ _toep(a[..., 0, :])
+            if a.shape[-2] == 1:
+                out = np.concatenate([out, extra], axis=-2)
+            elif a.shape[-2] == b.shape[-2]:
+                out[..., 1:, :] += extra
             else:
                 raise ValueError("jet channel counts differ")
         return Jet(out)
@@ -153,13 +167,14 @@ class Jet:
 
     def reciprocal(self):
         c = self.c
-        r0 = _recip_series(c[0])
-        if c.shape[0] == 1:
-            return Jet(r0[None, :])
+        r0 = _recip_series(c[..., 0, :])
+        if c.shape[-2] == 1:
+            return Jet(r0[..., None, :])
         out = np.empty_like(c)
-        out[0] = r0
+        out[..., 0, :] = r0
         # d(1/b) = -db / b^2
-        out[1:] = -(c[1:] @ _toep(_conv1(r0, r0)).T)
+        t = _toep(r0)
+        out[..., 1:, :] = -((c[..., 1:, :] @ t) @ t)
         return Jet(out)
 
     def __truediv__(self, other):
@@ -183,116 +198,151 @@ class Jet:
     # -- transcendental maps ----------------------------------------------
     def _apply(self, val_series, dval_series):
         c = self.c
-        if c.shape[0] == 1:
-            return Jet(val_series[None, :])
+        if c.shape[-2] == 1:
+            return Jet(val_series[..., None, :])
         out = np.empty_like(c)
-        out[0] = val_series
-        out[1:] = c[1:] @ _toep(dval_series).T
+        out[..., 0, :] = val_series
+        out[..., 1:, :] = c[..., 1:, :] @ _toep(dval_series)
         return Jet(out)
 
     def sincos(self):
-        s, co = _sincos_series(self.c[0])
+        s, co = _sincos_series(self.c[..., 0, :])
         return self._apply(s, co), self._apply(co, -s)
 
     def exp(self):
-        e = _exp_series(self.c[0])
+        e = _exp_series(self.c[..., 0, :])
         return self._apply(e, e)
 
     def log(self):
-        g = _log_series(self.c[0])
-        return self._apply(g, _recip_series(self.c[0]))
+        g = _log_series(self.c[..., 0, :])
+        return self._apply(g, _recip_series(self.c[..., 0, :]))
 
     def sqrt(self):
-        s = _sqrt_series(self.c[0])
+        s = _sqrt_series(self.c[..., 0, :])
         return self._apply(s, 0.5 * _recip_series(s))
 
     def arccos(self):
         # principal branch via arccos w = -i log(w + i sqrt(1 - w^2));
         # constant term must stay away from +-1
         if self.L == 1:
-            v = self.c[0, 0]
-            val = np.array([np.arccos(v)], dtype=complex)
-            dval = np.array([-1.0 / np.sqrt(1.0 - v * v)], dtype=complex)
+            v = self.c[..., 0, 0]
+            val = np.asarray(np.arccos(v), dtype=complex)[..., None]
+            dval = np.asarray(-1.0 / np.sqrt(1.0 - v * v), dtype=complex)[..., None]
             return self._apply(val, dval)
         s = (1.0 - self * self).sqrt()
         return (self + 1j * s).log() * (-1j)
 
 
 def _broadcast_add(a, b):
-    if a.shape[1] != b.shape[1]:
+    """Sum of jets whose lanes or channel counts differ; a side without channels adds to row 0."""
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError("jet truncation lengths differ")
-    if a.shape[0] == 1:
-        out = b.copy()
-        out[0] += a[0]
-        return out
-    if b.shape[0] == 1:
-        out = a.copy()
-        out[0] += b[0]
-        return out
-    raise ValueError("jet channel counts differ")
+    if a.shape[-2] == b.shape[-2]:
+        return a + b
+    if a.shape[-2] == 1:
+        a, b = b, a
+    if b.shape[-2] != 1:
+        raise ValueError("jet channel counts differ")
+    out = np.broadcast_to(a, np.broadcast_shapes(a.shape, b.shape)).copy()
+    out[..., 0, :] += b[..., 0, :]
+    return out
+
+
+# -- series recurrences, all lanes at once -------------------------------------
+#
+# Each takes a series with lanes, (..., L), and works on it flattened to
+# (lanes, L). Each order is one lane-wise dot product with the orders below it,
+# written straight into its column. The fixed factors of a recurrence (its
+# weights) are scaled and conjugated once up front: np.vecdot conjugates its
+# first argument, so the sums come out unconjugated.
+
+_RATIOS: dict[int, np.ndarray] = {}
+
+
+def _ratios(L):
+    """j / k at [k, j] for orders j, k < L (row 0: j)."""
+    cached = _RATIOS.get(L)
+    if cached is None:
+        j = np.arange(L, dtype=float)
+        cached = _RATIOS[L] = j[None, :] / np.maximum(j, 1.0)[:, None]
+    return cached
+
+
+def _lanes(f):
+    return f.reshape(-1, f.shape[-1])
+
+
+def _require_nonzero(c0, what, shape):
+    if not np.all(c0):
+        raise SeriesBreakdown(what, (c0 == 0).reshape(shape))
 
 
 def _recip_series(b):
-    L = b.shape[0]
-    b0 = b[0]
-    if b0 == 0:
-        raise ZeroDivisionError("series has vanishing constant term")
-    r = np.zeros(L, dtype=complex)
-    r[0] = 1.0 / b0
-    for k in range(1, L):
-        r[k] = -np.dot(b[1 : k + 1], r[k - 1 :: -1]) / b0
-    return r
+    shape = b.shape
+    b = _lanes(b)
+    b0 = b[:, 0]
+    _require_nonzero(b0, "reciprocal", shape[:-1])
+    w = np.conj(b / -b0[:, None])
+    r = np.zeros(b.shape, dtype=complex)
+    r[:, 0] = 1.0 / b0
+    for k in range(1, shape[-1]):
+        np.vecdot(w[:, 1 : k + 1], r[:, k - 1 :: -1], out=r[:, k])
+    return r.reshape(shape)
 
 
 def _exp_series(f):
-    L = f.shape[0]
-    e = np.zeros(L, dtype=complex)
-    e[0] = np.exp(f[0])
-    jf = np.arange(L) * f
-    for k in range(1, L):
-        e[k] = np.dot(jf[1 : k + 1], e[k - 1 :: -1]) / k
-    return e
+    shape = f.shape
+    f = _lanes(f)
+    # conj(j f_j / k) at [lane, k, j]
+    w = np.conj(f)[:, None, :] * _ratios(shape[-1])
+    e = np.zeros(f.shape, dtype=complex)
+    e[:, 0] = np.exp(f[:, 0])
+    for k in range(1, shape[-1]):
+        np.vecdot(w[:, k, 1 : k + 1], e[:, k - 1 :: -1], out=e[:, k])
+    return e.reshape(shape)
 
 
 def _sincos_series(f):
-    L = f.shape[0]
-    s = np.zeros(L, dtype=complex)
-    c = np.zeros(L, dtype=complex)
-    s[0] = np.sin(f[0])
-    c[0] = np.cos(f[0])
-    jf = np.arange(L) * f
-    for k in range(1, L):
-        s[k] = np.dot(jf[1 : k + 1], c[k - 1 :: -1]) / k
-        c[k] = -np.dot(jf[1 : k + 1], s[k - 1 :: -1]) / k
-    return s, c
+    # rows 0 and 1 of sc are the sin and cos series; order k of both comes
+    # from one product with the orders below it
+    shape = f.shape
+    f = _lanes(f)
+    w = np.conj(f)[:, None, None, :] * _ratios(shape[-1])[:, None, :]
+    sc = np.zeros((f.shape[0], 2, shape[-1]), dtype=complex)
+    sc[:, 0, 0] = np.sin(f[:, 0])
+    sc[:, 1, 0] = np.cos(f[:, 0])
+    for k in range(1, shape[-1]):
+        d = np.vecdot(w[:, k, :, 1 : k + 1], sc[:, :, k - 1 :: -1])
+        sc[:, 0, k] = d[:, 1]
+        sc[:, 1, k] = -d[:, 0]
+    return sc[:, 0].reshape(shape), sc[:, 1].reshape(shape)
 
 
 def _log_series(f):
-    L = f.shape[0]
-    f0 = f[0]
-    if f0 == 0:
-        raise ZeroDivisionError("log of series with vanishing constant term")
-    g = np.zeros(L, dtype=complex)
-    g[0] = np.log(f0)
-    jg = np.zeros(L, dtype=complex)
-    for k in range(1, L):
-        acc = np.dot(jg[1:k], f[k - 1 : 0 : -1]) if k >= 2 else 0.0
-        g[k] = (f[k] - acc / k) / f0
-        jg[k] = k * g[k]
-    return g
+    # g_k = f_k / f0 - sum_{0 < j < k} (j / k) g_j f_{k-j} / f0
+    shape = f.shape
+    f = _lanes(f)
+    f0 = f[:, 0]
+    _require_nonzero(f0, "log", shape[:-1])
+    w = np.conj(_toep(f).swapaxes(-1, -2) * _ratios(shape[-1]) / f0[:, None, None])
+    g = (f / f0[:, None]).astype(complex, copy=False)
+    g[:, 0] = np.log(f0)
+    for k in range(2, shape[-1]):
+        g[:, k] -= np.vecdot(w[:, k, 1:k], g[:, 1:k])
+    return g.reshape(shape)
 
 
 def _sqrt_series(f):
-    L = f.shape[0]
-    s = np.zeros(L, dtype=complex)
-    s0 = np.sqrt(f[0])
-    if s0 == 0:
-        raise ZeroDivisionError("sqrt of series with vanishing constant term")
-    s[0] = s0
-    for k in range(1, L):
-        acc = np.dot(s[1:k], s[k - 1 : 0 : -1]) if k >= 2 else 0.0
-        s[k] = (f[k] - acc) / (2.0 * s0)
-    return s
+    shape = f.shape
+    f = _lanes(f)
+    s0 = np.sqrt(f[:, 0])
+    _require_nonzero(s0, "sqrt", shape[:-1])
+    s = np.zeros(f.shape, dtype=complex)
+    s[:, 0] = s0
+    for k in range(1, shape[-1]):
+        acc = np.vecdot(np.conj(s[:, 1:k]), s[:, k - 1 : 0 : -1])
+        s[:, k] = (f[:, k] - acc) / (2.0 * s0)
+    return s.reshape(shape)
 
 
 # -- constructors and accessors ------------------------------------------
@@ -313,20 +363,24 @@ def variable(x, channel, n_channels, L=1):
 
 
 def value(x):
-    return x.c[0, 0] if isinstance(x, Jet) else x
+    return x.c[..., 0, 0] if isinstance(x, Jet) else x
 
 
 def is_plain_zero(x):
     """True for a plain-number zero, a structural zero of a model evaluator.
 
-    A jet is never one, even with all coefficients zero, so skipping the
-    products of plain zeros changes no result.
+    A jet or a lane array is never one, even with all entries zero, so
+    skipping the products of plain zeros changes no result.
     """
-    return not isinstance(x, Jet) and x == 0
+    return not isinstance(x, (Jet, np.ndarray)) and x == 0
 
 
 def eval_poly(coeffs, dt):
-    """Horner evaluation of series coefficients along the last axis."""
+    """Horner evaluation of series coefficients along the last axis.
+
+    ``dt`` is a number, or an array broadcasting against ``coeffs[..., 0]``
+    (one parameter per lane).
+    """
     out = np.zeros(coeffs.shape[:-1], dtype=complex)
     for k in range(coeffs.shape[-1] - 1, -1, -1):
         out = out * dt + coeffs[..., k]

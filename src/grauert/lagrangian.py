@@ -7,11 +7,12 @@ Numerically that is a single backward variational flow: if B is the jacobian
 of the backward map at z, the forward pushforward is B^{-1} restricted to
 vertical columns (inverse function theorem; no second integration). Along a
 ray of times sigma the backward flow's dense output gives B(sigma) at every
-point of the ray, so one flow per ray serves every sample on it.
+point of the ray, so one flow per ray serves every sample on it, and the
+rays of a batch of points run as the lanes of one flow kernel call.
 
 There is one frame builder, :meth:`FrameRays.at`; a single frame
-(:func:`distribution_at`) is a read of a one-ray :class:`FrameRays` that
-reaches just that far.
+(:func:`distribution_at`) is a read of a one-point, one-ray
+:class:`FrameRays` that reaches just that far.
 
 At sigma = i and real z these n complex directions are the (1,0) subspace of
 an almost complex structure on the tube, recovered from the frame by
@@ -30,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateFrameError, SingularityError, TransversalityError
-from .flow import flow, segment_at
+from .flow import flow_lanes, segment_at
 from .geometry import christoffel, metric_inv_matrix, metric_matrix
 
 __all__ = [
@@ -90,66 +91,78 @@ class LagrangianFrame:
 def distribution_at(model, z, sigma, tol=1e-12):
     """Frame of the sigma-shifted vertical distribution at z.
 
-    A one-ray read of :class:`FrameRays` reaching |sigma|: one backward
-    variational flow, and the same frame and errors as any other read of a
-    ray through sigma.
+    A one-point, one-ray read of :class:`FrameRays` reaching |sigma|: one
+    backward variational flow, and the same frame and errors as any other
+    read of a ray through sigma.
     """
-    return FrameRays(model, z, abs(sigma), tol=tol).at(sigma)
+    return FrameRays(model, [z], abs(sigma), tol=tol).at(sigma)
 
 
 class FrameRays:
-    """Frames of the sigma-shifted vertical distribution at z for sigma on rays from 0.
+    """Frames of the sigma-shifted vertical distribution at points, for sigma on rays from 0.
 
     The one frame builder: every frame pushed through the backward flow is
-    read here. Each ray direction costs one dense backward variational flow,
-    to time -reach along it, run on first use. The frame at sigma is then B(sigma)^{-1} V
-    with B(sigma) read from the accepted step polynomial that holds |sigma|,
-    so every sample on a ray shares its flow. A backward flow that breaks
-    down keeps its accepted steps, and a frame beyond its last good time
-    raises the :class:`SingularityError` of the breakdown (same reason and
-    last good time).
+    read here. Each ray direction costs one lane-batched flow
+    (:func:`~grauert.flow.flow_lanes`): a dense backward variational flow per
+    point, to time -reach along the ray, all points as lanes of one kernel
+    call, run on the first read of that direction. The frame of point k at
+    sigma is then B(sigma)^{-1} V with B(sigma) read from the accepted step
+    polynomial of k's lane that holds |sigma|, so every sample on a ray
+    shares its flow. A backward flow that breaks down keeps its accepted
+    steps, and a frame beyond its last good time raises the
+    :class:`SingularityError` of the breakdown (same reason and last good
+    time); a point whose flow cannot start raises its error on every read
+    past sigma = 0.
     """
 
-    def __init__(self, model, z, reach, tol=1e-12):
+    def __init__(self, model, points, reach, tol=1e-12):
         self.model = model
-        self.z = z
+        self.points = list(points)
         self.reach = float(reach)
         self.tol = tol
-        self._rays = {}  # direction -> (segments, reach, breakdown or None)
+        self._rays = {}  # direction -> per point: (segments, reach, error or None)
 
     def _ray(self, u):
         if u not in self._rays:
-            try:
-                back = flow(self.model, self.z, sigma=-self.reach * u, variational=True,
-                            dense=True, tol=self.tol)
-                self._rays[u] = (back.segments, self.reach, None)
-            except SingularityError as e:
-                self._rays[u] = (e.segments, abs(e.last_good_sigma), e)
+            outcomes = flow_lanes(self.model, self.points, sigma=-self.reach * u,
+                                  variational=True, dense=True, tol=self.tol)
+            rays = []
+            for out in outcomes:
+                if isinstance(out, SingularityError):
+                    rays.append((out.segments, abs(out.last_good_sigma), out))
+                elif isinstance(out, Exception):
+                    rays.append(([], 0.0, out))
+                else:
+                    rays.append((out.segments, self.reach, None))
+            self._rays[u] = rays
         return self._rays[u]
 
-    def at(self, sigma):
-        """Frame at sigma, read from the ray through sigma."""
+    def at(self, sigma, k=0):
+        """Frame of point k at sigma, read from its ray through sigma."""
+        z = self.points[k]
         sigma = complex(sigma)
         s = abs(sigma)
         n = self.model.dim
-        B, chart = np.eye(2 * n, dtype=complex), self.z.chart_id
+        B, chart = np.eye(2 * n, dtype=complex), z.chart_id
         if s > 0:
-            segments, reach, breakdown = self._ray(sigma / s)
+            segments, reach, error = self._ray(sigma / s)[k]
             if s > reach + 1e-12:
-                if breakdown is None:
+                if error is None:
                     raise ValueError(f"sigma {sigma} lies beyond the rays' reach {self.reach}")
+                if not isinstance(error, SingularityError):
+                    raise error
                 raise SingularityError(
-                    f"frame at {sigma} lies past the backward flow's breakdown: {breakdown}",
-                    last_good_sigma=breakdown.last_good_sigma,
-                    reason=breakdown.reason,
+                    f"frame at {sigma} lies past the backward flow's breakdown: {error}",
+                    last_good_sigma=error.last_good_sigma,
+                    reason=error.reason,
                 )
             if segments:
                 seg, t_local = segment_at(segments, s)
                 B, chart = seg.jacobian_at(t_local), seg.chart_id
         return LagrangianFrame(
-            chart_id=self.z.chart_id,
-            q=self.z.q.copy(),
-            p=self.z.p.copy(),
+            chart_id=z.chart_id,
+            q=z.q.copy(),
+            p=z.p.copy(),
             sigma=sigma,
             columns=np.linalg.solve(B, vertical_frame(n)),
             backward_chart=chart,

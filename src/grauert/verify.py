@@ -13,6 +13,13 @@ the continued distribution against its conjugate, and positivity of the
 induced metric candidate. The reported radius of each kind is the infimum
 over directions.
 
+The flows a check needs run as the lanes of a few calls of the flow kernel
+(:func:`~grauert.flow.flow_lanes`, through :class:`~grauert.lagrangian.FrameRays`
+for frames): all points of a ray at once, the Nijenhuis stencils of all
+points at once. Every independent route keeps a flow of its own, and a check
+reads its lanes in the order of its points, so it still raises the error of
+the first failing point.
+
 Sampling is Sobol with a fixed seed throughout, so reports are reproducible
 bit for bit from the same configuration.
 """
@@ -26,13 +33,12 @@ from functools import partial
 import numpy as np
 
 from .errors import GrauertError
-from .flow import PhasePoint, flow, hamiltonian_vector_field, segment_at
+from .flow import PhasePoint, flow_lanes, hamiltonian_vector_field, segment_at
 from .geometry import metric_matrix
 from .jets import value
 from .jacobi import continue_f_to_i, first_f_singularity
 from .lagrangian import (
     FrameRays,
-    distribution_at,
     j_tensor_from_frame,
     orthonormal_tangent_basis,
     positivity_check,
@@ -207,16 +213,17 @@ def check_theta_sigma_identity(model, points, sigmas=THETA_SIGMAS,
     For every frame column Z of the distribution at parameter sigma, the
     pairing p . Z_q must equal sigma times the derivative of the energy along
     Z; this ties the flow-transported frames to the symplectic structure.
-    One backward flow per ray of ``sigmas`` per point serves every sigma on it.
+    One backward flow per ray of ``sigmas`` per point serves every sigma on
+    it, and each ray's flows run as lanes of one kernel call.
     """
     reach = max(map(abs, sigmas), default=0.0)
+    frames = FrameRays(model, points, reach, tol=flow_tol)
     residuals = []
-    for z in points:
+    for k, z in enumerate(points):
         dE = _grad_energy(model, z.chart_id, z.q, z.p)
         n = z.dim
-        frames = FrameRays(model, z, reach, tol=flow_tol)
         for s in sigmas:
-            cols = frames.at(s).columns
+            cols = frames.at(s, k).columns
             r = 0.0
             for j in range(cols.shape[1]):
                 Z = cols[:, j]
@@ -237,11 +244,11 @@ def check_kahler_potential(model, points,
     ``dbar_sign`` exists as a demonstration knob: anything but +1 breaks the
     calibration loudly, which is the point of having the calibration.
     """
+    frames = FrameRays(model, points, 1.0, tol=flow_tol)
     residuals = []
-    for z in points:
+    for k, z in enumerate(points):
         n = z.dim
-        fr = distribution_at(model, z, 1j, tol=flow_tol)
-        J = j_tensor_from_frame(fr)
+        J = j_tensor_from_frame(frames.at(1j, k))
         dkappa = 2.0 * _grad_energy(model, z.chart_id, z.q, z.p)
         r = 0.0
         for a in range(2 * n):
@@ -250,6 +257,13 @@ def check_kahler_potential(model, points,
             r = max(r, abs(dbar.imag - theta))
         residuals.append((_label(z), r))
     return _report(model, "kahler_potential", residuals, tolerance)
+
+
+def _result(out):
+    """A lane's FlowResult, or raise the error that ended the lane."""
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def check_adaptedness(model, points, sigma_max=0.5, tau_max=0.4, n_sigma=5,
@@ -261,24 +275,49 @@ def check_adaptedness(model, points, sigma_max=0.5, tau_max=0.4, n_sigma=5,
     times momentum at sigma); J applied to the sigma-derivative must give the
     tau-derivative. Strip states come from one dense real flow per sign of
     sigma, the sigma-derivative is the Hamiltonian field at the state, and
-    the tau-derivative is exact since the strip is linear in tau.
+    the tau-derivative is exact since the strip is linear in tau. The real
+    flows of all strips run as lanes of one kernel call, and so do the
+    backward flows of all n_sigma x n_tau nodes of all strips.
     """
-    residuals = []
+    signs = (1.0, -1.0)
+    units = []
     for z in points:
         g = metric_matrix(model, z.chart_id, z.q).real
         gi = np.linalg.inv(g)
         speed = math.sqrt(float((z.p.real @ gi @ z.p.real)))
-        zu = PhasePoint(z.chart_id, z.q, z.p / speed)
-        rays = {sgn: flow(model, zu, sigma=sgn * sigma_max, dense=True, tol=flow_tol).segments
-                for sgn in (1.0, -1.0)}
+        units.append(PhasePoint(z.chart_id, z.q, z.p / speed))
+    rays = flow_lanes(model, [zu for zu in units for _ in signs],
+                      sigma=[sgn * sigma_max for _ in units for sgn in signs],
+                      dense=True, tol=flow_tol)
+    # per strip: its rows (sigma, q, p, dq, dp), or the error of its rays
+    strips, nodes = [], []
+    taus = np.linspace(-tau_max, tau_max, n_tau)
+    for i in range(len(units)):
+        try:
+            segments = {sgn: _result(out).segments
+                        for sgn, out in zip(signs, rays[2 * i : 2 * i + 2])}
+        except GrauertError as e:
+            strips.append(e)
+            continue
+        rows = []
         for s in np.linspace(-sigma_max, sigma_max, n_sigma):
-            seg, t_local = segment_at(rays[math.copysign(1.0, s)], abs(s))
+            seg, t_local = segment_at(segments[math.copysign(1.0, s)], abs(s))
             q, p = (x.real for x in seg.state_at(t_local))
             dq, dp = (np.array(x, dtype=complex) for x in
                       hamiltonian_vector_field(model, seg.chart_id, list(q), list(p)))
-            for t in np.linspace(-tau_max, tau_max, n_tau):
-                node = PhasePoint(seg.chart_id, q, t * p)
-                J = j_tensor_from_frame(distribution_at(model, node, 1j, tol=flow_tol))
+            nodes.extend(PhasePoint(seg.chart_id, q, t * p) for t in taus)
+            rows.append((s, q, p, dq, dp))
+        strips.append(rows)
+    frames = FrameRays(model, nodes, 1.0, tol=flow_tol)
+    residuals = []
+    k = 0
+    for zu, rows in zip(units, strips):
+        if isinstance(rows, Exception):
+            raise rows
+        for s, q, p, dq, dp in rows:
+            for t in taus:
+                J = j_tensor_from_frame(frames.at(1j, k))
+                k += 1
                 push_sigma = np.concatenate([dq, t * dp])
                 push_tau = np.concatenate([np.zeros_like(q), p])
                 r = float(np.max(np.abs(J @ push_sigma - push_tau)))
@@ -289,14 +328,19 @@ def check_adaptedness(model, points, sigma_max=0.5, tau_max=0.4, n_sigma=5,
 def check_involution(model, points,
                      tolerance=DEFAULT_TOLERANCES["involution"],
                      flow_tol=1e-12):
-    """Momentum reversal is antiholomorphic: it conjugates J to -J."""
+    """Momentum reversal is antiholomorphic: it conjugates J to -J.
+
+    Every point and its flipped point are lanes of one kernel call; the
+    flipped point is a flow of its own.
+    """
+    pairs = [w for z in points for w in (z, PhasePoint(z.chart_id, z.q, -z.p))]
+    frames = FrameRays(model, pairs, 1.0, tol=flow_tol)
     residuals = []
-    for z in points:
+    for k, z in enumerate(points):
         n = z.dim
         S = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
-        J1 = j_tensor_from_frame(distribution_at(model, z, 1j, tol=flow_tol))
-        flipped = PhasePoint(z.chart_id, z.q, -z.p)
-        J2 = j_tensor_from_frame(distribution_at(model, flipped, 1j, tol=flow_tol))
+        J1 = j_tensor_from_frame(frames.at(1j, 2 * k))
+        J2 = j_tensor_from_frame(frames.at(1j, 2 * k + 1))
         r = float(np.max(np.abs(S @ J2 @ S + J1)))
         residuals.append((_label(z), r))
     return _report(model, "involution", residuals, tolerance)
@@ -311,19 +355,21 @@ def check_scaling(model, points, factors=SCALING_FACTORS, sigmas=SCALING_SIGMAS,
     dilated image of the distribution at parameter c sigma; compared by
     principal angles so the frame normalization drops out. The frames at
     c sigma share one backward flow per ray per point; each dilated point
-    and sigma keeps its own flow, the route being checked against.
+    and sigma keeps its own flow, the route being checked against. Each ray
+    of the points and each sigma of the dilated points is one kernel call.
     """
     reach = max((abs(c * s) for c in factors for s in sigmas), default=0.0)
+    frames = FrameRays(model, points, reach, tol=flow_tol)
+    scaled = [PhasePoint(z.chart_id, z.q, c * z.p) for z in points for c in factors]
+    scaled_frames = {s: FrameRays(model, scaled, abs(s), tol=flow_tol) for s in sigmas}
     residuals = []
-    for z in points:
+    for k, z in enumerate(points):
         n = z.dim
-        frames = FrameRays(model, z, reach, tol=flow_tol)
-        for c in factors:
+        for i, c in enumerate(factors):
             S = np.diag(np.concatenate([np.ones(n), c * np.ones(n)]))
-            scaled = PhasePoint(z.chart_id, z.q, c * z.p)
             for s in sigmas:
-                left = distribution_at(model, scaled, s, tol=flow_tol).columns
-                right = S @ frames.at(c * s).columns
+                left = scaled_frames[s].at(s, k * len(factors) + i).columns
+                right = S @ frames.at(c * s, k).columns
                 ang = principal_angles(left, right)
                 r = float(np.max(ang)) if ang.size else 0.0
                 residuals.append((_label(z, f"c={c},sigma={s}"), r))
@@ -336,21 +382,22 @@ def check_zero_section(model, points, sigmas=ZERO_SECTION_SIGMAS,
     """On the zero section the flow jacobian is unipotent shear in the lift basis.
 
     ``sigmas`` lie on one ray from 0; one dense variational flow per point
-    to the farthest of them gives the jacobian at every one.
+    to the farthest of them gives the jacobian at every one, and the flows
+    of all points run as lanes of one kernel call.
     """
     reach = max(sigmas, key=abs, default=0.0)
+    rests = [PhasePoint(z.chart_id, z.q, np.zeros(z.dim)) for z in points]
+    rays = flow_lanes(model, rests, sigma=reach, variational=True, dense=True, tol=flow_tol)
     residuals = []
-    for z in points:
-        n = z.dim
-        rest = PhasePoint(z.chart_id, z.q, np.zeros(n))
+    for rest, ray in zip(rests, rays):
+        n = rest.dim
         V = orthonormal_tangent_basis(model, rest.chart_id, rest.q)
         g = metric_matrix(model, rest.chart_id, rest.q)
         L = np.zeros((2 * n, 2 * n), dtype=complex)
         L[:n, :n] = V
         L[n:, n:] = g @ V
         Linv = np.linalg.inv(L)
-        segments = flow(model, rest, sigma=reach, variational=True, dense=True,
-                        tol=flow_tol).segments
+        segments = _result(ray).segments
         for s in sigmas:
             seg, t_local = segment_at(segments, abs(s))
             want = np.eye(2 * n, dtype=complex)
@@ -361,10 +408,6 @@ def check_zero_section(model, points, sigmas=ZERO_SECTION_SIGMAS,
     return _report(model, "zero_section", residuals, tolerance)
 
 
-def _j_field(model, z, flow_tol):
-    return j_tensor_from_frame(distribution_at(model, z, 1j, tol=flow_tol))
-
-
 def check_nijenhuis(model, points, h=1e-3,
                     tolerance=DEFAULT_TOLERANCES["nijenhuis"],
                     flow_tol=1e-12):
@@ -372,22 +415,32 @@ def check_nijenhuis(model, points, h=1e-3,
 
     N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] with X, Y running over the
     coordinate basis; the J derivatives are five-point central differences of
-    step h, so the truncation error sits well below the J noise floor.
+    step h, so the truncation error sits well below the J noise floor. The
+    centre and the 4 stencil points per coordinate of every point are lanes
+    of one kernel call, each its own backward flow.
     """
-    residuals = []
+    offsets = (2.0, 1.0, -1.0, -2.0)
+    lanes = []
     for z in points:
         n = z.dim
-        m = 2 * n
-        J = _j_field(model, z, flow_tol)
-        dJ = np.zeros((m, m, m), dtype=complex)  # dJ[j] = d_j J
-        for j in range(m):
+        lanes.append(z)
+        for j in range(2 * n):
             dq = np.zeros(n)
             dp = np.zeros(n)
             (dq if j < n else dp)[j % n] = h
-            at = lambda s: _j_field(
-                model, PhasePoint(z.chart_id, z.q + s * dq, z.p + s * dp), flow_tol
-            )
-            dJ[j] = (-at(2.0) + 8.0 * at(1.0) - 8.0 * at(-1.0) + at(-2.0)) / (12.0 * h)
+            lanes.extend(PhasePoint(z.chart_id, z.q + s * dq, z.p + s * dp) for s in offsets)
+    frames = FrameRays(model, lanes, 1.0, tol=flow_tol)
+    J_of = lambda k: j_tensor_from_frame(frames.at(1j, k))
+    residuals = []
+    k = 0  # lane of the centre of z
+    for z in points:
+        m = 2 * z.dim
+        J = J_of(k)
+        dJ = np.zeros((m, m, m), dtype=complex)  # dJ[j] = d_j J
+        for j in range(m):
+            at2, at1, atm1, atm2 = (J_of(k + 1 + 4 * j + i) for i in range(4))
+            dJ[j] = (-at2 + 8.0 * at1 - 8.0 * atm1 + atm2) / (12.0 * h)
+        k += 1 + 4 * m
         r = 0.0
         for a in range(m):
             for b in range(a + 1, m):
@@ -478,7 +531,7 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
     for z in dirs:
         # one dense backward flow per ray (+real, -real, +imaginary) serves
         # every scan, fit and bisection of this direction
-        frames = FrameRays(model, z, sweep_cap, tol=flow_tol)
+        frames = FrameRays(model, [z], sweep_cap, tol=flow_tol)
         hit = first_f_singularity(model, z, tau_max=sweep_cap, coarse=0.05,
                                   refine=refine, frames=frames)
         if hit is not None:

@@ -365,3 +365,45 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"grauert.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"grauert.{info.name}.__all__ names {name!r}"
+
+
+def test_verify_breakdown_is_first_failing_point_in_serial_order(tmp_path, capsys):
+    # the Nijenhuis stencils of all points run as lanes of one kernel call;
+    # the error reported is still the one of the first failing frame in the
+    # check's serial order
+    from grauert.catalog import catalog
+    from grauert.errors import SingularityError
+    from grauert.flow import PhasePoint
+    from grauert.lagrangian import distribution_at
+    from grauert.verify import sample_tube_points
+
+    path = write_ini(tmp_path, "[model]\nname = round_sphere\n\n[checks]\nnames = nijenhuis\n\n"
+                               "[grids]\nn_samples = 4\nseed = 3\nrho_min = 1.4\nrho_max = 2.2\n")
+    code, _ = run(tmp_path, "verify", "--config", path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "imaginary part left the chart margin near" in err
+    last_good = complex(err.rsplit("near ", 1)[1].strip())
+    assert abs(last_good - (-0.9820262374327805j)) < 1e-12
+
+    # serial reference: a flow of its own per frame, in the check's order
+    sph = catalog("round_sphere")
+    h = 1e-3
+    first = None
+    for z in sample_tube_points(sph, 4, 3, 1.4, 2.2):
+        stencil = [z]
+        for j in range(4):
+            e = np.zeros(4)
+            e[j] = h
+            stencil += [PhasePoint(z.chart_id, z.q + s * e[:2], z.p + s * e[2:])
+                        for s in (2.0, 1.0, -1.0, -2.0)]
+        for w in stencil:
+            try:
+                distribution_at(sph, w, 1j)
+            except SingularityError as exc:
+                first = exc
+                break
+        if first is not None:
+            break
+    assert first.reason == "imaginary margin"
+    assert abs(first.last_good_sigma - last_good) < 1e-12

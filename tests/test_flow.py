@@ -12,12 +12,13 @@ import grauert.flow as flow_module
 from grauert import jets
 from grauert.catalog import catalog
 from grauert.errors import SingularityError
-from grauert.geometry import energy
+from grauert.geometry import Chart, MetricModel, energy
 from grauert.flow import (
     PhasePoint,
     SigmaPath,
     flow,
     flow_group_residual,
+    flow_lanes,
     hamiltonian_vector_field,
     phase_residual,
     scaling_conjugation_residual,
@@ -76,13 +77,19 @@ def test_series_build_matches_order_by_order_recurrence():
         (catalog("flat_torus"), "main", [0.2, 0.5]),
     ]
     for model, cid, q in cases:
-        q = np.array(q) + 0.05j
+        # two lanes with their own start, jacobian and direction
+        qs = np.array([q, q]) + np.array([[0.05j], [0.1 - 0.05j]])
+        ps = np.array([p, 0.5 * p])
+        us = np.array([u, np.conj(u)])
         for order in (16, 40):
             for R in (1, 5):
-                D = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) if R > 1 else None
-                got = flow_module._taylor_series(model, cid, q, p, D, u, order)
-                want = _series_by_order(model, cid, q, p, D, u, order, R)
-                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+                Ds = (rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+                      if R > 1 else None)
+                got = flow_module._taylor_series(model, cid, qs, ps, Ds, us, order)
+                for b in range(2):
+                    D = Ds[b] if R > 1 else None
+                    want = _series_by_order(model, cid, qs[b], ps[b], D, us[b], order, R)
+                    assert np.max(np.abs(got[b] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_variational_step_costs_five_field_evaluations(monkeypatch):
@@ -366,3 +373,119 @@ def test_path_validation():
         flow(flat, z)
     with pytest.raises(ValueError):
         flow(flat, z, sigma=1.0, path=SigmaPath.straight(1.0))
+
+
+# -- lane batches ----------------------------------------------------------------
+
+
+def _assert_same_flow(lane, alone, tol=1e-13):
+    """A lane of a batch against the one-lane flow from the same point."""
+    if isinstance(alone, SingularityError):
+        assert isinstance(lane, SingularityError), lane
+        assert lane.reason == alone.reason
+        assert abs(lane.last_good_sigma - alone.last_good_sigma) <= tol
+        segs_lane, segs_alone = lane.segments, alone.segments
+    else:
+        assert lane.point.chart_id == alone.point.chart_id
+        assert np.max(np.abs(lane.point.q - alone.point.q)) <= tol
+        assert np.max(np.abs(lane.point.p - alone.point.p)) <= tol
+        assert np.max(np.abs(lane.jacobian - alone.jacobian)) <= tol
+        assert lane.diagnostics.steps == alone.diagnostics.steps
+        assert lane.diagnostics.transitions == alone.diagnostics.transitions
+        segs_lane, segs_alone = lane.segments, alone.segments
+    assert len(segs_lane) == len(segs_alone) > 0
+    for a, b in zip(segs_lane, segs_alone):
+        assert a.chart_id == b.chart_id
+        assert abs(a.sigma0 - b.sigma0) <= tol and abs(a.dt - b.dt) <= tol
+        assert a.coeffs.shape == b.coeffs.shape
+        assert np.max(np.abs(a.coeffs - b.coeffs)) <= tol * max(1.0, np.max(np.abs(b.coeffs)))
+
+
+def test_lanes_match_single_flows():
+    from grauert.verify import sample_tube_points
+
+    sph = catalog("round_sphere")
+    cases = [
+        (sph, [
+            # aimed at chart a's pole: moves to chart b
+            (PhasePoint("a", [math.pi / 2, 0.1], [-1.0, 0.05]), 2.0),
+            # the dense -2i ray of test_dense_breakdown_keeps_segments: leaves
+            # the chart margin near -1.596i
+            (sample_tube_points(sph, 1, 7, 1.0, 1.0)[0], -2j),
+            (PhasePoint("a", [1.2, 0.4], [0.3, 0.5]), 0.9 - 0.4j),
+        ]),
+        (catalog("surface_of_revolution"), [
+            (PhasePoint("main", [0.4, -1.0], [0.7, 1.1]), 1.2),
+            (PhasePoint("main", [0.1, 0.4], [0.3, -0.2]), 1j),
+        ]),
+        (catalog("flat_torus"), [
+            (PhasePoint("main", [0.2, -0.4], [2.0, 1.5]), 4.0 + 5.0j),
+            (PhasePoint("main", [3.0, 1.0], [0.5, -0.25]), -1j),
+        ]),
+    ]
+    batches = []
+    for model, lanes in cases:
+        batch = flow_lanes(model, [z for z, _ in lanes], sigma=[s for _, s in lanes],
+                           variational=True, dense=True)
+        for (z, s), lane in zip(lanes, batch):
+            try:
+                alone = flow(model, z, sigma=s, variational=True, dense=True)
+            except SingularityError as e:
+                alone = e
+            _assert_same_flow(lane, alone)
+        batches.append(batch)
+    # the sphere batch has a transitioning lane and a broken one
+    transitioned, broken, _ = batches[0]
+    assert transitioned.diagnostics.transitions >= 1
+    assert broken.reason == "imaginary margin"
+    assert abs(broken.last_good_sigma + 1.596j) < 1e-3
+
+
+def test_lane_batch_costs_five_field_evaluations_per_step(monkeypatch):
+    calls = []
+    field = flow_module.hamiltonian_vector_field
+
+    def counted(*args):
+        calls.append(1)
+        return field(*args)
+
+    monkeypatch.setattr(flow_module, "hamiltonian_vector_field", counted)
+    sph = catalog("round_sphere")
+    points = [PhasePoint("a", [1.2 + 0.1 * k, 0.4], [0.6 - 0.1 * k, 0.5]) for k in range(4)]
+    results = flow_lanes(sph, points, sigma=1.0 + 0.5j, variational=True)
+    steps = [r.diagnostics.steps for r in results]
+    assert all(r.point.chart_id == "a" for r in results)
+    assert sum(steps) > max(steps) >= 3
+    # one field evaluation per doubling pass for all lanes together
+    assert len(calls) == 5 * max(steps)
+
+
+def _g11_is_q0():
+    """One chart, g = diag(q0, 1): singular where q0 = 0."""
+    def metric_fn(qs):
+        z = 0.0
+        return [[qs[0], z], [z, 1.0]], [[[1.0, z], [z, z]], [[z, z], [z, z]]]
+
+    chart = Chart(id="main", lo=np.array([-2.0, -2.0]), hi=np.array([2.0, 2.0]),
+                  periodic=np.array([False, False]), margin=np.array([np.inf, np.inf]))
+    return MetricModel("g11_is_q0", 2, {}, [chart], "main", {"main": metric_fn})
+
+
+def test_singular_series_retires_one_lane():
+    model = _g11_is_q0()
+    good = [PhasePoint("main", [1.0, 0.2], [0.1, 0.2]), PhasePoint("main", [1.5, -0.3], [-0.2, 0.1])]
+    bad = PhasePoint("main", [0.0, 0.0], [0.1, 0.2])
+    first, broken, last = flow_lanes(model, [good[0], bad, good[1]], sigma=0.3,
+                                     variational=True, dense=True)
+    assert isinstance(broken, SingularityError)
+    assert broken.reason == "singular series"
+    assert broken.last_good_sigma == 0
+    assert broken.segments == []
+    for lane, z in ((first, good[0]), (last, good[1])):
+        _assert_same_flow(lane, flow(model, z, sigma=0.3, variational=True, dense=True))
+        assert lane.diagnostics.energy_drift < 1e-12
+    # one flow raises the typed breakdown, not an arithmetic error
+    with pytest.raises(SingularityError) as exc:
+        flow(model, bad, sigma=0.3)
+    assert exc.value.reason == "singular series"
+    assert exc.value.last_good_sigma == 0

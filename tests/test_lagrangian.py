@@ -200,7 +200,7 @@ def test_frame_rays_match_fresh_frames():
         columns = np.linalg.solve(back.jacobian, vertical_frame(2))
         return LagrangianFrame(z.chart_id, z.q, z.p, sigma, columns, back.point.chart_id)
 
-    rays = FrameRays(sph, z, 1.4)
+    rays = FrameRays(sph, [z], 1.4)
     for u in (1.0, -1.0, 1j):
         charts = set()
         for s in np.linspace(0.2, 1.4, 7):
@@ -217,7 +217,7 @@ def test_frame_rays_match_fresh_frames():
     assert np.max(np.abs(rays.at(0.0).columns - vertical_frame(2))) == 0.0
 
     # past the imaginary ray's breakdown the reader fails as a fresh flow does
-    far = FrameRays(sph, z, 2.0)
+    far = FrameRays(sph, [z], 2.0)
     f_dense = f_matrix_from_frame(sph, far.at(1.55j), basis)
     f_fresh = f_matrix_from_frame(sph, fresh(1.55j), basis)
     assert np.max(np.abs(f_dense - f_fresh)) < 1e-9

@@ -145,22 +145,31 @@ def test_zero_section_unipotent(flat, sphere, surfrev):
 
 
 def test_one_flow_per_ray(sphere, monkeypatch):
-    # every sample on a ray a check has integrated is read from that flow
-    flows = []
-    real_flow = grauert.flow.flow
+    # every sample on a ray a check has integrated is read from that flow, and
+    # the flows of all points run as lanes of the same few kernel calls
+    calls = []
+    real_flow_lanes = grauert.flow.flow_lanes
 
-    def counted(*args, **kwargs):
-        flows.append(kwargs.get("sigma"))
-        return real_flow(*args, **kwargs)
+    def counted(model, points, *args, **kwargs):
+        calls.append(len(points))
+        return real_flow_lanes(model, points, *args, **kwargs)
 
-    monkeypatch.setattr(grauert.lagrangian, "flow", counted)
-    monkeypatch.setattr(verify, "flow", counted)
-    z = sample_tube_points(sphere, 1, 12, 0.1, 0.25)[0]
-    for check, want in ((check_theta_sigma_identity, 2), (check_zero_section, 1),
-                        (check_scaling, 6)):
-        flows.clear()
-        assert check(sphere, [z]).verdict == "pass"
-        assert len(flows) == want, (check.__name__, flows)
+    monkeypatch.setattr(grauert.lagrangian, "flow_lanes", counted)
+    monkeypatch.setattr(verify, "flow_lanes", counted)
+    pts = sample_tube_points(sphere, 2, 12, 0.1, 0.25)
+    # lanes per point, kernel calls per check
+    for check, lanes, kernel_calls in ((check_theta_sigma_identity, 2, 2),
+                                       (check_zero_section, 1, 1),
+                                       (check_scaling, 6, 4),
+                                       (check_nijenhuis, 17, 1)):
+        for k in (1, 2):
+            calls.clear()
+            assert check(sphere, pts[:k]).verdict == "pass"
+            assert sum(calls) == k * lanes, (check.__name__, k, calls)
+            assert len(calls) == kernel_calls, (check.__name__, k, calls)
+    calls.clear()
+    check_nijenhuis(sphere, pts[:1])
+    assert calls == [17]
 
 
 def test_nijenhuis(flat, sphere):
@@ -223,15 +232,16 @@ def test_tube_radius_sphere_conjugate_point(sphere):
 def test_tube_radius_by_fresh_frames(sphere, monkeypatch):
     # independent route: fresh backward flows, one per frame, at the reported
     # transversality radius and one resolution beyond it
-    real_flow = grauert.flow.flow
+    real_flow_lanes = grauert.flow.flow_lanes
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("sigma"))
-        return real_flow(*args, **kwargs)
+    def counted(model, points, *args, **kwargs):
+        calls.extend(points)
+        return real_flow_lanes(model, points, *args, **kwargs)
 
-    for name in ("flow", "lagrangian", "jacobi", "verify"):
-        monkeypatch.setattr(f"grauert.{name}.flow", counted)
+    # every flow is a lane of flow_lanes; flow() is a one-lane call of it
+    for name in ("flow", "lagrangian", "verify"):
+        monkeypatch.setattr(f"grauert.{name}.flow_lanes", counted)
     est = estimate_tube_radius(sphere, n_directions=1, seed=5, sweep_cap=2.0,
                                resolution=1e-3)
     assert len(calls) <= 4
