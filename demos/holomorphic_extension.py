@@ -28,8 +28,7 @@ for name, params, make in cases:
     pts = sample_tube_points(model, 4, 1, 0.1, 0.5)
     print(f"{name}, function {fn.name!r}")
     print(f"  {'|v|':>5} {'series':>26} {'flow':>26} {'spread':>9}")
-    for z in pts:
-        rep = crosscheck(model, fn, z)
+    for z, rep in zip(pts, crosscheck(model, fn, pts)):
         gi = metric_inv_matrix(model, z.chart_id, z.q).real
         rho = float(np.sqrt(z.p.real @ gi @ z.p.real))
         v = rep["values"]

@@ -429,8 +429,7 @@ def cmd_extend(cfg, out):
         names += [f"{m}_re", f"{m}_im"]
     names += ["max_pairwise_dev"]
     rows = []
-    for z in pts:
-        rep = crosscheck(model, f, z, tol=cfg.flow_tol)
+    for z, rep in zip(pts, crosscheck(model, f, pts, tol=cfg.flow_tol)):
         row = [z.chart_id]
         row += [_fmt(z.q[i].real) for i in range(n)]
         row += [_fmt(z.p[i].real) for i in range(n)]

@@ -13,13 +13,21 @@ of a tube point z = (x, v), and the same value can be reached three ways:
   that map to the imaginary tangent vector and evaluate a declared closed-form
   extension there. Independent of the integrator entirely.
 
+The series and flow routes take batches: ``extend_by_series_lanes`` builds
+the series of all points in a chart with one lane-batched series call and
+evaluates f once on their lane jets, and ``extend_by_flow_lanes`` sends all
+points to time i as lanes of one :func:`~grauert.flow.flow_lanes` call. Each
+lane keeps its own checks and its own error, and ``extend_by_series`` and
+``extend_by_flow`` are one-point reads of them. The exp-map route runs point
+by point, and no route is merged into another.
+
 Pairwise agreement of the routes is the practical certificate that the
-extension exists at the sampled points; ``crosscheck`` packages that. The
-module also carries the derivative bookkeeping used by the verification
-battery: fiber homogeneity of the flow-derivative coefficients, a slow
-finite-difference oracle for the first few of them, strip identities for the
-continued exponential, and holomorphy residuals of the extended values
-against a computed complex structure.
+extension exists at the sampled points; ``crosscheck`` packages that for a
+batch of points. The module also carries the derivative bookkeeping used by
+the verification battery: fiber homogeneity of the flow-derivative
+coefficients, a slow finite-difference oracle for the first few of them,
+strip identities for the continued exponential, and holomorphy residuals of
+the extended values against a computed complex structure.
 
 Functions are declared, not sniffed: the constructors build evaluators from
 structured coefficient data (trigonometric frequency tables, ambient linear
@@ -38,12 +46,13 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import jets
-from .errors import ChartDomainError, DivergenceError, UnsupportedModelError
-from .flow import DEFAULT_TOL, PhasePoint, SigmaPath, flow, hamiltonian_vector_field
-from .flow import _taylor_series
+from .errors import ChartDomainError, DivergenceError, GrauertError, SingularityError
+from .errors import UnsupportedModelError
+from .flow import DEFAULT_TOL, PhasePoint, SigmaPath, flow, flow_lanes, hamiltonian_vector_field
+from .flow import _retire_breakdowns, _taylor_series
 from .geometry import metric_inv_matrix
 from .jets import Jet, value
-from .lagrangian import distribution_at, j_tensor_from_frame
+from .lagrangian import FrameRays, j_tensor_from_frame
 
 __all__ = [
     "BaseFunction",
@@ -52,7 +61,9 @@ __all__ = [
     "sphere_ambient",
     "from_chart_functions",
     "extend_by_series",
+    "extend_by_series_lanes",
     "extend_by_flow",
+    "extend_by_flow_lanes",
     "extend_by_exp",
     "crosscheck",
     "flow_derivative_coefficients",
@@ -152,33 +163,73 @@ def from_chart_functions(name, chart_fns, margin, extension=None):
                         extension=extension)
 
 
-def _series_coefficients(model, f, z, max_terms):
-    """Taylor coefficients of the flow parameter for f composed with the flow."""
-    cid = z.chart_id
-    q = model.chart(cid).wrap(z.q)
-    model.require_inside(cid, q)
-    n = model.dim
-    coeffs = _taylor_series(model, cid, q[None], z.p[None], None, 1.0, max_terms)[0]
-    qjets = [Jet(coeffs[i].copy()) for i in range(n)]
-    out = f.chart_eval(cid, qjets)
-    if isinstance(out, Jet):
-        return np.asarray(out.c[0], dtype=complex)
-    a = np.zeros(max_terms + 1, dtype=complex)
-    a[0] = complex(out)
-    return a
+def _series_coefficients(model, f, points, max_terms):
+    """Taylor coefficients of the flow parameter for f composed with the flow, per point.
 
-
-def extend_by_series(model, f, z, max_terms=DEFAULT_MAX_TERMS):
-    """Sum the flow-parameter Taylor series of f at parameter i.
-
-    Stops early once two consecutive terms drop below 1e-15 of the partial
-    sum (two in a row so parity-sparse series do not truncate at an
-    accidental zero). Raises :class:`DivergenceError` when term magnitudes
-    keep setting new records past order 10: with complex or paired
-    singularities the magnitudes oscillate while growing, so record highs are
-    the robust growth signal rather than consecutive increases.
+    Returns one entry per point: its coefficients, or the GrauertError that
+    ended its lane (a ChartDomainError when the point lies outside its chart,
+    a SingularityError when its series meets a vanishing constant term). The
+    points of each chart build their series with one ``_taylor_series`` call,
+    and ``f.chart_eval`` runs once on their lane jets; a single lane runs on
+    jets without a lane axis, as the flow kernel's field evaluation does.
     """
-    a = _series_coefficients(model, f, z, max_terms)
+    out = [None] * len(points)
+    groups = {}
+    for i, z in enumerate(points):
+        q = model.chart(z.chart_id).wrap(z.q)
+        try:
+            model.require_inside(z.chart_id, q)
+        except ChartDomainError as e:
+            out[i] = e
+            continue
+        groups.setdefault(z.chart_id, []).append((i, q, z.p))
+    n = model.dim
+    for cid, group in groups.items():
+        idx, q, p = zip(*group)
+        q, p = np.array(q), np.array(p)
+
+        def build(k):
+            coeffs = _taylor_series(model, cid, q[k], p[k], None, 1.0, max_terms)
+            lanes = coeffs.transpose(1, 0, 2, 3) if len(k) > 1 else coeffs[0]
+            val = f.chart_eval(cid, [Jet(lanes[i].copy()) for i in range(n)])
+            a = np.zeros((len(k), max_terms + 1), dtype=complex)
+            if isinstance(val, Jet):
+                a[:] = val.c[..., 0, :]
+            else:
+                a[:, 0] = complex(val)
+            return a
+
+        ok, a, broken = _retire_breakdowns(build, len(group))
+        for j, e in broken.items():
+            out[idx[j]] = SingularityError(f"{f.name}: {e} at 0", last_good_sigma=0j,
+                                           reason="singular series")
+        for j, row in zip(ok, () if a is None else a):
+            out[idx[j]] = row
+    return out
+
+
+def _result(outcome):
+    """A lane's result, or raise the error that ended it."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _then(outcomes, fn):
+    """fn of each lane's result; a lane's error, or a GrauertError fn raises, stays its own."""
+    out = []
+    for x in outcomes:
+        if not isinstance(x, Exception):
+            try:
+                x = fn(x)
+            except GrauertError as e:
+                x = e
+        out.append(x)
+    return out
+
+
+def _sum_series(f, a, max_terms):
+    """Sum one lane's coefficients a at parameter i; see :func:`extend_by_series`."""
     total = 0.0 + 0.0j
     used = 0
     last = 0.0
@@ -209,15 +260,36 @@ def extend_by_series(model, f, z, max_terms=DEFAULT_MAX_TERMS):
                            error_estimate=last, terms_used=used)
 
 
-def extend_by_flow(model, f, z, path=None, tol=DEFAULT_TOL):
-    """Evaluate f's chart formula at the complex-time-i transport of the base point.
+def extend_by_series_lanes(model, f, points, max_terms=DEFAULT_MAX_TERMS):
+    """The series route at every point of ``points`` at once, one lane per point.
 
-    ``path`` defaults to the straight segment to i; any endpoint works and
-    gives the continuation at that parameter instead.
+    Returns one entry per point: its :class:`ExtensionResult`, or the
+    :class:`~grauert.errors.GrauertError` that ended its lane. The lanes of
+    each chart share one series build and one evaluation of f on their jets;
+    each lane sums its own terms, stops early and tests for divergence as
+    :func:`extend_by_series` describes.
     """
-    if path is None:
-        path = SigmaPath.straight(1j)
-    res = flow(model, z, path=path, tol=tol)
+    return _then(_series_coefficients(model, f, points, max_terms),
+                 lambda a: _sum_series(f, a, max_terms))
+
+
+def extend_by_series(model, f, z, max_terms=DEFAULT_MAX_TERMS):
+    """Sum the flow-parameter Taylor series of f at parameter i.
+
+    A one-point read of :func:`extend_by_series_lanes`. Stops early once two
+    consecutive terms drop below 1e-15 of the partial sum (two in a row so
+    parity-sparse series do not truncate at an accidental zero). Raises
+    :class:`DivergenceError` when term magnitudes keep setting new records
+    past order 10: with complex or paired singularities the magnitudes
+    oscillate while growing, so record highs are the robust growth signal
+    rather than consecutive increases. Raises a :class:`SingularityError`
+    when the series meets a vanishing constant term.
+    """
+    return _result(extend_by_series_lanes(model, f, [z], max_terms)[0])
+
+
+def _flow_value(f, res, tol):
+    """f's chart formula at one lane's flow endpoint, inside f's declared strip."""
     end = res.point
     im = float(np.max(np.abs(end.q.imag)))
     if im >= f.margin:
@@ -241,6 +313,29 @@ def extend_by_flow(model, f, z, path=None, tol=DEFAULT_TOL):
     )
 
 
+def extend_by_flow_lanes(model, f, points, path=None, tol=DEFAULT_TOL):
+    """The flow route at every point of ``points`` at once: one lane-batched flow.
+
+    Returns one entry per point: its :class:`ExtensionResult`, or the
+    :class:`~grauert.errors.GrauertError` that ended its lane (its flow's, or
+    the margin check's at its endpoint).
+    """
+    if path is None:
+        path = SigmaPath.straight(1j)
+    return _then(flow_lanes(model, points, path=path, tol=tol),
+                 lambda res: _flow_value(f, res, tol))
+
+
+def extend_by_flow(model, f, z, path=None, tol=DEFAULT_TOL):
+    """Evaluate f's chart formula at the complex-time-i transport of the base point.
+
+    A one-point read of :func:`extend_by_flow_lanes`. ``path`` defaults to
+    the straight segment to i; any endpoint works and gives the continuation
+    at that parameter instead.
+    """
+    return _result(extend_by_flow_lanes(model, f, [z], path=path, tol=tol)[0])
+
+
 def extend_by_exp(model, f, z):
     """Closed-form route: declared extension at the continued exponential map."""
     orc = model.oracle
@@ -260,25 +355,39 @@ def extend_by_exp(model, f, z):
                            error_estimate=0.0, diagnostics={"target": np.asarray(target)})
 
 
-def crosscheck(model, f, z, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
-    """Run every applicable route and report pairwise deviations."""
-    results = {
-        "series": extend_by_series(model, f, z, max_terms=max_terms),
-        "flow": extend_by_flow(model, f, z, tol=tol),
-    }
+def crosscheck(model, f, points, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
+    """Run every applicable route at every point and report pairwise deviations.
+
+    Returns one report per point. The series and flow routes each run all
+    points as lanes of one batch; the exp-map route runs point by point. A
+    failure raises what a point-by-point pass would: the error of the first
+    failing point, and for that point the series route's before the flow
+    route's.
+    """
+    series = extend_by_series_lanes(model, f, points, max_terms=max_terms)
+    flows = extend_by_flow_lanes(model, f, points, tol=tol)
     orc = model.oracle
-    if orc is not None and hasattr(orc, "exp_complex") and f.extension is not None:
-        results["exp_map"] = extend_by_exp(model, f, z)
-    pairwise = {
-        (m1, m2): abs(results[m1].value - results[m2].value)
-        for m1, m2 in combinations(results, 2)
-    }
-    return {
-        "values": {m: r.value for m, r in results.items()},
-        "results": results,
-        "pairwise": pairwise,
-        "max_deviation": max(pairwise.values()),
-    }
+    exp_route = orc is not None and hasattr(orc, "exp_complex") and f.extension is not None
+    reports = []
+    for z, s, fl in zip(points, series, flows):
+        results = {"series": _result(s), "flow": _result(fl)}
+        if exp_route:
+            results["exp_map"] = extend_by_exp(model, f, z)
+        pairwise = {
+            (m1, m2): abs(results[m1].value - results[m2].value)
+            for m1, m2 in combinations(results, 2)
+        }
+        reports.append({
+            "values": {m: r.value for m, r in results.items()},
+            "results": results,
+            "pairwise": pairwise,
+            "max_deviation": max(pairwise.values()),
+        })
+    return reports
+
+
+def _derivatives(a, max_order):
+    return np.array([math.factorial(k) * a[k] for k in range(max_order + 1)])
 
 
 def flow_derivative_coefficients(model, f, z, max_order):
@@ -287,8 +396,7 @@ def flow_derivative_coefficients(model, f, z, max_order):
     These are k! times the flow-parameter Taylor coefficients; degree-k
     fiber homogeneity in the momentum is their structural invariant.
     """
-    a = _series_coefficients(model, f, z, max_order)
-    return np.array([math.factorial(k) * a[k] for k in range(max_order + 1)])
+    return _derivatives(_result(_series_coefficients(model, f, [z], max_order)[0]), max_order)
 
 
 def _diff5(g, h):
@@ -328,9 +436,9 @@ def nested_flow_derivative_fd(model, f, z, k, h=0.05):
 
 def homogeneity_residuals(model, f, z, c, max_order=8):
     """Relative defect of degree-k momentum homogeneity for each derivative order."""
-    base = flow_derivative_coefficients(model, f, z, max_order)
     scaled = PhasePoint(z.chart_id, z.q, c * z.p)
-    sc = flow_derivative_coefficients(model, f, scaled, max_order)
+    base, sc = (_derivatives(_result(a), max_order)
+                for a in _series_coefficients(model, f, [z, scaled], max_order))
     out = np.empty(max_order + 1)
     for k in range(max_order + 1):
         want = (c**k) * base[k]
@@ -367,26 +475,35 @@ def holomorphy_residual(model, f, points, h=1e-4, method="flow",
     of the extension are five-point central differences with step h, and J is
     computed at each point from the continued vertical distribution. Zero up
     to differencing error certifies the extension is holomorphic for the
-    computed structure.
+    computed structure. The frames of all points come from one
+    :class:`~grauert.lagrangian.FrameRays`, and the stencil points of all
+    points run as lanes of one call of the chosen route; errors are raised
+    in the order a point-by-point pass meets them.
     """
     if method == "series":
-        ev = lambda pt: extend_by_series(model, f, pt, max_terms=max_terms).value
+        route = lambda pts: extend_by_series_lanes(model, f, pts, max_terms=max_terms)
     elif method == "flow":
-        ev = lambda pt: extend_by_flow(model, f, pt, tol=tol).value
+        route = lambda pts: extend_by_flow_lanes(model, f, pts, tol=tol)
     else:
         raise ValueError("method must be 'series' or 'flow'")
-    worst = 0.0
+    n = model.dim
+    offsets = (2 * h, h, -h, -2 * h)  # the arguments at which _diff5 samples
+    stencil = []
     for z in points:
-        n = z.dim
-        frame = distribution_at(model, z, 1j)
-        J = j_tensor_from_frame(frame)
-        grad = np.zeros(2 * n, dtype=complex)
         for a in range(2 * n):
             dq = np.zeros(n)
             dp = np.zeros(n)
             (dq if a < n else dp)[a % n] = 1.0
-            along = lambda t: ev(PhasePoint(z.chart_id, z.q + t * dq, z.p + t * dp))
-            grad[a] = _diff5(along, h)
+            stencil += [PhasePoint(z.chart_id, z.q + t * dq, z.p + t * dp) for t in offsets]
+    values = iter(route(stencil))
+    frames = FrameRays(model, points, 1.0, tol=tol)
+    worst = 0.0
+    for k in range(len(points)):
+        J = j_tensor_from_frame(frames.at(1j, k))
+        grad = np.zeros(2 * n, dtype=complex)
+        for a in range(2 * n):
+            along = {t: _result(next(values)).value for t in offsets}
+            grad[a] = _diff5(along.__getitem__, h)
         for a in range(2 * n):
             resid = abs(grad[a] + 1j * (grad @ J[:, a]))
             worst = max(worst, resid)

@@ -372,27 +372,46 @@ def _set_energies(model, lanes, attr):
             setattr(lane.diag, attr, complex(x))
 
 
+def _retire_breakdowns(build, B):
+    """``build(ok)`` for the lanes ok of 0..B-1, retiring each lane whose series breaks down.
+
+    ``build`` takes an index array of lanes. When it raises
+    :class:`~grauert.jets.SeriesBreakdown` (a vanishing constant term), the
+    lanes it names retire and it runs again on the others. Returns (ok, out,
+    broken): the lanes built, build's result for them (None when no lane is
+    left) and the SeriesBreakdown of each retired lane by index.
+    """
+    ok = np.arange(B)
+    broken = {}
+    while ok.size:
+        try:
+            return ok, build(ok), broken
+        except SeriesBreakdown as e:
+            bad = np.broadcast_to(e.lanes, ok.shape)
+            broken.update((int(i), e) for i in ok[bad])
+            ok = ok[~bad]
+    return ok, None, broken
+
+
 def _group_series(model, cid, group, outcomes, variational):
     """Series of every lane of ``group`` (all in chart cid), and the lanes it is for.
 
     A lane whose series meets a vanishing constant term retires with a
     SingularityError; the others are built again without it.
     """
-    while group:
-        q = np.array([lane.q for lane in group])
-        p = np.array([lane.p for lane in group])
-        D = np.array([lane.D for lane in group]) if variational else None
-        u = np.array([lane.legs[lane.leg][1] for lane in group])
-        try:
-            return group, _taylor_series(model, cid, q, p, D, u, DEFAULT_ORDER)
-        except SeriesBreakdown as e:
-            bad = np.broadcast_to(e.lanes, (len(group),))
-            for lane, b in zip(group, bad):
-                if b:
-                    outcomes[lane.index] = lane.breakdown(
-                        f"{e} at {lane.sigma_now}", lane.sigma_now, "singular series")
-            group = [lane for lane, b in zip(group, bad) if not b]
-    return group, None
+    q = np.array([lane.q for lane in group])
+    p = np.array([lane.p for lane in group])
+    D = np.array([lane.D for lane in group]) if variational else None
+    u = np.array([lane.legs[lane.leg][1] for lane in group])
+    ok, coeffs, broken = _retire_breakdowns(
+        lambda k: _taylor_series(model, cid, q[k], p[k], None if D is None else D[k], u[k],
+                                 DEFAULT_ORDER),
+        len(group))
+    for i, e in broken.items():
+        lane = group[i]
+        outcomes[lane.index] = lane.breakdown(
+            f"{e} at {lane.sigma_now}", lane.sigma_now, "singular series")
+    return [group[i] for i in ok], coeffs
 
 
 def _accept(model, lane, ch, coeffs, state, dt):

@@ -184,10 +184,10 @@ def sample_tube_points(model, n, seed, rho_min, rho_max, chart_id=None):
     u = eng.random_base2(m=max(1, math.ceil(math.log2(max(n, 2)))))[:n]
     lo = ch.lo + 0.15 * ch.width()
     hi = ch.hi - 0.15 * ch.width()
+    raws = norm.ppf(np.clip(u[:, dim : 2 * dim], 1e-6, 1.0 - 1e-6))
     out = []
-    for row in u:
+    for row, raw in zip(u, raws):
         q = lo + row[:dim] * (hi - lo)
-        raw = norm.ppf(np.clip(row[dim : 2 * dim], 1e-6, 1.0 - 1e-6))
         g = metric_matrix(model, cid, q.astype(complex)).real
         nrm = math.sqrt(float(raw @ g @ raw))
         rho = rho_min + row[-1] * (rho_max - rho_min)

@@ -151,8 +151,8 @@ def test_extension_route_equivalence():
     worst_routes = worst_hom = worst_hol = 0.0
     for model, fn in cases:
         pts = sample_tube_points(model, 6, 1, 0.1, 0.5)
-        for z in pts:
-            worst_routes = max(worst_routes, crosscheck(model, fn, z)["max_deviation"])
+        for rep in crosscheck(model, fn, pts):
+            worst_routes = max(worst_routes, rep["max_deviation"])
         for z in pts[:2]:
             for c in (0.5, 2.0):
                 worst_hom = max(worst_hom, float(np.max(

@@ -247,6 +247,17 @@ def test_extend_constant_function_all_routes_equal(tmp_path):
         assert float(r["max_pairwise_dev"]) < 1e-12
 
 
+def test_extend_breakdown_is_first_failing_point(tmp_path, capsys):
+    # the points' flows run as lanes of one call; the error reported is the
+    # one a point-by-point pass meets first
+    path = write_ini(tmp_path, "[model]\nname = round_sphere\n\n[grids]\nn_points = 12\n"
+                               "seed = 3\nrho_min = 1.2\nrho_max = 2.2\nfunction = height\n")
+    code, _ = run(tmp_path, "extend", "--config", path)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical breakdown: imaginary part left the chart margin near 0.8553685031386361j\n")
+
+
 def test_extend_rejects_mismatched_function(tmp_path):
     path = write_ini(tmp_path, "[grids]\nfunction = height\n")
     code, _ = run(tmp_path, "extend", "--config", path)

@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grauert.extend as extend_module
+import grauert.flow as flow_module
 from grauert.catalog import catalog
-from grauert.errors import ChartDomainError, DivergenceError, UnsupportedModelError
+from grauert.cli import main
+from grauert.errors import ChartDomainError, DivergenceError, SingularityError, UnsupportedModelError
 from grauert.extend import (
     crosscheck,
     extend_by_exp,
     extend_by_flow,
+    extend_by_flow_lanes,
     extend_by_series,
+    extend_by_series_lanes,
     flow_derivative_coefficients,
     from_chart_functions,
     holomorphy_residual,
@@ -23,6 +28,8 @@ from grauert.extend import (
     torus_trig,
 )
 from grauert.flow import PhasePoint, SigmaPath
+from grauert.verify import sample_tube_points
+from test_flow import _g11_is_q0
 
 E_MINUS_HALF = 0.6065306597126334  # e^{-1/2}
 SINH_03 = 0.3045202934471426
@@ -66,7 +73,7 @@ def test_zero_momentum_is_restriction():
     f = torus_trig("mix", {(1, 0): 1.0, (2, 1): 0.3 - 0.2j})
     z = PhasePoint("main", [0.7, -1.1], [0.0, 0.0])
     want = complex(cmath.exp(0.7j) + (0.3 - 0.2j) * cmath.exp(1j * (2 * 0.7 - 1.1)))
-    rep = crosscheck(tor, f, z)
+    (rep,) = crosscheck(tor, f, [z])
     assert rep["max_deviation"] < 1e-14
     for v in rep["values"].values():
         assert abs(v - want) < 1e-13
@@ -89,13 +96,13 @@ def test_torus_crosscheck_random():
     tor = catalog("flat_torus")
     f = torus_trig("mix", {(1, 0): 1.0, (2, 1): 0.3 - 0.2j, (0, -1): 0.5j})
     rng = np.random.default_rng(11)
-    worst = 0.0
+    pts = []
     for _ in range(20):
         q = rng.uniform(-math.pi, math.pi, size=2)
         v = rng.uniform(-1, 1, size=2)
         v *= rng.uniform(0.05, 0.5) / np.linalg.norm(v)
-        rep = crosscheck(tor, f, PhasePoint("main", q, v))
-        worst = max(worst, rep["max_deviation"])
+        pts.append(PhasePoint("main", q, v))
+    worst = max(rep["max_deviation"] for rep in crosscheck(tor, f, pts))
     assert worst < 1e-10
 
 
@@ -106,12 +113,8 @@ def test_sphere_crosscheck_random():
         sphere_ambient(sph, "tilted", (1.0, 0.5, -0.25)),
     ]
     rng = np.random.default_rng(12)
-    worst = 0.0
-    for _ in range(10):
-        z = sphere_point(rng, rng.uniform(0.05, 0.4))
-        for f in fns:
-            rep = crosscheck(sph, f, z)
-            worst = max(worst, rep["max_deviation"])
+    pts = [sphere_point(rng, rng.uniform(0.05, 0.4)) for _ in range(10)]
+    worst = max(rep["max_deviation"] for f in fns for rep in crosscheck(sph, f, pts))
     assert worst < 1e-8
 
 
@@ -131,7 +134,7 @@ def test_pole_function_convergent_region():
     x0 = 0.3 - math.pi
     z = PhasePoint("main", [x0, 0.0], [0.3, 0.0])
     ref = 1.0 / (1.25 + cmath.cos(x0 + 0.3j))
-    rep = crosscheck(tor, f, z)
+    (rep,) = crosscheck(tor, f, [z])
     assert abs(rep["values"]["series"] - ref) < 1e-10
     assert rep["max_deviation"] < 1e-9
 
@@ -246,3 +249,113 @@ def test_series_flow_agree_on_random_waves(k1, k2, re, im, x0, x1, v0, v1):
     s = extend_by_series(tor, f, z)
     fl = extend_by_flow(tor, f, z)
     assert abs(s.value - fl.value) < 1e-8
+
+
+# -- batch routes ------------------------------------------------------------------
+
+
+def _u_wave(model):
+    ev = lambda qs: (1j * qs[0]).exp() if hasattr(qs[0], "c") else np.exp(1j * qs[0])
+    return from_chart_functions("u_wave", {cid: ev for cid in model.charts}, margin=np.inf)
+
+
+def _same_result(batch, alone):
+    assert batch.value == alone.value
+    assert batch.error_estimate == alone.error_estimate
+    assert batch.terms_used == alone.terms_used
+    for key in ("chart", "steps", "transitions"):
+        assert batch.diagnostics.get(key) == alone.diagnostics.get(key)
+
+
+def test_batch_routes_equal_one_point_reads():
+    tor = catalog("flat_torus")
+    sph = catalog("round_sphere")
+    cases = [
+        (tor, torus_trig("wave", {(1, 0): 1.0})),
+        (sph, sphere_ambient(sph, "height", (0.0, 0.0, 1.0))),
+    ]
+    for model, f in cases:
+        pts = sample_tube_points(model, 12, 5, 0.1, 0.4)
+        for z, rep in zip(pts, crosscheck(model, f, pts)):
+            _same_result(rep["results"]["series"], extend_by_series(model, f, z))
+            _same_result(rep["results"]["flow"], extend_by_flow(model, f, z))
+            _same_result(rep["results"]["exp_map"], extend_by_exp(model, f, z))
+    srf = catalog("surface_of_revolution")
+    f = _u_wave(srf)
+    pts = sample_tube_points(srf, 8, 2, 0.1, 0.32)
+    for z, s, fl in zip(pts, extend_by_series_lanes(srf, f, pts), extend_by_flow_lanes(srf, f, pts)):
+        _same_result(s, extend_by_series(srf, f, z))
+        _same_result(fl, extend_by_flow(srf, f, z))
+
+
+def _count_calls(monkeypatch, module, name, modules):
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    for m in modules:
+        monkeypatch.setattr(m, name, counted, raising=False)
+    return calls
+
+
+def test_extend_runs_one_series_and_one_flow_call_per_route(tmp_path, monkeypatch):
+    series = _count_calls(monkeypatch, extend_module, "_taylor_series", [extend_module])
+    flows = _count_calls(monkeypatch, flow_module, "flow_lanes", [flow_module, extend_module])
+    for model, function in (("flat_torus", "wave"), ("round_sphere", "height")):
+        ini = tmp_path / f"{model}.ini"
+        ini.write_text(f"[model]\nname = {model}\n\n[grids]\nn_points = 48\nseed = 1\n"
+                       f"rho_min = 0.1\nrho_max = 0.4\nfunction = {function}\n")
+        series.clear()
+        flows.clear()
+        assert main(["extend", "--config", str(ini), "--out", str(tmp_path / model)]) == 0
+        assert (len(series), len(flows)) == (1, 1), model
+    # one series build per chart group
+    sph = catalog("round_sphere")
+    f = sphere_ambient(sph, "height", (0.0, 0.0, 1.0))
+    pts = sample_tube_points(sph, 3, 1, 0.1, 0.4, "a") + sample_tube_points(sph, 3, 1, 0.1, 0.4, "b")
+    series.clear()
+    flows.clear()
+    assert len(crosscheck(sph, f, pts)) == 6
+    assert (len(series), len(flows)) == (2, 1)
+
+
+def test_batch_raises_first_failing_point_series_before_flow():
+    tor = catalog("flat_torus")
+    f = pole_function()
+    diverges = PhasePoint("main", [0.3 - math.pi, 0.0], [1.0, 0.0])
+    # far from the pole the series converges, but the flow ends outside the strip
+    leaves_strip = PhasePoint("main", [0.0, 0.0], [0.8, 0.0])
+    fine = PhasePoint("main", [0.0, 0.0], [0.2, 0.0])
+    assert isinstance(extend_by_series(tor, f, leaves_strip).value, complex)
+    with pytest.raises(DivergenceError):
+        crosscheck(tor, f, [fine, diverges, leaves_strip])
+    with pytest.raises(ChartDomainError):
+        crosscheck(tor, f, [fine, leaves_strip, diverges])
+    # each lane keeps its own error
+    s = extend_by_series_lanes(tor, f, [diverges, leaves_strip, fine])
+    fl = extend_by_flow_lanes(tor, f, [diverges, leaves_strip, fine])
+    assert isinstance(s[0], DivergenceError) and isinstance(fl[0], ChartDomainError)
+    assert isinstance(fl[1], ChartDomainError)
+    _same_result(s[1], extend_by_series(tor, f, leaves_strip))
+    _same_result(s[2], extend_by_series(tor, f, fine))
+    _same_result(fl[2], extend_by_flow(tor, f, fine))
+
+
+def test_singular_series_retires_one_lane():
+    model = _g11_is_q0()
+    f = from_chart_functions("q1", {"main": lambda qs: qs[1]}, margin=np.inf)
+    good = [PhasePoint("main", [1.0, 0.2], [0.1, 0.2]), PhasePoint("main", [1.5, -0.3], [-0.2, 0.1])]
+    bad = PhasePoint("main", [0.0, 0.0], [0.1, 0.2])
+    first, broken, last = extend_by_series_lanes(model, f, [good[0], bad, good[1]])
+    assert isinstance(broken, SingularityError)
+    assert broken.reason == "singular series"
+    assert broken.last_good_sigma == 0
+    _same_result(first, extend_by_series(model, f, good[0]))
+    _same_result(last, extend_by_series(model, f, good[1]))
+    # one point raises the typed breakdown, not an arithmetic error
+    with pytest.raises(SingularityError) as exc:
+        extend_by_series(model, f, bad)
+    assert exc.value.reason == "singular series"
