@@ -20,7 +20,7 @@ import numpy as np
 from grauert.catalog import catalog
 from grauert.flow import PhasePoint
 from grauert.jacobi import continue_f_to_i, first_f_singularity
-from grauert.lagrangian import distribution_at, f_matrix_from_frame
+from grauert.lagrangian import FrameRays, distribution_at, f_matrix_from_frame
 
 rhos = [float(a) for a in sys.argv[1:]] or [0.3, 0.7, 1.0, 1.3]
 model = catalog("round_sphere", radius=1.0)
@@ -35,11 +35,11 @@ for rho in rhos:
     err_flow = float(np.max(np.abs(f_matrix_from_frame(model, fr) - target)))
 
     window = min(1.2, 0.75 * math.pi / (2 * rho))
-    f_i, _ = continue_f_to_i(model, z, window)
+    f_i, _ = continue_f_to_i(FrameRays(model, [z], [window, -window]), 0, window)
     err_fit = float(np.max(np.abs(f_i - target)))
 
     cap = math.pi / (2 * rho) + 0.8
-    pole = first_f_singularity(model, z, tau_max=cap, coarse=0.05)
+    pole = first_f_singularity(FrameRays(model, [z], [cap, -cap]), 0, tau_max=cap, coarse=0.05)
     print(f"{rho:5.2f} {err_flow:11.1e} {err_fit:11.1e} "
           f"{pole:11.6f} {math.pi / (2 * rho):9.6f}")
 

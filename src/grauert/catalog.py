@@ -59,7 +59,6 @@ class SphereEmbedding:
 
     def __init__(self, radius):
         self.radius = radius
-        self.world_dim = 3
 
     def to_world(self, chart_id, qs):
         theta, phi = qs
@@ -78,8 +77,10 @@ class SphereEmbedding:
             (F[0, k] * w[0] + F[1, k] * w[1] + F[2, k] * w[2]) / self.radius
             for k in range(3)
         ]
-        theta = jets.arccos(ws[2])
-        st, _ = jets.sincos(theta)
+        # theta = -i log(cos theta + i sin theta), not arccos(w2): arccos
+        # loses about half the digits of theta where w2 is near +-1
+        st = jets.sqrt(ws[0] * ws[0] + ws[1] * ws[1])
+        theta = -1j * jets.log(ws[2] + 1j * st)
         u = (ws[0] + 1j * ws[1]) / st
         seed = cmath.phase(complex(value(u)))
         phi = seed - 1j * jets.log(u * cmath.exp(-1j * seed))

@@ -55,7 +55,7 @@ from .extend import crosscheck, sphere_ambient, torus_trig
 from .flow import PhasePoint, SigmaPath, flow
 from .geometry import energy, metric_matrix
 from .lagrangian import (
-    distribution_at,
+    FrameRays,
     j_tensor_from_frame,
     positivity_check,
     symplectic_form_matrix,
@@ -377,8 +377,9 @@ def cmd_jtensor(cfg, out):
     names += ["pos_min_eig", "j_imag_max"]
     Om = symplectic_form_matrix(n).real
     rows = []
-    for z in pts:
-        fr = distribution_at(model, z, 1j, tol=cfg.flow_tol)
+    frames = FrameRays(model, pts, [1j], tol=cfg.flow_tol)
+    for k, z in enumerate(pts):
+        fr = frames.at(1j, k)
         J = j_tensor_from_frame(fr)
         min_eig, _ = positivity_check(fr)
         G = Om @ J.real

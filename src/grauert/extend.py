@@ -48,7 +48,8 @@ import numpy as np
 from . import jets
 from .errors import ChartDomainError, DivergenceError, GrauertError, SingularityError
 from .errors import UnsupportedModelError
-from .flow import DEFAULT_TOL, PhasePoint, SigmaPath, flow, flow_lanes, hamiltonian_vector_field
+from .flow import DEFAULT_TOL, STENCIL, PhasePoint, SigmaPath, diff5, flow, flow_lanes
+from .flow import hamiltonian_vector_field, lane_result, stencil_points
 from .flow import _retire_breakdowns, _taylor_series
 from .geometry import metric_inv_matrix
 from .jets import Jet, value
@@ -208,13 +209,6 @@ def _series_coefficients(model, f, points, max_terms):
     return out
 
 
-def _result(outcome):
-    """A lane's result, or raise the error that ended it."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def _then(outcomes, fn):
     """fn of each lane's result; a lane's error, or a GrauertError fn raises, stays its own."""
     out = []
@@ -285,7 +279,7 @@ def extend_by_series(model, f, z, max_terms=DEFAULT_MAX_TERMS):
     rather than consecutive increases. Raises a :class:`SingularityError`
     when the series meets a vanishing constant term.
     """
-    return _result(extend_by_series_lanes(model, f, [z], max_terms)[0])
+    return lane_result(extend_by_series_lanes(model, f, [z], max_terms)[0])
 
 
 def _flow_value(f, res, tol):
@@ -333,7 +327,7 @@ def extend_by_flow(model, f, z, path=None, tol=DEFAULT_TOL):
     the straight segment to i; any endpoint works and gives the continuation
     at that parameter instead.
     """
-    return _result(extend_by_flow_lanes(model, f, [z], path=path, tol=tol)[0])
+    return lane_result(extend_by_flow_lanes(model, f, [z], path=path, tol=tol)[0])
 
 
 def extend_by_exp(model, f, z):
@@ -370,7 +364,7 @@ def crosscheck(model, f, points, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
     exp_route = orc is not None and hasattr(orc, "exp_complex") and f.extension is not None
     reports = []
     for z, s, fl in zip(points, series, flows):
-        results = {"series": _result(s), "flow": _result(fl)}
+        results = {"series": lane_result(s), "flow": lane_result(fl)}
         if exp_route:
             results["exp_map"] = extend_by_exp(model, f, z)
         pairwise = {
@@ -396,11 +390,7 @@ def flow_derivative_coefficients(model, f, z, max_order):
     These are k! times the flow-parameter Taylor coefficients; degree-k
     fiber homogeneity in the momentum is their structural invariant.
     """
-    return _derivatives(_result(_series_coefficients(model, f, [z], max_order)[0]), max_order)
-
-
-def _diff5(g, h):
-    return (-g(2 * h) + 8 * g(h) - 8 * g(-h) + g(-2 * h)) / (12 * h)
+    return _derivatives(lane_result(_series_coefficients(model, f, [z], max_order)[0]), max_order)
 
 
 def nested_flow_derivative_fd(model, f, z, k, h=0.05):
@@ -425,8 +415,10 @@ def nested_flow_derivative_fd(model, f, z, k, h=0.05):
             acc = 0.0 + 0.0j
             for j in range(n):
                 ej = basis[j]
-                acc += complex(value(dq[j])) * _diff5(lambda t: inner(q + t * ej, p), h)
-                acc += complex(value(dp[j])) * _diff5(lambda t: inner(q, p + t * ej), h)
+                acc += complex(value(dq[j])) * diff5([inner(q + t * h * ej, p)
+                                                      for t in STENCIL], h)
+                acc += complex(value(dp[j])) * diff5([inner(q, p + t * h * ej)
+                                                      for t in STENCIL], h)
             return acc
 
         return out
@@ -437,7 +429,7 @@ def nested_flow_derivative_fd(model, f, z, k, h=0.05):
 def homogeneity_residuals(model, f, z, c, max_order=8):
     """Relative defect of degree-k momentum homogeneity for each derivative order."""
     scaled = PhasePoint(z.chart_id, z.q, c * z.p)
-    base, sc = (_derivatives(_result(a), max_order)
+    base, sc = (_derivatives(lane_result(a), max_order)
                 for a in _series_coefficients(model, f, [z, scaled], max_order))
     out = np.empty(max_order + 1)
     for k in range(max_order + 1):
@@ -487,23 +479,14 @@ def holomorphy_residual(model, f, points, h=1e-4, method="flow",
     else:
         raise ValueError("method must be 'series' or 'flow'")
     n = model.dim
-    offsets = (2 * h, h, -h, -2 * h)  # the arguments at which _diff5 samples
-    stencil = []
-    for z in points:
-        for a in range(2 * n):
-            dq = np.zeros(n)
-            dp = np.zeros(n)
-            (dq if a < n else dp)[a % n] = 1.0
-            stencil += [PhasePoint(z.chart_id, z.q + t * dq, z.p + t * dp) for t in offsets]
-    values = iter(route(stencil))
-    frames = FrameRays(model, points, 1.0, tol=tol)
+    values = iter(route([w for z in points for w in stencil_points(z, h)]))
+    frames = FrameRays(model, points, [1j], tol=tol)
     worst = 0.0
     for k in range(len(points)):
         J = j_tensor_from_frame(frames.at(1j, k))
         grad = np.zeros(2 * n, dtype=complex)
         for a in range(2 * n):
-            along = {t: _result(next(values)).value for t in offsets}
-            grad[a] = _diff5(along.__getitem__, h)
+            grad[a] = diff5([lane_result(next(values)).value for _ in STENCIL], h)
         for a in range(2 * n):
             resid = abs(grad[a] + 1j * (grad @ J[:, a]))
             worst = max(worst, resid)

@@ -50,9 +50,12 @@ __all__ = [
     "FlowDiagnostics",
     "FlowResult",
     "segment_at",
+    "stencil_points",
+    "diff5",
     "hamiltonian_vector_field",
     "flow",
     "flow_lanes",
+    "lane_result",
     "phase_residual",
     "flow_group_residual",
     "scaling_conjugation_residual",
@@ -163,6 +166,30 @@ class FlowResult:
             q, p = seg.state_at(tl)
             out.append((seg.sigma0 + seg.direction * tl, PhasePoint(seg.chart_id, q, p)))
         return out
+
+
+# offsets of the five-point stencil in units of its step h (the centre left out)
+STENCIL = (2.0, 1.0, -1.0, -2.0)
+
+
+def stencil_points(z, h):
+    """The 4 * 2n points z + t h e_a of a five-point stencil around the phase point z.
+
+    Coordinate by coordinate (q, then p), and for each at t = 2, 1, -1, -2.
+    """
+    n = z.dim
+    out = []
+    for a in range(2 * n):
+        e = np.zeros(2 * n)
+        e[a] = h
+        out += [PhasePoint(z.chart_id, z.q + t * e[:n], z.p + t * e[n:]) for t in STENCIL]
+    return out
+
+
+def diff5(values, h):
+    """Five-point central difference of step h from the values at 2h, h, -h, -2h."""
+    at2, at1, atm1, atm2 = values
+    return (-at2 + 8 * at1 - 8 * atm1 + atm2) / (12 * h)
 
 
 def segment_at(segments, t):
@@ -588,6 +615,11 @@ def flow(
     """
     (out,) = flow_lanes(model, [point], sigma=sigma, path=path, tol=tol,
                         variational=variational, dense=dense)
+    return lane_result(out)
+
+
+def lane_result(out):
+    """A lane's result from a batch call, or raise the error that ended the lane."""
     if isinstance(out, Exception):
         raise out
     return out

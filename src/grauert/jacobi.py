@@ -10,8 +10,11 @@ with a direct imaginary-time flow is the central two-route consistency check
 of the package.
 
 Two independent extraction routes are provided. ``f_samples`` reuses the
-backward-flow frame, with frames read from one dense backward flow per ray
-of times (a polynomial evaluation and a linear solve per sample).
+backward-flow frame: it reads a point of a :class:`~grauert.lagrangian.FrameRays`
+built by the caller for the times it will sample, so every frame comes from
+one dense backward flow per ray of times (a polynomial evaluation and a
+linear solve per sample). The pole scan and the rational continuation read
+their samples the same way.
 ``f_by_jacobi_transport`` instead integrates the parallel-transport equation
 with an off-the-shelf ODE solver, seeds the vertical lifts of the transported
 frame at the backward point, and pushes them forward with a second
@@ -34,10 +37,9 @@ from .errors import (
     PadeDegeneracyError,
     SingularityError,
 )
-from .flow import PhasePoint, flow, hamiltonian_vector_field, segment_at
+from .flow import flow, hamiltonian_vector_field, segment_at
 from .geometry import christoffel
 from .lagrangian import (
-    FrameRays,
     LagrangianFrame,
     f_matrix_from_frame,
     j_tensor_from_frame,
@@ -61,21 +63,21 @@ def _vertical_det(model, frame, basis):
     return complex(np.linalg.det(c))
 
 
-def f_samples(model, z, taus, basis=None, tol=1e-12, frames=None):
-    """Spreading matrices at the given real times, all in one fixed basis at z.
+def f_samples(frames, k, taus, basis=None):
+    """Spreading matrices of point k of ``frames`` at the given real times.
 
-    Frames come from ``frames`` (a :class:`FrameRays` whose point 0 is z,
-    reaching every tau), by default one dense backward flow per time
-    direction. Raises :class:`ConjugatePointError` if a sample sits
-    numerically on a conjugate-point pole.
+    All in one fixed basis at the point (default: its momentum-led
+    g-orthonormal basis); ``frames`` (a :class:`FrameRays`) must have been
+    given times reaching every tau in both directions. Raises
+    :class:`ConjugatePointError` if a sample sits numerically on a
+    conjugate-point pole.
     """
+    model, z = frames.model, frames.points[k]
     if basis is None:
         basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
-    if frames is None:
-        frames = FrameRays(model, [z], max(map(abs, taus), default=0.0), tol=tol)
     out = np.empty((len(taus), model.dim, model.dim), dtype=complex)
     for i, tau in enumerate(taus):
-        fr = frames.at(tau)
+        fr = frames.at(tau, k)
         try:
             out[i] = f_matrix_from_frame(model, fr, basis=basis)
         except DegenerateFrameError as e:
@@ -156,24 +158,21 @@ def f_by_jacobi_transport(model, z, tau, tol=1e-12):
     return f_matrix_from_frame(model, fr, basis=basis)
 
 
-def first_f_singularity(model, z, tau_max=3.0, coarse=0.1, refine=1e-6, tol=1e-12,
-                        frames=None):
-    """Smallest |tau| with a spreading-matrix pole on the real axis, or None.
+def first_f_singularity(frames, k, tau_max=3.0, coarse=0.1, refine=1e-6):
+    """Smallest |tau| <= tau_max with a spreading-matrix pole on the real axis, or None.
 
     Poles are located as sign changes of the real part of the vertical-block
     determinant, which decays through zero linearly at a conjugate point;
     each bracket is polished by root finding on the dense output of the
-    backward flow. Scans both time directions, reading frames from
-    ``frames`` (a :class:`FrameRays` whose point 0 is z, reaching
-    ``tau_max``; by default one dense backward flow per direction).
+    backward flow. Scans both time directions of point k of ``frames`` (a
+    :class:`FrameRays` given times reaching ``tau_max`` both ways).
     """
+    model, z = frames.model, frames.points[k]
     basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
-    if frames is None:
-        frames = FrameRays(model, [z], tau_max, tol=tol)
     hits = []
-    d0 = _vertical_det(model, frames.at(0.0), basis).real
+    d0 = _vertical_det(model, frames.at(0.0, k), basis).real
     for sgn in (1.0, -1.0):
-        d = lambda t: _vertical_det(model, frames.at(sgn * t), basis).real
+        d = lambda t: _vertical_det(model, frames.at(sgn * t, k), basis).real
         t_prev, d_prev = 0.0, d0
         t = coarse
         while t <= tau_max + 1e-12:
@@ -224,11 +223,11 @@ def rational_continuation(xs, ys, target):
     return complex(r(target)), poles[np.abs(r.residues()) > 1e-4]
 
 
-def continue_f_to_i(model, z, window, tol=1e-12, frames=None):
-    """Continue the spreading matrix from a real sample window to time i.
+def continue_f_to_i(frames, k, window):
+    """Continue the spreading matrix of point k of ``frames`` from a real window to time i.
 
     Samples the matrix at the 21 Chebyshev points of [-window, window] with
-    :func:`f_samples`, reading frames from ``frames`` when given, and
+    :func:`f_samples` (``frames`` must reach ``window`` both ways), and
     continues each entry to i by :func:`rational_continuation` in the scaled
     time tau / window. Returns (f_at_i, diagnostics) where diagnostics holds
     the sample times under "taus" and, under "poles", each entry's fitted
@@ -237,8 +236,8 @@ def continue_f_to_i(model, z, window, tol=1e-12, frames=None):
     if window <= 0:
         raise ValueError("window must be positive")
     taus = window * _NODES
-    fs = f_samples(model, z, taus, tol=tol, frames=frames)
-    n = model.dim
+    fs = f_samples(frames, k, taus)
+    n = frames.model.dim
     f_i = np.empty((n, n), dtype=complex)
     poles = {}
     for a in range(n):

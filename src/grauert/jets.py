@@ -48,7 +48,6 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
-    "arccos",
     "eval_poly",
     "is_plain_zero",
 ]
@@ -220,17 +219,6 @@ class Jet:
     def sqrt(self):
         s = _sqrt_series(self.c[..., 0, :])
         return self._apply(s, 0.5 * _recip_series(s))
-
-    def arccos(self):
-        # principal branch via arccos w = -i log(w + i sqrt(1 - w^2));
-        # constant term must stay away from +-1
-        if self.L == 1:
-            v = self.c[..., 0, 0]
-            val = np.asarray(np.arccos(v), dtype=complex)[..., None]
-            dval = np.asarray(-1.0 / np.sqrt(1.0 - v * v), dtype=complex)[..., None]
-            return self._apply(val, dval)
-        s = (1.0 - self * self).sqrt()
-        return (self + 1j * s).log() * (-1j)
 
 
 def _broadcast_add(a, b):
@@ -405,7 +393,3 @@ def log(x):
 
 def sqrt(x):
     return x.sqrt() if isinstance(x, Jet) else np.sqrt(complex(x))
-
-
-def arccos(x):
-    return x.arccos() if isinstance(x, Jet) else np.arccos(complex(x))

@@ -7,12 +7,14 @@ Numerically that is a single backward variational flow: if B is the jacobian
 of the backward map at z, the forward pushforward is B^{-1} restricted to
 vertical columns (inverse function theorem; no second integration). Along a
 ray of times sigma the backward flow's dense output gives B(sigma) at every
-point of the ray, so one flow per ray serves every sample on it, and the
-rays of a batch of points run as the lanes of one flow kernel call.
+point of the ray, so one flow per ray serves every sample on it.
 
-There is one frame builder, :meth:`FrameRays.at`; a single frame
-(:func:`distribution_at`) is a read of a one-point, one-ray
-:class:`FrameRays` that reaches just that far.
+There is one frame builder, :class:`FrameRays`. It takes a batch of points
+and the times its reads will use, works out the rays and their reach from
+those times, and runs every ray of every point as a lane of one flow kernel
+call; :meth:`FrameRays.at` reads a frame. A single frame
+(:func:`distribution_at`) is a read of a one-point :class:`FrameRays` given
+just that time.
 
 At sigma = i and real z these n complex directions are the (1,0) subspace of
 an almost complex structure on the tube, recovered from the frame by
@@ -91,51 +93,56 @@ class LagrangianFrame:
 def distribution_at(model, z, sigma, tol=1e-12):
     """Frame of the sigma-shifted vertical distribution at z.
 
-    A one-point, one-ray read of :class:`FrameRays` reaching |sigma|: one
+    A one-point, one-ray read of :class:`FrameRays` given just sigma: one
     backward variational flow, and the same frame and errors as any other
     read of a ray through sigma.
     """
-    return FrameRays(model, [z], abs(sigma), tol=tol).at(sigma)
+    return FrameRays(model, [z], [sigma], tol=tol).at(sigma)
 
 
 class FrameRays:
-    """Frames of the sigma-shifted vertical distribution at points, for sigma on rays from 0.
+    """Frames of the sigma-shifted vertical distribution at points, for the times ``sigmas``.
 
     The one frame builder: every frame pushed through the backward flow is
-    read here. Each ray direction costs one lane-batched flow
-    (:func:`~grauert.flow.flow_lanes`): a dense backward variational flow per
-    point, to time -reach along the ray, all points as lanes of one kernel
-    call, run on the first read of that direction. The frame of point k at
-    sigma is then B(sigma)^{-1} V with B(sigma) read from the accepted step
-    polynomial of k's lane that holds |sigma|, so every sample on a ray
-    shares its flow. A backward flow that breaks down keeps its accepted
-    steps, and a frame beyond its last good time raises the
-    :class:`SingularityError` of the breakdown (same reason and last good
-    time); a point whose flow cannot start raises its error on every read
-    past sigma = 0.
+    read here. The times a caller will read decide the rays: each direction
+    sigma/|sigma| among ``sigmas`` is one ray, reaching the largest |sigma|
+    on it. Every ray of every point is a dense backward variational flow, to
+    time -reach along the ray, and all of them run as the lanes of one
+    :func:`~grauert.flow.flow_lanes` call when the batch is built. The frame
+    of point k at sigma is then B(sigma)^{-1} V with B(sigma) read from the
+    accepted step polynomial of k's lane on the ray through sigma, so every
+    sample on a ray shares its flow. A read in a direction that was not
+    given, or beyond its ray's reach, raises ValueError. A backward flow that
+    breaks down keeps its accepted steps, and a frame beyond its last good
+    time raises the :class:`SingularityError` of the breakdown (same reason
+    and last good time); a point whose flow cannot start raises its error on
+    every read past sigma = 0.
     """
 
-    def __init__(self, model, points, reach, tol=1e-12):
+    def __init__(self, model, points, sigmas, tol=1e-12):
         self.model = model
         self.points = list(points)
-        self.reach = float(reach)
-        self.tol = tol
-        self._rays = {}  # direction -> per point: (segments, reach, error or None)
+        self.reach = {}  # ray direction -> the largest |sigma| on it
+        for sigma in map(complex, sigmas):
+            if sigma != 0:
+                u = self._direction(sigma / abs(sigma))
+                self.reach[u] = max(self.reach.get(u, 0.0), abs(sigma))
+        keys = [(k, u) for k in range(len(self.points)) for u in self.reach]
+        outcomes = flow_lanes(model, [self.points[k] for k, _ in keys],
+                              sigma=[-self.reach[u] * u for _, u in keys],
+                              variational=True, dense=True, tol=tol)
+        self._rays = {}  # (point, direction) -> (segments, good reach, error or None)
+        for key, out in zip(keys, outcomes):
+            if isinstance(out, SingularityError):
+                self._rays[key] = (out.segments, abs(out.last_good_sigma), out)
+            elif isinstance(out, Exception):
+                self._rays[key] = ([], 0.0, out)
+            else:
+                self._rays[key] = (out.segments, self.reach[key[1]], None)
 
-    def _ray(self, u):
-        if u not in self._rays:
-            outcomes = flow_lanes(self.model, self.points, sigma=-self.reach * u,
-                                  variational=True, dense=True, tol=self.tol)
-            rays = []
-            for out in outcomes:
-                if isinstance(out, SingularityError):
-                    rays.append((out.segments, abs(out.last_good_sigma), out))
-                elif isinstance(out, Exception):
-                    rays.append(([], 0.0, out))
-                else:
-                    rays.append((out.segments, self.reach, None))
-            self._rays[u] = rays
-        return self._rays[u]
+    def _direction(self, u):
+        """The ray direction u lies on: a known one within roundoff, else u itself."""
+        return next((v for v in self.reach if abs(v - u) <= 1e-12), u)
 
     def at(self, sigma, k=0):
         """Frame of point k at sigma, read from its ray through sigma."""
@@ -145,10 +152,11 @@ class FrameRays:
         n = self.model.dim
         B, chart = np.eye(2 * n, dtype=complex), z.chart_id
         if s > 0:
-            segments, reach, error = self._ray(sigma / s)[k]
+            u = self._direction(sigma / s)
+            if s > self.reach.get(u, 0.0) + 1e-12:
+                raise ValueError(f"sigma {sigma} lies beyond the rays' reach {self.reach}")
+            segments, reach, error = self._rays[k, u]
             if s > reach + 1e-12:
-                if error is None:
-                    raise ValueError(f"sigma {sigma} lies beyond the rays' reach {self.reach}")
                 if not isinstance(error, SingularityError):
                     raise error
                 raise SingularityError(

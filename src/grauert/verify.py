@@ -15,8 +15,10 @@ over directions.
 
 The flows a check needs run as the lanes of a few calls of the flow kernel
 (:func:`~grauert.flow.flow_lanes`, through :class:`~grauert.lagrangian.FrameRays`
-for frames): all points of a ray at once, the Nijenhuis stencils of all
-points at once. Every independent route keeps a flow of its own, and a check
+for frames): a check hands a ``FrameRays`` its points and the times it will
+read, and every ray of every point runs in one call, the Nijenhuis stencils
+of all points included. The radius scan reads all its directions from one
+``FrameRays``. Every independent route keeps a flow of its own, and a check
 reads its lanes in the order of its points, so it still raises the error of
 the first failing point.
 
@@ -33,7 +35,15 @@ from functools import partial
 import numpy as np
 
 from .errors import GrauertError
-from .flow import PhasePoint, flow_lanes, hamiltonian_vector_field, segment_at
+from .flow import (
+    PhasePoint,
+    diff5,
+    flow_lanes,
+    hamiltonian_vector_field,
+    lane_result,
+    segment_at,
+    stencil_points,
+)
 from .geometry import metric_matrix
 from .jets import value
 from .jacobi import continue_f_to_i, first_f_singularity
@@ -214,10 +224,9 @@ def check_theta_sigma_identity(model, points, sigmas=THETA_SIGMAS,
     pairing p . Z_q must equal sigma times the derivative of the energy along
     Z; this ties the flow-transported frames to the symplectic structure.
     One backward flow per ray of ``sigmas`` per point serves every sigma on
-    it, and each ray's flows run as lanes of one kernel call.
+    it, and the rays of all points run as lanes of one kernel call.
     """
-    reach = max(map(abs, sigmas), default=0.0)
-    frames = FrameRays(model, points, reach, tol=flow_tol)
+    frames = FrameRays(model, points, sigmas, tol=flow_tol)
     residuals = []
     for k, z in enumerate(points):
         dE = _grad_energy(model, z.chart_id, z.q, z.p)
@@ -244,7 +253,7 @@ def check_kahler_potential(model, points,
     ``dbar_sign`` exists as a demonstration knob: anything but +1 breaks the
     calibration loudly, which is the point of having the calibration.
     """
-    frames = FrameRays(model, points, 1.0, tol=flow_tol)
+    frames = FrameRays(model, points, [1j], tol=flow_tol)
     residuals = []
     for k, z in enumerate(points):
         n = z.dim
@@ -257,13 +266,6 @@ def check_kahler_potential(model, points,
             r = max(r, abs(dbar.imag - theta))
         residuals.append((_label(z), r))
     return _report(model, "kahler_potential", residuals, tolerance)
-
-
-def _result(out):
-    """A lane's FlowResult, or raise the error that ended the lane."""
-    if isinstance(out, Exception):
-        raise out
-    return out
 
 
 def check_adaptedness(model, points, sigma_max=0.5, tau_max=0.4, n_sigma=5,
@@ -294,7 +296,7 @@ def check_adaptedness(model, points, sigma_max=0.5, tau_max=0.4, n_sigma=5,
     taus = np.linspace(-tau_max, tau_max, n_tau)
     for i in range(len(units)):
         try:
-            segments = {sgn: _result(out).segments
+            segments = {sgn: lane_result(out).segments
                         for sgn, out in zip(signs, rays[2 * i : 2 * i + 2])}
         except GrauertError as e:
             strips.append(e)
@@ -308,7 +310,7 @@ def check_adaptedness(model, points, sigma_max=0.5, tau_max=0.4, n_sigma=5,
             nodes.extend(PhasePoint(seg.chart_id, q, t * p) for t in taus)
             rows.append((s, q, p, dq, dp))
         strips.append(rows)
-    frames = FrameRays(model, nodes, 1.0, tol=flow_tol)
+    frames = FrameRays(model, nodes, [1j], tol=flow_tol)
     residuals = []
     k = 0
     for zu, rows in zip(units, strips):
@@ -334,7 +336,7 @@ def check_involution(model, points,
     flipped point is a flow of its own.
     """
     pairs = [w for z in points for w in (z, PhasePoint(z.chart_id, z.q, -z.p))]
-    frames = FrameRays(model, pairs, 1.0, tol=flow_tol)
+    frames = FrameRays(model, pairs, [1j], tol=flow_tol)
     residuals = []
     for k, z in enumerate(points):
         n = z.dim
@@ -355,20 +357,20 @@ def check_scaling(model, points, factors=SCALING_FACTORS, sigmas=SCALING_SIGMAS,
     dilated image of the distribution at parameter c sigma; compared by
     principal angles so the frame normalization drops out. The frames at
     c sigma share one backward flow per ray per point; each dilated point
-    and sigma keeps its own flow, the route being checked against. Each ray
-    of the points and each sigma of the dilated points is one kernel call.
+    keeps flows of its own, one per ray of ``sigmas``, the route being
+    checked against. The points' rays are one kernel call, and the dilated
+    points' rays another.
     """
-    reach = max((abs(c * s) for c in factors for s in sigmas), default=0.0)
-    frames = FrameRays(model, points, reach, tol=flow_tol)
+    frames = FrameRays(model, points, [c * s for c in factors for s in sigmas], tol=flow_tol)
     scaled = [PhasePoint(z.chart_id, z.q, c * z.p) for z in points for c in factors]
-    scaled_frames = {s: FrameRays(model, scaled, abs(s), tol=flow_tol) for s in sigmas}
+    scaled_frames = FrameRays(model, scaled, sigmas, tol=flow_tol)
     residuals = []
     for k, z in enumerate(points):
         n = z.dim
         for i, c in enumerate(factors):
             S = np.diag(np.concatenate([np.ones(n), c * np.ones(n)]))
             for s in sigmas:
-                left = scaled_frames[s].at(s, k * len(factors) + i).columns
+                left = scaled_frames.at(s, k * len(factors) + i).columns
                 right = S @ frames.at(c * s, k).columns
                 ang = principal_angles(left, right)
                 r = float(np.max(ang)) if ang.size else 0.0
@@ -397,7 +399,7 @@ def check_zero_section(model, points, sigmas=ZERO_SECTION_SIGMAS,
         L[:n, :n] = V
         L[n:, n:] = g @ V
         Linv = np.linalg.inv(L)
-        segments = _result(ray).segments
+        segments = lane_result(ray).segments
         for s in sigmas:
             seg, t_local = segment_at(segments, abs(s))
             want = np.eye(2 * n, dtype=complex)
@@ -419,17 +421,8 @@ def check_nijenhuis(model, points, h=1e-3,
     centre and the 4 stencil points per coordinate of every point are lanes
     of one kernel call, each its own backward flow.
     """
-    offsets = (2.0, 1.0, -1.0, -2.0)
-    lanes = []
-    for z in points:
-        n = z.dim
-        lanes.append(z)
-        for j in range(2 * n):
-            dq = np.zeros(n)
-            dp = np.zeros(n)
-            (dq if j < n else dp)[j % n] = h
-            lanes.extend(PhasePoint(z.chart_id, z.q + s * dq, z.p + s * dp) for s in offsets)
-    frames = FrameRays(model, lanes, 1.0, tol=flow_tol)
+    lanes = [w for z in points for w in (z, *stencil_points(z, h))]
+    frames = FrameRays(model, lanes, [1j], tol=flow_tol)
     J_of = lambda k: j_tensor_from_frame(frames.at(1j, k))
     residuals = []
     k = 0  # lane of the centre of z
@@ -438,8 +431,7 @@ def check_nijenhuis(model, points, h=1e-3,
         J = J_of(k)
         dJ = np.zeros((m, m, m), dtype=complex)  # dJ[j] = d_j J
         for j in range(m):
-            at2, at1, atm1, atm2 = (J_of(k + 1 + 4 * j + i) for i in range(4))
-            dJ[j] = (-at2 + 8.0 * at1 - 8.0 * atm1 + atm2) / (12.0 * h)
+            dJ[j] = diff5([J_of(k + 1 + 4 * j + i) for i in range(4)], h)
         k += 1 + 4 * m
         r = 0.0
         for a in range(m):
@@ -496,30 +488,27 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
     direction is rechecked 10% beyond its located radius so a non-monotone
     or flickering failure would be flagged rather than silently averaged.
 
-    Each direction costs three dense backward variational flows, one per ray
+    Every direction has three dense backward variational flows, one per ray
     (positive and negative real time, positive imaginary time) out to
-    ``sweep_cap``; every frame the scans, fits and bisections use is read
-    from them (:class:`~grauert.lagrangian.FrameRays`).
+    ``sweep_cap``, and the rays of all directions run as the lanes of one
+    kernel call; every frame the scans, fits and bisections use is read from
+    them (:class:`~grauert.lagrangian.FrameRays`).
     """
     if not sweep_cap > 0:
         raise ValueError("sweep_cap must be positive")
     dirs = sample_tube_points(model, n_directions, seed, 1.0, 1.0)
     refine = min(resolution, 1e-6)
+    frames = FrameRays(model, dirs, [sweep_cap, -sweep_cap, 1j * sweep_cap], tol=flow_tol)
+    # what must hold of the frame at i tau for a direction to be good there
+    tests = {
+        "transversality": lambda fr: j_tensor_from_frame(fr) is not None,
+        "positivity": lambda fr: positivity_check(fr)[0] > 0.0,
+    }
 
-    def transversality_ok(frames):
+    def holds(test, k):
         def pred(tau):
             try:
-                j_tensor_from_frame(frames.at(1j * tau))
-                return True
-            except GrauertError:
-                return False
-        return pred
-
-    def positivity_ok(frames):
-        def pred(tau):
-            try:
-                min_eig, _ = positivity_check(frames.at(1j * tau))
-                return min_eig > 0.0
+                return test(frames.at(1j * tau, k))
             except GrauertError:
                 return False
         return pred
@@ -528,24 +517,20 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
     capped = {"continuation": True, "transversality": True, "positivity": True}
     monotone = True
     pade_moduli = []
-    for z in dirs:
-        # one dense backward flow per ray (+real, -real, +imaginary) serves
-        # every scan, fit and bisection of this direction
-        frames = FrameRays(model, [z], sweep_cap, tol=flow_tol)
-        hit = first_f_singularity(model, z, tau_max=sweep_cap, coarse=0.05,
-                                  refine=refine, frames=frames)
+    for k in range(len(dirs)):
+        hit = first_f_singularity(frames, k, tau_max=sweep_cap, coarse=0.05, refine=refine)
         if hit is not None:
             # a rescan on another sample grid and a shorter horizon must find
             # it again
-            again = first_f_singularity(model, z,
+            again = first_f_singularity(frames, k,
                                         tau_max=min(sweep_cap, 1.1 * hit + resolution),
-                                        coarse=0.03, refine=refine, frames=frames)
+                                        coarse=0.03, refine=refine)
             if again is None or abs(again - hit) > resolution:
                 monotone = False
         window = 0.8 * min(hit or sweep_cap, sweep_cap)
         off_axis = None
         try:
-            _, diag = continue_f_to_i(model, z, window=window, frames=frames)
+            _, diag = continue_f_to_i(frames, k, window)
             near = [abs(pole) for poles in diag["poles"].values() for pole in poles
                     if abs(pole) < 2.0 * sweep_cap]
             if near:
@@ -560,11 +545,8 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
         else:
             radii["continuation"].append(sweep_cap)
 
-        for name, maker in (
-            ("transversality", transversality_ok),
-            ("positivity", positivity_ok),
-        ):
-            pred = maker(frames)
+        for name, test in tests.items():
+            pred = holds(test, k)
             r, hit_cap = _largest_good_tau(pred, sweep_cap, resolution)
             radii[name].append(r)
             if not hit_cap:

@@ -24,6 +24,7 @@ from grauert.flow import PhasePoint, SigmaPath, flow
 from grauert.geometry import metric_inv_matrix
 from grauert.jacobi import continue_f_to_i, j_tensor_from_f
 from grauert.lagrangian import (
+    FrameRays,
     distribution_at,
     j_tensor_from_frame,
     principal_angles,
@@ -82,7 +83,7 @@ def test_sphere_closed_form_agreement():
         v = gi @ z.p.real
         rho = float(np.sqrt(v @ z.p.real))
         window = min(1.2, 0.75 * math.pi / (2 * rho))
-        f_i, _ = continue_f_to_i(model, z, window)
+        f_i, _ = continue_f_to_i(FrameRays(model, [z], [window, -window]), 0, window)
         target = np.diag([1j, 1j * math.tanh(rho) / rho])
         worst_f = max(worst_f, float(np.max(np.abs(f_i - target))))
         J_jac = j_tensor_from_f(model, z, f_i)

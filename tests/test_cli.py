@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import math
+import os
 import pkgutil
 import subprocess
 import sys
@@ -22,6 +23,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     return main([*argv, "--out", str(out)]), out
+
+
+def child_env():
+    """This environment, with grauert importable from where these tests imported it."""
+    src = str(Path(grauert.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def write_ini(tmp_path, text, name="cfg.ini"):
@@ -201,6 +209,24 @@ def test_jtensor_flat_torus_standard_structure(tmp_path):
         assert float(r["j_imag_max"]) < 1e-9
 
 
+def test_jtensor_one_kernel_call(tmp_path, monkeypatch):
+    # the frames of all points are lanes of one kernel call
+    real_flow_lanes = grauert.flow.flow_lanes
+    calls = []
+
+    def counted(model, points, *args, **kwargs):
+        calls.append(len(points))
+        return real_flow_lanes(model, points, *args, **kwargs)
+
+    for name in ("flow", "lagrangian"):
+        monkeypatch.setattr(f"grauert.{name}.flow_lanes", counted)
+    path = write_ini(tmp_path, "[model]\nname = round_sphere\n[grids]\nn_points = 8\n")
+    code, out = run(tmp_path, "jtensor", "--config", path)
+    assert code == 0
+    assert len(read_rows(out / "jtensor.csv")[1]) == 8
+    assert calls == [8]
+
+
 def test_jtensor_zero_momentum_bounds(tmp_path):
     path = write_ini(tmp_path, "[grids]\nn_points = 3\nrho_min = 0\nrho_max = 0\n")
     code, out = run(tmp_path, "jtensor", "--config", path)
@@ -355,7 +381,7 @@ def test_tube_radius_keeps_stderr_clean(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "grauert.cli", "tube-radius", "--config", path,
          "--out", str(tmp_path / "o")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
@@ -365,7 +391,7 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "grauert.cli", "flow", "--model", "flat_space",
          "--out", str(tmp_path / "o")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert (tmp_path / "o" / "flow.csv").exists()

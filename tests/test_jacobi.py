@@ -16,14 +16,14 @@ from grauert.jacobi import (
     j_tensor_from_f,
     rational_continuation,
 )
-from grauert.lagrangian import distribution_at, j_tensor_from_frame
+from grauert.lagrangian import FrameRays, distribution_at, j_tensor_from_frame
 
 
 def test_f_samples_match_sphere_closed_form():
     sph = catalog("round_sphere", radius=1.0)
     z = PhasePoint("a", [math.pi / 2, 0.0], [0.3, 0.7])
     taus = np.linspace(-1.0, 1.0, 9)
-    fs = f_samples(sph, z, taus)
+    fs = f_samples(FrameRays(sph, [z], taus), 0, taus)
     for i, tau in enumerate(taus):
         ref = sph.oracle.f_matrix("a", z.q, z.p, tau) if tau != 0 else np.zeros((2, 2))
         assert np.max(np.abs(fs[i] - ref)) < 1e-9
@@ -38,7 +38,7 @@ def test_jacobi_transport_route_agrees():
     ]
     for model, z in cases:
         for tau in (0.45, -0.8):
-            direct = f_samples(model, z, [tau])[0]
+            direct = f_samples(FrameRays(model, [z], [tau]), 0, [tau])[0]
             seeded = f_by_jacobi_transport(model, z, tau)
             assert np.max(np.abs(direct - seeded)) < 1e-8
 
@@ -47,7 +47,7 @@ def test_flat_f_linear():
     flat = catalog("flat_space", dim=2)
     z = PhasePoint("main", [1.0, -1.0], [0.3, 0.4])
     taus = [0.5, 1.5, -2.0]
-    fs = f_samples(flat, z, taus)
+    fs = f_samples(FrameRays(flat, [z], taus), 0, taus)
     for tau, f in zip(taus, fs):
         assert np.max(np.abs(f - tau * np.eye(2))) < 1e-11
 
@@ -82,7 +82,8 @@ def test_continue_f_to_i_sphere():
         sph = catalog("round_sphere")
         z = PhasePoint("a", [math.pi / 2, 0.0], [0.0, rho])
         window = 0.75 * (math.pi / 2) / rho
-        f_i, diag = continue_f_to_i(sph, z, window=min(window, 2.0))
+        window = min(window, 2.0)
+        f_i, diag = continue_f_to_i(FrameRays(sph, [z], [window, -window]), 0, window)
         ref = sph.oracle.f_matrix_at_i("a", z.q, z.p)
         assert np.max(np.abs(f_i - ref)) < 1e-7
         # fitted poles recover the first conjugate time for the tan entry
@@ -95,7 +96,7 @@ def test_continue_f_to_i_sphere():
 def test_j_cross_route():
     sph = catalog("round_sphere")
     z = PhasePoint("a", [1.3, -0.4], [0.28, 0.45])
-    f_i, _ = continue_f_to_i(sph, z, window=1.5)
+    f_i, _ = continue_f_to_i(FrameRays(sph, [z], [1.5, -1.5]), 0, 1.5)
     J_pade = j_tensor_from_f(sph, z, f_i)
     J_direct = j_tensor_from_frame(distribution_at(sph, z, 1j))
     assert np.max(np.abs(J_pade - J_direct)) < 1e-6
@@ -105,7 +106,7 @@ def test_first_singularity_sphere():
     sph = catalog("round_sphere")
     for rho in (1.0, 0.7):
         z = PhasePoint("a", [math.pi / 2, 0.0], [0.0, rho])
-        t = first_f_singularity(sph, z, tau_max=3.0)
+        t = first_f_singularity(FrameRays(sph, [z], [3.0, -3.0]), 0, tau_max=3.0)
         assert t is not None
         assert abs(t - math.pi / (2 * rho)) < 1e-3
 
@@ -113,15 +114,15 @@ def test_first_singularity_sphere():
 def test_first_singularity_none_on_flat():
     torus = catalog("flat_torus")
     z = PhasePoint("main", [0.1, 0.2], [0.9, 0.3])
-    assert first_f_singularity(torus, z, tau_max=1.0) is None
+    assert first_f_singularity(FrameRays(torus, [z], [1.0, -1.0]), 0, tau_max=1.0) is None
     # zero section: frames are constant
     sph = catalog("round_sphere")
     z0 = PhasePoint("a", [1.0, 0.0], [0.0, 0.0])
-    assert first_f_singularity(sph, z0, tau_max=0.5) is None
+    assert first_f_singularity(FrameRays(sph, [z0], [0.5, -0.5]), 0, tau_max=0.5) is None
 
 
 def test_sample_on_pole_raises():
     sph = catalog("round_sphere")
     z = PhasePoint("a", [math.pi / 2, 0.0], [0.0, 1.0])
     with pytest.raises(ConjugatePointError):
-        f_samples(sph, z, [math.pi / 2])
+        f_samples(FrameRays(sph, [z], [math.pi / 2]), 0, [math.pi / 2])

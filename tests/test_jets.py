@@ -114,14 +114,6 @@ def test_dual_channel_is_derivative():
     assert abs(f.grad[0] - fp) < 1e-13
 
 
-def test_dual_channels_through_arccos():
-    z0 = 0.4 + 0.05j
-    x = variable(z0, channel=0, n_channels=1)
-    a = x.arccos()
-    assert abs(a.val - np.arccos(z0)) < 1e-14
-    assert abs(a.grad[0] - (-1.0 / np.sqrt(1 - z0 * z0))) < 1e-13
-
-
 def test_series_with_channels_chain():
     # channels propagate through series multiplication: d/da of (a*t)^2 = 2 a t^2
     L = 4

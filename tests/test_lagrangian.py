@@ -200,7 +200,7 @@ def test_frame_rays_match_fresh_frames():
         columns = np.linalg.solve(back.jacobian, vertical_frame(2))
         return LagrangianFrame(z.chart_id, z.q, z.p, sigma, columns, back.point.chart_id)
 
-    rays = FrameRays(sph, [z], 1.4)
+    rays = FrameRays(sph, [z], [1.4, -1.4, 1.4j])
     for u in (1.0, -1.0, 1j):
         charts = set()
         for s in np.linspace(0.2, 1.4, 7):
@@ -217,7 +217,7 @@ def test_frame_rays_match_fresh_frames():
     assert np.max(np.abs(rays.at(0.0).columns - vertical_frame(2))) == 0.0
 
     # past the imaginary ray's breakdown the reader fails as a fresh flow does
-    far = FrameRays(sph, [z], 2.0)
+    far = FrameRays(sph, [z], [2.0j])
     f_dense = f_matrix_from_frame(sph, far.at(1.55j), basis)
     f_fresh = f_matrix_from_frame(sph, fresh(1.55j), basis)
     assert np.max(np.abs(f_dense - f_fresh)) < 1e-9
@@ -231,6 +231,25 @@ def test_frame_rays_match_fresh_frames():
     assert single_exc.value.last_good_sigma == fresh_exc.value.last_good_sigma
     assert dense_exc.value.reason == fresh_exc.value.reason == "imaginary margin"
     assert abs(dense_exc.value.last_good_sigma - fresh_exc.value.last_good_sigma) < 1e-9
+
+
+def test_frame_rays_read_the_rays_of_their_times():
+    # the rays come from the times given; a time on one of them is read from
+    # it even where its direction differs from the given one in the last bit
+    sph = catalog("round_sphere")
+    z = PhasePoint("a", [1.2, 0.3], [0.2, 0.3])
+    rays = FrameRays(sph, [z], [0.3 + 0.3j, 0.9 + 0.9j, -0.5])
+    assert rays.reach == {(0.3 + 0.3j) / abs(0.3 + 0.3j): abs(0.9 + 0.9j), -1.0: 0.5}
+    sigma = 0.6 + 0.6j
+    assert sigma / abs(sigma) != (0.9 + 0.9j) / abs(0.9 + 0.9j)
+    got = rays.at(sigma).columns
+    want = distribution_at(sph, z, sigma).columns
+    assert np.max(np.abs(got - want)) < 1e-12
+    # a direction not given and a time beyond its ray's reach both raise
+    with pytest.raises(ValueError):
+        rays.at(0.5j)
+    with pytest.raises(ValueError):
+        rays.at(-0.6)
 
 
 def test_dense_breakdown_keeps_segments():

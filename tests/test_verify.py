@@ -144,23 +144,30 @@ def test_zero_section_unipotent(flat, sphere, surfrev):
         assert rep.max_residual < bound
 
 
-def test_one_flow_per_ray(sphere, monkeypatch):
-    # every sample on a ray a check has integrated is read from that flow, and
-    # the flows of all points run as lanes of the same few kernel calls
-    calls = []
+def count_kernel_calls(monkeypatch):
+    """The lanes of each flow_lanes call from here on, in call order."""
     real_flow_lanes = grauert.flow.flow_lanes
+    calls = []
 
     def counted(model, points, *args, **kwargs):
         calls.append(len(points))
         return real_flow_lanes(model, points, *args, **kwargs)
 
-    monkeypatch.setattr(grauert.lagrangian, "flow_lanes", counted)
-    monkeypatch.setattr(verify, "flow_lanes", counted)
+    # every flow is a lane of flow_lanes; flow() is a one-lane call of it
+    for name in ("flow", "lagrangian", "verify"):
+        monkeypatch.setattr(f"grauert.{name}.flow_lanes", counted)
+    return calls
+
+
+def test_one_flow_per_ray(sphere, monkeypatch):
+    # every sample on a ray a check has integrated is read from that flow, and
+    # the flows of all points run as lanes of the same few kernel calls
+    calls = count_kernel_calls(monkeypatch)
     pts = sample_tube_points(sphere, 2, 12, 0.1, 0.25)
     # lanes per point, kernel calls per check
-    for check, lanes, kernel_calls in ((check_theta_sigma_identity, 2, 2),
+    for check, lanes, kernel_calls in ((check_theta_sigma_identity, 2, 1),
                                        (check_zero_section, 1, 1),
-                                       (check_scaling, 6, 4),
+                                       (check_scaling, 6, 2),
                                        (check_nijenhuis, 17, 1)):
         for k in (1, 2):
             calls.clear()
@@ -232,19 +239,10 @@ def test_tube_radius_sphere_conjugate_point(sphere):
 def test_tube_radius_by_fresh_frames(sphere, monkeypatch):
     # independent route: fresh backward flows, one per frame, at the reported
     # transversality radius and one resolution beyond it
-    real_flow_lanes = grauert.flow.flow_lanes
-    calls = []
-
-    def counted(model, points, *args, **kwargs):
-        calls.extend(points)
-        return real_flow_lanes(model, points, *args, **kwargs)
-
-    # every flow is a lane of flow_lanes; flow() is a one-lane call of it
-    for name in ("flow", "lagrangian", "verify"):
-        monkeypatch.setattr(f"grauert.{name}.flow_lanes", counted)
+    calls = count_kernel_calls(monkeypatch)
     est = estimate_tube_radius(sphere, n_directions=1, seed=5, sweep_cap=2.0,
                                resolution=1e-3)
-    assert len(calls) <= 4
+    assert sum(calls) <= 4
     monkeypatch.undo()
 
     # this direction's imaginary-time flow leaves the chart margin first
@@ -279,10 +277,10 @@ def test_tube_radius_rescan_samples_another_grid(sphere, monkeypatch):
         finally:
             scanning[0] = False
 
-    def at(self, sigma):
+    def at(self, sigma, k=0):
         if scanning[0]:
             scans[-1].append(abs(sigma))
-        return real_at(self, sigma)
+        return real_at(self, sigma, k)
 
     monkeypatch.setattr(verify, "first_f_singularity", scan)
     monkeypatch.setattr(grauert.lagrangian.FrameRays, "at", at)
@@ -298,6 +296,13 @@ def test_tube_radius_rescan_samples_another_grid(sphere, monkeypatch):
 
     assert not off_grid(first)
     assert len(off_grid(rescan)) > 10
+
+
+def test_tube_radius_one_kernel_call(sphere, monkeypatch):
+    # the three rays of every direction are lanes of one kernel call
+    calls = count_kernel_calls(monkeypatch)
+    estimate_tube_radius(sphere, n_directions=3, seed=7, sweep_cap=2.0, resolution=1e-3)
+    assert calls == [9]
 
 
 def test_tube_radius_rejects_bad_cap(sphere):
