@@ -20,6 +20,9 @@ with an off-the-shelf ODE solver, seeds the vertical lifts of the transported
 frame at the backward point, and pushes them forward with a second
 variational flow; no jacobian is ever inverted. Agreement of the two is a
 strong end-to-end test of the variational machinery.
+
+scipy (the ODE solver, root finder and AAA fit) is imported inside the
+function that uses it, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import AAA
-from scipy.optimize import brentq
 
 from .errors import (
     ConjugatePointError,
@@ -89,6 +89,8 @@ def f_samples(frames, k, taus, basis=None):
 
 def _parallel_transport(model, geo, V0, tau):
     """Transport the columns of V0 along the dense real geodesic to time tau."""
+    from scipy.integrate import solve_ivp
+
     n = model.dim
     segs = geo.segments
     cid = segs[0].chart_id
@@ -167,6 +169,8 @@ def first_f_singularity(frames, k, tau_max=3.0, coarse=0.1, refine=1e-6):
     backward flow. Scans both time directions of point k of ``frames`` (a
     :class:`FrameRays` given times reaching ``tau_max`` both ways).
     """
+    from scipy.optimize import brentq
+
     model, z = frames.model, frames.points[k]
     basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
     hits = []
@@ -206,6 +210,8 @@ def rational_continuation(xs, ys, target):
     more than 1e-6 max(1, max|y|), which is what non-rational (e.g. kinked)
     data produces, or when ``target`` sits on a fitted pole.
     """
+    from scipy.interpolate import AAA
+
     xs = np.asarray(xs)
     ys = np.asarray(ys, dtype=complex)
     with warnings.catch_warnings():

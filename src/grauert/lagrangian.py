@@ -23,6 +23,9 @@ construction. The slope of the frame against the horizontal/vertical lifts
 of a tangent basis is the spreading matrix whose closed form is known on
 symmetric models, and positivity of -i omega(F_j, conj F_k) is the convexity
 certificate for the induced Kahler metric.
+
+scipy is imported inside :func:`principal_angles`, the one function that
+uses it, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateFrameError, SingularityError, TransversalityError
 from .flow import flow_lanes, segment_at
@@ -90,6 +92,17 @@ class LagrangianFrame:
         return float(np.max(np.abs(self.columns.T @ O @ self.columns)))
 
 
+def _solve(A, B, what):
+    """A^{-1} B; DegenerateFrameError if A is singular or the solution is not finite."""
+    try:
+        X = np.linalg.solve(A, B)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateFrameError(f"{what} is singular") from exc
+    if not np.isfinite(X).all():
+        raise DegenerateFrameError(f"{what}: the solution is not finite")
+    return X
+
+
 def distribution_at(model, z, sigma, tol=1e-12):
     """Frame of the sigma-shifted vertical distribution at z.
 
@@ -122,6 +135,7 @@ class FrameRays:
     def __init__(self, model, points, sigmas, tol=1e-12):
         self.model = model
         self.points = list(points)
+        self._vertical = vertical_frame(model.dim)
         self.reach = {}  # ray direction -> the largest |sigma| on it
         for sigma in map(complex, sigmas):
             if sigma != 0:
@@ -172,7 +186,7 @@ class FrameRays:
             q=z.q.copy(),
             p=z.p.copy(),
             sigma=sigma,
-            columns=np.linalg.solve(B, vertical_frame(n)),
+            columns=_solve(B, self._vertical, "backward jacobian"),
             backward_chart=chart,
         )
 
@@ -234,7 +248,7 @@ def lift_coefficients(model, frame, basis=None):
     if basis is None:
         basis = orthonormal_tangent_basis(model, frame.chart_id, frame.q, frame.p)
     Xi, Eta = lifted_frames(model, frame.chart_id, frame.q, frame.p, basis)
-    coef = np.linalg.solve(np.hstack([Xi, Eta]), frame.columns)
+    coef = _solve(np.hstack([Xi, Eta]), frame.columns, "lifted basis")
     return coef[: frame.n, :], coef[frame.n :, :]
 
 
@@ -283,4 +297,6 @@ def positivity_check(frame):
 
 def principal_angles(A, B):
     """Principal angles between the column spans of two frames."""
-    return scipy.linalg.subspace_angles(np.asarray(A), np.asarray(B))
+    from scipy.linalg import subspace_angles
+
+    return subspace_angles(np.asarray(A), np.asarray(B))

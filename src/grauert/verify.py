@@ -28,9 +28,11 @@ bit for bit from the same configuration.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 
 import numpy as np
 
@@ -175,26 +177,82 @@ def _report(model, check, residuals, tolerance):
 # -- sampling -----------------------------------------------------------------
 
 
+_SOBOL_BITS = 30
+
+
+@cache
+def _sobol_directions(d):
+    """Unscrambled Sobol direction numbers of the first d dimensions, (d, 30) uint32.
+
+    Joe-Kuo primitive polynomials and initial numbers from the table scipy
+    ships with ``scipy.stats.qmc``, found without importing ``scipy.stats``;
+    column j is direction number j scaled by 2^(29 - j).
+    """
+    stats = Path(importlib.util.find_spec("scipy").origin).parent / "stats"
+    with np.load(stats / "_sobol_direction_numbers.npz") as table:
+        poly, vinit = table["poly"][:d], table["vinit"][:d]
+    v = np.ones((d, _SOBOL_BITS), dtype=np.int64)
+    for k in range(1, d):
+        p = int(poly[k])
+        deg = p.bit_length() - 1
+        v[k, :deg] = vinit[k, :deg]
+        for j in range(deg, _SOBOL_BITS):
+            new = v[k, j - deg] ^ (v[k, j - deg] << deg)
+            for i in range(1, deg):
+                if (p >> (deg - i)) & 1:
+                    new ^= v[k, j - i] << i
+            v[k, j] = new
+    return (v << np.arange(_SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
+
+
+def _sobol(d, m, seed):
+    """The 2^m first points of a scrambled d-dimensional Sobol sequence, (2^m, d).
+
+    Bit for bit ``scipy.stats.qmc.Sobol(d, scramble=True, seed=seed).random_base2(m)``:
+    Matousek's linear matrix scramble plus digital shift, drawn from
+    ``np.random.default_rng(seed)`` in scipy's order (shift bits, then the
+    lower-triangular matrices, whose diagonal is set to 1), and point i is
+    the shift XOR the scrambled direction numbers picked by the Gray code
+    of i.
+    """
+    rng = np.random.default_rng(seed)
+    shift = np.dot(rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32),
+                   2 ** np.arange(_SOBOL_BITS, dtype=np.uint32))
+    lms = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    diag = np.arange(_SOBOL_BITS)
+    lms[:, diag, diag] = 1
+    # bit c of a direction number, most significant first, is bit 29 - c
+    msb_first = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    bits = (_sobol_directions(d)[:, :, None] >> msb_first) & 1
+    scrambled = np.einsum("dpc,djc->djp", lms, bits) & 1  # parity of each row product
+    directions = np.bitwise_or.reduce(scrambled.astype(np.uint32) << msb_first, axis=2)
+    i = np.arange(2 ** m)
+    gray = i ^ (i >> 1)
+    picked = ((gray[:, None] >> np.arange(m)) & 1).astype(bool)
+    columns = np.where(picked[:, :, None], directions[:, :m].T, np.uint32(0))
+    return (shift ^ np.bitwise_xor.reduce(columns, axis=1)) * (1.0 / 2**_SOBOL_BITS)
+
+
 def sample_tube_points(model, n, seed, rho_min, rho_max, chart_id=None):
     """Deterministic low-discrepancy tube points: chart box x momentum shell.
 
-    Positions fill the central 70% of the chart box; momentum directions come
-    from inverse-normal-mapped Sobol coordinates normalized in the metric,
-    scaled to |v| in [rho_min, rho_max].
+    The points are the first n rows of a scrambled Sobol sample in 2 dim + 1
+    coordinates (:func:`_sobol`, bit-identical to ``scipy.stats.qmc.Sobol``
+    with the same seed). Positions fill the central 70% of the chart box;
+    momentum directions are the inverse-normal-mapped coordinates normalized
+    in the metric, scaled to |v| in [rho_min, rho_max].
     """
-    # imported here, not at module level: scipy.stats costs about half a
-    # second of import time, and commands that do not sample never pay it
-    from scipy.stats import norm, qmc
+    # norm.ppf is ndtri on (0, 1), and scipy.special loads without scipy.stats
+    from scipy.special import ndtri
 
     cid = chart_id or model.default_chart
     ch = model.chart(cid)
     dim = model.dim
-    eng = qmc.Sobol(d=2 * dim + 1, scramble=True, seed=seed)
     # 2^m >= n rows
-    u = eng.random_base2(m=max(1, math.ceil(math.log2(max(n, 2)))))[:n]
+    u = _sobol(2 * dim + 1, max(1, math.ceil(math.log2(max(n, 2)))), seed)[:n]
     lo = ch.lo + 0.15 * ch.width()
     hi = ch.hi - 0.15 * ch.width()
-    raws = norm.ppf(np.clip(u[:, dim : 2 * dim], 1e-6, 1.0 - 1e-6))
+    raws = ndtri(np.clip(u[:, dim : 2 * dim], 1e-6, 1.0 - 1e-6))
     out = []
     for row, raw in zip(u, raws):
         q = lo + row[:dim] * (hi - lo)

@@ -397,6 +397,35 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "o" / "flow.csv").exists()
 
 
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy is imported where it is used: the CLI module loads numpy alone,
+    # and extend samples its points without scipy.stats
+    script = (
+        "import sys\n"
+        "import grauert.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "code = grauert.cli.main(sys.argv[1:])\n"
+        "print(code, 'scipy.stats' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "extend", "--config", str(CONFIGS / "default.ini"),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "0 False"]
+    assert (tmp_path / "o" / "extend.csv").is_file()
+
+
+def test_singular_frame_exits_2(tmp_path, monkeypatch, capsys):
+    from grauert.flow import Segment
+
+    monkeypatch.setattr(Segment, "jacobian_at", lambda self, t: np.zeros((4, 4), dtype=complex))
+    code, _ = run(tmp_path, "jtensor", "--model", "flat_space")
+    assert code == 2
+    assert "numerical breakdown: backward jacobian" in capsys.readouterr().err
+
+
 def test_every_exported_name_resolves():
     for info in pkgutil.iter_modules(grauert.__path__):
         module = importlib.import_module(f"grauert.{info.name}")

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from grauert.catalog import catalog
 from grauert.errors import DegenerateFrameError, SingularityError, TransversalityError
-from grauert.flow import PhasePoint, flow
+from grauert.flow import PhasePoint, Segment, flow
 from grauert.lagrangian import (
     FrameRays,
     LagrangianFrame,
     distribution_at,
     f_matrix_from_frame,
     j_tensor_from_frame,
+    lift_coefficients,
     lifted_frames,
     orthonormal_tangent_basis,
     positivity_check,
@@ -269,3 +270,26 @@ def test_dense_breakdown_keeps_segments():
     with pytest.raises(SingularityError) as plain:
         flow(sph, z, sigma=-2j, variational=True)
     assert plain.value.segments == []
+
+
+def test_rank_deficient_lift_basis_is_a_degenerate_frame():
+    # a singular or non-finite lifted system is a DegenerateFrameError, not a
+    # LinAlgError or a frame of NaNs
+    flat = catalog("flat_space", dim=2)
+    fr = distribution_at(flat, PhasePoint("main", [0.5, -1.0], [0.8, 0.2]), 1j)
+    with pytest.raises(DegenerateFrameError, match="singular"):
+        lift_coefficients(flat, fr, basis=np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex))
+    with pytest.raises(DegenerateFrameError, match="not finite"):
+        lift_coefficients(flat, fr, basis=np.array([[1.0, 0.0], [np.nan, 1.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("jacobian", [np.zeros((4, 4)), np.full((4, 4), np.inf)], ids=["zero", "inf"])
+def test_singular_backward_jacobian_is_a_degenerate_frame(monkeypatch, jacobian):
+    flat = catalog("flat_space", dim=2)
+    z = PhasePoint("main", [0.5, -1.0], [0.8, 0.2])
+    rays = FrameRays(flat, [z], [1j])
+    monkeypatch.setattr(Segment, "jacobian_at", lambda self, t: jacobian.astype(complex))
+    with pytest.raises(DegenerateFrameError, match="backward jacobian"):
+        rays.at(1j)
+    # sigma = 0 reads no segment
+    assert np.array_equal(rays.at(0.0).columns, vertical_frame(2))

@@ -10,6 +10,7 @@ import grauert
 from grauert.catalog import catalog
 from grauert.errors import GrauertError
 from grauert.flow import PhasePoint
+from grauert.geometry import metric_matrix
 from grauert.lagrangian import distribution_at, j_tensor_from_frame
 from grauert import verify
 from grauert.verify import (
@@ -59,6 +60,47 @@ def test_sampling_deterministic_and_in_range(sphere):
         assert 0.2 - 1e-12 <= rho <= 0.7 + 1e-12
     c = sample_tube_points(sphere, 16, 4, 0.2, 0.7)
     assert any(not np.array_equal(za.q, zc.q) for za, zc in zip(a, c))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 21])
+def test_sobol_matches_scipy_qmc(d):
+    # scipy.stats is the oracle: the numpy sampler returns its bits exactly
+    from scipy.stats import qmc
+
+    for seed in range(30):
+        for m in (1, 3, 5, 7):
+            want = qmc.Sobol(d=d, scramble=True, seed=seed).random_base2(m=m)
+            assert np.array_equal(verify._sobol(d, m, seed), want), (seed, m)
+
+
+def scipy_stats_tube_points(model, n, seed, rho_min, rho_max):
+    """sample_tube_points drawn through qmc.Sobol and norm.ppf: the oracle."""
+    from scipy.stats import norm, qmc
+
+    cid, dim = model.default_chart, model.dim
+    ch = model.chart(cid)
+    u = qmc.Sobol(d=2 * dim + 1, scramble=True, seed=seed).random_base2(
+        m=max(1, math.ceil(math.log2(max(n, 2)))))[:n]
+    lo, hi = ch.lo + 0.15 * ch.width(), ch.hi - 0.15 * ch.width()
+    out = []
+    for row, raw in zip(u, norm.ppf(np.clip(u[:, dim:2 * dim], 1e-6, 1.0 - 1e-6))):
+        q = lo + row[:dim] * (hi - lo)
+        g = metric_matrix(model, cid, q.astype(complex)).real
+        v = (rho_min + row[-1] * (rho_max - rho_min)) / math.sqrt(float(raw @ g @ raw)) * raw
+        out.append(PhasePoint(cid, q, g @ v))
+    return out
+
+
+@pytest.mark.parametrize("model", [catalog("round_sphere"), catalog("surface_of_revolution"),
+                                   catalog("flat_space", dim=3)], ids=lambda m: m.name)
+@pytest.mark.parametrize("case", [(1, 0, 0.1, 0.5), (7, 3, 0.2, 0.7), (16, 11, 1.0, 1.0),
+                                  (50, 2, 0.05, 0.25)])
+def test_tube_points_match_scipy_stats_route(model, case):
+    got, want = sample_tube_points(model, *case), scipy_stats_tube_points(model, *case)
+    assert len(got) == len(want) == case[0]
+    for a, b in zip(got, want):
+        assert a.chart_id == b.chart_id
+        assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
 
 
 def test_theta_identity_flat_exact(flat):
