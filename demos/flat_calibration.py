@@ -29,11 +29,11 @@ J_std = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]]
 print("flat torus, five sample points, flow route to time i")
 print(f"{'point':<34} {'angle':>9} {'J dev':>9} {'G dev':>9} {'min eig':>8}")
 for z in points:
-    fr = distribution_at(model, z, 1j)
-    angle = float(np.max(principal_angles(fr.columns, span)))
-    J = j_tensor_from_frame(fr)
+    F = distribution_at(model, z, 1j)
+    angle = float(np.max(principal_angles(F, span)))
+    J = j_tensor_from_frame(F)
     G = symplectic_form_matrix(2).real @ J
-    min_eig, _ = positivity_check(fr)
+    min_eig, _ = positivity_check(F)
     label = "q=(%.2f, %.2f) p=(%.2f, %.2f)" % (*z.q.real, *z.p.real)
     print(f"{label:<34} {angle:9.1e} {np.max(np.abs(J - J_std)):9.1e} "
           f"{np.max(np.abs(G - np.eye(4))):9.1e} {min_eig:8.4f}")

@@ -20,7 +20,7 @@ import numpy as np
 from grauert.catalog import catalog
 from grauert.flow import PhasePoint
 from grauert.jacobi import continue_f_to_i, first_f_singularity
-from grauert.lagrangian import FrameRays, distribution_at, f_matrix_from_frame
+from grauert.lagrangian import FrameRays, distribution_at, f_matrix_from_frame, lifted_basis
 
 rhos = [float(a) for a in sys.argv[1:]] or [0.3, 0.7, 1.0, 1.3]
 model = catalog("round_sphere", radius=1.0)
@@ -31,8 +31,8 @@ for rho in rhos:
     z = PhasePoint("a", [math.pi / 2, 0.0], [0.0, rho])
     target = np.diag([1j, 1j * math.tanh(rho) / rho])
 
-    fr = distribution_at(model, z, 1j)
-    err_flow = float(np.max(np.abs(f_matrix_from_frame(model, fr) - target)))
+    f = f_matrix_from_frame(lifted_basis(model, z), distribution_at(model, z, 1j))
+    err_flow = float(np.max(np.abs(f - target)))
 
     window = min(1.2, 0.75 * math.pi / (2 * rho))
     f_i, _ = continue_f_to_i(FrameRays(model, [z], [window, -window]), 0, window)

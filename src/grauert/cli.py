@@ -172,7 +172,10 @@ def load_config(path=None):
     if path is None:
         return cfg
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as e:
+        raise ConfigError(" ".join(f"cannot parse config file: {e}".split())) from e
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     for section in parser.sections():
@@ -379,9 +382,9 @@ def cmd_jtensor(cfg, out):
     rows = []
     frames = FrameRays(model, pts, [1j], tol=cfg.flow_tol)
     for k, z in enumerate(pts):
-        fr = frames.at(1j, k)
-        J = j_tensor_from_frame(fr)
-        min_eig, _ = positivity_check(fr)
+        F = frames.at(1j, k)
+        J = j_tensor_from_frame(F)
+        min_eig, _ = positivity_check(F)
         G = Om @ J.real
         row = [z.chart_id]
         row += [_fmt(z.q[i].real) for i in range(n)]
@@ -399,6 +402,9 @@ def _base_function(cfg, model):
     if name == "auto":
         name = "height" if model.name == "round_sphere" else "wave"
     if name == "wave":
+        if "main" not in model.charts:
+            raise ConfigError(f"function 'wave' needs a model with a 'main' chart; "
+                              f"{model.name} has {sorted(model.charts)}")
         k = tuple([1] + [0] * (model.dim - 1))
         return torus_trig("wave", {k: 1.0})
     if name == "height":

@@ -23,11 +23,12 @@ by point, and no route is merged into another.
 
 Pairwise agreement of the routes is the practical certificate that the
 extension exists at the sampled points; ``crosscheck`` packages that for a
-batch of points. The module also carries the derivative bookkeeping used by
-the verification battery: fiber homogeneity of the flow-derivative
-coefficients, a slow finite-difference oracle for the first few of them,
-strip identities for the continued exponential, and holomorphy residuals of
-the extended values against a computed complex structure.
+batch of points. The module also carries derivative bookkeeping that the
+tests run (the verification battery calls none of it): fiber homogeneity of
+the flow-derivative coefficients, a slow finite-difference oracle for the
+first few of them, strip identities for the continued exponential, and
+holomorphy residuals of the extended values against a computed complex
+structure.
 
 Functions are declared, not sniffed: the constructors build evaluators from
 structured coefficient data (trigonometric frequency tables, ambient linear

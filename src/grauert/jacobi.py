@@ -14,12 +14,14 @@ backward-flow frame: it reads a point of a :class:`~grauert.lagrangian.FrameRays
 built by the caller for the times it will sample, so every frame comes from
 one dense backward flow per ray of times (a polynomial evaluation and a
 linear solve per sample). The pole scan and the rational continuation read
-their samples the same way.
+their samples the same way, and each reader builds the lifted basis of its
+point once (:func:`~grauert.lagrangian.lifted_basis`) for all its frames.
 ``f_by_jacobi_transport`` instead integrates the parallel-transport equation
 with an off-the-shelf ODE solver, seeds the vertical lifts of the transported
 frame at the backward point, and pushes them forward with a second
 variational flow; no jacobian is ever inverted. Agreement of the two is a
-strong end-to-end test of the variational machinery.
+strong end-to-end test of the variational machinery; the tests run it, and
+``tube-radius`` does not.
 
 scipy (the ODE solver, root finder and AAA fit) is imported inside the
 function that uses it, so importing this module loads numpy alone.
@@ -40,11 +42,10 @@ from .errors import (
 from .flow import flow, hamiltonian_vector_field, segment_at
 from .geometry import christoffel
 from .lagrangian import (
-    LagrangianFrame,
     f_matrix_from_frame,
     j_tensor_from_frame,
     lift_coefficients,
-    lifted_frames,
+    lifted_basis,
     orthonormal_tangent_basis,
 )
 
@@ -58,8 +59,8 @@ __all__ = [
 ]
 
 
-def _vertical_det(model, frame, basis):
-    _, c = lift_coefficients(model, frame, basis=basis)
+def _vertical_det(L, F):
+    _, c = lift_coefficients(L, F)
     return complex(np.linalg.det(c))
 
 
@@ -72,14 +73,13 @@ def f_samples(frames, k, taus, basis=None):
     :class:`ConjugatePointError` if a sample sits numerically on a
     conjugate-point pole.
     """
-    model, z = frames.model, frames.points[k]
-    if basis is None:
-        basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
+    model = frames.model
+    L = lifted_basis(model, frames.points[k], basis)
     out = np.empty((len(taus), model.dim, model.dim), dtype=complex)
     for i, tau in enumerate(taus):
-        fr = frames.at(tau, k)
+        F = frames.at(tau, k)
         try:
-            out[i] = f_matrix_from_frame(model, fr, basis=basis)
+            out[i] = f_matrix_from_frame(L, F)
         except DegenerateFrameError as e:
             raise ConjugatePointError(
                 f"spreading matrix pole at real time {tau}", sigma=tau
@@ -138,26 +138,18 @@ def f_by_jacobi_transport(model, z, tau, tol=1e-12):
     """
     if tau == 0:
         return np.zeros((model.dim, model.dim), dtype=complex)
+    n = model.dim
     basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
     back = flow(model, z, sigma=-complex(tau), dense=True, tol=tol)
     w = back.point
     V_w = _parallel_transport(model, back, basis, -tau)
-    _, Eta_w = lifted_frames(model, w.chart_id, w.q, w.p, V_w)
+    Eta_w = lifted_basis(model, w, V_w)[:, n:]
     fwd = flow(model, w, sigma=complex(tau), variational=True, tol=tol)
     if fwd.point.chart_id != z.chart_id:
         raise SingularityError(
             "forward leg did not return to the base chart", reason="chart transition"
         )
-    cols = fwd.jacobian @ Eta_w
-    fr = LagrangianFrame(
-        chart_id=z.chart_id,
-        q=z.q.copy(),
-        p=z.p.copy(),
-        sigma=complex(tau),
-        columns=cols,
-        backward_chart=w.chart_id,
-    )
-    return f_matrix_from_frame(model, fr, basis=basis)
+    return f_matrix_from_frame(lifted_basis(model, z, basis), fwd.jacobian @ Eta_w)
 
 
 def first_f_singularity(frames, k, tau_max=3.0, coarse=0.1, refine=1e-6):
@@ -171,12 +163,11 @@ def first_f_singularity(frames, k, tau_max=3.0, coarse=0.1, refine=1e-6):
     """
     from scipy.optimize import brentq
 
-    model, z = frames.model, frames.points[k]
-    basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
+    L = lifted_basis(frames.model, frames.points[k])
     hits = []
-    d0 = _vertical_det(model, frames.at(0.0, k), basis).real
+    d0 = _vertical_det(L, frames.at(0.0, k)).real
     for sgn in (1.0, -1.0):
-        d = lambda t: _vertical_det(model, frames.at(sgn * t, k), basis).real
+        d = lambda t: _vertical_det(L, frames.at(sgn * t, k)).real
         t_prev, d_prev = 0.0, d0
         t = coarse
         while t <= tau_max + 1e-12:
@@ -259,16 +250,6 @@ def j_tensor_from_f(model, z, f, basis=None):
     Columns Xi f + Eta of the lifted basis frame span the distribution the
     spreading matrix encodes; the tensor then follows as for any frame.
     """
-    if basis is None:
-        basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
-    Xi, Eta = lifted_frames(model, z.chart_id, z.q, z.p, basis)
-    cols = Xi @ f + Eta
-    fr = LagrangianFrame(
-        chart_id=z.chart_id,
-        q=np.asarray(z.q, dtype=complex),
-        p=np.asarray(z.p, dtype=complex),
-        sigma=1j,
-        columns=cols,
-        backward_chart=z.chart_id,
-    )
-    return j_tensor_from_frame(fr)
+    L = lifted_basis(model, z, basis)
+    n = model.dim
+    return j_tensor_from_frame(L[:, :n] @ f + L[:, n:])

@@ -14,7 +14,8 @@ and the times its reads will use, works out the rays and their reach from
 those times, and runs every ray of every point as a lane of one flow kernel
 call; :meth:`FrameRays.at` reads a frame. A single frame
 (:func:`distribution_at`) is a read of a one-point :class:`FrameRays` given
-just that time.
+just that time. A frame is its (2n, n) complex column array and nothing
+more: the point it sits at is the caller's to keep.
 
 At sigma = i and real z these n complex directions are the (1,0) subspace of
 an almost complex structure on the tube, recovered from the frame by
@@ -22,15 +23,16 @@ J = [iF | -i conj(F)] [F | conj(F)]^{-1}, which squares to -I by
 construction. The slope of the frame against the horizontal/vertical lifts
 of a tangent basis is the spreading matrix whose closed form is known on
 symmetric models, and positivity of -i omega(F_j, conj F_k) is the convexity
-certificate for the induced Kahler metric.
+certificate for the induced Kahler metric. Those lifts depend on the point
+alone, never on sigma, so a caller builds the 2n x 2n lifted basis
+[Xi | Eta] of a point once (:func:`lifted_basis`) and decomposes every frame
+it reads there against it.
 
 scipy is imported inside :func:`principal_angles`, the one function that
 uses it, so importing this module loads numpy alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,13 +41,12 @@ from .flow import flow_lanes, segment_at
 from .geometry import christoffel, metric_inv_matrix, metric_matrix
 
 __all__ = [
-    "LagrangianFrame",
     "symplectic_form_matrix",
     "vertical_frame",
     "distribution_at",
     "FrameRays",
     "orthonormal_tangent_basis",
-    "lifted_frames",
+    "lifted_basis",
     "lift_coefficients",
     "f_matrix_from_frame",
     "j_tensor_from_frame",
@@ -69,27 +70,6 @@ def vertical_frame(n):
     F = np.zeros((2 * n, n), dtype=complex)
     F[n:, :] = np.eye(n)
     return F
-
-
-@dataclass(frozen=True)
-class LagrangianFrame:
-    """n-column frame of a complex Lagrangian subspace at a phase point."""
-
-    chart_id: str
-    q: np.ndarray
-    p: np.ndarray
-    sigma: complex
-    columns: np.ndarray  # (2n, n)
-    backward_chart: str  # chart where the backward flow ended
-
-    @property
-    def n(self):
-        return self.columns.shape[1]
-
-    def lagrangian_residual(self):
-        """Max |omega(F_j, F_k)|; zero for an exactly Lagrangian span."""
-        O = symplectic_form_matrix(self.n)
-        return float(np.max(np.abs(self.columns.T @ O @ self.columns)))
 
 
 def _solve(A, B, what):
@@ -159,12 +139,10 @@ class FrameRays:
         return next((v for v in self.reach if abs(v - u) <= 1e-12), u)
 
     def at(self, sigma, k=0):
-        """Frame of point k at sigma, read from its ray through sigma."""
-        z = self.points[k]
+        """Frame of point k at sigma, read from its ray through sigma: a (2n, n) array."""
         sigma = complex(sigma)
         s = abs(sigma)
-        n = self.model.dim
-        B, chart = np.eye(2 * n, dtype=complex), z.chart_id
+        B = np.eye(2 * self.model.dim, dtype=complex)
         if s > 0:
             u = self._direction(sigma / s)
             if s > self.reach.get(u, 0.0) + 1e-12:
@@ -180,15 +158,8 @@ class FrameRays:
                 )
             if segments:
                 seg, t_local = segment_at(segments, s)
-                B, chart = seg.jacobian_at(t_local), seg.chart_id
-        return LagrangianFrame(
-            chart_id=z.chart_id,
-            q=z.q.copy(),
-            p=z.p.copy(),
-            sigma=sigma,
-            columns=_solve(B, self._vertical, "backward jacobian"),
-            backward_chart=chart,
-        )
+                B = seg.jacobian_at(t_local)
+        return _solve(B, self._vertical, "backward jacobian")
 
 
 def orthonormal_tangent_basis(model, chart_id, q, p=None):
@@ -220,47 +191,45 @@ def orthonormal_tangent_basis(model, chart_id, q, p=None):
     return np.stack(basis, axis=1)
 
 
-def lifted_frames(model, chart_id, q, p, V):
-    """Horizontal and vertical lifts of the tangent basis columns of V.
+def lifted_basis(model, z, basis=None):
+    """The 2n x 2n matrix [Xi | Eta] of lifts of a tangent basis at the phase point z.
 
     Horizontal lift of v is (v, Gp v) with (Gp)_{lm} = Gamma^k_{lm} p_k, the
-    momentum row of parallel transport; vertical lift is (0, g v).
+    momentum row of parallel transport; vertical lift is (0, g v). The basis
+    columns default to the momentum-led g-orthonormal basis. The matrix
+    depends on the point alone, so one build serves every frame read there.
     """
     n = model.dim
-    G = christoffel(model, chart_id, list(np.asarray(q, dtype=complex)))
-    p = np.asarray(p, dtype=complex)
+    if basis is None:
+        basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
+    G = christoffel(model, z.chart_id, list(np.asarray(z.q, dtype=complex)))
+    p = np.asarray(z.p, dtype=complex)
     Gp = np.array(
         [[sum(p[k] * G[k][l][m] for k in range(n)) for m in range(n)] for l in range(n)],
         dtype=complex,
     )
-    g = metric_matrix(model, chart_id, q)
-    Xi = np.vstack([V, Gp @ V])
-    Eta = np.vstack([np.zeros((n, n), dtype=complex), g @ V])
-    return Xi, Eta
+    g = metric_matrix(model, z.chart_id, z.q)
+    Xi = np.vstack([basis, Gp @ basis])
+    Eta = np.vstack([np.zeros((n, n), dtype=complex), g @ basis])
+    return np.hstack([Xi, Eta])
 
 
-def lift_coefficients(model, frame, basis=None):
-    """(b, c) with frame columns = Xi b + Eta c in the lifts of ``basis``.
-
-    Xi and Eta are the horizontal and vertical lifts of the basis (default:
-    momentum-led g-orthonormal basis).
-    """
-    if basis is None:
-        basis = orthonormal_tangent_basis(model, frame.chart_id, frame.q, frame.p)
-    Xi, Eta = lifted_frames(model, frame.chart_id, frame.q, frame.p, basis)
-    coef = _solve(np.hstack([Xi, Eta]), frame.columns, "lifted basis")
-    return coef[: frame.n, :], coef[frame.n :, :]
+def lift_coefficients(L, F):
+    """(b, c) with F = Xi b + Eta c in the lifted basis L = [Xi | Eta]."""
+    coef = _solve(L, F, "lifted basis")
+    n = F.shape[1]
+    return coef[:n, :], coef[n:, :]
 
 
-def f_matrix_from_frame(model, frame, basis=None):
-    """Spreading matrix of a frame in a lifted tangent basis.
+def f_matrix_from_frame(L, F):
+    """Spreading matrix of the frame F in the lifted basis L.
 
-    With the frame decomposed by :func:`lift_coefficients` as Xi b + Eta c,
-    the result is f = b c^{-1}, the matrix relating configuration spread to
+    With F decomposed by :func:`lift_coefficients` as Xi b + Eta c, the
+    result is f = b c^{-1}, the matrix relating configuration spread to
     covariant momentum spread. A nearly singular vertical coefficient block
     signals a conjugate-point degeneracy of the frame.
     """
-    b, c = lift_coefficients(model, frame, basis)
+    b, c = lift_coefficients(L, F)
     if np.linalg.cond(c) > 1e8:
         raise DegenerateFrameError(
             "vertical coefficients of the frame are numerically singular"
@@ -268,9 +237,8 @@ def f_matrix_from_frame(model, frame, basis=None):
     return b @ np.linalg.inv(c)
 
 
-def j_tensor_from_frame(frame):
-    """Real 2n x 2n tensor with J^2 = -I whose +i eigenspace is the frame span."""
-    F = frame.columns
+def j_tensor_from_frame(F):
+    """Real 2n x 2n tensor with J^2 = -I whose +i eigenspace is the span of F."""
     W = np.hstack([F, np.conj(F)])
     sv = np.linalg.svd(W, compute_uv=False)
     if sv[-1] < TRANSVERSALITY_THRESHOLD * sv[0]:
@@ -281,14 +249,13 @@ def j_tensor_from_frame(frame):
     return V @ np.linalg.inv(W)
 
 
-def positivity_check(frame):
+def positivity_check(F):
     """Smallest eigenvalue of the hermitian form -i omega(F_j, conj F_k).
 
-    Positive definiteness certifies that the frame spans a strictly
+    Positive definiteness certifies that the frame F spans a strictly
     positive Lagrangian; the value is the margin.
     """
-    F = frame.columns
-    O = symplectic_form_matrix(frame.n)
+    O = symplectic_form_matrix(F.shape[1])
     H = -1j * (F.T @ O @ np.conj(F))
     H = 0.5 * (H + np.conj(H.T))
     eigs = np.linalg.eigvalsh(H)

@@ -52,7 +52,7 @@ from .jacobi import continue_f_to_i, first_f_singularity
 from .lagrangian import (
     FrameRays,
     j_tensor_from_frame,
-    orthonormal_tangent_basis,
+    lifted_basis,
     positivity_check,
     principal_angles,
 )
@@ -290,7 +290,7 @@ def check_theta_sigma_identity(model, points, sigmas=THETA_SIGMAS,
         dE = _grad_energy(model, z.chart_id, z.q, z.p)
         n = z.dim
         for s in sigmas:
-            cols = frames.at(s, k).columns
+            cols = frames.at(s, k)
             r = 0.0
             for j in range(cols.shape[1]):
                 Z = cols[:, j]
@@ -428,8 +428,8 @@ def check_scaling(model, points, factors=SCALING_FACTORS, sigmas=SCALING_SIGMAS,
         for i, c in enumerate(factors):
             S = np.diag(np.concatenate([np.ones(n), c * np.ones(n)]))
             for s in sigmas:
-                left = scaled_frames.at(s, k * len(factors) + i).columns
-                right = S @ frames.at(c * s, k).columns
+                left = scaled_frames.at(s, k * len(factors) + i)
+                right = S @ frames.at(c * s, k)
                 ang = principal_angles(left, right)
                 r = float(np.max(ang)) if ang.size else 0.0
                 residuals.append((_label(z, f"c={c},sigma={s}"), r))
@@ -451,11 +451,7 @@ def check_zero_section(model, points, sigmas=ZERO_SECTION_SIGMAS,
     residuals = []
     for rest, ray in zip(rests, rays):
         n = rest.dim
-        V = orthonormal_tangent_basis(model, rest.chart_id, rest.q)
-        g = metric_matrix(model, rest.chart_id, rest.q)
-        L = np.zeros((2 * n, 2 * n), dtype=complex)
-        L[:n, :n] = V
-        L[n:, n:] = g @ V
+        L = lifted_basis(model, rest)  # at p = 0 the horizontal lifts have no momentum row
         Linv = np.linalg.inv(L)
         segments = lane_result(ray).segments
         for s in sigmas:
@@ -559,8 +555,8 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
     frames = FrameRays(model, dirs, [sweep_cap, -sweep_cap, 1j * sweep_cap], tol=flow_tol)
     # what must hold of the frame at i tau for a direction to be good there
     tests = {
-        "transversality": lambda fr: j_tensor_from_frame(fr) is not None,
-        "positivity": lambda fr: positivity_check(fr)[0] > 0.0,
+        "transversality": lambda F: j_tensor_from_frame(F) is not None,
+        "positivity": lambda F: positivity_check(F)[0] > 0.0,
     }
 
     def holds(test, k):

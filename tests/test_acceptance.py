@@ -55,9 +55,9 @@ def test_flat_torus_calibration():
                       [np.eye(2), np.zeros((2, 2))]])
     worst_angle = worst_j = 0.0
     for z in pts:
-        fr = distribution_at(model, z, 1j)
-        worst_angle = max(worst_angle, float(np.max(principal_angles(fr.columns, span))))
-        J = j_tensor_from_frame(fr)
+        F = distribution_at(model, z, 1j)
+        worst_angle = max(worst_angle, float(np.max(principal_angles(F, span))))
+        J = j_tensor_from_frame(F)
         worst_j = max(worst_j, float(np.max(np.abs(J - J_std))))
     reports = run_battery(model, n_samples=50, seed=0)
     all_pass = all(r.verdict == "pass" for r in reports)

@@ -1,23 +1,29 @@
 """End-to-end tests of the command-line driver and its exit-code contract."""
 
+import contextlib
 import csv
 import importlib
+import io
 import json
 import math
 import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import grauert
 from grauert.cli import RunConfig, load_config, main
 from grauert.errors import ConfigError
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def run(tmp_path, *argv):
@@ -117,6 +123,20 @@ def test_exit_code_3_on_bad_config(tmp_path):
         path = write_ini(tmp_path, text, name=f"cfg{i}.ini")
         code, _ = run(tmp_path, command, "--config", path)
         assert code == 3, (command, text)
+
+
+@pytest.mark.parametrize("text", [
+    "[grids]\nseed = 1\nseed = 2\n",
+    "[grids]\n[grids]\n",
+    "seed = 1\n",
+    "[grids]\nseed = 1\nno key here\n",
+], ids=["duplicate key", "duplicate section", "no section", "no delimiter"])
+def test_unparsable_config_is_a_config_error(tmp_path, capsys, text):
+    code, _ = run(tmp_path, "flow", "--config", write_ini(tmp_path, text))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot parse config file")
+    assert err.count("\n") == 1
 
 
 def test_exit_code_3_on_unknown_model(tmp_path):
@@ -288,6 +308,16 @@ def test_extend_rejects_mismatched_function(tmp_path):
     path = write_ini(tmp_path, "[grids]\nfunction = height\n")
     code, _ = run(tmp_path, "extend", "--config", path)
     assert code == 3
+
+
+def test_extend_wave_needs_a_main_chart(tmp_path, capsys):
+    # the wave formula is written for chart main; the sphere's charts are a, b
+    path = write_ini(tmp_path, "[model]\nname = round_sphere\n\n[grids]\nfunction = wave\n")
+    code, _ = run(tmp_path, "extend", "--config", path)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: function 'wave' needs a model with a 'main' chart")
+    assert err.count("\n") == 1
 
 
 # -- verify command ------------------------------------------------------------
@@ -473,3 +503,101 @@ def test_verify_breakdown_is_first_failing_point_in_serial_order(tmp_path, capsy
             break
     assert first.reason == "imaginary margin"
     assert abs(first.last_good_sigma - last_good) < 1e-12
+
+
+# -- exit-code contract under generated configs ------------------------------
+
+# model -> its valid parameter lines, and invalid model sections
+MODELS = {
+    "flat_space": ["dim = 2", "dim = 1"],
+    "flat_torus": ["periods = 6.2, 6.2"],
+    "round_sphere": ["radius = 1.0", "radius = 1.7"],
+    "surface_of_revolution": ["base = 2.0\namp = 1.0"],
+}
+BAD_MODELS = ["flat_space\ndim = 0", "flat_torus\nperiods = 1.0, -1.0",
+              "round_sphere\nradius = 0", "round_sphere\ndim = 3",
+              "surface_of_revolution\nbase = 1.0\namp = 2.0", "klein_bottle"]
+# (section, key) -> (valid values, invalid values); valid grids stay small
+KEYS = {
+    ("grids", "n_samples"): ([1, 2], [0]),
+    ("grids", "n_strips"): ([1], [-1]),
+    ("grids", "n_directions"): ([1], [0]),
+    ("grids", "sweep_cap"): ([0.5, 1.0], [0]),
+    ("grids", "resolution"): ([0.01, 0.1], [-0.1]),
+    ("grids", "n_points"): ([1, 2], [0]),
+    ("grids", "rows"): ([2, 3], [0]),
+    ("grids", "seed"): ([0, 5], [-3]),
+    ("grids", "q0"): (["1.2, 0.3", "0.01, 0.0"], ["x", "0.5, 0.5, 0.5"]),
+    ("grids", "p0"): (["0.3, 0.4", "0.0, 0.0"], ["1.0"]),
+    ("grids", "function"): (["auto", "wave", "height", "const"], ["cubic"]),
+    ("checks", "names"): (["", "zero_section", "theta_sigma, scaling", "adaptedness",
+                            "kahler_potential, involution", "nijenhuis"], ["bogus"]),
+    ("checks", "flow_tol"): (["1e-12", "1e-9"], ["0"]),
+    ("checks", "dbar_sign"): (["1.0", "-1.0"], ["minus"]),
+    ("paths", "sigma"): (["1j", "0.5", "0.3+0.4j", "2j", "0"], ["oops"]),
+    ("paths", "waypoints"): (["0, 0.5, 0.5+0.5j", "0, 1j"], ["0.5, 1j"]),
+}
+
+
+@st.composite
+def generated_runs(draw):
+    """One INI file and one command: small grids, at most one invalid value."""
+    command = draw(st.sampled_from(["flow", "jtensor", "extend", "verify", "tube-radius"]))
+    model = draw(st.sampled_from(sorted(MODELS)))
+    sections = {"model": [f"name = {model}", draw(st.sampled_from(MODELS[model]))],
+                "grids": [], "checks": [], "paths": []}
+    keys = {**KEYS, ("grids", "chart"): (["a", "b"] if model == "round_sphere" else ["main"],
+                                         ["zz"])}
+    for (section, key), (valid, _) in keys.items():
+        if draw(st.booleans()):
+            sections[section].append(f"{key} = {draw(st.sampled_from(valid))}")
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(["model", *keys]))
+        if bad == "model":
+            sections["model"] = [f"name = {draw(st.sampled_from(BAD_MODELS))}"]
+        else:
+            section, key = bad
+            sections[section] = [line for line in sections[section]
+                                 if not line.startswith(f"{key} =")]
+            sections[section].append(f"{key} = {draw(st.sampled_from(keys[bad][1]))}")
+    ini = "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
+                  for name, lines in sections.items())
+    return command, ini
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(generated_runs())
+@example(("verify", "[model]\nname = flat_torus\n[grids]\nn_samples = 1\n"
+                    "[checks]\nnames = kahler_potential\ndbar_sign = -1.0\n"))
+@example(("extend", "[model]\nname = round_sphere\n[grids]\nn_points = 1\nfunction = wave\n"))
+def test_generated_configs_keep_the_exit_code_contract(case):
+    # 0 success, 1 a failed verdict of verify, 2 breakdown, 3 configuration
+    # error; 4 is a defect of the toolkit, never the answer to a config
+    command, ini = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "cfg.ini")
+        path.write_text(ini)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(path), "--out", str(Path(tmp, "out"))])
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3), (command, ini, err)
+        if code == 1:
+            assert command == "verify", (ini, err)
+            records = Path(tmp, "out", "verify.jsonl").read_text().splitlines()
+            assert any(json.loads(line)["verdict"] == "fail"
+                       for line in records if not line.startswith("#")), ini
+        if code != 0:
+            assert err.count("\n") == 1 and err.endswith("\n"), (command, ini, err)
+            assert "Traceback" not in err
+
+
+# -- demos -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -12,7 +12,7 @@ from grauert.errors import GrauertError
 from grauert.flow import PhasePoint
 from grauert.geometry import metric_matrix
 from grauert.lagrangian import distribution_at, j_tensor_from_frame
-from grauert import verify
+from grauert import jacobi, verify
 from grauert.verify import (
     check_adaptedness,
     check_involution,
@@ -109,8 +109,8 @@ def test_theta_identity_flat_exact(flat):
     assert rep.verdict == "pass"
     assert rep.max_residual < 1e-12
     # sigma = 0 frame is vertical, so the pairing vanishes identically
-    fr = distribution_at(flat, pts[0], 0.0)
-    assert np.max(np.abs(fr.columns[:2, :])) == 0.0
+    F = distribution_at(flat, pts[0], 0.0)
+    assert np.max(np.abs(F[:2, :])) == 0.0
 
 
 def test_theta_identity_curved(sphere, surfrev):
@@ -338,6 +338,24 @@ def test_tube_radius_rescan_samples_another_grid(sphere, monkeypatch):
 
     assert not off_grid(first)
     assert len(off_grid(rescan)) > 10
+
+
+@pytest.mark.parametrize("resolution", [1e-2, 1e-3])
+def test_tube_radius_builds_a_lift_basis_once_per_reader(sphere, monkeypatch, resolution):
+    # the scan, the rescan and the window fit each build the lifted basis of
+    # the direction once, however many frames they read
+    builds = []
+    real = jacobi.lifted_basis
+
+    def counted(*args, **kwargs):
+        builds.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jacobi, "lifted_basis", counted)
+    est = estimate_tube_radius(sphere, n_directions=1, seed=7, sweep_cap=2.0,
+                               resolution=resolution)
+    assert not est.capped["continuation"]  # a pole was hit, so the rescan ran
+    assert 1 <= len(builds) <= 3
 
 
 def test_tube_radius_one_kernel_call(sphere, monkeypatch):
