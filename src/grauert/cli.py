@@ -1,22 +1,25 @@
 """Command-line driver: flows, structure tensors, extensions, verification.
 
-Configuration is an INI file; every key is validated and unknown keys are
-rejected so a typo cannot silently fall back to a default. The schema:
+Configuration is an INI file; one table, ``_SCHEMA``, parses and checks
+every key, and unknown keys are rejected so a typo cannot silently fall back
+to a default. The schema:
 
 [model]   name (catalog entry), plus that entry's parameters verbatim
           (dim, radius, base, amp, periods as a comma list).
-[checks]  names (comma list of battery checks, empty for none), flow_tol,
-          tol_<check> overrides, dbar_sign (demonstration knob, see
-          configs/broken_sign.ini).
-[grids]   n_samples, n_strips, seed, rho_min, rho_max (verify takes both
-          or neither), n_directions, sweep_cap, resolution, n_points, rows,
-          q0, p0 (comma lists), chart, function (auto | wave | height |
-          const).
+[checks]  names (comma list of battery checks, empty for none), flow_tol
+          and tol_<check> overrides (positive), dbar_sign (demonstration
+          knob, see configs/broken_sign.ini).
+[grids]   n_samples, n_strips, n_directions, n_points, rows (positive
+          counts), seed (non-negative), rho_min, rho_max (verify takes both
+          or neither), sweep_cap, resolution (positive), q0, p0 (comma
+          lists), chart, function (auto | wave | height | const).
 [paths]   sigma (complex, e.g. 1j) or waypoints (comma list of complex
           corners for a multi-leg time path).
 [output]  dir.
 
-Flags override the config (--model, --seed, --tol, --out). Outputs are CSV
+Flags override the config. --model replaces the model and its parameters;
+--seed, --tol and --out are checked exactly as the keys they override
+(seed, flow_tol, dir), by the same table entry. Outputs are CSV
 tables for trajectories and grids, and line-delimited JSON records for
 reports; every file starts with a '#' header block carrying the toolkit
 version, a hash of the effective configuration, and the model parameters, so
@@ -37,6 +40,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -67,16 +71,6 @@ from .verify import (
     run_battery,
     sample_tube_points,
 )
-
-_SECTIONS = ("model", "checks", "grids", "paths", "output")
-_CHECK_KEYS = {"names", "dbar_sign", "flow_tol"} | {f"tol_{n}" for n in CHECK_NAMES}
-_GRID_KEYS = {
-    "n_samples", "n_strips", "seed", "rho_min", "rho_max", "n_directions",
-    "sweep_cap", "resolution", "n_points", "rows", "q0", "p0", "chart",
-    "function",
-}
-_PATH_KEYS = {"sigma", "waypoints"}
-_OUTPUT_KEYS = {"dir"}
 
 
 @dataclass
@@ -125,16 +119,40 @@ class RunConfig:
         return hashlib.sha256("\n".join(items).encode()).hexdigest()[:16]
 
 
-def _parse_scalar(text):
+# -- configuration schema -----------------------------------------------------
+# A parser takes a value's text and its key, and returns the value or raises a
+# ConfigError that names the key.
+
+
+def _number(text, what, kind=float, sign=None):
+    """text as a kind; sign "positive" or "non-negative" also bounds it below."""
+    try:
+        value = kind(text)
+    except ValueError:
+        kind_name = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {kind_name}, got {text!r}")
+    if sign and not (value > 0 or sign == "non-negative" and value == 0):
+        raise ConfigError(f"{what} must be {sign}, got {value}")
+    return value
+
+
+_positive = partial(_number, sign="positive")
+_count = partial(_number, kind=int, sign="positive")
+_non_negative_int = partial(_number, kind=int, sign="non-negative")
+
+
+def _text(text, what):
+    return text.strip()
+
+
+def _parse_scalar(text, what):
+    """A free-form model parameter: an int, else a float, else the text."""
     text = text.strip()
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
     return text
 
 
@@ -152,18 +170,66 @@ def _parse_complex(text, what):
         raise ConfigError(f"{what} must be a complex number, got {text!r}")
 
 
-def _number(text, what, kind=float):
-    try:
-        return kind(text)
-    except ValueError:
-        kind_name = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{what} must be {kind_name}, got {text!r}")
+def _parse_complexes(text, what):
+    # a bad entry is named by the key's singular, e.g. "waypoint"
+    return tuple(_parse_complex(tok, what.rstrip("s")) for tok in text.split(",") if tok.strip())
 
 
-def _positive(value, what):
-    if not value > 0:
-        raise ConfigError(f"{what} must be positive, got {value}")
-    return value
+def _check_names(text, what):
+    names = tuple(t.strip() for t in text.split(",") if t.strip())
+    unknown = set(names) - set(CHECK_NAMES)
+    if unknown:
+        raise ConfigError(f"unknown checks: {sorted(unknown)}")
+    return names
+
+
+# section -> key -> (RunConfig field, parser). A field "d.k" sets item k of the
+# dict field d; the "*" key of [model] takes every other key, as a parameter
+# of the catalog entry under its own name.
+_SCHEMA = {
+    "model": {
+        "name": ("model_name", _text),
+        "periods": ("model_params.periods", _parse_floats),
+        "*": ("model_params.*", _parse_scalar),
+    },
+    "checks": {
+        "names": ("checks", _check_names),
+        "dbar_sign": ("dbar_sign", _number),
+        "flow_tol": ("flow_tol", _positive),
+        **{f"tol_{n}": (f"tolerances.{n}", _positive) for n in CHECK_NAMES},
+    },
+    "grids": {
+        **{key: (key, _count)
+           for key in ("n_samples", "n_strips", "n_directions", "n_points", "rows")},
+        "seed": ("seed", _non_negative_int),
+        **{key: (key, _number) for key in ("rho_min", "rho_max")},
+        **{key: (key, _positive) for key in ("sweep_cap", "resolution")},
+        **{key: (key, _parse_floats) for key in ("q0", "p0")},
+        **{key: (key, _text) for key in ("chart", "function")},
+    },
+    "paths": {"sigma": ("sigma", _parse_complex), "waypoints": ("waypoints", _parse_complexes)},
+    "output": {"dir": ("out_dir", _text)},
+}
+
+
+def _assign(cfg, section, key, text):
+    """Parse one value by its table entry and store it in cfg."""
+    keys = _SCHEMA[section]
+    if key not in keys and "*" not in keys:
+        raise ConfigError(f"unknown key {key!r} in [{section}]")
+    target, parse = keys.get(key, keys.get("*"))
+    attr, _, item = target.replace("*", key).partition(".")
+    if item:
+        getattr(cfg, attr)[item] = parse(text, key)
+    else:
+        setattr(cfg, attr, parse(text, key))
+
+
+def _override(cfg, attr, text):
+    """Set a field from a flag through the table entry of the key that sets it."""
+    section, key = next((section, key) for section, keys in _SCHEMA.items()
+                        for key, (target, _) in keys.items() if target == attr)
+    _assign(cfg, section, key, text)
 
 
 def load_config(path=None):
@@ -179,72 +245,12 @@ def load_config(path=None):
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-
-    if parser.has_section("model"):
-        for key, val in parser.items("model"):
-            if key == "name":
-                cfg.model_name = val.strip()
-            else:
-                if key == "periods":
-                    cfg.model_params[key] = _parse_floats(val, "periods")
-                else:
-                    cfg.model_params[key] = _parse_scalar(val)
-
-    if parser.has_section("checks"):
-        for key, val in parser.items("checks"):
-            if key not in _CHECK_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [checks]")
-            if key == "names":
-                names = tuple(t.strip() for t in val.split(",") if t.strip())
-                unknown = set(names) - set(CHECK_NAMES)
-                if unknown:
-                    raise ConfigError(f"unknown checks: {sorted(unknown)}")
-                cfg.checks = names
-            elif key == "dbar_sign":
-                cfg.dbar_sign = _number(val, key)
-            elif key == "flow_tol":
-                cfg.flow_tol = _positive(_number(val, key), key)
-            else:
-                cfg.tolerances[key[4:]] = _positive(_number(val, key), key)
-
-    if parser.has_section("grids"):
-        for key, val in parser.items("grids"):
-            if key not in _GRID_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [grids]")
-            if key in ("q0", "p0"):
-                setattr(cfg, key, _parse_floats(val, key))
-            elif key == "chart":
-                cfg.chart = val.strip()
-            elif key == "function":
-                cfg.function = val.strip()
-            elif key in ("rho_min", "rho_max"):
-                setattr(cfg, key, _number(val, key))
-            elif key in ("sweep_cap", "resolution"):
-                setattr(cfg, key, _positive(_number(val, key), key))
-            else:
-                iv = _number(val, key, int)
-                if iv < 0 or (iv == 0 and key != "seed"):
-                    raise ConfigError(f"{key} must be positive, got {iv}")
-                setattr(cfg, key, iv)
-
-    if parser.has_section("paths"):
-        for key, val in parser.items("paths"):
-            if key not in _PATH_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [paths]")
-            if key == "sigma":
-                cfg.sigma = _parse_complex(val, "sigma")
-            else:
-                cfg.waypoints = tuple(
-                    _parse_complex(tok, "waypoint") for tok in val.split(",") if tok.strip()
-                )
-
-    if parser.has_section("output"):
-        for key, val in parser.items("output"):
-            if key not in _OUTPUT_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [output]")
-            cfg.out_dir = val.strip()
+    for section in _SCHEMA:
+        if parser.has_section(section):
+            for key, text in parser.items(section):
+                _assign(cfg, section, key, text)
     return cfg
 
 
@@ -310,19 +316,13 @@ def _start_point(cfg, model):
     return PhasePoint(cid, q, p)
 
 
-def _flow_path(cfg):
-    if cfg.waypoints:
-        return SigmaPath.via(*cfg.waypoints)
-    return SigmaPath.straight(cfg.sigma)
-
-
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_flow(cfg, out):
     model = cfg.build_model()
     z = _start_point(cfg, model)
-    path = _flow_path(cfg)
+    path = SigmaPath.via(*cfg.waypoints) if cfg.waypoints else SigmaPath.straight(cfg.sigma)
     head = _header(cfg, model)
     n = model.dim
     names = ["sigma_re", "sigma_im"]
@@ -360,39 +360,31 @@ def cmd_flow(cfg, out):
     return 0
 
 
+def _tube_sample(cfg, model, rho_max):
+    """The point cloud of jtensor and extend, its leading CSV columns, and each point's cells."""
+    rho = (0.1 if cfg.rho_min is None else cfg.rho_min,
+           rho_max if cfg.rho_max is None else cfg.rho_max)
+    pts = sample_tube_points(model, cfg.n_points, cfg.seed, *rho)
+    names = ["chart", *(f"q{i}" for i in range(model.dim)), *(f"p{i}" for i in range(model.dim))]
+    rows = [[z.chart_id, *map(_fmt, z.q.real), *map(_fmt, z.p.real)] for z in pts]
+    return pts, names, rows
+
+
 def cmd_jtensor(cfg, out):
     model = cfg.build_model()
-    rho = (0.1 if cfg.rho_min is None else cfg.rho_min,
-           0.5 if cfg.rho_max is None else cfg.rho_max)
-    pts = sample_tube_points(model, cfg.n_points, cfg.seed, *rho)
-    n = model.dim
-    names = ["chart"]
-    for i in range(n):
-        names.append(f"q{i}")
-    for i in range(n):
-        names.append(f"p{i}")
-    for a in range(2 * n):
-        for b in range(2 * n):
-            names.append(f"j{a}{b}")
-    for a in range(2 * n):
-        for b in range(2 * n):
-            names.append(f"metric{a}{b}")
+    pts, names, rows = _tube_sample(cfg, model, 0.5)
+    entries = [f"{a}{b}" for a in range(2 * model.dim) for b in range(2 * model.dim)]
+    names += [f"j{ab}" for ab in entries] + [f"metric{ab}" for ab in entries]
     names += ["pos_min_eig", "j_imag_max"]
-    Om = symplectic_form_matrix(n).real
-    rows = []
+    Om = symplectic_form_matrix(model.dim).real
     frames = FrameRays(model, pts, [1j], tol=cfg.flow_tol)
-    for k, z in enumerate(pts):
+    for k, row in enumerate(rows):
         F = frames.at(1j, k)
         J = j_tensor_from_frame(F)
         min_eig, _ = positivity_check(F)
-        G = Om @ J.real
-        row = [z.chart_id]
-        row += [_fmt(z.q[i].real) for i in range(n)]
-        row += [_fmt(z.p[i].real) for i in range(n)]
         row += [_fmt(x) for x in J.real.ravel()]
-        row += [_fmt(x) for x in G.ravel()]
+        row += [_fmt(x) for x in (Om @ J.real).ravel()]
         row += [_fmt(min_eig), _fmt(float(np.max(np.abs(J.imag))))]
-        rows.append(row)
     write_csv(out / "jtensor.csv", _header(cfg, model), names, rows)
     return 0
 
@@ -422,31 +414,17 @@ def _base_function(cfg, model):
 def cmd_extend(cfg, out):
     model = cfg.build_model()
     f = _base_function(cfg, model)
-    rho = (0.1 if cfg.rho_min is None else cfg.rho_min,
-           0.4 if cfg.rho_max is None else cfg.rho_max)
-    pts = sample_tube_points(model, cfg.n_points, cfg.seed, *rho)
-    n = model.dim
-    names = ["chart"]
-    for i in range(n):
-        names.append(f"q{i}")
-    for i in range(n):
-        names.append(f"p{i}")
+    pts, names, rows = _tube_sample(cfg, model, 0.4)
     methods = ("series", "flow", "exp_map")
-    for m in methods:
-        names += [f"{m}_re", f"{m}_im"]
+    names += [f"{m}_{part}" for m in methods for part in ("re", "im")]
     names += ["max_pairwise_dev"]
-    rows = []
-    for z, rep in zip(pts, crosscheck(model, f, pts, tol=cfg.flow_tol)):
-        row = [z.chart_id]
-        row += [_fmt(z.q[i].real) for i in range(n)]
-        row += [_fmt(z.p[i].real) for i in range(n)]
+    for row, rep in zip(rows, crosscheck(model, f, pts, tol=cfg.flow_tol)):
         for m in methods:
             if m in rep["values"]:
                 row += [_fmt(rep["values"][m].real), _fmt(rep["values"][m].imag)]
             else:
                 row += ["", ""]
         row.append(_fmt(rep["max_deviation"]))
-        rows.append(row)
     write_csv(out / "extend.csv", _header(cfg, model), names, rows)
     return 0
 
@@ -524,9 +502,9 @@ def build_parser():
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("--config", help="INI configuration file")
     ap.add_argument("--out", help="output directory (overrides config)")
-    ap.add_argument("--seed", type=int, help="sampling seed (overrides config)")
+    ap.add_argument("--seed", help="sampling seed (overrides config)")
     ap.add_argument("--model", help="model name (overrides config)")
-    ap.add_argument("--tol", type=float, help="flow tolerance (overrides config)")
+    ap.add_argument("--tol", help="flow tolerance (overrides config)")
     return ap
 
 
@@ -537,14 +515,9 @@ def main(argv=None):
         if args.model:
             cfg.model_name = args.model
             cfg.model_params = {}
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be non-negative")
-            cfg.seed = args.seed
-        if args.tol is not None:
-            cfg.flow_tol = _positive(args.tol, "tol")
-        if args.out:
-            cfg.out_dir = args.out
+        for attr, text in (("seed", args.seed), ("flow_tol", args.tol), ("out_dir", args.out)):
+            if text is not None:
+                _override(cfg, attr, text)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out)

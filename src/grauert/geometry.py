@@ -65,31 +65,15 @@ class Chart:
         return self.hi - self.lo
 
     def contains_re(self, q_re):
-        ok = True
-        for i in range(self.dim):
-            if self.periodic[i]:
-                continue
-            ok = ok and (self.lo[i] <= q_re[i] <= self.hi[i])
-        return ok
+        return self.depth(q_re) >= 0
 
     def in_safe_interior(self, q_re):
-        pad = 0.5 * (1.0 - SAFE_FRAC) * self.width()
-        for i in range(self.dim):
-            if self.periodic[i]:
-                continue
-            if not (self.lo[i] + pad[i] <= q_re[i] <= self.hi[i] - pad[i]):
-                return False
-        return True
+        return self.depth(q_re) >= 0.5 * (1.0 - SAFE_FRAC)
 
     def depth(self, q_re):
         """Normalized distance of the real part to the box boundary (periodic axes ignored)."""
-        d = 1.0
-        for i in range(self.dim):
-            if self.periodic[i]:
-                continue
-            w = self.hi[i] - self.lo[i]
-            d = min(d, (q_re[i] - self.lo[i]) / w, (self.hi[i] - q_re[i]) / w)
-        return d
+        gap = np.minimum(q_re - self.lo, self.hi - q_re) / self.width()
+        return gap.min(where=~self.periodic, initial=1.0)
 
     def margin_ok(self, q_im):
         return bool(np.all(np.abs(q_im) <= self.margin))

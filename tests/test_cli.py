@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import grauert
 from grauert.cli import RunConfig, load_config, main
 from grauert.errors import ConfigError
+from grauert.verify import CHECK_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -97,6 +98,37 @@ def test_hash_ignores_output_dir():
     c = RunConfig(out_dir="x", seed=5)
     assert a.hash() == b.hash()
     assert a.hash() != c.hash()
+
+
+# config_hash of each committed config, as written in every output header
+CONFIG_HASHES = {
+    "broken_sign": "55ba0b87741557b8",
+    "default": "4c244a4a9b51da79",
+    "sphere": "e6acb68a42394274",
+    "sphere_breakdown": "80711bf94ef5388e",
+    "surface_of_revolution": "9c215fa40bd188df",
+    "tube_radius_sphere": "430d70beb3d99f05",
+}
+
+
+def test_config_hash_pinned_for_committed_configs():
+    assert sorted(p.stem for p in CONFIGS.glob("*.ini")) == sorted(CONFIG_HASHES)
+    for name, digest in CONFIG_HASHES.items():
+        assert load_config(str(CONFIGS / f"{name}.ini")).hash() == digest, name
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    (["--seed", "-3"], "[grids]\nseed = -3\n", "seed must be non-negative, got -3"),
+    (["--seed", "x"], "[grids]\nseed = x\n", "seed must be an integer, got 'x'"),
+    (["--tol", "0"], "[checks]\nflow_tol = 0\n", "flow_tol must be positive, got 0.0"),
+], ids=["negative seed", "non-integer seed", "zero tol"])
+def test_flag_is_checked_as_the_key_it_overrides(tmp_path, capsys, flag, text, message):
+    errors = []
+    for argv in (["--config", write_ini(tmp_path, text)], flag):
+        code, _ = run(tmp_path, "verify", *argv)
+        assert code == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"config error: {message}\n"
 
 
 # (command, config) pairs that must be rejected as configuration errors
@@ -527,6 +559,8 @@ KEYS = {
     ("grids", "n_points"): ([1, 2], [0]),
     ("grids", "rows"): ([2, 3], [0]),
     ("grids", "seed"): ([0, 5], [-3]),
+    ("grids", "rho_min"): ([0.1, 0.2], ["low"]),
+    ("grids", "rho_max"): ([0.3, 0.5], ["high", 0.05]),
     ("grids", "q0"): (["1.2, 0.3", "0.01, 0.0"], ["x", "0.5, 0.5, 0.5"]),
     ("grids", "p0"): (["0.3, 0.4", "0.0, 0.0"], ["1.0"]),
     ("grids", "function"): (["auto", "wave", "height", "const"], ["cubic"]),
@@ -534,25 +568,42 @@ KEYS = {
                             "kahler_potential, involution", "nijenhuis"], ["bogus"]),
     ("checks", "flow_tol"): (["1e-12", "1e-9"], ["0"]),
     ("checks", "dbar_sign"): (["1.0", "-1.0"], ["minus"]),
+    **{("checks", f"tol_{name}"): (["1e-6", "1.0"], ["0", "loose"]) for name in CHECK_NAMES},
     ("paths", "sigma"): (["1j", "0.5", "0.3+0.4j", "2j", "0"], ["oops"]),
     ("paths", "waypoints"): (["0, 0.5, 0.5+0.5j", "0, 1j"], ["0.5, 1j"]),
+    # {tmp} is the run's temporary directory; any text names a directory
+    ("output", "dir"): (["{tmp}/from_config", "{tmp}/nested/dir"], []),
 }
+# flag -> (valid values, invalid values); each is checked as the key it overrides
+FLAGS = {
+    "--seed": (["0", "4"], ["-3", "x"]),
+    "--tol": (["1e-12", "1e-10"], ["0", "tiny"]),
+    "--out": (["{tmp}/from_flag"], []),
+}
+
+
+def test_fuzz_keys_cover_the_config_table():
+    # a key the generated configs never draw escapes the exit-code contract;
+    # [model] keys come from MODELS and BAD_MODELS, chart is drawn per model
+    table = {(section, key) for section, keys in grauert.cli._SCHEMA.items()
+             if section != "model" for key in keys}
+    assert table - {("grids", "chart")} <= set(KEYS)
 
 
 @st.composite
 def generated_runs(draw):
-    """One INI file and one command: small grids, at most one invalid value."""
+    """One INI file, one command and its flags: small grids, at most one invalid key."""
     command = draw(st.sampled_from(["flow", "jtensor", "extend", "verify", "tube-radius"]))
     model = draw(st.sampled_from(sorted(MODELS)))
     sections = {"model": [f"name = {model}", draw(st.sampled_from(MODELS[model]))],
-                "grids": [], "checks": [], "paths": []}
+                "grids": [], "checks": [], "paths": [], "output": []}
     keys = {**KEYS, ("grids", "chart"): (["a", "b"] if model == "round_sphere" else ["main"],
                                          ["zz"])}
     for (section, key), (valid, _) in keys.items():
         if draw(st.booleans()):
             sections[section].append(f"{key} = {draw(st.sampled_from(valid))}")
     if draw(st.booleans()):
-        bad = draw(st.sampled_from(["model", *keys]))
+        bad = draw(st.sampled_from(["model", *(key for key in keys if keys[key][1])]))
         if bad == "model":
             sections["model"] = [f"name = {draw(st.sampled_from(BAD_MODELS))}"]
         else:
@@ -562,33 +613,40 @@ def generated_runs(draw):
             sections[section].append(f"{key} = {draw(st.sampled_from(keys[bad][1]))}")
     ini = "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines)
                   for name, lines in sections.items())
-    return command, ini
+    flags = []
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS)), max_size=2, unique=True)):
+        flags += [flag, draw(st.sampled_from(FLAGS[flag][0] + FLAGS[flag][1]))]
+    return command, ini, flags
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
 @given(generated_runs())
 @example(("verify", "[model]\nname = flat_torus\n[grids]\nn_samples = 1\n"
-                    "[checks]\nnames = kahler_potential\ndbar_sign = -1.0\n"))
-@example(("extend", "[model]\nname = round_sphere\n[grids]\nn_points = 1\nfunction = wave\n"))
+                    "[checks]\nnames = kahler_potential\ndbar_sign = -1.0\n", []))
+@example(("extend", "[model]\nname = round_sphere\n[grids]\nn_points = 1\nfunction = wave\n",
+          []))
 def test_generated_configs_keep_the_exit_code_contract(case):
     # 0 success, 1 a failed verdict of verify, 2 breakdown, 3 configuration
     # error; 4 is a defect of the toolkit, never the answer to a config
-    command, ini = case
+    command, ini, flags = case
+    if "--out" not in flags and "\ndir = " not in ini:
+        flags = [*flags, "--out", "{tmp}/out"]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "cfg.ini")
-        path.write_text(ini)
+        path.write_text(ini.replace("{tmp}", tmp))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main([command, "--config", str(path), "--out", str(Path(tmp, "out"))])
+            argv = [command, "--config", str(path), *(f.replace("{tmp}", tmp) for f in flags)]
+            code = main(argv)
         err = err.getvalue()
-        assert code in (0, 1, 2, 3), (command, ini, err)
+        assert code in (0, 1, 2, 3), (command, ini, flags, err)
         if code == 1:
-            assert command == "verify", (ini, err)
-            records = Path(tmp, "out", "verify.jsonl").read_text().splitlines()
+            assert command == "verify", (ini, flags, err)
+            [records] = [p.read_text().splitlines() for p in Path(tmp).rglob("verify.jsonl")]
             assert any(json.loads(line)["verdict"] == "fail"
                        for line in records if not line.startswith("#")), ini
         if code != 0:
-            assert err.count("\n") == 1 and err.endswith("\n"), (command, ini, err)
+            assert err.count("\n") == 1 and err.endswith("\n"), (command, ini, flags, err)
             assert "Traceback" not in err
 
 
