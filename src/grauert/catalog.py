@@ -240,8 +240,8 @@ def flat_space(dim=2):
 
 def flat_torus(periods=(2.0 * math.pi, 2.0 * math.pi)):
     periods = tuple(float(p) for p in np.atleast_1d(periods))
-    if len(periods) < 1 or any(p <= 0 for p in periods):
-        raise InvalidParamsError("flat_torus needs positive periods")
+    if len(periods) < 1 or not all(0 < p < math.inf for p in periods):
+        raise InvalidParamsError("flat_torus needs finite positive periods")
     return _flat("flat_torus", {"periods": periods},
                  [-p / 2.0 for p in periods], [p / 2.0 for p in periods], True)
 
@@ -250,8 +250,8 @@ def round_sphere(radius=1.0, dim=2):
     if dim != 2:
         raise InvalidParamsError("round_sphere is implemented for dim == 2")
     radius = float(radius)
-    if not radius > 0:
-        raise InvalidParamsError("round_sphere needs radius > 0")
+    if not 0 < radius < math.inf:
+        raise InvalidParamsError("round_sphere needs a finite radius > 0")
     a2 = radius * radius
     cut = 0.15
 
@@ -293,8 +293,8 @@ def round_sphere(radius=1.0, dim=2):
 
 def surface_of_revolution(base=2.0, amp=1.0):
     base, amp = float(base), float(amp)
-    if not (base > 0 and amp >= 0 and base > amp):
-        raise InvalidParamsError("surface_of_revolution needs base > amp >= 0")
+    if not 0 <= amp < base < math.inf:
+        raise InvalidParamsError("surface_of_revolution needs a finite base > amp >= 0")
 
     # profile r(u) = base + amp cos u; metric diag(1 + r'(u)^2, r(u)^2)
     def metric_fn(qs):

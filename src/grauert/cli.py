@@ -26,9 +26,11 @@ version, a hash of the effective configuration, and the model parameters, so
 identical config and seed give byte-identical files.
 
 Exit codes: 0 success, 1 a verification check failed, 2 numerical breakdown
-(a singularity; the last good time is written to a sidecar record), 3
-configuration error, 4 internal error (an exception the toolkit does not
-diagnose, such as a singular linear solve; reported on one line of stderr).
+(a singularity; ``flow`` also writes its last good time to a sidecar record,
+flow_breakdown.jsonl), 3 configuration error (including a number that is
+nan or infinite and an output directory that cannot be created), 4 internal
+error (an exception the toolkit does not diagnose; reported on one line of
+stderr).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -124,13 +127,21 @@ class RunConfig:
 # ConfigError that names the key.
 
 
+def _finite(value, what):
+    """value, unless it is nan or infinite (a ConfigError)."""
+    if not abs(value) < math.inf:
+        raise ConfigError(f"{what} must be finite, got {value}")
+    return value
+
+
 def _number(text, what, kind=float, sign=None):
-    """text as a kind; sign "positive" or "non-negative" also bounds it below."""
+    """text as a finite kind; sign "positive" or "non-negative" also bounds it below."""
     try:
         value = kind(text)
     except ValueError:
         kind_name = "an integer" if kind is int else "a number"
         raise ConfigError(f"{what} must be {kind_name}, got {text!r}")
+    _finite(value, what)
     if sign and not (value > 0 or sign == "non-negative" and value == 0):
         raise ConfigError(f"{what} must be {sign}, got {value}")
     return value
@@ -158,16 +169,18 @@ def _parse_scalar(text, what):
 
 def _parse_floats(text, what):
     try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
+        values = tuple(float(tok) for tok in text.replace(",", " ").split())
     except ValueError:
         raise ConfigError(f"{what} must be a list of numbers, got {text!r}")
+    return tuple(_finite(value, what) for value in values)
 
 
 def _parse_complex(text, what):
     try:
-        return complex(text.strip().replace(" ", ""))
+        value = complex(text.strip().replace(" ", ""))
     except ValueError:
         raise ConfigError(f"{what} must be a complex number, got {text!r}")
+    return _finite(value, what)
 
 
 def _parse_complexes(text, what):
@@ -460,6 +473,9 @@ def cmd_verify(cfg, out):
 
 
 def cmd_tube_radius(cfg, out):
+    if not cfg.resolution < cfg.sweep_cap:
+        # the scan probes the first step, one resolution out, inside the cap
+        raise ConfigError("tube-radius needs resolution < sweep_cap")
     model = cfg.build_model()
     est = estimate_tube_radius(
         model,
@@ -519,7 +535,10 @@ def main(argv=None):
             if text is not None:
                 _override(cfg, attr, text)
         out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create output directory {cfg.out_dir!r}: {e.strerror}")
         return _COMMANDS[args.command](cfg, out)
     except (ConfigError, UnknownModelError, InvalidParamsError) as e:
         print(f"config error: {e}", file=sys.stderr)

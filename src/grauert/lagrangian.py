@@ -101,8 +101,9 @@ class FrameRays:
     sigma/|sigma| among ``sigmas`` is one ray, reaching the largest |sigma|
     on it. Every ray of every point is a dense backward variational flow, to
     time -reach along the ray, and all of them run as the lanes of one
-    :func:`~grauert.flow.flow_lanes` call when the batch is built. The frame
-    of point k at sigma is then B(sigma)^{-1} V with B(sigma) read from the
+    :func:`~grauert.flow.flow_lanes` call when the batch is built, which
+    keeps its ``model``, ``points`` and ``tol`` for the readers. The frame of
+    point k at sigma is then B(sigma)^{-1} V with B(sigma) read from the
     accepted step polynomial of k's lane on the ray through sigma, so every
     sample on a ray shares its flow. A read in a direction that was not
     given, or beyond its ray's reach, raises ValueError. A backward flow that
@@ -113,8 +114,7 @@ class FrameRays:
     """
 
     def __init__(self, model, points, sigmas, tol=1e-12):
-        self.model = model
-        self.points = list(points)
+        self.model, self.points, self.tol = model, list(points), tol
         self._vertical = vertical_frame(model.dim)
         self.reach = {}  # ray direction -> the largest |sigma| on it
         for sigma in map(complex, sigmas):
@@ -124,7 +124,7 @@ class FrameRays:
         keys = [(k, u) for k in range(len(self.points)) for u in self.reach]
         outcomes = flow_lanes(model, [self.points[k] for k, _ in keys],
                               sigma=[-self.reach[u] * u for _, u in keys],
-                              variational=True, dense=True, tol=tol)
+                              variational=True, dense=True, tol=tol) if keys else []
         self._rays = {}  # (point, direction) -> (segments, good reach, error or None)
         for key, out in zip(keys, outcomes):
             if isinstance(out, SingularityError):

@@ -15,12 +15,13 @@ over directions.
 
 The flows a check needs run as the lanes of a few calls of the flow kernel
 (:func:`~grauert.flow.flow_lanes`, through :class:`~grauert.lagrangian.FrameRays`
-for frames): a check hands a ``FrameRays`` its points and the times it will
-read, and every ray of every point runs in one call, the Nijenhuis stencils
-of all points included. The radius scan reads all its directions from one
-``FrameRays``. Every independent route keeps a flow of its own, and a check
-reads its lanes in the order of its points, so it still raises the error of
-the first failing point.
+for frames): every ray of every point of a ``FrameRays`` runs in one call.
+The battery flows each ray of its main point cloud once, into the one
+``FrameRays`` that theta_sigma, kahler_potential, involution and nijenhuis
+read, and the radius scan reads all its directions from one. Every
+independent route keeps a flow of its own, and a check reads its lanes in
+the order of its points, so it still raises the error of the first failing
+point.
 
 Sampling is Sobol with a fixed seed throughout, so reports are reproducible
 bit for bit from the same configuration.
@@ -273,20 +274,20 @@ def _grad_energy(model, cid, q, p):
 # -- identity checks ----------------------------------------------------------
 
 
-def check_theta_sigma_identity(model, points, sigmas=THETA_SIGMAS,
-                               tolerance=DEFAULT_TOLERANCES["theta_sigma"],
-                               flow_tol=1e-12):
+def check_theta_sigma_identity(frames, sigmas=THETA_SIGMAS,
+                               tolerance=DEFAULT_TOLERANCES["theta_sigma"]):
     """Canonical 1-form on the continued distribution vs sigma times the energy derivative.
 
     For every frame column Z of the distribution at parameter sigma, the
     pairing p . Z_q must equal sigma times the derivative of the energy along
     Z; this ties the flow-transported frames to the symplectic structure.
-    One backward flow per ray of ``sigmas`` per point serves every sigma on
-    it, and the rays of all points run as lanes of one kernel call.
+    Every frame is read from ``frames``, a :class:`FrameRays` over the
+    checked points whose rays reach every sigma of ``sigmas``, so one
+    backward flow per ray per point serves every sigma on it.
     """
-    frames = FrameRays(model, points, sigmas, tol=flow_tol)
+    model = frames.model
     residuals = []
-    for k, z in enumerate(points):
+    for k, z in enumerate(frames.points):
         dE = _grad_energy(model, z.chart_id, z.q, z.p)
         n = z.dim
         for s in sigmas:
@@ -300,20 +301,21 @@ def check_theta_sigma_identity(model, points, sigmas=THETA_SIGMAS,
     return _report(model, "theta_sigma", residuals, tolerance)
 
 
-def check_kahler_potential(model, points,
-                           tolerance=DEFAULT_TOLERANCES["kahler_potential"],
-                           flow_tol=1e-12, dbar_sign=1.0):
+def check_kahler_potential(frames, tolerance=DEFAULT_TOLERANCES["kahler_potential"],
+                           dbar_sign=1.0):
     """Twice the energy is a potential: Im of its dbar equals the canonical 1-form.
 
     dbar on functions is (d + i d.J)/2; the derivative of the potential is
     exact from the metric evaluators, J comes from the continued vertical
-    distribution, and the identity is tested on the full coordinate basis.
-    ``dbar_sign`` exists as a demonstration knob: anything but +1 breaks the
-    calibration loudly, which is the point of having the calibration.
+    distribution (the frame at sigma = i read from ``frames``, a
+    :class:`FrameRays` over the checked points), and the identity is tested
+    on the full coordinate basis. ``dbar_sign`` exists as a demonstration
+    knob: anything but +1 breaks the calibration loudly, which is the point
+    of having the calibration.
     """
-    frames = FrameRays(model, points, [1j], tol=flow_tol)
+    model = frames.model
     residuals = []
-    for k, z in enumerate(points):
+    for k, z in enumerate(frames.points):
         n = z.dim
         J = j_tensor_from_frame(frames.at(1j, k))
         dkappa = 2.0 * _grad_energy(model, z.chart_id, z.q, z.p)
@@ -385,25 +387,24 @@ def check_adaptedness(model, points, sigma_max=0.5, tau_max=0.4, n_sigma=5,
     return _report(model, "adaptedness", residuals, tolerance)
 
 
-def check_involution(model, points,
-                     tolerance=DEFAULT_TOLERANCES["involution"],
-                     flow_tol=1e-12):
+def check_involution(frames, tolerance=DEFAULT_TOLERANCES["involution"]):
     """Momentum reversal is antiholomorphic: it conjugates J to -J.
 
-    Every point and its flipped point are lanes of one kernel call; the
-    flipped point is a flow of its own.
+    J at a point is read at sigma = i from ``frames``, a :class:`FrameRays`
+    over the checked points. The flipped points are flows of their own, the
+    lanes of one kernel call.
     """
-    pairs = [w for z in points for w in (z, PhasePoint(z.chart_id, z.q, -z.p))]
-    frames = FrameRays(model, pairs, [1j], tol=flow_tol)
+    flipped = [PhasePoint(z.chart_id, z.q, -z.p) for z in frames.points]
+    flipped_frames = FrameRays(frames.model, flipped, [1j], tol=frames.tol)
     residuals = []
-    for k, z in enumerate(points):
+    for k, z in enumerate(frames.points):
         n = z.dim
         S = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
-        J1 = j_tensor_from_frame(frames.at(1j, 2 * k))
-        J2 = j_tensor_from_frame(frames.at(1j, 2 * k + 1))
+        J1 = j_tensor_from_frame(frames.at(1j, k))
+        J2 = j_tensor_from_frame(flipped_frames.at(1j, k))
         r = float(np.max(np.abs(S @ J2 @ S + J1)))
         residuals.append((_label(z), r))
-    return _report(model, "involution", residuals, tolerance)
+    return _report(frames.model, "involution", residuals, tolerance)
 
 
 def check_scaling(model, points, factors=SCALING_FACTORS, sigmas=SCALING_SIGMAS,
@@ -464,29 +465,27 @@ def check_zero_section(model, points, sigmas=ZERO_SECTION_SIGMAS,
     return _report(model, "zero_section", residuals, tolerance)
 
 
-def check_nijenhuis(model, points, h=1e-3,
-                    tolerance=DEFAULT_TOLERANCES["nijenhuis"],
-                    flow_tol=1e-12):
+def check_nijenhuis(frames, h=1e-3, tolerance=DEFAULT_TOLERANCES["nijenhuis"]):
     """Vanishing torsion of the J field, differenced over coordinate fields.
 
     N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] with X, Y running over the
     coordinate basis; the J derivatives are five-point central differences of
-    step h, so the truncation error sits well below the J noise floor. The
-    centre and the 4 stencil points per coordinate of every point are lanes
-    of one kernel call, each its own backward flow.
+    step h, so the truncation error sits well below the J noise floor. J at
+    the centre is read at sigma = i from ``frames``, a :class:`FrameRays`
+    over the checked points; the 4 stencil points per coordinate of every
+    point are lanes of one kernel call, each its own backward flow.
     """
-    lanes = [w for z in points for w in (z, *stencil_points(z, h))]
-    frames = FrameRays(model, lanes, [1j], tol=flow_tol)
-    J_of = lambda k: j_tensor_from_frame(frames.at(1j, k))
+    model = frames.model
+    stencils = [w for z in frames.points for w in stencil_points(z, h)]
+    stencil_frames = FrameRays(model, stencils, [1j], tol=frames.tol)
     residuals = []
-    k = 0  # lane of the centre of z
-    for z in points:
-        m = 2 * z.dim
-        J = J_of(k)
+    m = 2 * model.dim
+    for c, z in enumerate(frames.points):
+        J = j_tensor_from_frame(frames.at(1j, c))
         dJ = np.zeros((m, m, m), dtype=complex)  # dJ[j] = d_j J
-        for j in range(m):
-            dJ[j] = diff5([J_of(k + 1 + 4 * j + i) for i in range(4)], h)
-        k += 1 + 4 * m
+        for j in range(m):  # lanes 4 (m c + j) + i are the stencil of coordinate j of z
+            dJ[j] = diff5([j_tensor_from_frame(stencil_frames.at(1j, 4 * (m * c + j) + i))
+                           for i in range(4)], h)
         r = 0.0
         for a in range(m):
             for b in range(a + 1, m):
@@ -550,6 +549,8 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
     """
     if not sweep_cap > 0:
         raise ValueError("sweep_cap must be positive")
+    if not resolution < sweep_cap:
+        raise ValueError("resolution must be below sweep_cap")
     dirs = sample_tube_points(model, n_directions, seed, 1.0, 1.0)
     refine = min(resolution, 1e-6)
     frames = FrameRays(model, dirs, [sweep_cap, -sweep_cap, 1j * sweep_cap], tol=flow_tol)
@@ -639,7 +640,9 @@ def run_battery(model, checks=None, n_samples=50, seed=0, flow_tol=1e-12,
     ``n_samples`` controls the main point cloud; the adaptedness check gets
     ``n_strips`` unit covectors with its own strip grid, and the scaling check
     resamples at smaller momentum so the doubled fiber stays well inside
-    every model's safe region.
+    every model's safe region. The main cloud's frames are one
+    :class:`FrameRays`, flowed out to the times of the selected checks that
+    read it and to no others, so each of its rays is flowed once.
     """
     names = CHECK_NAMES if checks is None else tuple(checks)
     unknown = set(names) - set(CHECK_NAMES)
@@ -652,23 +655,24 @@ def run_battery(model, checks=None, n_samples=50, seed=0, flow_tol=1e-12,
     points = sample_tube_points(model, n_samples, seed, *rho)
     strips = sample_tube_points(model, n_strips, seed + 1, 1.0, 1.0)
     small = sample_tube_points(model, n_samples, seed + 2, 0.05, 0.25)
-    # check name -> (check, points it runs on); built per call, so a check
+    # one flow per ray of the main cloud, out to the times its selected readers use
+    times = {"theta_sigma": THETA_SIGMAS, "kahler_potential": [1j], "involution": [1j],
+             "nijenhuis": [1j]}
+    frames = FrameRays(model, points, [s for name in names for s in times.get(name, ())],
+                       tol=flow_tol)
+    # check name -> the check with its inputs; built per call, so a check
     # function replaced on this module (as the benchmark's tracer does) is
     # the one run
     table = {
-        "adaptedness": (check_adaptedness, strips),
-        "involution": (check_involution, points),
-        "kahler_potential": (partial(check_kahler_potential, dbar_sign=dbar_sign), points),
-        "nijenhuis": (check_nijenhuis, points),
-        "scaling": (check_scaling, small),
-        "theta_sigma": (check_theta_sigma_identity, points),
-        "zero_section": (check_zero_section, points),
+        "adaptedness": partial(check_adaptedness, model, strips, flow_tol=flow_tol),
+        "involution": partial(check_involution, frames),
+        "kahler_potential": partial(check_kahler_potential, frames, dbar_sign=dbar_sign),
+        "nijenhuis": partial(check_nijenhuis, frames),
+        "scaling": partial(check_scaling, model, small, flow_tol=flow_tol),
+        "theta_sigma": partial(check_theta_sigma_identity, frames),
+        "zero_section": partial(check_zero_section, model, points, flow_tol=flow_tol),
     }
-    reports = []
-    for name in sorted(names):
-        check, pts = table[name]
-        reports.append(check(model, pts, tolerance=tols[name], flow_tol=flow_tol))
-    return reports
+    return [table[name](tolerance=tols[name]) for name in sorted(names)]
 
 
 def tightening_comparison(model, checks=None, n_samples=20, seed=0,

@@ -182,6 +182,44 @@ def test_exit_code_3_on_zero_sweep_cap(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("tube-radius", "[grids]\nsweep_cap = inf\n", "sweep_cap must be finite, got inf"),
+    ("flow", "[paths]\nsigma = inf\n", "sigma must be finite, got (inf+0j)"),
+    ("flow", "[paths]\nsigma = nanj\n", "sigma must be finite, got nanj"),
+    ("flow", "[model]\nname = round_sphere\nradius = inf\n",
+     "round_sphere needs a finite radius > 0"),
+    ("jtensor", "[model]\nname = flat_torus\nperiods = inf, 1\n",
+     "periods must be finite, got inf"),
+], ids=["sweep_cap", "sigma", "imaginary sigma", "radius", "periods"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, text, message):
+    code, _ = run(tmp_path, command, "--config", write_ini(tmp_path, text))
+    assert code == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_tube_radius_resolution_below_cap(tmp_path, capsys):
+    # the scan's first probe lies one resolution out, so it must lie inside the cap
+    text = ("[model]\nname = round_sphere\n[grids]\nsweep_cap = 2.0\nresolution = 3.0\n"
+            "n_directions = 1\nseed = 7\n")
+    code, _ = run(tmp_path, "tube-radius", "--config", write_ini(tmp_path, text))
+    assert code == 3
+    assert capsys.readouterr().err == "config error: tube-radius needs resolution < sweep_cap\n"
+    from grauert.catalog import catalog
+    from grauert.verify import estimate_tube_radius
+    with pytest.raises(ValueError):
+        estimate_tube_radius(catalog("round_sphere"), n_directions=1, sweep_cap=2.0,
+                             resolution=3.0)
+
+
+def test_output_dir_through_a_file_is_a_config_error(tmp_path, capsys):
+    path = write_ini(tmp_path, "[grids]\nrows = 3\n")
+    code = main(["flow", "--config", path, "--out", str(Path(path, "sub"))])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory")
+    assert err.count("\n") == 1
+
+
 def test_exit_code_3_on_bad_flag(tmp_path):
     assert main(["verify", "--frobnicate"]) == 3
 
@@ -547,38 +585,43 @@ MODELS = {
     "surface_of_revolution": ["base = 2.0\namp = 1.0"],
 }
 BAD_MODELS = ["flat_space\ndim = 0", "flat_torus\nperiods = 1.0, -1.0",
-              "round_sphere\nradius = 0", "round_sphere\ndim = 3",
-              "surface_of_revolution\nbase = 1.0\namp = 2.0", "klein_bottle"]
+              "flat_torus\nperiods = inf, 1", "round_sphere\nradius = 0",
+              "round_sphere\nradius = inf", "round_sphere\nradius = nan", "round_sphere\ndim = 3",
+              "surface_of_revolution\nbase = 1.0\namp = 2.0",
+              "surface_of_revolution\nbase = inf\namp = 1.0",
+              "surface_of_revolution\nbase = 2.0\namp = nan", "klein_bottle"]
 # (section, key) -> (valid values, invalid values); valid grids stay small
 KEYS = {
     ("grids", "n_samples"): ([1, 2], [0]),
     ("grids", "n_strips"): ([1], [-1]),
     ("grids", "n_directions"): ([1], [0]),
-    ("grids", "sweep_cap"): ([0.5, 1.0], [0]),
-    ("grids", "resolution"): ([0.01, 0.1], [-0.1]),
+    ("grids", "sweep_cap"): ([0.5, 1.0], [0, "inf"]),
+    # 5 lies above every drawn sweep_cap
+    ("grids", "resolution"): ([0.01, 0.1], [-0.1, "nan", 5]),
     ("grids", "n_points"): ([1, 2], [0]),
     ("grids", "rows"): ([2, 3], [0]),
     ("grids", "seed"): ([0, 5], [-3]),
-    ("grids", "rho_min"): ([0.1, 0.2], ["low"]),
-    ("grids", "rho_max"): ([0.3, 0.5], ["high", 0.05]),
-    ("grids", "q0"): (["1.2, 0.3", "0.01, 0.0"], ["x", "0.5, 0.5, 0.5"]),
-    ("grids", "p0"): (["0.3, 0.4", "0.0, 0.0"], ["1.0"]),
+    ("grids", "rho_min"): ([0.1, 0.2], ["low", "nan"]),
+    ("grids", "rho_max"): ([0.3, 0.5], ["high", 0.05, "inf"]),
+    ("grids", "q0"): (["1.2, 0.3", "0.01, 0.0"], ["x", "0.5, 0.5, 0.5", "nan, 0.3"]),
+    ("grids", "p0"): (["0.3, 0.4", "0.0, 0.0"], ["1.0", "inf, 0.4"]),
     ("grids", "function"): (["auto", "wave", "height", "const"], ["cubic"]),
     ("checks", "names"): (["", "zero_section", "theta_sigma, scaling", "adaptedness",
                             "kahler_potential, involution", "nijenhuis"], ["bogus"]),
-    ("checks", "flow_tol"): (["1e-12", "1e-9"], ["0"]),
-    ("checks", "dbar_sign"): (["1.0", "-1.0"], ["minus"]),
-    **{("checks", f"tol_{name}"): (["1e-6", "1.0"], ["0", "loose"]) for name in CHECK_NAMES},
-    ("paths", "sigma"): (["1j", "0.5", "0.3+0.4j", "2j", "0"], ["oops"]),
-    ("paths", "waypoints"): (["0, 0.5, 0.5+0.5j", "0, 1j"], ["0.5, 1j"]),
-    # {tmp} is the run's temporary directory; any text names a directory
-    ("output", "dir"): (["{tmp}/from_config", "{tmp}/nested/dir"], []),
+    ("checks", "flow_tol"): (["1e-12", "1e-9"], ["0", "inf"]),
+    ("checks", "dbar_sign"): (["1.0", "-1.0"], ["minus", "nan"]),
+    **{("checks", f"tol_{name}"): (["1e-6", "1.0"], ["0", "loose", "inf"])
+       for name in CHECK_NAMES},
+    ("paths", "sigma"): (["1j", "0.5", "0.3+0.4j", "2j", "0"], ["oops", "inf", "nanj"]),
+    ("paths", "waypoints"): (["0, 0.5, 0.5+0.5j", "0, 1j"], ["0.5, 1j", "0, infj"]),
+    # {tmp} is the run's temporary directory, and {tmp}/cfg.ini the config file
+    ("output", "dir"): (["{tmp}/from_config", "{tmp}/nested/dir"], ["{tmp}/cfg.ini/sub"]),
 }
 # flag -> (valid values, invalid values); each is checked as the key it overrides
 FLAGS = {
     "--seed": (["0", "4"], ["-3", "x"]),
     "--tol": (["1e-12", "1e-10"], ["0", "tiny"]),
-    "--out": (["{tmp}/from_flag"], []),
+    "--out": (["{tmp}/from_flag"], ["{tmp}/cfg.ini/sub"]),
 }
 
 

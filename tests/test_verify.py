@@ -11,7 +11,7 @@ from grauert.catalog import catalog
 from grauert.errors import GrauertError
 from grauert.flow import PhasePoint
 from grauert.geometry import metric_matrix
-from grauert.lagrangian import distribution_at, j_tensor_from_frame
+from grauert.lagrangian import FrameRays, distribution_at, j_tensor_from_frame
 from grauert import jacobi, verify
 from grauert.verify import (
     check_adaptedness,
@@ -105,7 +105,8 @@ def test_tube_points_match_scipy_stats_route(model, case):
 
 def test_theta_identity_flat_exact(flat):
     pts = sample_tube_points(flat, 10, 0, 0.2, 0.9)
-    rep = check_theta_sigma_identity(flat, pts, sigmas=(0.0, 0.35, 0.7, 1j))
+    sigmas = (0.0, 0.35, 0.7, 1j)
+    rep = check_theta_sigma_identity(FrameRays(flat, pts, sigmas), sigmas=sigmas)
     assert rep.verdict == "pass"
     assert rep.max_residual < 1e-12
     # sigma = 0 frame is vertical, so the pairing vanishes identically
@@ -116,7 +117,7 @@ def test_theta_identity_flat_exact(flat):
 def test_theta_identity_curved(sphere, surfrev):
     for model, n in ((sphere, 8), (surfrev, 6)):
         pts = sample_tube_points(model, n, 1, 0.1, 0.3)
-        rep = check_theta_sigma_identity(model, pts)
+        rep = check_theta_sigma_identity(FrameRays(model, pts, verify.THETA_SIGMAS))
         assert rep.verdict == "pass", rep.to_record()
         assert len(rep.worst) <= 3
         assert rep.worst[0][1] == rep.max_residual
@@ -124,7 +125,7 @@ def test_theta_identity_curved(sphere, surfrev):
 
 def test_kahler_potential_flat_calibration(flat):
     pts = sample_tube_points(flat, 10, 2, 0.2, 0.9)
-    rep = check_kahler_potential(flat, pts)
+    rep = check_kahler_potential(FrameRays(flat, pts, [1j]))
     assert rep.verdict == "pass"
     assert rep.max_residual < 1e-12
 
@@ -139,7 +140,7 @@ def test_kahler_potential_flat_calibration(flat):
 def test_kahler_potential_curved(sphere, surfrev):
     for model in (sphere, surfrev):
         pts = sample_tube_points(model, 8, 5, 0.1, 0.3)
-        rep = check_kahler_potential(model, pts)
+        rep = check_kahler_potential(FrameRays(model, pts, [1j]))
         assert rep.verdict == "pass", rep.to_record()
 
 
@@ -166,12 +167,12 @@ def test_adaptedness_at_roundoff(sphere, surfrev):
 
 def test_involution_and_scaling(flat, sphere):
     pts = sample_tube_points(flat, 8, 8, 0.2, 0.8)
-    assert check_involution(flat, pts).max_residual < 1e-12
+    assert check_involution(FrameRays(flat, pts, [1j])).max_residual < 1e-12
     small = sample_tube_points(flat, 8, 9, 0.05, 0.25)
     assert check_scaling(flat, small).max_residual < 1e-10
 
     pts = sample_tube_points(sphere, 6, 10, 0.1, 0.4)
-    rep = check_involution(sphere, pts)
+    rep = check_involution(FrameRays(sphere, pts, [1j]))
     assert rep.verdict == "pass", rep.to_record()
     small = sample_tube_points(sphere, 6, 11, 0.05, 0.25)
     rep = check_scaling(sphere, small)
@@ -203,36 +204,63 @@ def count_kernel_calls(monkeypatch):
 
 def test_one_flow_per_ray(sphere, monkeypatch):
     # every sample on a ray a check has integrated is read from that flow, and
-    # the flows of all points run as lanes of the same few kernel calls
+    # the flows of all points run as lanes of the same few kernel calls; a
+    # check given the points' frames flows only its own route's lanes
     calls = count_kernel_calls(monkeypatch)
     pts = sample_tube_points(sphere, 2, 12, 0.1, 0.25)
     # lanes per point, kernel calls per check
-    for check, lanes, kernel_calls in ((check_theta_sigma_identity, 2, 1),
-                                       (check_zero_section, 1, 1),
-                                       (check_scaling, 6, 2),
-                                       (check_nijenhuis, 17, 1)):
+    for check, lanes, kernel_calls in ((check_zero_section, 1, 1),
+                                       (check_scaling, 6, 2)):
         for k in (1, 2):
             calls.clear()
             assert check(sphere, pts[:k]).verdict == "pass"
             assert sum(calls) == k * lanes, (check.__name__, k, calls)
             assert len(calls) == kernel_calls, (check.__name__, k, calls)
+    for check, sigmas, lanes, kernel_calls in (
+            (check_theta_sigma_identity, verify.THETA_SIGMAS, 0, 0),
+            (check_kahler_potential, [1j], 0, 0),
+            (check_involution, [1j], 1, 1),
+            (check_nijenhuis, [1j], 16, 1)):
+        for k in (1, 2):
+            calls.clear()
+            frames = FrameRays(sphere, pts[:k], sigmas)
+            assert calls == [k * len(frames.reach)]
+            calls.clear()
+            assert check(frames).verdict == "pass"
+            assert sum(calls) == k * lanes, (check.__name__, k, calls)
+            assert len(calls) == kernel_calls, (check.__name__, k, calls)
     calls.clear()
-    check_nijenhuis(sphere, pts[:1])
-    assert calls == [17]
+    check_nijenhuis(FrameRays(sphere, pts[:1], [1j]))
+    assert calls == [1, 16]
+
+
+@pytest.mark.parametrize("name", ["round_sphere", "surface_of_revolution"])
+def test_battery_flows_each_main_ray_once(name, monkeypatch):
+    # theta_sigma, kahler_potential, involution and nijenhuis read the main
+    # cloud's frames from one FrameRays; a flow of the cloud to sigma = i per
+    # check would take 259 lanes in 9 calls
+    calls = count_kernel_calls(monkeypatch)
+    model = catalog(name)
+    run_battery(model, n_samples=8, n_strips=1, seed=1)
+    assert (sum(calls), len(calls)) == (235, 8), calls
+    # a check that reads no frame of the main cloud flows none of its lanes
+    calls.clear()
+    run_battery(model, checks=["zero_section"], n_samples=8, n_strips=1, seed=1)
+    assert calls == [8]
 
 
 def test_nijenhuis(flat, sphere):
     pts = sample_tube_points(flat, 4, 13, 0.2, 0.8)
-    rep = check_nijenhuis(flat, pts)
+    rep = check_nijenhuis(FrameRays(flat, pts, [1j]))
     assert rep.max_residual < 1e-11
 
     pts = sample_tube_points(sphere, 4, 14, 0.15, 0.5)
-    rep = check_nijenhuis(sphere, pts)
+    rep = check_nijenhuis(FrameRays(sphere, pts, [1j]))
     assert rep.verdict == "pass", rep.to_record()
 
     # along the zero section the structure is algebraic and the residual drops
     rest = [PhasePoint(z.chart_id, z.q, np.zeros(2)) for z in pts]
-    rep0 = check_nijenhuis(sphere, rest)
+    rep0 = check_nijenhuis(FrameRays(sphere, rest, [1j]))
     assert rep0.max_residual < 1e-6
 
 
