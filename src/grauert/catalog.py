@@ -253,6 +253,9 @@ def round_sphere(radius=1.0, dim=2):
     if not 0 < radius < math.inf:
         raise InvalidParamsError("round_sphere needs a finite radius > 0")
     a2 = radius * radius
+    if not 0 < a2 < math.inf:
+        # the metric holds radius**2; zero or infinite, every evaluator degenerates
+        raise InvalidParamsError(f"round_sphere needs radius**2 positive and finite, got {a2}")
     cut = 0.15
 
     def metric_fn(qs):
@@ -295,6 +298,11 @@ def surface_of_revolution(base=2.0, amp=1.0):
     base, amp = float(base), float(amp)
     if not 0 <= amp < base < math.inf:
         raise InvalidParamsError("surface_of_revolution needs a finite base > amp >= 0")
+    # the profile r runs from base - amp to base + amp, and the metric holds r**2
+    r_min, r_max = base - amp, base + amp
+    if not (r_min * r_min > 0 and r_max * r_max < math.inf):
+        raise InvalidParamsError("surface_of_revolution needs (base - amp)**2 positive and "
+                                 "(base + amp)**2 finite")
 
     # profile r(u) = base + amp cos u; metric diag(1 + r'(u)^2, r(u)^2)
     def metric_fn(qs):

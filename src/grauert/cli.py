@@ -28,9 +28,10 @@ identical config and seed give byte-identical files.
 Exit codes: 0 success, 1 a verification check failed, 2 numerical breakdown
 (a singularity; ``flow`` also writes its last good time to a sidecar record,
 flow_breakdown.jsonl), 3 configuration error (including a number that is
-nan or infinite and an output directory that cannot be created), 4 internal
-error (an exception the toolkit does not diagnose; reported on one line of
-stderr).
+nan or infinite, an output directory that cannot be created, a sweep_cap
+above 500, whose scan would read a frame every 0.05 out to it, and a model
+scale whose square is zero or infinite), 4 internal error (an exception the
+toolkit does not diagnose; reported on one line of stderr).
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .lagrangian import (
 )
 from .verify import (
     CHECK_NAMES,
+    MAX_SWEEP_CAP,
     _plain,
     estimate_tube_radius,
     run_battery,
@@ -344,7 +346,7 @@ def cmd_flow(cfg, out):
             names += [f"{tag}{i}_re", f"{tag}{i}_im"]
     names += ["E_re", "E_im"]
     try:
-        res = flow(model, z, path=path, dense=True, tol=cfg.flow_tol)
+        res = flow(model, z, path=path, tol=cfg.flow_tol)
     except SingularityError as e:
         sidecar = {
             "error": "singularity",
@@ -362,7 +364,7 @@ def cmd_flow(cfg, out):
         nodes = [(0.0 + 0.0j, z)]  # zero-length path: the single starting row
     rows = []
     for s, pt in nodes:
-        E = complex(energy(model, pt.chart_id, pt.q, pt.p, check_domain=False))
+        E = complex(energy(model, pt.chart_id, pt.q, pt.p))
         row = [_fmt(np.real(s)), _fmt(np.imag(s))]
         for vec in (pt.q, pt.p):
             for i in range(n):
@@ -474,8 +476,11 @@ def cmd_verify(cfg, out):
 
 def cmd_tube_radius(cfg, out):
     if not cfg.resolution < cfg.sweep_cap:
-        # the scan probes the first step, one resolution out, inside the cap
+        # the bisections resolve each radius to within resolution, inside the cap
         raise ConfigError("tube-radius needs resolution < sweep_cap")
+    if cfg.sweep_cap > MAX_SWEEP_CAP:
+        # the scan reads a frame every verify.RADIUS_SCAN_STEP out to the cap
+        raise ConfigError(f"sweep_cap must be at most {MAX_SWEEP_CAP:g}, got {cfg.sweep_cap:g}")
     model = cfg.build_model()
     est = estimate_tube_radius(
         model,

@@ -41,8 +41,8 @@ class SingularityError(GrauertError):
     """Continuation broke down: step collapse or margin exit mid-flow.
 
     ``last_good_sigma`` is the last path parameter at which the state was
-    still certified. ``segments`` holds the dense output accepted before the
-    breakdown (empty unless the flow kept dense output).
+    still certified. ``segments`` holds the dense output a flow lane accepted
+    before the breakdown (empty when it broke down before its first step).
     """
 
     def __init__(self, message, last_good_sigma=None, reason=None, segments=()):

@@ -33,8 +33,9 @@ structure.
 Functions are declared, not sniffed: the constructors build evaluators from
 structured coefficient data (trigonometric frequency tables, ambient linear
 forms) whose analyticity is a property of the formula. A raw-callable escape
-hatch exists, but the caller then owns the analyticity claim and must declare
-the strip on which it holds.
+hatch exists: build a :class:`BaseFunction` from chart evaluators directly.
+The caller then owns the analyticity claim and must declare the strip on
+which it holds as its ``margin``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ __all__ = [
     "ExtensionResult",
     "torus_trig",
     "sphere_ambient",
-    "from_chart_functions",
     "extend_by_series",
     "extend_by_series_lanes",
     "extend_by_flow",
@@ -152,17 +152,6 @@ def sphere_ambient(model, name, coeffs, offset=0.0):
         chart_fns={cid: make(cid) for cid in model.charts},
         extension=lambda Z: complex(c @ np.asarray(Z, dtype=complex) + offset),
     )
-
-
-def from_chart_functions(name, chart_fns, margin, extension=None):
-    """Wrap caller-supplied chart evaluators.
-
-    Nothing here can verify that a black-box callable is holomorphic; the
-    caller asserts it on |Im x_j| < margin by passing it in. Prefer the
-    structured constructors when one fits.
-    """
-    return BaseFunction(name=name, chart_fns=dict(chart_fns), margin=float(margin),
-                        extension=extension)
 
 
 def _series_coefficients(model, f, points, max_terms):
@@ -268,7 +257,7 @@ def extend_by_series_lanes(model, f, points, max_terms=DEFAULT_MAX_TERMS):
                  lambda a: _sum_series(f, a, max_terms))
 
 
-def extend_by_series(model, f, z, max_terms=DEFAULT_MAX_TERMS):
+def extend_by_series(model, f, z):
     """Sum the flow-parameter Taylor series of f at parameter i.
 
     A one-point read of :func:`extend_by_series_lanes`. Stops early once two
@@ -280,7 +269,7 @@ def extend_by_series(model, f, z, max_terms=DEFAULT_MAX_TERMS):
     rather than consecutive increases. Raises a :class:`SingularityError`
     when the series meets a vanishing constant term.
     """
-    return lane_result(extend_by_series_lanes(model, f, [z], max_terms)[0])
+    return lane_result(extend_by_series_lanes(model, f, [z])[0])
 
 
 def _flow_value(f, res, tol):
@@ -321,14 +310,14 @@ def extend_by_flow_lanes(model, f, points, path=None, tol=DEFAULT_TOL):
                  lambda res: _flow_value(f, res, tol))
 
 
-def extend_by_flow(model, f, z, path=None, tol=DEFAULT_TOL):
+def extend_by_flow(model, f, z, path=None):
     """Evaluate f's chart formula at the complex-time-i transport of the base point.
 
     A one-point read of :func:`extend_by_flow_lanes`. ``path`` defaults to
     the straight segment to i; any endpoint works and gives the continuation
     at that parameter instead.
     """
-    return lane_result(extend_by_flow_lanes(model, f, [z], path=path, tol=tol)[0])
+    return lane_result(extend_by_flow_lanes(model, f, [z], path=path)[0])
 
 
 def extend_by_exp(model, f, z):
@@ -350,7 +339,7 @@ def extend_by_exp(model, f, z):
                            error_estimate=0.0, diagnostics={"target": np.asarray(target)})
 
 
-def crosscheck(model, f, points, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
+def crosscheck(model, f, points, tol=DEFAULT_TOL):
     """Run every applicable route at every point and report pairwise deviations.
 
     Returns one report per point. The series and flow routes each run all
@@ -359,7 +348,7 @@ def crosscheck(model, f, points, max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
     failing point, and for that point the series route's before the flow
     route's.
     """
-    series = extend_by_series_lanes(model, f, points, max_terms=max_terms)
+    series = extend_by_series_lanes(model, f, points)
     flows = extend_by_flow_lanes(model, f, points, tol=tol)
     orc = model.oracle
     exp_route = orc is not None and hasattr(orc, "exp_complex") and f.extension is not None
@@ -439,7 +428,7 @@ def homogeneity_residuals(model, f, z, c, max_order=8):
     return out
 
 
-def strip_identity_residual(model, z, sigma, tau, tol=DEFAULT_TOL):
+def strip_identity_residual(model, z, sigma, tau):
     """Continued exponential at sigma + i tau vs the strip point it must equal.
 
     The left side continues the exponential map of the initial velocity to the
@@ -454,7 +443,7 @@ def strip_identity_residual(model, z, sigma, tau, tol=DEFAULT_TOL):
     q = model.chart(cid).wrap(z.q)
     v = metric_inv_matrix(model, cid, q) @ z.p
     left = np.asarray(orc.exp_complex(cid, q, (sigma + 1j * tau) * v))
-    moved = flow(model, z, sigma=float(sigma), tol=tol).point
+    moved = flow(model, z, sigma=float(sigma)).point
     v2 = metric_inv_matrix(model, moved.chart_id, moved.q) @ moved.p
     right = np.asarray(orc.exp_complex(moved.chart_id, moved.q, 1j * tau * v2))
     return float(np.max(np.abs(left - right)))

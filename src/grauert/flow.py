@@ -28,8 +28,10 @@ trajectories as lanes (the batch mode of Taylor integrators such as heyoka,
 Biscani and Izzo, MNRAS 2021). The jets carry a leading lane axis, so one
 field evaluation builds the series of every lane in a chart at once, while
 each lane keeps its own step size, chart, transitions, margin and box
-checks and dense output, and leaves the batch when it finishes or breaks
-down. :func:`flow` is a one-lane call of the kernel.
+checks and dense output (its accepted step polynomials), and leaves the
+batch when it finishes or breaks down; a lane that breaks down hands its
+dense output to its :class:`SingularityError`. :func:`flow` is a one-lane
+call of the kernel.
 """
 
 from __future__ import annotations
@@ -138,7 +140,6 @@ class FlowDiagnostics:
     steps: int = 0
     transitions: int = 0
     min_step: float = np.inf
-    tol: float = DEFAULT_TOL
     energy_initial: complex = 0.0
     energy_final: complex = 0.0
 
@@ -158,7 +159,7 @@ class FlowResult:
     def sample(self, num):
         """num states evenly spaced in arc length along the whole path."""
         if not self.segments:
-            raise ValueError("flow was run without dense output")
+            raise ValueError("the flow took no step")
         total = self.segments[-1].t0_global + self.segments[-1].dt
         out = []
         for t in np.linspace(0.0, total, num):
@@ -394,7 +395,7 @@ def _set_energies(model, lanes, attr):
         p = np.array([lane.p for lane in group]).T
         # a lane started on a singular metric has no finite energy
         with np.errstate(divide="ignore", invalid="ignore"):
-            e = energy(model, cid, q, p, check_domain=False)
+            e = energy(model, cid, q, p)
         for lane, x in zip(group, e):
             setattr(lane.diag, attr, complex(x))
 
@@ -475,7 +476,7 @@ def _accept(model, lane, ch, coeffs, state, dt):
     return None
 
 
-def _step_group(model, cid, group, outcomes, tol, variational, dense):
+def _step_group(model, cid, group, outcomes, tol, variational):
     """One accepted step of every lane of ``group`` (all in chart cid); the lanes that go on."""
     group, coeffs = _group_series(model, cid, group, outcomes, variational)
     if not group:
@@ -493,9 +494,7 @@ def _step_group(model, cid, group, outcomes, tol, variational, dense):
                 f"series step collapsed to {h:.3e} at {lane.sigma_now}", lane.sigma_now,
                 "step collapse")
             continue
-        if dense:
-            lane.segments.append(
-                Segment(cid, s0 + u * lane.t_done, u, dt, lane.t_global, coeffs[g]))
+        lane.segments.append(Segment(cid, s0 + u * lane.t_done, u, dt, lane.t_global, coeffs[g]))
         dts[g] = dt
         stepping.append(g)
     state = eval_poly(coeffs, dts[:, None, None])
@@ -521,7 +520,6 @@ def flow_lanes(
     path=None,
     tol=DEFAULT_TOL,
     variational=False,
-    dense=False,
 ):
     """Continue the geodesic flow of ``model`` from every point of ``points`` at once.
 
@@ -533,8 +531,9 @@ def flow_lanes(
     below the floor, its series meets a vanishing constant term, its state
     leaves the chart's imaginary margin, or its real part exits the atlas; a
     :class:`~grauert.errors.ChartDomainError` when it starts outside its
-    chart). With ``dense=True`` a SingularityError keeps the lane's accepted
-    segments, which are trustworthy up to its ``last_good_sigma``.
+    chart). A result keeps the lane's accepted segments as dense output, and
+    so does a SingularityError, whose segments are trustworthy up to its
+    ``last_good_sigma``.
 
     Lanes run in lockstep, each with its own step size, chart and checks, so
     every lane takes the steps it would take alone. Each step builds the
@@ -565,7 +564,7 @@ def flow_lanes(
             if leg_len >= 1e-200:  # a shorter leg has no representable effect on the state
                 legs.append((s0, (s1 - s0) / leg_len, leg_len))
         D = np.eye(m, dtype=complex) if variational else None
-        lanes.append(_Lane(i, z.chart_id, q, z.p.copy(), D, legs, FlowDiagnostics(tol=tol)))
+        lanes.append(_Lane(i, z.chart_id, q, z.p.copy(), D, legs, FlowDiagnostics()))
     _set_energies(model, lanes, "energy_initial")
     active = lanes
     while active:
@@ -580,7 +579,7 @@ def flow_lanes(
             groups.setdefault(lane.cid, []).append(lane)
         active = []
         for cid, group in groups.items():
-            active += _step_group(model, cid, group, outcomes, tol, variational, dense)
+            active += _step_group(model, cid, group, outcomes, tol, variational)
     done = [lane for lane in lanes if outcomes[lane.index] is None]
     _set_energies(model, done, "energy_final")
     for lane in done:
@@ -601,7 +600,6 @@ def flow(
     path=None,
     tol=DEFAULT_TOL,
     variational=False,
-    dense=False,
 ):
     """Continue the geodesic flow of ``model`` from ``point`` along a complex-time path.
 
@@ -609,12 +607,12 @@ def flow(
     path) or ``path`` must be given. Returns a :class:`FlowResult`; raises the
     lane's :class:`SingularityError` when the series step collapses below the
     floor, the series meets a vanishing constant term, the state leaves the
-    chart's imaginary margin, or its real part exits the atlas. With
-    ``dense=True`` the error keeps the accepted segments, which are
-    trustworthy up to its ``last_good_sigma``.
+    chart's imaginary margin, or its real part exits the atlas. The error
+    keeps the accepted segments, which are trustworthy up to its
+    ``last_good_sigma``.
     """
     (out,) = flow_lanes(model, [point], sigma=sigma, path=path, tol=tol,
-                        variational=variational, dense=dense)
+                        variational=variational)
     return lane_result(out)
 
 

@@ -196,14 +196,13 @@ def metric_inv_matrix(model, chart_id, q):
     return np.array([[value(x) for x in row] for row in rows], dtype=complex)
 
 
-def energy(model, chart_id, q, p, check_domain=True):
+def energy(model, chart_id, q, p):
     """Fiberwise quadratic energy (half the squared momentum norm).
 
     The entries of q and p may be numbers, jets, or arrays holding one value
-    per lane (then without the domain check).
+    per lane. q is not checked against the chart: the flow kernel checks its
+    lanes' states itself.
     """
-    if check_domain:
-        model.require_inside(chart_id, q)
     _, gi, _ = model.metric(chart_id, list(q))
     n = model.dim
     acc = 0.0

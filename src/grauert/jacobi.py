@@ -64,17 +64,17 @@ def _vertical_det(L, F):
     return complex(np.linalg.det(c))
 
 
-def f_samples(frames, k, taus, basis=None):
+def f_samples(frames, k, taus):
     """Spreading matrices of point k of ``frames`` at the given real times.
 
-    All in one fixed basis at the point (default: its momentum-led
-    g-orthonormal basis); ``frames`` (a :class:`FrameRays`) must have been
-    given times reaching every tau in both directions. Raises
+    All in one fixed basis at the point, its momentum-led g-orthonormal
+    basis; ``frames`` (a :class:`FrameRays`) must have been given times
+    reaching every tau in both directions. Raises
     :class:`ConjugatePointError` if a sample sits numerically on a
     conjugate-point pole.
     """
     model = frames.model
-    L = lifted_basis(model, frames.points[k], basis)
+    L = lifted_basis(model, frames.points[k])
     out = np.empty((len(taus), model.dim, model.dim), dtype=complex)
     for i, tau in enumerate(taus):
         F = frames.at(tau, k)
@@ -128,7 +128,7 @@ def _parallel_transport(model, geo, V0, tau):
     return y[0] + 1j * y[1]
 
 
-def f_by_jacobi_transport(model, z, tau, tol=1e-12):
+def f_by_jacobi_transport(model, z, tau):
     """Spreading matrix at real time tau without inverting any flow jacobian.
 
     Flows backward (state only, dense), parallel-transports the momentum-led
@@ -140,11 +140,11 @@ def f_by_jacobi_transport(model, z, tau, tol=1e-12):
         return np.zeros((model.dim, model.dim), dtype=complex)
     n = model.dim
     basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
-    back = flow(model, z, sigma=-complex(tau), dense=True, tol=tol)
+    back = flow(model, z, sigma=-complex(tau))
     w = back.point
     V_w = _parallel_transport(model, back, basis, -tau)
     Eta_w = lifted_basis(model, w, V_w)[:, n:]
-    fwd = flow(model, w, sigma=complex(tau), variational=True, tol=tol)
+    fwd = flow(model, w, sigma=complex(tau), variational=True)
     if fwd.point.chart_id != z.chart_id:
         raise SingularityError(
             "forward leg did not return to the base chart", reason="chart transition"
@@ -244,12 +244,12 @@ def continue_f_to_i(frames, k, window):
     return f_i, {"poles": poles, "taus": taus}
 
 
-def j_tensor_from_f(model, z, f, basis=None):
+def j_tensor_from_f(model, z, f):
     """Real structure tensor rebuilt from a spreading matrix at z.
 
     Columns Xi f + Eta of the lifted basis frame span the distribution the
     spreading matrix encodes; the tensor then follows as for any frame.
     """
-    L = lifted_basis(model, z, basis)
+    L = lifted_basis(model, z)
     n = model.dim
     return j_tensor_from_frame(L[:, :n] @ f + L[:, n:])

@@ -336,15 +336,15 @@ def _sqrt_series(f):
 # -- constructors and accessors ------------------------------------------
 
 
-def constant(x, L=1, R=1):
-    c = np.zeros((R, L), dtype=complex)
+def constant(x, L=1):
+    c = np.zeros((1, L), dtype=complex)
     c[0, 0] = x
     return Jet(c)
 
 
-def variable(x, channel, n_channels, L=1):
+def variable(x, channel, n_channels):
     """Dual-seeded scalar: value x, unit sensitivity in one channel."""
-    c = np.zeros((1 + n_channels, L), dtype=complex)
+    c = np.zeros((1 + n_channels, 1), dtype=complex)
     c[0, 0] = x
     c[1 + channel, 0] = 1.0
     return Jet(c)

@@ -83,14 +83,14 @@ def _solve(A, B, what):
     return X
 
 
-def distribution_at(model, z, sigma, tol=1e-12):
+def distribution_at(model, z, sigma):
     """Frame of the sigma-shifted vertical distribution at z.
 
     A one-point, one-ray read of :class:`FrameRays` given just sigma: one
     backward variational flow, and the same frame and errors as any other
     read of a ray through sigma.
     """
-    return FrameRays(model, [z], [sigma], tol=tol).at(sigma)
+    return FrameRays(model, [z], [sigma]).at(sigma)
 
 
 class FrameRays:
@@ -124,7 +124,7 @@ class FrameRays:
         keys = [(k, u) for k in range(len(self.points)) for u in self.reach]
         outcomes = flow_lanes(model, [self.points[k] for k, _ in keys],
                               sigma=[-self.reach[u] * u for _, u in keys],
-                              variational=True, dense=True, tol=tol) if keys else []
+                              variational=True, tol=tol) if keys else []
         self._rays = {}  # (point, direction) -> (segments, good reach, error or None)
         for key, out in zip(keys, outcomes):
             if isinstance(out, SingularityError):
@@ -162,8 +162,8 @@ class FrameRays:
         return _solve(B, self._vertical, "backward jacobian")
 
 
-def orthonormal_tangent_basis(model, chart_id, q, p=None):
-    """g-orthonormal tangent basis; the first vector follows the momentum when given.
+def orthonormal_tangent_basis(model, chart_id, q, p):
+    """g-orthonormal tangent basis; the first vector follows the momentum p unless p vanishes.
 
     Orthonormality is with respect to the bilinear (unconjugated) extension
     of the metric, so the basis continues holomorphically off the real slice.
@@ -172,7 +172,7 @@ def orthonormal_tangent_basis(model, chart_id, q, p=None):
     n = model.dim
     g = metric_matrix(model, chart_id, q)
     cands = []
-    if p is not None and np.max(np.abs(p)) > 1e-14:
+    if np.max(np.abs(p)) > 1e-14:
         cands.append(metric_inv_matrix(model, chart_id, q) @ np.asarray(p, dtype=complex))
     cands.extend(np.eye(n, dtype=complex)[:, i] for i in range(n))
     basis = []

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import GrauertError
 from .flow import (
+    MAX_STEPS,
     PhasePoint,
     diff5,
     flow_lanes,
@@ -89,6 +90,15 @@ THETA_SIGMAS = (0.35, 0.7, 0.45j, 0.8j)
 SCALING_FACTORS = (0.5, 2.0)
 SCALING_SIGMAS = (0.6, 1j)
 ZERO_SECTION_SIGMAS = (0.3, 1.0, 2.0)
+# each adaptedness strip: sigma in [-max, max] and tau in [-max, max], nodes per axis
+STRIP_SIGMA_MAX, STRIP_TAU_MAX, STRIP_NODES = 0.5, 0.4, 5
+# step of the five-point stencil that differences the J field
+NIJENHUIS_STEP = 1e-3
+# the radius scan reads a frame every RADIUS_SCAN_STEP out to sweep_cap; the
+# cap keeps that to at most as many reads per ray as the kernel takes steps
+RADIUS_SCAN_STEP = 0.05
+MAX_SWEEP_CAP = MAX_STEPS * RADIUS_SCAN_STEP
+DEFAULT_RESOLUTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -328,18 +338,18 @@ def check_kahler_potential(frames, tolerance=DEFAULT_TOLERANCES["kahler_potentia
     return _report(model, "kahler_potential", residuals, tolerance)
 
 
-def check_adaptedness(model, points, sigma_max=0.5, tau_max=0.4, n_sigma=5,
-                      n_tau=5, tolerance=DEFAULT_TOLERANCES["adaptedness"],
+def check_adaptedness(model, points, tolerance=DEFAULT_TOLERANCES["adaptedness"],
                       flow_tol=1e-12):
     """The geodesic strips are holomorphic curves for the computed structure.
 
     Each unit covector spans a strip (sigma, tau) -> (position at sigma, tau
     times momentum at sigma); J applied to the sigma-derivative must give the
-    tau-derivative. Strip states come from one dense real flow per sign of
-    sigma, the sigma-derivative is the Hamiltonian field at the state, and
-    the tau-derivative is exact since the strip is linear in tau. The real
-    flows of all strips run as lanes of one kernel call, and so do the
-    backward flows of all n_sigma x n_tau nodes of all strips.
+    tau-derivative, at STRIP_NODES x STRIP_NODES nodes of |sigma| <=
+    STRIP_SIGMA_MAX, |tau| <= STRIP_TAU_MAX. Strip states come from one dense
+    real flow per sign of sigma, the sigma-derivative is the Hamiltonian
+    field at the state, and the tau-derivative is exact since the strip is
+    linear in tau. The real flows of all strips run as lanes of one kernel
+    call, and so do the backward flows of all nodes of all strips.
     """
     signs = (1.0, -1.0)
     units = []
@@ -349,11 +359,11 @@ def check_adaptedness(model, points, sigma_max=0.5, tau_max=0.4, n_sigma=5,
         speed = math.sqrt(float((z.p.real @ gi @ z.p.real)))
         units.append(PhasePoint(z.chart_id, z.q, z.p / speed))
     rays = flow_lanes(model, [zu for zu in units for _ in signs],
-                      sigma=[sgn * sigma_max for _ in units for sgn in signs],
-                      dense=True, tol=flow_tol)
+                      sigma=[sgn * STRIP_SIGMA_MAX for _ in units for sgn in signs],
+                      tol=flow_tol)
     # per strip: its rows (sigma, q, p, dq, dp), or the error of its rays
     strips, nodes = [], []
-    taus = np.linspace(-tau_max, tau_max, n_tau)
+    taus = np.linspace(-STRIP_TAU_MAX, STRIP_TAU_MAX, STRIP_NODES)
     for i in range(len(units)):
         try:
             segments = {sgn: lane_result(out).segments
@@ -362,7 +372,7 @@ def check_adaptedness(model, points, sigma_max=0.5, tau_max=0.4, n_sigma=5,
             strips.append(e)
             continue
         rows = []
-        for s in np.linspace(-sigma_max, sigma_max, n_sigma):
+        for s in np.linspace(-STRIP_SIGMA_MAX, STRIP_SIGMA_MAX, STRIP_NODES):
             seg, t_local = segment_at(segments[math.copysign(1.0, s)], abs(s))
             q, p = (x.real for x in seg.state_at(t_local))
             dq, dp = (np.array(x, dtype=complex) for x in
@@ -437,25 +447,24 @@ def check_scaling(model, points, factors=SCALING_FACTORS, sigmas=SCALING_SIGMAS,
     return _report(model, "scaling", residuals, tolerance)
 
 
-def check_zero_section(model, points, sigmas=ZERO_SECTION_SIGMAS,
-                       tolerance=DEFAULT_TOLERANCES["zero_section"],
+def check_zero_section(model, points, tolerance=DEFAULT_TOLERANCES["zero_section"],
                        flow_tol=1e-12):
     """On the zero section the flow jacobian is unipotent shear in the lift basis.
 
-    ``sigmas`` lie on one ray from 0; one dense variational flow per point
-    to the farthest of them gives the jacobian at every one, and the flows
-    of all points run as lanes of one kernel call.
+    The times ZERO_SECTION_SIGMAS lie on one ray from 0; one dense
+    variational flow per point to the farthest of them gives the jacobian at
+    every one, and the flows of all points run as lanes of one kernel call.
     """
-    reach = max(sigmas, key=abs, default=0.0)
+    reach = max(ZERO_SECTION_SIGMAS, key=abs)
     rests = [PhasePoint(z.chart_id, z.q, np.zeros(z.dim)) for z in points]
-    rays = flow_lanes(model, rests, sigma=reach, variational=True, dense=True, tol=flow_tol)
+    rays = flow_lanes(model, rests, sigma=reach, variational=True, tol=flow_tol)
     residuals = []
     for rest, ray in zip(rests, rays):
         n = rest.dim
         L = lifted_basis(model, rest)  # at p = 0 the horizontal lifts have no momentum row
         Linv = np.linalg.inv(L)
         segments = lane_result(ray).segments
-        for s in sigmas:
+        for s in ZERO_SECTION_SIGMAS:
             seg, t_local = segment_at(segments, abs(s))
             want = np.eye(2 * n, dtype=complex)
             want[:n, n:] = s * np.eye(n)
@@ -465,18 +474,19 @@ def check_zero_section(model, points, sigmas=ZERO_SECTION_SIGMAS,
     return _report(model, "zero_section", residuals, tolerance)
 
 
-def check_nijenhuis(frames, h=1e-3, tolerance=DEFAULT_TOLERANCES["nijenhuis"]):
+def check_nijenhuis(frames, tolerance=DEFAULT_TOLERANCES["nijenhuis"]):
     """Vanishing torsion of the J field, differenced over coordinate fields.
 
     N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] with X, Y running over the
     coordinate basis; the J derivatives are five-point central differences of
-    step h, so the truncation error sits well below the J noise floor. J at
-    the centre is read at sigma = i from ``frames``, a :class:`FrameRays`
-    over the checked points; the 4 stencil points per coordinate of every
-    point are lanes of one kernel call, each its own backward flow.
+    step NIJENHUIS_STEP, so the truncation error sits well below the J noise
+    floor. J at the centre is read at sigma = i from ``frames``, a
+    :class:`FrameRays` over the checked points; the 4 stencil points per
+    coordinate of every point are lanes of one kernel call, each its own
+    backward flow.
     """
     model = frames.model
-    stencils = [w for z in frames.points for w in stencil_points(z, h)]
+    stencils = [w for z in frames.points for w in stencil_points(z, NIJENHUIS_STEP)]
     stencil_frames = FrameRays(model, stencils, [1j], tol=frames.tol)
     residuals = []
     m = 2 * model.dim
@@ -485,7 +495,7 @@ def check_nijenhuis(frames, h=1e-3, tolerance=DEFAULT_TOLERANCES["nijenhuis"]):
         dJ = np.zeros((m, m, m), dtype=complex)  # dJ[j] = d_j J
         for j in range(m):  # lanes 4 (m c + j) + i are the stencil of coordinate j of z
             dJ[j] = diff5([j_tensor_from_frame(stencil_frames.at(1j, 4 * (m * c + j) + i))
-                           for i in range(4)], h)
+                           for i in range(4)], NIJENHUIS_STEP)
         r = 0.0
         for a in range(m):
             for b in range(a + 1, m):
@@ -502,15 +512,22 @@ def check_nijenhuis(frames, h=1e-3, tolerance=DEFAULT_TOLERANCES["nijenhuis"]):
 
 
 def _largest_good_tau(pred, cap, resolution):
-    """Largest tau in (0, cap] where pred holds, assuming a single crossing."""
+    """Largest tau in (0, cap] where pred holds, assuming a single crossing.
+
+    The first probe lies at DEFAULT_RESOLUTION or resolution, whichever is
+    larger (within the cap): closer to 0 the frame is within about tau of
+    the vertical frame, which meets its conjugate. The bisection ends at
+    resolution, or once lo and hi are adjacent floats.
+    """
     if pred(cap):
         return cap, True
-    lo, hi = 0.0, cap
-    if not pred(resolution):
+    lo, hi = min(max(resolution, DEFAULT_RESOLUTION), cap), cap
+    if not pred(lo):
         return 0.0, False
-    lo = resolution
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if pred(mid):
             lo = mid
         else:
@@ -519,7 +536,7 @@ def _largest_good_tau(pred, cap, resolution):
 
 
 def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
-                         resolution=1e-3, flow_tol=1e-12):
+                         resolution=DEFAULT_RESOLUTION, flow_tol=1e-12):
     """Per-direction breakdown radii, reported as the infimum over directions.
 
     The continuation radius of a direction is the distance to the nearest
@@ -545,10 +562,12 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
     (positive and negative real time, positive imaginary time) out to
     ``sweep_cap``, and the rays of all directions run as the lanes of one
     kernel call; every frame the scans, fits and bisections use is read from
-    them (:class:`~grauert.lagrangian.FrameRays`).
+    them (:class:`~grauert.lagrangian.FrameRays`). The real-axis scan reads a
+    frame every RADIUS_SCAN_STEP out to ``sweep_cap``, which is therefore at
+    most MAX_SWEEP_CAP (ValueError above it).
     """
-    if not sweep_cap > 0:
-        raise ValueError("sweep_cap must be positive")
+    if not 0 < sweep_cap <= MAX_SWEEP_CAP:
+        raise ValueError(f"sweep_cap must be positive and at most {MAX_SWEEP_CAP:g}")
     if not resolution < sweep_cap:
         raise ValueError("resolution must be below sweep_cap")
     dirs = sample_tube_points(model, n_directions, seed, 1.0, 1.0)
@@ -573,7 +592,8 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
     monotone = True
     pade_moduli = []
     for k in range(len(dirs)):
-        hit = first_f_singularity(frames, k, tau_max=sweep_cap, coarse=0.05, refine=refine)
+        hit = first_f_singularity(frames, k, tau_max=sweep_cap, coarse=RADIUS_SCAN_STEP,
+                                  refine=refine)
         if hit is not None:
             # a rescan on another sample grid and a shorter horizon must find
             # it again

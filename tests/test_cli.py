@@ -198,7 +198,7 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, text, me
 
 
 def test_tube_radius_resolution_below_cap(tmp_path, capsys):
-    # the scan's first probe lies one resolution out, so it must lie inside the cap
+    # the bisections resolve each radius to within resolution, so it must lie inside the cap
     text = ("[model]\nname = round_sphere\n[grids]\nsweep_cap = 2.0\nresolution = 3.0\n"
             "n_directions = 1\nseed = 7\n")
     code, _ = run(tmp_path, "tube-radius", "--config", write_ini(tmp_path, text))
@@ -209,6 +209,29 @@ def test_tube_radius_resolution_below_cap(tmp_path, capsys):
     with pytest.raises(ValueError):
         estimate_tube_radius(catalog("round_sphere"), n_directions=1, sweep_cap=2.0,
                              resolution=3.0)
+
+
+def test_tube_radius_sweep_cap_above_scan_budget(tmp_path, capsys):
+    # the scan reads a frame every 0.05 out to the cap: at most flow.MAX_STEPS per ray
+    text = "[model]\nname = flat_torus\n[grids]\nsweep_cap = 1e6\nn_directions = 1\n"
+    code, _ = run(tmp_path, "tube-radius", "--config", write_ini(tmp_path, text))
+    assert code == 3
+    assert capsys.readouterr().err == "config error: sweep_cap must be at most 500, got 1e+06\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("verify", "[model]\nname = round_sphere\nradius = 1e-300\n"),
+    ("verify", "[model]\nname = surface_of_revolution\nbase = 1e-200\namp = 0\n"),
+    ("tube-radius", "[model]\nname = round_sphere\nradius = 1e300\n"),
+    ("flow", "[model]\nname = surface_of_revolution\nbase = 1e300\namp = 1\n"),
+], ids=["tiny radius", "tiny base", "huge radius", "huge base"])
+def test_model_scale_whose_square_leaves_the_floats_is_a_config_error(tmp_path, capsys, command,
+                                                                      text):
+    text += "[grids]\nn_samples = 2\nn_strips = 1\nn_directions = 1\n"
+    code, _ = run(tmp_path, command, "--config", write_ini(tmp_path, text))
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
 def test_output_dir_through_a_file_is_a_config_error(tmp_path, capsys):
@@ -587,15 +610,17 @@ MODELS = {
 BAD_MODELS = ["flat_space\ndim = 0", "flat_torus\nperiods = 1.0, -1.0",
               "flat_torus\nperiods = inf, 1", "round_sphere\nradius = 0",
               "round_sphere\nradius = inf", "round_sphere\nradius = nan", "round_sphere\ndim = 3",
+              "round_sphere\nradius = 1e-300",
               "surface_of_revolution\nbase = 1.0\namp = 2.0",
               "surface_of_revolution\nbase = inf\namp = 1.0",
-              "surface_of_revolution\nbase = 2.0\namp = nan", "klein_bottle"]
+              "surface_of_revolution\nbase = 2.0\namp = nan",
+              "surface_of_revolution\nbase = 1e300\namp = 1.0", "klein_bottle"]
 # (section, key) -> (valid values, invalid values); valid grids stay small
 KEYS = {
     ("grids", "n_samples"): ([1, 2], [0]),
     ("grids", "n_strips"): ([1], [-1]),
     ("grids", "n_directions"): ([1], [0]),
-    ("grids", "sweep_cap"): ([0.5, 1.0], [0, "inf"]),
+    ("grids", "sweep_cap"): ([0.5, 1.0], [0, "inf", "1e6"]),
     # 5 lies above every drawn sweep_cap
     ("grids", "resolution"): ([0.01, 0.1], [-0.1, "nan", 5]),
     ("grids", "n_points"): ([1, 2], [0]),

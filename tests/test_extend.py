@@ -12,6 +12,7 @@ from grauert.catalog import catalog
 from grauert.cli import main
 from grauert.errors import ChartDomainError, DivergenceError, SingularityError, UnsupportedModelError
 from grauert.extend import (
+    BaseFunction,
     crosscheck,
     extend_by_exp,
     extend_by_flow,
@@ -19,7 +20,6 @@ from grauert.extend import (
     extend_by_series,
     extend_by_series_lanes,
     flow_derivative_coefficients,
-    from_chart_functions,
     holomorphy_residual,
     homogeneity_residuals,
     nested_flow_derivative_fd,
@@ -43,7 +43,7 @@ def pole_function():
         1.0 / (1.25 + qs[0].sincos()[1])
     )
     ext = lambda xc: 1.0 / (1.25 + np.cos(complex(xc[0])))
-    return from_chart_functions("cos_pole", {"main": ev}, margin=POLE_IM, extension=ext)
+    return BaseFunction("cos_pole", {"main": ev}, margin=POLE_IM, extension=ext)
 
 
 def sphere_point(rng, rho, chart="a"):
@@ -141,7 +141,7 @@ def test_pole_function_convergent_region():
 
 def test_exp_route_requires_closed_form():
     srf = catalog("surface_of_revolution")
-    plain = from_chart_functions(
+    plain = BaseFunction(
         "u_wave", {"main": lambda qs: (1j * qs[0]).exp() if hasattr(qs[0], "c") else np.exp(1j * qs[0])},
         margin=np.inf,
     )
@@ -150,7 +150,7 @@ def test_exp_route_requires_closed_form():
     with pytest.raises(UnsupportedModelError):
         strip_identity_residual(srf, PhasePoint("main", [0.1, 0.2], [0.1, 0.0]), 0.3, 0.2)
     tor = catalog("flat_torus")
-    no_ext = from_chart_functions("bare", {"main": lambda qs: 1.0}, margin=np.inf)
+    no_ext = BaseFunction("bare", {"main": lambda qs: 1.0}, margin=np.inf)
     with pytest.raises(UnsupportedModelError):
         extend_by_exp(tor, no_ext, PhasePoint("main", [0.0, 0.0], [0.1, 0.0]))
 
@@ -215,20 +215,21 @@ def test_strip_scaling_series_vs_flow():
             assert abs(s.value - fl.value) < 1e-8
 
 
-def test_holomorphy_residual_flat_and_sphere():
+@pytest.mark.parametrize("method", ["flow", "series"])
+def test_holomorphy_residual_flat_and_sphere(method):
     tor = catalog("flat_torus")
     wave = torus_trig("wave", {(1, 0): 1.0})
     pts = [
         PhasePoint("main", [0.2, 0.5], [0.3, -0.1]),
         PhasePoint("main", [-1.0, 2.0], [0.1, 0.25]),
     ]
-    assert holomorphy_residual(tor, wave, pts) < 1e-9
+    assert holomorphy_residual(tor, wave, pts, method=method) < 1e-9
     const = torus_trig("const", {(0, 0): 2.5})
-    assert holomorphy_residual(tor, const, pts) == 0.0
+    assert holomorphy_residual(tor, const, pts, method=method) == 0.0
     sph = catalog("round_sphere")
     fs = sphere_ambient(sph, "height", (0.0, 0.0, 1.0))
     zs = PhasePoint("a", [math.pi / 2 - 0.3, 0.4], [0.2, 0.15])
-    assert holomorphy_residual(sph, fs, [zs]) < 1e-5
+    assert holomorphy_residual(sph, fs, [zs], method=method) < 1e-5
 
 
 @settings(deadline=None, max_examples=25)
@@ -256,7 +257,7 @@ def test_series_flow_agree_on_random_waves(k1, k2, re, im, x0, x1, v0, v1):
 
 def _u_wave(model):
     ev = lambda qs: (1j * qs[0]).exp() if hasattr(qs[0], "c") else np.exp(1j * qs[0])
-    return from_chart_functions("u_wave", {cid: ev for cid in model.charts}, margin=np.inf)
+    return BaseFunction("u_wave", {cid: ev for cid in model.charts}, margin=np.inf)
 
 
 def _same_result(batch, alone):
@@ -346,7 +347,7 @@ def test_batch_raises_first_failing_point_series_before_flow():
 
 def test_singular_series_retires_one_lane():
     model = _g11_is_q0()
-    f = from_chart_functions("q1", {"main": lambda qs: qs[1]}, margin=np.inf)
+    f = BaseFunction("q1", {"main": lambda qs: qs[1]}, margin=np.inf)
     good = [PhasePoint("main", [1.0, 0.2], [0.1, 0.2]), PhasePoint("main", [1.5, -0.3], [-0.2, 0.1])]
     bad = PhasePoint("main", [0.0, 0.0], [0.1, 0.2])
     first, broken, last = extend_by_series_lanes(model, f, [good[0], bad, good[1]])

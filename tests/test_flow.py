@@ -41,7 +41,7 @@ def test_field_is_hamiltonian_field_of_energy():
     for model, cid in cases:
         qs = [jets.variable(q[i], i, 4) for i in range(2)]
         ps = [jets.variable(p[i], 2 + i, 4) for i in range(2)]
-        grad = energy(model, cid, qs, ps, check_domain=False).c[1:, 0]
+        grad = energy(model, cid, qs, ps).c[1:, 0]
         dq, dp = hamiltonian_vector_field(model, cid, list(q), list(p))
         assert np.max(np.abs(np.array(dq) - grad[2:])) < 1e-13
         assert np.max(np.abs(np.array(dp) + grad[:2])) < 1e-13
@@ -349,7 +349,7 @@ def test_flat_box_exit_raises():
 def test_dense_sampling():
     sph = catalog("round_sphere")
     z = PhasePoint("a", [1.2, 0.4], [0.3, 0.5])
-    r = flow(sph, z, sigma=0.9j, dense=True)
+    r = flow(sph, z, sigma=0.9j)
     rows = r.sample(11)
     assert len(rows) == 11
     assert abs(rows[0][0]) < 1e-14
@@ -359,9 +359,31 @@ def test_dense_sampling():
     from grauert.geometry import energy
 
     for sig, pt in rows:
-        e = energy(sph, pt.chart_id, pt.q, pt.p, check_domain=False)
+        e = energy(sph, pt.chart_id, pt.q, pt.p)
         e0 = e if e0 is None else e0
         assert abs(e - e0) < 1e-10
+
+
+def test_every_flow_keeps_its_segments():
+    # there is no switch for dense output: a flow that breaks down keeps its
+    # accepted steps, and so do the lanes of extend's flow route
+    from grauert.extend import extend_by_flow_lanes, sphere_ambient
+    from grauert.verify import sample_tube_points
+
+    sph = catalog("round_sphere")
+    z = sample_tube_points(sph, 1, 7, 1.0, 1.0)[0]
+    with pytest.raises(SingularityError) as exc:
+        flow(sph, z, sigma=-2j)
+    err = exc.value
+    assert err.reason == "imaginary margin"
+    segs = err.segments
+    assert segs and segs[-1].t0_global < abs(err.last_good_sigma) <= segs[-1].t0_global + segs[-1].dt
+    height = sphere_ambient(sph, "height", (0.0, 0.0, 1.0))
+    (lane,) = extend_by_flow_lanes(sph, height, [z], path=SigmaPath.straight(-2j))
+    assert isinstance(lane, SingularityError)
+    assert len(lane.segments) == len(segs)
+    for a, b in zip(lane.segments, segs):
+        assert a.dt == b.dt and np.array_equal(a.coeffs, b.coeffs)
 
 
 def test_path_validation():
@@ -426,10 +448,10 @@ def test_lanes_match_single_flows():
     batches = []
     for model, lanes in cases:
         batch = flow_lanes(model, [z for z, _ in lanes], sigma=[s for _, s in lanes],
-                           variational=True, dense=True)
+                           variational=True)
         for (z, s), lane in zip(lanes, batch):
             try:
-                alone = flow(model, z, sigma=s, variational=True, dense=True)
+                alone = flow(model, z, sigma=s, variational=True)
             except SingularityError as e:
                 alone = e
             _assert_same_flow(lane, alone)
@@ -476,13 +498,13 @@ def test_singular_series_retires_one_lane():
     good = [PhasePoint("main", [1.0, 0.2], [0.1, 0.2]), PhasePoint("main", [1.5, -0.3], [-0.2, 0.1])]
     bad = PhasePoint("main", [0.0, 0.0], [0.1, 0.2])
     first, broken, last = flow_lanes(model, [good[0], bad, good[1]], sigma=0.3,
-                                     variational=True, dense=True)
+                                     variational=True)
     assert isinstance(broken, SingularityError)
     assert broken.reason == "singular series"
     assert broken.last_good_sigma == 0
     assert broken.segments == []
     for lane, z in ((first, good[0]), (last, good[1])):
-        _assert_same_flow(lane, flow(model, z, sigma=0.3, variational=True, dense=True))
+        _assert_same_flow(lane, flow(model, z, sigma=0.3, variational=True))
         assert lane.diagnostics.energy_drift < 1e-12
     # one flow raises the typed breakdown, not an arithmetic error
     with pytest.raises(SingularityError) as exc:

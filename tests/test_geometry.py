@@ -250,8 +250,8 @@ def test_sphere_transition_preserves_energy(theta, phi, p1, p2):
     q = np.array([theta, phi], dtype=complex)
     p = np.array([p1, p2], dtype=complex)
     qb, pb, _ = transition_phase(sph, "a", "b", q, p)
-    e_a = energy(sph, "a", q, p, check_domain=False)
-    e_b = energy(sph, "b", qb, pb, check_domain=False)
+    e_a = energy(sph, "a", q, p)
+    e_b = energy(sph, "b", qb, pb)
     assert abs(e_a - e_b) < 1e-12 * max(1.0, abs(e_a))
 
 
@@ -304,7 +304,7 @@ def test_sphere_oracle_energy_and_group_law():
     e0 = energy(sph, "a", q, p)
     for sigma in (0.7, 0.3 + 0.4j, -1.1 + 0.2j):
         cid, q1, p1 = orc.state_flow("a", q, p, sigma)
-        e1 = energy(sph, cid, q1, p1, check_domain=False)
+        e1 = energy(sph, cid, q1, p1)
         assert abs(e1 - e0) < 1e-11
     # flow(s+t) = flow(t) after flow(s), crossing chart choices freely
     cid1, qa, pa = orc.state_flow("a", q, p, 0.9)

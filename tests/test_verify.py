@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -146,12 +147,12 @@ def test_kahler_potential_curved(sphere, surfrev):
 
 def test_adaptedness_strips(flat, sphere):
     covs = sample_tube_points(flat, 2, 6, 1.0, 1.0)
-    rep = check_adaptedness(flat, covs, n_sigma=3, n_tau=3)
+    rep = check_adaptedness(flat, covs)
     assert rep.verdict == "pass"
     assert rep.max_residual < 1e-8
 
     covs = sample_tube_points(sphere, 2, 7, 1.0, 1.0)
-    rep = check_adaptedness(sphere, covs, n_sigma=3, n_tau=3)
+    rep = check_adaptedness(sphere, covs)
     assert rep.verdict == "pass", rep.to_record()
 
 
@@ -396,6 +397,23 @@ def test_tube_radius_one_kernel_call(sphere, monkeypatch):
 def test_tube_radius_rejects_bad_cap(sphere):
     with pytest.raises(ValueError):
         estimate_tube_radius(sphere, sweep_cap=0.0)
+    # the scan would read 2 * 10^7 frames per direction
+    with pytest.raises(ValueError):
+        estimate_tube_radius(sphere, sweep_cap=1e6)
+
+
+def test_tube_radius_at_fine_resolution(sphere):
+    # closer to 0 than the default resolution the frame meets its conjugate,
+    # so the first probe stays there; and the bisection ends at adjacent
+    # floats when the resolution lies below their spacing
+    ref = estimate_tube_radius(sphere, n_directions=1, seed=7, sweep_cap=2.0)
+    for resolution in (1e-9, 1e-300):
+        start = time.perf_counter()
+        est = estimate_tube_radius(sphere, n_directions=1, seed=7, sweep_cap=2.0,
+                                   resolution=resolution)
+        assert time.perf_counter() - start < 10.0
+        assert abs(est.radius_transversality - ref.radius_transversality) < 1e-3
+        assert abs(est.radius_positivity - ref.radius_positivity) < 1e-3
 
 
 def test_tightening_comparison(flat):
