@@ -89,8 +89,6 @@ class SphereEmbedding:
         return np.array([theta, phi], dtype=complex)
 
     def transition(self, from_chart, to_chart, qs):
-        if from_chart == to_chart:
-            return list(qs)
         return self.world_to_chart(to_chart, self.to_world(from_chart, qs))
 
     def push_to_world(self, chart_id, q, vecs):
@@ -114,9 +112,6 @@ class FlatOracle:
 
     def f_matrix(self, chart_id, q, p, sigma):
         return sigma * np.eye(self.model.dim, dtype=complex)
-
-    def f_matrix_at_i(self, chart_id, q, p):
-        return 1j * np.eye(self.model.dim, dtype=complex)
 
     def exp_complex(self, chart_id, q, w):
         return np.asarray(q, dtype=complex) + np.asarray(w, dtype=complex)

@@ -29,9 +29,10 @@ Exit codes: 0 success, 1 a verification check failed, 2 numerical breakdown
 (a singularity; ``flow`` also writes its last good time to a sidecar record,
 flow_breakdown.jsonl), 3 configuration error (including a number that is
 nan or infinite, an output directory that cannot be created, a sweep_cap
-above 500, whose scan would read a frame every 0.05 out to it, and a model
-scale whose square is zero or infinite), 4 internal error (an exception the
-toolkit does not diagnose; reported on one line of stderr).
+above 500, whose scan would read a frame every 0.05 out to it, a model
+scale whose square is zero or infinite, and a start point whose energy is
+not finite), 4 internal error (an exception the toolkit does not diagnose;
+reported on one line of stderr).
 """
 
 from __future__ import annotations
@@ -328,6 +329,9 @@ def _start_point(cfg, model):
         v = np.zeros(model.dim)
         v[0] = 1.0 / np.sqrt(g[0, 0])
         p = g @ v
+    with np.errstate(all="ignore"):
+        if not np.isfinite(energy(model, cid, q, p)):
+            raise ConfigError("the start point's energy is not finite")
     return PhasePoint(cid, q, p)
 
 

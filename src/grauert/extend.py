@@ -161,14 +161,13 @@ def _series_coefficients(model, f, points, max_terms):
     ended its lane (a ChartDomainError when the point lies outside its chart,
     a SingularityError when its series meets a vanishing constant term). The
     points of each chart build their series with one ``_taylor_series`` call,
-    and ``f.chart_eval`` runs once on their lane jets; a single lane runs on
-    jets without a lane axis, as the flow kernel's field evaluation does.
+    and ``f.chart_eval`` runs once on their lane jets, a single lane too.
     """
     out = [None] * len(points)
     groups = {}
     for i, z in enumerate(points):
-        q = model.chart(z.chart_id).wrap(z.q)
         try:
+            q = model.chart(z.chart_id).wrap(z.q)
             model.require_inside(z.chart_id, q)
         except ChartDomainError as e:
             out[i] = e
@@ -181,7 +180,7 @@ def _series_coefficients(model, f, points, max_terms):
 
         def build(k):
             coeffs = _taylor_series(model, cid, q[k], p[k], None, 1.0, max_terms)
-            lanes = coeffs.transpose(1, 0, 2, 3) if len(k) > 1 else coeffs[0]
+            lanes = coeffs.transpose(1, 0, 2, 3)
             val = f.chart_eval(cid, [Jet(lanes[i].copy()) for i in range(n)])
             a = np.zeros((len(k), max_terms + 1), dtype=complex)
             if isinstance(val, Jet):

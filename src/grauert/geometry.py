@@ -235,13 +235,11 @@ def push_through(fn, q, vectors):
     """Differential of a coordinate map applied to given tangent vectors.
 
     ``fn`` maps a scalar sequence to a scalar sequence; derivative channels
-    carry the pushforward. Returns (values, pushed) as complex arrays, with
-    pushed[:, a] the image of vectors[:, a].
+    carry the pushforward of the (n, m) block ``vectors``. Returns (values,
+    pushed) as complex arrays, with pushed[:, a] the image of vectors[:, a].
     """
     q = np.asarray(q, dtype=complex)
     vecs = np.asarray(vectors, dtype=complex)
-    if vecs.ndim == 1:
-        vecs = vecs[:, None]
     n, m = vecs.shape
     args = []
     for i in range(n):

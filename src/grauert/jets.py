@@ -19,10 +19,11 @@ Coefficients live in one complex array of shape (..., R, L); row 0 is the
 value series, rows 1..R-1 the channels. The leading axes are lanes: a jet
 holds one independent scalar per lane, and every operation acts on all lanes
 at once, which is how the flow kernel integrates many trajectories with one
-pass of a model evaluator. A jet without leading axes is one scalar. Products
-use the first-order rule in the channels (channels never multiply each
-other) and full truncated Cauchy products along the series axis, realized as
-small Toeplitz matmuls so the inner loops stay in BLAS.
+pass of a model evaluator. A jet without leading axes is one scalar. Two jets
+in one operation have one shape: the same lanes, channels and series length.
+Products use the first-order rule in the channels (channels never multiply
+each other) and full truncated Cauchy products along the series axis,
+realized as small Toeplitz matmuls so the inner loops stay in BLAS.
 
 Scalars (int/float/complex/numpy numbers) mix freely with jets. The
 functions at module level (``sincos``, ``exp``, ...) dispatch on type, so model
@@ -89,10 +90,6 @@ class Jet:
 
     # -- taxonomy ---------------------------------------------------------
     @property
-    def L(self):
-        return self.c.shape[-1]
-
-    @property
     def R(self):
         return self.c.shape[-2]
 
@@ -106,12 +103,6 @@ class Jet:
         """Order-0 value of each derivative channel, shape (..., R-1)."""
         return self.c[..., 1:, 0]
 
-    def copy(self):
-        return Jet(self.c.copy())
-
-    def __repr__(self):
-        return f"Jet(lanes={self.c.shape[:-2]}, L={self.L}, R={self.R})"
-
     # -- ring operations --------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, Jet):
@@ -120,10 +111,7 @@ class Jet:
             out = self.c.copy()
             out[..., 0, 0] += other
             return Jet(out)
-        a, b = self.c, other.c
-        if a.shape == b.shape:
-            return Jet(a + b)
-        return Jet(_broadcast_add(a, b))
+        return Jet(self.c + _operand(self, other))
 
     __radd__ = __add__
 
@@ -135,10 +123,7 @@ class Jet:
             out = self.c.copy()
             out[..., 0, 0] -= other
             return Jet(out)
-        a, b = self.c, other.c
-        if a.shape == b.shape:
-            return Jet(a - b)
-        return Jet(_broadcast_add(a, -b))
+        return Jet(self.c - _operand(self, other))
 
     def __rsub__(self, other):
         out = -self.c
@@ -148,18 +133,10 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.c * other)
-        a, b = self.c, other.c
-        if a.shape[-1] != b.shape[-1]:
-            raise ValueError("jet truncation lengths differ")
+        a, b = self.c, _operand(self, other)
         out = a @ _toep(b[..., 0, :])
         if b.shape[-2] > 1:
-            extra = b[..., 1:, :] @ _toep(a[..., 0, :])
-            if a.shape[-2] == 1:
-                out = np.concatenate([out, extra], axis=-2)
-            elif a.shape[-2] == b.shape[-2]:
-                out[..., 1:, :] += extra
-            else:
-                raise ValueError("jet channel counts differ")
+            out[..., 1:, :] += b[..., 1:, :] @ _toep(a[..., 0, :])
         return Jet(out)
 
     __rmul__ = __mul__
@@ -183,16 +160,6 @@ class Jet:
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
-
-    def __pow__(self, n):
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise TypeError("only nonnegative integer powers")
-        if n == 0:
-            return constant(1.0, L=self.L)
-        out = self
-        for _ in range(int(n) - 1):
-            out = out * self
-        return out
 
     # -- transcendental maps ----------------------------------------------
     def _apply(self, val_series, dval_series):
@@ -221,19 +188,11 @@ class Jet:
         return self._apply(s, 0.5 * _recip_series(s))
 
 
-def _broadcast_add(a, b):
-    """Sum of jets whose lanes or channel counts differ; a side without channels adds to row 0."""
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError("jet truncation lengths differ")
-    if a.shape[-2] == b.shape[-2]:
-        return a + b
-    if a.shape[-2] == 1:
-        a, b = b, a
-    if b.shape[-2] != 1:
-        raise ValueError("jet channel counts differ")
-    out = np.broadcast_to(a, np.broadcast_shapes(a.shape, b.shape)).copy()
-    out[..., 0, :] += b[..., 0, :]
-    return out
+def _operand(a, b):
+    """b's coefficients, for an operation with a: two jets in one operation have one shape."""
+    if a.c.shape != b.c.shape:
+        raise ValueError(f"jet shapes differ: {a.c.shape} and {b.c.shape}")
+    return b.c
 
 
 # -- series recurrences, all lanes at once -------------------------------------

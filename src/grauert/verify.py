@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, partial
 from pathlib import Path
 
@@ -117,12 +117,8 @@ class VerificationReport:
 
     def to_record(self):
         return {
-            "check": self.check,
-            "model": self.model,
+            **asdict(self),
             "params": {k: _plain(v) for k, v in self.params.items()},
-            "n_samples": self.n_samples,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
             "verdict": self.verdict,
             "worst": [{"point": lbl, "residual": float(r)} for lbl, r in self.worst],
         }
@@ -142,18 +138,7 @@ class TubeRadiusEstimate:
     pade_nearest_pole: float | None = None
 
     def to_record(self):
-        return {
-            "model": self.model,
-            "params": {k: _plain(v) for k, v in self.params.items()},
-            "radius_continuation": self.radius_continuation,
-            "radius_transversality": self.radius_transversality,
-            "radius_positivity": self.radius_positivity,
-            "sweep_cap": self.sweep_cap,
-            "capped": dict(self.capped),
-            "monotone": self.monotone,
-            "n_directions": self.n_directions,
-            "pade_nearest_pole": self.pade_nearest_pole,
-        }
+        return {**asdict(self), "params": {k: _plain(v) for k, v in self.params.items()}}
 
 
 def _plain(v):
@@ -596,11 +581,11 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
                                   refine=refine)
         if hit is not None:
             # a rescan on another sample grid and a shorter horizon must find
-            # it again
+            # it again, up to resolution or the 4 eps (relative) of each brentq polish
             again = first_f_singularity(frames, k,
                                         tau_max=min(sweep_cap, 1.1 * hit + resolution),
                                         coarse=0.03, refine=refine)
-            if again is None or abs(again - hit) > resolution:
+            if again is None or abs(again - hit) > max(resolution, 8 * np.finfo(float).eps * hit):
                 monotone = False
         window = 0.8 * min(hit or sweep_cap, sweep_cap)
         off_axis = None

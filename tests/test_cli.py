@@ -234,6 +234,18 @@ def test_model_scale_whose_square_leaves_the_floats_is_a_config_error(tmp_path, 
     assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("text", [
+    "[model]\nname = flat_torus\n[grids]\np0 = 1e300, 1e300\n",
+    "[model]\nname = round_sphere\n[grids]\np0 = 1e160, 0\n",
+], ids=["flat_torus", "round_sphere"])
+def test_start_point_whose_energy_is_not_finite_is_a_config_error(tmp_path, capsys, text):
+    # each momentum is finite, but its square overflows
+    code, out = run(tmp_path, "flow", "--config", write_ini(tmp_path, text))
+    assert code == 3
+    assert capsys.readouterr().err == "config error: the start point's energy is not finite\n"
+    assert not list(out.glob("*"))
+
+
 def test_output_dir_through_a_file_is_a_config_error(tmp_path, capsys):
     path = write_ini(tmp_path, "[grids]\nrows = 3\n")
     code = main(["flow", "--config", path, "--out", str(Path(path, "sub"))])
@@ -629,7 +641,7 @@ KEYS = {
     ("grids", "rho_min"): ([0.1, 0.2], ["low", "nan"]),
     ("grids", "rho_max"): ([0.3, 0.5], ["high", 0.05, "inf"]),
     ("grids", "q0"): (["1.2, 0.3", "0.01, 0.0"], ["x", "0.5, 0.5, 0.5", "nan, 0.3"]),
-    ("grids", "p0"): (["0.3, 0.4", "0.0, 0.0"], ["1.0", "inf, 0.4"]),
+    ("grids", "p0"): (["0.3, 0.4", "0.0, 0.0"], ["1.0", "inf, 0.4", "1e300, 1e300"]),
     ("grids", "function"): (["auto", "wave", "height", "const"], ["cubic"]),
     ("checks", "names"): (["", "zero_section", "theta_sigma, scaling", "adaptedness",
                             "kahler_potential, involution", "nijenhuis"], ["bogus"]),

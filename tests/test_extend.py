@@ -345,6 +345,18 @@ def test_batch_raises_first_failing_point_series_before_flow():
     _same_result(fl[2], extend_by_flow(tor, f, fine))
 
 
+def test_unknown_chart_stays_in_its_lane():
+    tor = catalog("flat_torus")
+    f = pole_function()
+    fine = PhasePoint("main", [0.0, 0.0], [0.2, 0.0])
+    nowhere = PhasePoint("nope", [0.0, 0.0], [0.2, 0.0])
+    for lanes, one in ((extend_by_series_lanes, extend_by_series),
+                       (extend_by_flow_lanes, extend_by_flow)):
+        good, bad = lanes(tor, f, [fine, nowhere])
+        _same_result(good, one(tor, f, fine))
+        assert isinstance(bad, ChartDomainError)
+
+
 def test_singular_series_retires_one_lane():
     model = _g11_is_q0()
     f = BaseFunction("q1", {"main": lambda qs: qs[1]}, margin=np.inf)

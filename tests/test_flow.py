@@ -511,3 +511,29 @@ def test_singular_series_retires_one_lane():
         flow(model, bad, sigma=0.3)
     assert exc.value.reason == "singular series"
     assert exc.value.last_good_sigma == 0
+
+
+def test_step_collapse_retires_one_lane():
+    # aimed at q0 = 0, where the metric degenerates, the series step shrinks
+    # below the floor near sigma = 5/6; its sibling lane finishes
+    model = _g11_is_q0()
+    aimed = PhasePoint("main", [0.5, 0.0], [-0.2, 0.1])
+    sibling = PhasePoint("main", [1.0, 0.2], [0.1, 0.2])
+    broken, finished = flow_lanes(model, [aimed, sibling], sigma=5.0, variational=True)
+    assert isinstance(broken, SingularityError)
+    assert broken.reason == "step collapse"
+    assert abs(broken.last_good_sigma - 5.0 / 6.0) < 1e-3
+    assert broken.segments
+    _assert_same_flow(finished, flow(model, sibling, sigma=5.0, variational=True))
+
+
+def test_step_budget_keeps_accepted_segments(monkeypatch):
+    monkeypatch.setattr(flow_module, "MAX_STEPS", 2)
+    sph = catalog("round_sphere")
+    with pytest.raises(SingularityError) as exc:
+        flow(sph, PhasePoint("a", [1.2, 0.4], [0.3, 0.5]), sigma=3.0)
+    err = exc.value
+    assert err.reason == "step budget"
+    assert len(err.segments) == 2
+    last = err.segments[-1]
+    assert err.last_good_sigma == last.t0_global + last.dt

@@ -122,12 +122,20 @@ def test_series_with_channels_chain():
     c[0, 0] = a0
     c[1, 0] = 1.0  # sensitivity to a
     a = Jet(c)
-    tc = np.zeros((1, L), dtype=complex)
+    tc = np.zeros((2, L), dtype=complex)  # t does not depend on a
     tc[0, 1] = 1.0
     t = Jet(tc)
-    f = (a * t) ** 2
+    s = a * t
+    f = s * s
     assert close(f.c[0], [0, 0, a0**2, 0], 1e-14)
     assert close(f.c[1], [0, 0, 2 * a0, 0], 1e-14)
+
+
+def test_jets_of_different_shapes_do_not_mix():
+    a, t = Jet(np.ones((2, 4), dtype=complex)), Jet(np.ones((1, 4), dtype=complex))
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(ValueError, match=r"\(2, 4\) and \(1, 4\)"):
+            op(a, t)
 
 
 def test_eval_poly_matches_numpy():

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grauert.catalog import catalog
-from grauert.errors import DegenerateFrameError, SingularityError, TransversalityError
+from grauert.errors import (
+    ChartDomainError,
+    DegenerateFrameError,
+    SingularityError,
+    TransversalityError,
+)
 from grauert.flow import PhasePoint, Segment, flow
 from grauert.lagrangian import (
     FrameRays,
@@ -249,6 +254,16 @@ def test_frame_rays_read_the_rays_of_their_times():
         rays.at(0.5j)
     with pytest.raises(ValueError):
         rays.at(-0.6)
+
+
+def test_frame_of_a_point_outside_its_chart():
+    # its flow cannot start: the frame at 0 is the vertical one, and every
+    # read past 0 raises the error that kept the flow from starting
+    flat = catalog("flat_space")
+    rays = FrameRays(flat, [PhasePoint("main", [25.0, 0.0], [0.1, 0.0])], [1j])
+    assert np.array_equal(rays.at(0), vertical_frame(2))
+    with pytest.raises(ChartDomainError):
+        rays.at(1j)
 
 
 def test_dense_breakdown_keeps_segments():

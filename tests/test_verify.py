@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import grauert
 from grauert.catalog import catalog
-from grauert.errors import GrauertError
+from grauert.errors import GrauertError, SingularityError
 from grauert.flow import PhasePoint
 from grauert.geometry import metric_matrix
 from grauert.lagrangian import FrameRays, distribution_at, j_tensor_from_frame
@@ -154,6 +154,14 @@ def test_adaptedness_strips(flat, sphere):
     covs = sample_tube_points(sphere, 2, 7, 1.0, 1.0)
     rep = check_adaptedness(sphere, covs)
     assert rep.verdict == "pass", rep.to_record()
+
+
+def test_adaptedness_raises_the_breakdown_of_a_strip(flat):
+    # the real flow of the strip at x = 19.8 leaves the box |x| <= 20 at sigma 0.2
+    with pytest.raises(SingularityError) as exc:
+        check_adaptedness(flat, [PhasePoint("main", [19.8, 0.0], [1.0, 0.0])])
+    assert exc.value.reason == "chart box"
+    assert abs(exc.value.last_good_sigma - 0.2) < 1e-12
 
 
 def test_adaptedness_at_roundoff(sphere, surfrev):
@@ -405,15 +413,18 @@ def test_tube_radius_rejects_bad_cap(sphere):
 def test_tube_radius_at_fine_resolution(sphere):
     # closer to 0 than the default resolution the frame meets its conjugate,
     # so the first probe stays there; and the bisection ends at adjacent
-    # floats when the resolution lies below their spacing
-    ref = estimate_tube_radius(sphere, n_directions=1, seed=7, sweep_cap=2.0)
+    # floats when the resolution lies below their spacing; the rescan of a
+    # conjugate point agrees to the accuracy of its root polish, which lies
+    # above the finest resolution
+    ref = estimate_tube_radius(sphere, n_directions=2, seed=7, sweep_cap=2.0)
     for resolution in (1e-9, 1e-300):
         start = time.perf_counter()
-        est = estimate_tube_radius(sphere, n_directions=1, seed=7, sweep_cap=2.0,
+        est = estimate_tube_radius(sphere, n_directions=2, seed=7, sweep_cap=2.0,
                                    resolution=resolution)
         assert time.perf_counter() - start < 10.0
         assert abs(est.radius_transversality - ref.radius_transversality) < 1e-3
         assert abs(est.radius_positivity - ref.radius_positivity) < 1e-3
+        assert est.monotone
 
 
 def test_tightening_comparison(flat):
