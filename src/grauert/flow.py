@@ -130,10 +130,6 @@ class Segment:
         n = out.shape[0] // 2
         return out[:n, 0], out[n:, 0]
 
-    def jacobian_at(self, t_local):
-        out = eval_poly(self.coeffs, t_local)
-        return out[:, 1:]
-
 
 @dataclass
 class FlowDiagnostics:

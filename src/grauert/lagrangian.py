@@ -12,10 +12,14 @@ point of the ray, so one flow per ray serves every sample on it.
 There is one frame builder, :class:`FrameRays`. It takes a batch of points
 and the times its reads will use, works out the rays and their reach from
 those times, and runs every ray of every point as a lane of one flow kernel
-call; :meth:`FrameRays.at` reads a frame. A single frame
-(:func:`distribution_at`) is a read of a one-point :class:`FrameRays` given
-just that time. A frame is its (2n, n) complex column array and nothing
-more: the point it sits at is the caller's to keep.
+call; :meth:`FrameRays.batch` builds several in one such call, each ray
+still a flow of its own. :meth:`FrameRays.at` reads a frame, or a stack of
+them at arrays of times and points, with one polynomial evaluation and one
+linear solve for the stack. A single frame (:func:`distribution_at`) is a
+read of a one-point :class:`FrameRays` given just that time. A frame is its
+(2n, n) complex column array and nothing more: the point it sits at is the
+caller's to keep. The readers of frames (J tensor, positivity, lift
+coefficients, principal angles) take stacks (..., 2n, n) as well.
 
 At sigma = i and real z these n complex directions are the (1,0) subspace of
 an almost complex structure on the tube, recovered from the frame by
@@ -28,16 +32,19 @@ alone, never on sigma, so a caller builds the 2n x 2n lifted basis
 [Xi | Eta] of a point once (:func:`lifted_basis`) and decomposes every frame
 it reads there against it.
 
-scipy is imported inside :func:`principal_angles`, the one function that
-uses it, so importing this module loads numpy alone.
+The module needs numpy alone; principal angles follow scipy's
+``subspace_angles`` without importing it.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import DegenerateFrameError, SingularityError, TransversalityError
-from .flow import flow_lanes, segment_at
+from .flow import DEFAULT_ORDER, flow_lanes, segment_at
+from .jets import eval_poly
 from .geometry import christoffel, metric_inv_matrix, metric_matrix
 
 __all__ = [
@@ -73,14 +80,24 @@ def vertical_frame(n):
 
 
 def _solve(A, B, what):
-    """A^{-1} B; DegenerateFrameError if A is singular or the solution is not finite."""
+    """A^{-1} B for a matrix A or a stack of them (B broadcast against it).
+
+    DegenerateFrameError if an A is singular or its solution is not finite;
+    over a stack, that of the first such A in order.
+    """
     try:
         X = np.linalg.solve(A, B)
+        if np.isfinite(X).all():
+            return X
+        singular = None
     except np.linalg.LinAlgError as exc:
-        raise DegenerateFrameError(f"{what} is singular") from exc
-    if not np.isfinite(X).all():
-        raise DegenerateFrameError(f"{what}: the solution is not finite")
-    return X
+        singular = exc
+    if A.ndim > 2:  # the stack's first failing solve raises its own error
+        for a, b in zip(A, np.broadcast_to(B, A.shape[:-2] + B.shape[-2:])):
+            _solve(a, b, what)
+    if singular is not None:
+        raise DegenerateFrameError(f"{what} is singular") from singular
+    raise DegenerateFrameError(f"{what}: the solution is not finite")
 
 
 def distribution_at(model, z, sigma):
@@ -102,64 +119,140 @@ class FrameRays:
     on it. Every ray of every point is a dense backward variational flow, to
     time -reach along the ray, and all of them run as the lanes of one
     :func:`~grauert.flow.flow_lanes` call when the batch is built, which
-    keeps its ``model``, ``points`` and ``tol`` for the readers. The frame of
-    point k at sigma is then B(sigma)^{-1} V with B(sigma) read from the
-    accepted step polynomial of k's lane on the ray through sigma, so every
-    sample on a ray shares its flow. A read in a direction that was not
-    given, or beyond its ray's reach, raises ValueError. A backward flow that
-    breaks down keeps its accepted steps, and a frame beyond its last good
-    time raises the :class:`SingularityError` of the breakdown (same reason
-    and last good time); a point whose flow cannot start raises its error on
+    keeps its ``model``, ``points`` and ``tol`` for the readers; this is the
+    one-request case of :meth:`batch`. The frame of point k at sigma is then
+    B(sigma)^{-1} V with B(sigma) (:meth:`jacobian`) read from the accepted
+    step polynomial of k's lane on the ray through sigma, so every sample on
+    a ray shares its flow. A read in a direction that was not given, or
+    beyond its ray's reach, raises ValueError. A backward flow that breaks
+    down keeps its accepted steps, and a frame beyond its last good time
+    raises the :class:`SingularityError` of the breakdown (same reason and
+    last good time); a point whose flow cannot start raises its error on
     every read past sigma = 0.
     """
 
     def __init__(self, model, points, sigmas, tol=1e-12):
+        self._plan(model, points, sigmas, tol)
+        _flow_rays([self])
+
+    @classmethod
+    def batch(cls, model, requests, tol):
+        """One FrameRays per (points, sigmas) of ``requests``, all flowed in one kernel call.
+
+        Each ray is still its own lane, so each reads what it would built alone.
+        """
+        batch = [cls.__new__(cls) for _ in requests]
+        for rays, (points, sigmas) in zip(batch, requests):
+            rays._plan(model, points, sigmas, tol)
+        _flow_rays(batch)
+        return batch
+
+    def _plan(self, model, points, sigmas, tol):
         self.model, self.points, self.tol = model, list(points), tol
+        m = 2 * model.dim
         self._vertical = vertical_frame(model.dim)
+        # a step polynomial whose jacobian is I at every time, the read at 0,
+        # stored as a step stores its coefficients: order by order
+        self._rest = np.zeros((DEFAULT_ORDER + 1, m, 1 + m), dtype=complex).transpose(1, 2, 0)
+        self._rest[:, 1:, 0] = np.eye(m)
         self.reach = {}  # ray direction -> the largest |sigma| on it
         for sigma in map(complex, sigmas):
             if sigma != 0:
                 u = self._direction(sigma / abs(sigma))
                 self.reach[u] = max(self.reach.get(u, 0.0), abs(sigma))
-        keys = [(k, u) for k in range(len(self.points)) for u in self.reach]
-        outcomes = flow_lanes(model, [self.points[k] for k, _ in keys],
-                              sigma=[-self.reach[u] * u for _, u in keys],
-                              variational=True, tol=tol) if keys else []
         self._rays = {}  # (point, direction) -> (segments, good reach, error or None)
-        for key, out in zip(keys, outcomes):
-            if isinstance(out, SingularityError):
-                self._rays[key] = (out.segments, abs(out.last_good_sigma), out)
-            elif isinstance(out, Exception):
-                self._rays[key] = ([], 0.0, out)
-            else:
-                self._rays[key] = (out.segments, self.reach[key[1]], None)
 
     def _direction(self, u):
         """The ray direction u lies on: a known one within roundoff, else u itself."""
         return next((v for v in self.reach if abs(v - u) <= 1e-12), u)
 
+    def _jacobians(self, sigma, k):
+        """B(sigma) of point k per read, and the first failing read's error or None.
+
+        The reads are ``sigma`` and ``k`` broadcast; B is (*shape, 2n, 2n),
+        or (reads, 2n, 2n) over the reads before the first failing one, from
+        one evaluation of their step polynomials.
+        """
+        if isinstance(sigma, numbers.Number) and isinstance(k, numbers.Integral):
+            shape, reads = (), [(complex(sigma), k)]  # one read, without a broadcast
+        else:
+            reads = np.broadcast(np.asarray(sigma, dtype=complex), k)
+            shape, reads = reads.shape, [(complex(s), int(kk)) for s, kk in reads]
+        steps, ts, error = [], [], None
+        for s, kk in reads:
+            step, t_local = self._rest, 0.0
+            r = abs(s)
+            if r > 0:
+                u = self._direction(s / r)
+                if r > self.reach.get(u, 0.0) + 1e-12:
+                    raise ValueError(f"sigma {s} lies beyond the rays' reach {self.reach}")
+                segments, reach, err = self._rays[kk, u]
+                if r > reach + 1e-12:
+                    error = err
+                    if isinstance(err, SingularityError):
+                        error = SingularityError(
+                            f"frame at {s} lies past the backward flow's breakdown: {err}",
+                            last_good_sigma=err.last_good_sigma,
+                            reason=err.reason,
+                        )
+                    break
+                if segments:
+                    seg, t_local = segment_at(segments, r)
+                    step = seg.coeffs
+            steps.append(step)
+            ts.append(t_local)
+        if error is not None and not steps:  # no earlier read to evaluate
+            raise error
+        # one read's own step and its time as a number, which numpy evaluates
+        # fastest, or a copy of every read's that keeps each order's block
+        # contiguous, as a step does
+        if len(steps) == 1:
+            steps, t = steps[0], ts[0]
+        else:
+            m, R, N = self._rest.shape
+            steps = np.array([c.transpose(2, 0, 1) for c in steps]).reshape(-1, N, m, R)
+            steps = steps.transpose(0, 2, 3, 1)
+            t = np.array(ts)[:, None, None]
+        B = eval_poly(steps, t)[..., 1:]
+        return (B if error is not None else B.reshape(shape + B.shape[-2:])), error
+
+    def jacobian(self, sigma, k):
+        """B(sigma) of point k, the backward flow's jacobian: (2n, 2n), stacked like :meth:`at`."""
+        B, error = self._jacobians(sigma, k)
+        if error is not None:
+            raise error
+        return B
+
     def at(self, sigma, k=0):
-        """Frame of point k at sigma, read from its ray through sigma: a (2n, n) array."""
-        sigma = complex(sigma)
-        s = abs(sigma)
-        B = np.eye(2 * self.model.dim, dtype=complex)
-        if s > 0:
-            u = self._direction(sigma / s)
-            if s > self.reach.get(u, 0.0) + 1e-12:
-                raise ValueError(f"sigma {sigma} lies beyond the rays' reach {self.reach}")
-            segments, reach, error = self._rays[k, u]
-            if s > reach + 1e-12:
-                if not isinstance(error, SingularityError):
-                    raise error
-                raise SingularityError(
-                    f"frame at {sigma} lies past the backward flow's breakdown: {error}",
-                    last_good_sigma=error.last_good_sigma,
-                    reason=error.reason,
-                )
-            if segments:
-                seg, t_local = segment_at(segments, s)
-                B = seg.jacobian_at(t_local)
-        return _solve(B, self._vertical, "backward jacobian")
+        """Frame of point k at sigma, read from its ray through sigma: a (2n, n) array.
+
+        ``sigma`` and ``k`` may be arrays, broadcast against each other; the
+        frames (*shape, 2n, n) of all reads come from one polynomial
+        evaluation and one solve, and the first failing read raises.
+        """
+        B, error = self._jacobians(sigma, k)
+        F = _solve(B, self._vertical, "backward jacobian")
+        if error is not None:
+            raise error
+        return F
+
+
+def _flow_rays(batch):
+    """Flow every ray of every FrameRays of ``batch`` (one model and tol) as a lane of one call."""
+    keys = [(rays, k, u) for rays in batch for k in range(len(rays.points)) for u in rays.reach]
+    if not keys:
+        return
+    first = batch[0]
+    outcomes = flow_lanes(first.model, [rays.points[k] for rays, k, _ in keys],
+                          sigma=[-rays.reach[u] * u for rays, _, u in keys],
+                          variational=True, tol=first.tol)
+    for (rays, k, u), out in zip(keys, outcomes):
+        if isinstance(out, SingularityError):
+            rays._rays[k, u] = (out.segments, abs(out.last_good_sigma), out)
+        elif isinstance(out, Exception):
+            rays._rays[k, u] = ([], 0.0, out)
+        else:
+            rays._rays[k, u] = (out.segments, rays.reach[u], None)
 
 
 def orthonormal_tangent_basis(model, chart_id, q, p):
@@ -215,10 +308,10 @@ def lifted_basis(model, z, basis=None):
 
 
 def lift_coefficients(L, F):
-    """(b, c) with F = Xi b + Eta c in the lifted basis L = [Xi | Eta]."""
+    """(b, c) with F = Xi b + Eta c in the lifted basis L = [Xi | Eta]; F may be a stack."""
     coef = _solve(L, F, "lifted basis")
-    n = F.shape[1]
-    return coef[:n, :], coef[n:, :]
+    n = F.shape[-1]
+    return coef[..., :n, :], coef[..., n:, :]
 
 
 def f_matrix_from_frame(L, F):
@@ -238,32 +331,51 @@ def f_matrix_from_frame(L, F):
 
 
 def j_tensor_from_frame(F):
-    """Real 2n x 2n tensor with J^2 = -I whose +i eigenspace is the span of F."""
-    W = np.hstack([F, np.conj(F)])
-    sv = np.linalg.svd(W, compute_uv=False)
-    if sv[-1] < TRANSVERSALITY_THRESHOLD * sv[0]:
+    """Real 2n x 2n tensor with J^2 = -I whose +i eigenspace is the span of F.
+
+    F may be a stack (..., 2n, n) of frames, and J is stacked alike; the
+    first frame in order that meets its conjugate raises TransversalityError.
+    """
+    W = np.concatenate([F, np.conj(F)], axis=-1)
+    sv = np.linalg.svd(W, compute_uv=False).reshape(-1, W.shape[-1])
+    bad = sv[:, -1] < TRANSVERSALITY_THRESHOLD * sv[:, 0]
+    if bad.any():
+        first = sv[bad.argmax()]
         raise TransversalityError(
-            f"frame meets its conjugate: singular value ratio {sv[-1] / sv[0]:.3e}"
+            f"frame meets its conjugate: singular value ratio {first[-1] / first[0]:.3e}"
         )
-    V = np.hstack([1j * F, -1j * np.conj(F)])
+    V = np.concatenate([1j * F, -1j * np.conj(F)], axis=-1)
     return V @ np.linalg.inv(W)
 
 
 def positivity_check(F):
-    """Smallest eigenvalue of the hermitian form -i omega(F_j, conj F_k).
+    """Smallest eigenvalue of the hermitian form -i omega(F_j, conj F_k), and the form.
 
     Positive definiteness certifies that the frame F spans a strictly
-    positive Lagrangian; the value is the margin.
+    positive Lagrangian; the value is the margin. F may be a stack
+    (..., 2n, n); margins and forms are then stacked alike.
     """
-    O = symplectic_form_matrix(F.shape[1])
-    H = -1j * (F.T @ O @ np.conj(F))
-    H = 0.5 * (H + np.conj(H.T))
-    eigs = np.linalg.eigvalsh(H)
-    return float(eigs[0]), H
+    O = symplectic_form_matrix(F.shape[-1])
+    H = -1j * (F.mT @ O @ np.conj(F))
+    H = 0.5 * (H + np.conj(H.mT))
+    return np.linalg.eigvalsh(H)[..., 0], H
 
 
 def principal_angles(A, B):
-    """Principal angles between the column spans of two frames."""
-    from scipy.linalg import subspace_angles
+    """Principal angles between the column spans of two full-rank frames, or two stacks.
 
-    return subspace_angles(np.asarray(A), np.asarray(B))
+    scipy's ``subspace_angles`` on stacks: Q from thin SVDs, cosines the
+    singular values of Q_A^H Q_B, and where a cosine squared is at least 1/2
+    the arcsine of a singular value of Q_B - Q_A Q_A^H Q_B, which keeps
+    small angles accurate.
+    """
+    A, B = np.asarray(A), np.asarray(B)
+    if A.shape[-1] < B.shape[-1]:
+        A, B = B, A
+    QA = np.linalg.svd(A, full_matrices=False)[0]
+    QB = np.linalg.svd(B, full_matrices=False)[0]
+    QA_H_QB = np.conj(QA.mT) @ QB
+    cosines = np.linalg.svd(QA_H_QB, compute_uv=False)
+    sines = np.linalg.svd(QB - QA @ QA_H_QB, compute_uv=False)
+    return np.where(cosines**2 >= 0.5, np.arcsin(np.clip(sines, -1.0, 1.0)),
+                    np.arccos(np.clip(cosines[..., ::-1], -1.0, 1.0)))

@@ -13,15 +13,17 @@ the continued distribution against its conjugate, and positivity of the
 induced metric candidate. The reported radius of each kind is the infimum
 over directions.
 
-The flows a check needs run as the lanes of a few calls of the flow kernel
-(:func:`~grauert.flow.flow_lanes`, through :class:`~grauert.lagrangian.FrameRays`
-for frames): every ray of every point of a ``FrameRays`` runs in one call.
-The battery flows each ray of its main point cloud once, into the one
-``FrameRays`` that theta_sigma, kahler_potential, involution and nijenhuis
-read, and the radius scan reads all its directions from one. Every
-independent route keeps a flow of its own, and a check reads its lanes in
-the order of its points, so it still raises the error of the first failing
-point.
+The battery's flows are the lanes of three calls of the flow kernel
+(:func:`~grauert.flow.flow_lanes`). One, through
+:meth:`~grauert.lagrangian.FrameRays.batch`, flows each ray of the main
+point cloud once, into the ``FrameRays`` that theta_sigma,
+kahler_potential, involution and nijenhuis read, and every independent
+route into a ``FrameRays`` of its own that its check takes as an argument;
+each ray is still its own lane, so the routes stay independent. Then come
+the adaptedness strips and, last, their nodes, which lie on the strips. A
+check reads its frames, J tensors and angles as stacks, and still raises
+the error of its first failing point. The radius scan reads all its
+directions from one ``FrameRays``.
 
 Sampling is Sobol with a fixed seed throughout, so reports are reproducible
 bit for bit from the same configuration.
@@ -70,6 +72,10 @@ __all__ = [
     "check_scaling",
     "check_zero_section",
     "check_nijenhuis",
+    "flipped_points",
+    "scaled_points",
+    "rest_points",
+    "nijenhuis_points",
     "estimate_tube_radius",
     "run_battery",
     "tightening_comparison",
@@ -269,6 +275,48 @@ def _grad_energy(model, cid, q, p):
 # -- identity checks ----------------------------------------------------------
 
 
+def flipped_points(points):
+    """Each point with its momentum reversed: the second route of the involution check."""
+    return [PhasePoint(z.chart_id, z.q, -z.p) for z in points]
+
+
+def scaled_points(points, factors):
+    """Each point with its momentum dilated by each of ``factors``, point by point."""
+    return [PhasePoint(z.chart_id, z.q, c * z.p) for z in points for c in factors]
+
+
+def rest_points(points):
+    """Each point's foot on the zero section (momentum 0)."""
+    return [PhasePoint(z.chart_id, z.q, np.zeros(z.dim)) for z in points]
+
+
+def nijenhuis_points(points):
+    """The five-point stencils of step NIJENHUIS_STEP around each point, point by point."""
+    return [w for z in points for w in stencil_points(z, NIJENHUIS_STEP)]
+
+
+def _read_in_order(reads):
+    """``[read(ks) for read, ks in reads]``, each read one stacked call.
+
+    The first axis of every ``ks`` runs over the check's points. If a read
+    fails, they run again index by index in a point-by-point pass's order,
+    so the error raised is that pass's first.
+    """
+    try:
+        return [read(ks) for read, ks in reads]
+    except GrauertError:
+        for p in range(len(reads[0][1])):
+            for read, ks in reads:
+                for k in np.ravel(ks[p]):
+                    read(k)
+        raise
+
+
+def _j_at_i(frames):
+    """The reader of J at sigma = i of the points ``ks`` of ``frames``."""
+    return lambda ks: j_tensor_from_frame(frames.at(1j, ks))
+
+
 def check_theta_sigma_identity(frames, sigmas=THETA_SIGMAS,
                                tolerance=DEFAULT_TOLERANCES["theta_sigma"]):
     """Canonical 1-form on the continued distribution vs sigma times the energy derivative.
@@ -281,12 +329,12 @@ def check_theta_sigma_identity(frames, sigmas=THETA_SIGMAS,
     backward flow per ray per point serves every sigma on it.
     """
     model = frames.model
+    F = frames.at(np.asarray(sigmas, dtype=complex), np.arange(len(frames.points))[:, None])
     residuals = []
     for k, z in enumerate(frames.points):
         dE = _grad_energy(model, z.chart_id, z.q, z.p)
         n = z.dim
-        for s in sigmas:
-            cols = frames.at(s, k)
+        for s, cols in zip(sigmas, F[k]):
             r = 0.0
             for j in range(cols.shape[1]):
                 Z = cols[:, j]
@@ -309,10 +357,10 @@ def check_kahler_potential(frames, tolerance=DEFAULT_TOLERANCES["kahler_potentia
     of having the calibration.
     """
     model = frames.model
+    (Js,) = _read_in_order([(_j_at_i(frames), np.arange(len(frames.points)))])
     residuals = []
-    for k, z in enumerate(frames.points):
+    for z, J in zip(frames.points, Js):
         n = z.dim
-        J = j_tensor_from_frame(frames.at(1j, k))
         dkappa = 2.0 * _grad_energy(model, z.chart_id, z.q, z.p)
         r = 0.0
         for a in range(2 * n):
@@ -334,7 +382,7 @@ def check_adaptedness(model, points, tolerance=DEFAULT_TOLERANCES["adaptedness"]
     real flow per sign of sigma, the sigma-derivative is the Hamiltonian
     field at the state, and the tau-derivative is exact since the strip is
     linear in tau. The real flows of all strips run as lanes of one kernel
-    call, and so do the backward flows of all nodes of all strips.
+    call, and then the backward flows of all nodes of all strips.
     """
     signs = (1.0, -1.0)
     units = []
@@ -366,15 +414,19 @@ def check_adaptedness(model, points, tolerance=DEFAULT_TOLERANCES["adaptedness"]
             rows.append((s, q, p, dq, dp))
         strips.append(rows)
     frames = FrameRays(model, nodes, [1j], tol=flow_tol)
+    # the strips up to the first one whose rays broke down are read, then it raises
+    good = next((i for i, rows in enumerate(strips) if isinstance(rows, Exception)), len(strips))
+    per_strip = STRIP_NODES * len(taus)
+    ks = np.arange(good * per_strip).reshape(good, per_strip)
+    (Js,) = _read_in_order([(_j_at_i(frames), ks)])
+    if good < len(strips):
+        raise strips[good]
     residuals = []
-    k = 0
+    Js = iter(Js.reshape(-1, *Js.shape[-2:]))
     for zu, rows in zip(units, strips):
-        if isinstance(rows, Exception):
-            raise rows
         for s, q, p, dq, dp in rows:
             for t in taus:
-                J = j_tensor_from_frame(frames.at(1j, k))
-                k += 1
+                J = next(Js)
                 push_sigma = np.concatenate([dq, t * dp])
                 push_tau = np.concatenate([np.zeros_like(q), p])
                 r = float(np.max(np.abs(J @ push_sigma - push_tau)))
@@ -382,105 +434,98 @@ def check_adaptedness(model, points, tolerance=DEFAULT_TOLERANCES["adaptedness"]
     return _report(model, "adaptedness", residuals, tolerance)
 
 
-def check_involution(frames, tolerance=DEFAULT_TOLERANCES["involution"]):
+def check_involution(frames, flipped, tolerance=DEFAULT_TOLERANCES["involution"]):
     """Momentum reversal is antiholomorphic: it conjugates J to -J.
 
     J at a point is read at sigma = i from ``frames``, a :class:`FrameRays`
-    over the checked points. The flipped points are flows of their own, the
-    lanes of one kernel call.
+    over the checked points, and at its flipped point from ``flipped``, one
+    over :func:`flipped_points` of them: flows of their own.
     """
-    flipped = [PhasePoint(z.chart_id, z.q, -z.p) for z in frames.points]
-    flipped_frames = FrameRays(frames.model, flipped, [1j], tol=frames.tol)
+    ks = np.arange(len(frames.points))
+    J1, J2 = _read_in_order([(_j_at_i(frames), ks), (_j_at_i(flipped), ks)])
     residuals = []
     for k, z in enumerate(frames.points):
         n = z.dim
         S = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
-        J1 = j_tensor_from_frame(frames.at(1j, k))
-        J2 = j_tensor_from_frame(flipped_frames.at(1j, k))
-        r = float(np.max(np.abs(S @ J2 @ S + J1)))
+        r = float(np.max(np.abs(S @ J2[k] @ S + J1[k])))
         residuals.append((_label(z), r))
     return _report(frames.model, "involution", residuals, tolerance)
 
 
-def check_scaling(model, points, factors=SCALING_FACTORS, sigmas=SCALING_SIGMAS,
-                  tolerance=DEFAULT_TOLERANCES["scaling"],
-                  flow_tol=1e-12):
+def check_scaling(frames, scaled, factors=SCALING_FACTORS, sigmas=SCALING_SIGMAS,
+                  tolerance=DEFAULT_TOLERANCES["scaling"]):
     """Fiber dilation intertwines the distributions at rescaled parameters.
 
     The distribution at the dilated point and parameter sigma must span the
     dilated image of the distribution at parameter c sigma; compared by
-    principal angles so the frame normalization drops out. The frames at
-    c sigma share one backward flow per ray per point; each dilated point
-    keeps flows of its own, one per ray of ``sigmas``, the route being
-    checked against. The points' rays are one kernel call, and the dilated
-    points' rays another.
+    principal angles so the frame normalization drops out. ``frames`` is a
+    :class:`FrameRays` over the checked points reaching every c sigma;
+    ``scaled`` is one over their :func:`scaled_points` by ``factors`` for
+    the times ``sigmas``, flows of their own: the route checked against.
     """
-    frames = FrameRays(model, points, [c * s for c in factors for s in sigmas], tol=flow_tol)
-    scaled = [PhasePoint(z.chart_id, z.q, c * z.p) for z in points for c in factors]
-    scaled_frames = FrameRays(model, scaled, sigmas, tol=flow_tol)
-    residuals = []
-    for k, z in enumerate(points):
-        n = z.dim
-        for i, c in enumerate(factors):
-            S = np.diag(np.concatenate([np.ones(n), c * np.ones(n)]))
-            for s in sigmas:
-                left = scaled_frames.at(s, k * len(factors) + i)
-                right = S @ frames.at(c * s, k)
-                ang = principal_angles(left, right)
-                r = float(np.max(ang)) if ang.size else 0.0
-                residuals.append((_label(z, f"c={c},sigma={s}"), r))
-    return _report(model, "scaling", residuals, tolerance)
+    P, C, S = len(frames.points), len(factors), len(sigmas)
+    # read r = (k C + i) S + j: the dilated point k C + i at sigmas[j], and point k at
+    # factors[i] sigmas[j]
+    dilated, j = np.divmod(np.arange(P * C * S), S)
+    k, i = np.divmod(dilated, C)
+    c, sig = np.asarray(factors)[i], np.asarray(sigmas, dtype=complex)[j]
+    ((left, right),) = _read_in_order([(
+        lambda r: (scaled.at(sig[r], dilated[r]), frames.at(c[r] * sig[r], k[r])),
+        np.arange(P * C * S).reshape(P, C * S))])
+    n = frames.model.dim
+    left, right = left.reshape(-1, 2 * n, n), right.reshape(-1, 2 * n, n)
+    right[:, n:] *= c[:, None, None]  # the dilation diag(1, c) of the fibre
+    angles = principal_angles(left, right)
+    residuals = [(_label(frames.points[kk], f"c={factors[ii]},sigma={sigmas[jj]}"),
+                  float(np.max(ang)) if ang.size else 0.0)
+                 for kk, ii, jj, ang in zip(k, i, j, angles)]
+    return _report(frames.model, "scaling", residuals, tolerance)
 
 
-def check_zero_section(model, points, tolerance=DEFAULT_TOLERANCES["zero_section"],
-                       flow_tol=1e-12):
+def check_zero_section(rests, tolerance=DEFAULT_TOLERANCES["zero_section"]):
     """On the zero section the flow jacobian is unipotent shear in the lift basis.
 
-    The times ZERO_SECTION_SIGMAS lie on one ray from 0; one dense
-    variational flow per point to the farthest of them gives the jacobian at
-    every one, and the flows of all points run as lanes of one kernel call.
+    ``rests`` is a :class:`FrameRays` over points on the zero section
+    (:func:`rest_points`) for the times -ZERO_SECTION_SIGMAS, whose backward
+    ray is one forward flow per point through every ZERO_SECTION_SIGMAS.
     """
-    reach = max(ZERO_SECTION_SIGMAS, key=abs)
-    rests = [PhasePoint(z.chart_id, z.q, np.zeros(z.dim)) for z in points]
-    rays = flow_lanes(model, rests, sigma=reach, variational=True, tol=flow_tol)
+    model = rests.model
+    ks = np.arange(len(rests.points))[:, None]
+    (Bs,) = _read_in_order([(lambda k: rests.jacobian(-np.asarray(ZERO_SECTION_SIGMAS), k), ks)])
     residuals = []
-    for rest, ray in zip(rests, rays):
+    for rest, B in zip(rests.points, Bs):
         n = rest.dim
         L = lifted_basis(model, rest)  # at p = 0 the horizontal lifts have no momentum row
-        Linv = np.linalg.inv(L)
-        segments = lane_result(ray).segments
-        for s in ZERO_SECTION_SIGMAS:
-            seg, t_local = segment_at(segments, abs(s))
+        got = np.linalg.inv(L) @ B @ L
+        for s, g in zip(ZERO_SECTION_SIGMAS, got):
             want = np.eye(2 * n, dtype=complex)
             want[:n, n:] = s * np.eye(n)
-            got = Linv @ seg.jacobian_at(t_local) @ L
-            r = float(np.max(np.abs(got - want)))
+            r = float(np.max(np.abs(g - want)))
             residuals.append((_label(rest, f"sigma={s}"), r))
     return _report(model, "zero_section", residuals, tolerance)
 
 
-def check_nijenhuis(frames, tolerance=DEFAULT_TOLERANCES["nijenhuis"]):
+def check_nijenhuis(frames, stencils, tolerance=DEFAULT_TOLERANCES["nijenhuis"]):
     """Vanishing torsion of the J field, differenced over coordinate fields.
 
     N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] with X, Y running over the
     coordinate basis; the J derivatives are five-point central differences of
     step NIJENHUIS_STEP, so the truncation error sits well below the J noise
     floor. J at the centre is read at sigma = i from ``frames``, a
-    :class:`FrameRays` over the checked points; the 4 stencil points per
-    coordinate of every point are lanes of one kernel call, each its own
-    backward flow.
+    :class:`FrameRays` over the checked points, and at the stencil points
+    from ``stencils``, one over :func:`nijenhuis_points` of them, each its
+    own backward flow.
     """
     model = frames.model
-    stencils = [w for z in frames.points for w in stencil_points(z, NIJENHUIS_STEP)]
-    stencil_frames = FrameRays(model, stencils, [1j], tol=frames.tol)
-    residuals = []
     m = 2 * model.dim
+    P = len(frames.points)
+    Jc, Js = _read_in_order([(_j_at_i(frames), np.arange(P)),
+                             (_j_at_i(stencils), np.arange(4 * m * P).reshape(P, m, 4))])
+    residuals = []
     for c, z in enumerate(frames.points):
-        J = j_tensor_from_frame(frames.at(1j, c))
-        dJ = np.zeros((m, m, m), dtype=complex)  # dJ[j] = d_j J
-        for j in range(m):  # lanes 4 (m c + j) + i are the stencil of coordinate j of z
-            dJ[j] = diff5([j_tensor_from_frame(stencil_frames.at(1j, 4 * (m * c + j) + i))
-                           for i in range(4)], NIJENHUIS_STEP)
+        J = Jc[c]
+        # Js[c, j] is the stencil of coordinate j of z
+        dJ = [diff5(list(Js[c, j]), NIJENHUIS_STEP) for j in range(m)]  # dJ[j] = d_j J
         r = 0.0
         for a in range(m):
             for b in range(a + 1, m):
@@ -647,7 +692,8 @@ def run_battery(model, checks=None, n_samples=50, seed=0, flow_tol=1e-12,
     resamples at smaller momentum so the doubled fiber stays well inside
     every model's safe region. The main cloud's frames are one
     :class:`FrameRays`, flowed out to the times of the selected checks that
-    read it and to no others, so each of its rays is flowed once.
+    read it and to no others, so each of its rays is flowed once. One
+    :meth:`FrameRays.batch` builds it with the selected checks' own routes.
     """
     names = CHECK_NAMES if checks is None else tuple(checks)
     unknown = set(names) - set(CHECK_NAMES)
@@ -660,22 +706,33 @@ def run_battery(model, checks=None, n_samples=50, seed=0, flow_tol=1e-12,
     points = sample_tube_points(model, n_samples, seed, *rho)
     strips = sample_tube_points(model, n_strips, seed + 1, 1.0, 1.0)
     small = sample_tube_points(model, n_samples, seed + 2, 0.05, 0.25)
-    # one flow per ray of the main cloud, out to the times its selected readers use
+    # the main cloud's rays reach the times its selected readers use
     times = {"theta_sigma": THETA_SIGMAS, "kahler_potential": [1j], "involution": [1j],
              "nijenhuis": [1j]}
-    frames = FrameRays(model, points, [s for name in names for s in times.get(name, ())],
-                       tol=flow_tol)
+    # the (points, times) of the FrameRays each selected check takes besides the main cloud's
+    own = {
+        "involution": [(flipped_points(points), [1j])],
+        "nijenhuis": [(nijenhuis_points(points), [1j])],
+        "scaling": [(small, [c * s for c in SCALING_FACTORS for s in SCALING_SIGMAS]),
+                    (scaled_points(small, SCALING_FACTORS), SCALING_SIGMAS)],
+        "zero_section": [(rest_points(points), [-s for s in ZERO_SECTION_SIGMAS])],
+    }
+    batch = iter(FrameRays.batch(
+        model, [(points, [s for name in names for s in times.get(name, ())])]
+        + [request for name in names for request in own.get(name, ())], flow_tol))
+    frames = next(batch)
+    rays = {name: [next(batch) for _ in own.get(name, ())] for name in names}
     # check name -> the check with its inputs; built per call, so a check
     # function replaced on this module (as the benchmark's tracer does) is
     # the one run
     table = {
         "adaptedness": partial(check_adaptedness, model, strips, flow_tol=flow_tol),
-        "involution": partial(check_involution, frames),
+        "involution": partial(check_involution, frames, *rays.get("involution", ())),
         "kahler_potential": partial(check_kahler_potential, frames, dbar_sign=dbar_sign),
-        "nijenhuis": partial(check_nijenhuis, frames),
-        "scaling": partial(check_scaling, model, small, flow_tol=flow_tol),
+        "nijenhuis": partial(check_nijenhuis, frames, *rays.get("nijenhuis", ())),
+        "scaling": partial(check_scaling, *rays.get("scaling", ())),
         "theta_sigma": partial(check_theta_sigma_identity, frames),
-        "zero_section": partial(check_zero_section, model, points, flow_tol=flow_tol),
+        "zero_section": partial(check_zero_section, *rays.get("zero_section", ())),
     }
     return [table[name](tolerance=tols[name]) for name in sorted(names)]
 

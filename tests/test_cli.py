@@ -552,10 +552,32 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert (tmp_path / "o" / "extend.csv").is_file()
 
 
+def test_verify_loads_no_scipy_linalg(tmp_path):
+    # the battery's principal angles are numpy's, so verify loads scipy.special
+    # (the Sobol sampler's inverse normal) and no scipy.linalg
+    script = (
+        "import sys\n"
+        "import grauert.cli\n"
+        "code = grauert.cli.main(sys.argv[1:])\n"
+        "print(code, 'scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "verify", "--config", str(CONFIGS / "sphere.ini"),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True False"
+    assert (tmp_path / "o" / "verify.jsonl").is_file()
+
+
 def test_singular_frame_exits_2(tmp_path, monkeypatch, capsys):
+    # every frame read finds a step whose jacobian is zero
+    from grauert import lagrangian
     from grauert.flow import Segment
 
-    monkeypatch.setattr(Segment, "jacobian_at", lambda self, t: np.zeros((4, 4), dtype=complex))
+    step = Segment("main", 0j, 1.0, 1.0, 0.0, np.zeros((4, 5, 17), dtype=complex))
+    monkeypatch.setattr(lagrangian, "segment_at", lambda segments, t: (step, t))
     code, _ = run(tmp_path, "jtensor", "--model", "flat_space")
     assert code == 2
     assert "numerical breakdown: backward jacobian" in capsys.readouterr().err

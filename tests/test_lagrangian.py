@@ -14,6 +14,7 @@ from grauert.errors import (
     SingularityError,
     TransversalityError,
 )
+from grauert import lagrangian
 from grauert.flow import PhasePoint, Segment, flow
 from grauert.lagrangian import (
     FrameRays,
@@ -300,8 +301,98 @@ def test_singular_backward_jacobian_is_a_degenerate_frame(monkeypatch, jacobian)
     flat = catalog("flat_space", dim=2)
     z = PhasePoint("main", [0.5, -1.0], [0.8, 0.2])
     rays = FrameRays(flat, [z], [1j])
-    monkeypatch.setattr(Segment, "jacobian_at", lambda self, t: jacobian.astype(complex))
+    # every read past 0 finds a step whose jacobian is this matrix at every time
+    coeffs = np.zeros((4, 5, 17), dtype=complex)
+    coeffs[:, 1:, 0] = jacobian
+    step = Segment("main", 0j, 1.0, 1.0, 0.0, coeffs)
+    monkeypatch.setattr(lagrangian, "segment_at", lambda segments, t: (step, t))
     with pytest.raises(DegenerateFrameError, match="backward jacobian"):
         rays.at(1j)
     # sigma = 0 reads no segment
     assert np.array_equal(rays.at(0.0), vertical_frame(2))
+
+
+def test_stacked_reads_equal_scalar_reads():
+    # a stack of reads is read the way each read is alone, bit for bit
+    sph = catalog("round_sphere")
+    z7 = sample_tube_points(sph, 1, 7, 1.0, 1.0)[0]
+    pts = [PhasePoint("a", [1.2, 0.3], [0.2, 0.3]), z7, sphere_point(0.35, 0.55)]
+    rays = FrameRays(sph, pts, [1.4j, 1.4, -1.4])
+    sigmas = np.array([[0.5j, 1.4j, 0.0, 1.1, -1.3, 0.25 + 0j]])
+    ks = np.array([[0], [1], [2]])
+    F = rays.at(sigmas, ks)
+    assert F.shape == (3, 6, 4, 2)
+    B = rays.jacobian(sigmas, ks)
+    assert B.shape == (3, 6, 4, 4)
+    for k in range(3):
+        for i, s in enumerate(sigmas[0]):
+            assert np.array_equal(F[k, i], rays.at(s, k))
+            assert np.array_equal(B[k, i], rays.jacobian(s, k))
+            assert np.array_equal(np.linalg.solve(B[k, i], vertical_frame(2)), F[k, i])
+    Fi = rays.at(1j, np.arange(3))
+    J = j_tensor_from_frame(Fi)
+    mins, H = positivity_check(Fi)
+    assert J.shape == (3, 4, 4) and mins.shape == (3,) and H.shape == (3, 2, 2)
+    for k in range(3):
+        assert np.array_equal(J[k], j_tensor_from_frame(rays.at(1j, k)))
+        mn, Hk = positivity_check(rays.at(1j, k))
+        assert mins[k] == mn and np.array_equal(H[k], Hk)
+    L = lifted_basis(sph, pts[0])
+    b, c = lift_coefficients(L, rays.at([0.5j, 1.0], 0))
+    for i, s in enumerate((0.5j, 1.0)):
+        bi, ci = lift_coefficients(L, rays.at(s, 0))
+        assert np.array_equal(b[i], bi) and np.array_equal(c[i], ci)
+
+
+def test_stacked_read_raises_its_first_failing_read():
+    # a healthy ray, a ray past its breakdown near 1.596 i and a point outside
+    # its chart: the error raised is that of the first failing read in order
+    sph = catalog("round_sphere")
+    z7 = sample_tube_points(sph, 1, 7, 1.0, 1.0)[0]
+    healthy = PhasePoint("a", [1.2, 0.3], [0.2, 0.3])
+    outside = PhasePoint("a", [3.5, 0.3], [0.2, 0.3])
+    rays = FrameRays(sph, [healthy, z7, outside], [2.0j])
+    with pytest.raises(SingularityError) as past:
+        FrameRays(sph, [z7], [2.0j]).at(1.7j)
+    for sigmas, ks, error in (([1.0j, 1.7j, 1.0j], [0, 1, 2], SingularityError),
+                              ([1.0j, 1.0j, 1.7j], [0, 2, 1], ChartDomainError),
+                              ([1.7j, 1.0j], [1, 2], SingularityError)):
+        for read in (rays.at, rays.jacobian):
+            with pytest.raises(error) as exc:
+                read(sigmas, ks)
+            if error is SingularityError:
+                assert exc.value.reason == past.value.reason == "imaginary margin"
+                assert exc.value.last_good_sigma == past.value.last_good_sigma
+    assert rays.at([1.5j, 1.55j, 0.0], [1, 1, 2]).shape == (3, 4, 2)
+
+    # J of a stack: the first frame that meets its conjugate
+    frames = FrameRays(sph, [healthy], [1j, 0.6, 0.3])
+    good, bad, worse = frames.at(1j), frames.at(0.6), frames.at(0.3)
+    with pytest.raises(TransversalityError) as first:
+        j_tensor_from_frame(bad)
+    with pytest.raises(TransversalityError) as stacked:
+        j_tensor_from_frame(np.stack([good, bad, worse]))
+    assert str(stacked.value) == str(first.value)
+
+
+def test_principal_angles_match_scipy():
+    # scipy.linalg is the oracle: the numpy angles on stacks agree with
+    # subspace_angles pair by pair, on equal spans, spans 1e-13 apart (the
+    # sine branch), orthogonal spans and spans in general position
+    from scipy.linalg import subspace_angles
+
+    rng = np.random.default_rng(5)
+
+    def frames(k):
+        return rng.normal(size=(k, 4, 2)) + 1j * rng.normal(size=(k, 4, 2))
+
+    A = frames(12)
+    mix = rng.normal(size=(12, 2, 2)) + 1j * rng.normal(size=(12, 2, 2))
+    orth = np.linalg.qr(np.concatenate([A, frames(12)], axis=-1))[0][..., 2:]
+    for B in (A @ mix, A + 1e-13 * frames(12), orth, frames(12)):
+        got = principal_angles(A, B)
+        assert got.shape == (12, 2)
+        for a, b, g in zip(A, B, got):
+            assert np.max(np.abs(g - subspace_angles(a, b))) <= 1e-15
+    assert np.max(principal_angles(A, A + 1e-13 * frames(12))) < 1e-12
+    assert np.min(principal_angles(A, orth)) > math.pi / 2 - 1e-12

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import grauert
 from grauert.catalog import catalog
 from grauert.errors import GrauertError, SingularityError
-from grauert.flow import PhasePoint
+from grauert.flow import PhasePoint, flow_lanes
 from grauert.geometry import metric_matrix
 from grauert.lagrangian import FrameRays, distribution_at, j_tensor_from_frame
 from grauert import jacobi, verify
@@ -23,8 +23,12 @@ from grauert.verify import (
     check_theta_sigma_identity,
     check_zero_section,
     estimate_tube_radius,
+    flipped_points,
+    nijenhuis_points,
+    rest_points,
     run_battery,
     sample_tube_points,
+    scaled_points,
     tightening_comparison,
 )
 
@@ -174,24 +178,42 @@ def test_adaptedness_at_roundoff(sphere, surfrev):
         assert rep.max_residual <= 1e-12, rep.to_record()
 
 
+def involution_inputs(model, pts):
+    return FrameRays.batch(model, [(pts, [1j]), (flipped_points(pts), [1j])], 1e-12)
+
+
+def scaling_inputs(model, pts, factors=verify.SCALING_FACTORS, sigmas=verify.SCALING_SIGMAS):
+    return FrameRays.batch(model, [(pts, [c * s for c in factors for s in sigmas]),
+                                   (scaled_points(pts, factors), sigmas)], 1e-12)
+
+
+def zero_section_inputs(model, pts):
+    return FrameRays.batch(model, [(rest_points(pts), [-s for s in verify.ZERO_SECTION_SIGMAS])],
+                           1e-12)
+
+
+def nijenhuis_inputs(model, pts):
+    return FrameRays.batch(model, [(pts, [1j]), (nijenhuis_points(pts), [1j])], 1e-12)
+
+
 def test_involution_and_scaling(flat, sphere):
     pts = sample_tube_points(flat, 8, 8, 0.2, 0.8)
-    assert check_involution(FrameRays(flat, pts, [1j])).max_residual < 1e-12
+    assert check_involution(*involution_inputs(flat, pts)).max_residual < 1e-12
     small = sample_tube_points(flat, 8, 9, 0.05, 0.25)
-    assert check_scaling(flat, small).max_residual < 1e-10
+    assert check_scaling(*scaling_inputs(flat, small)).max_residual < 1e-10
 
     pts = sample_tube_points(sphere, 6, 10, 0.1, 0.4)
-    rep = check_involution(FrameRays(sphere, pts, [1j]))
+    rep = check_involution(*involution_inputs(sphere, pts))
     assert rep.verdict == "pass", rep.to_record()
     small = sample_tube_points(sphere, 6, 11, 0.05, 0.25)
-    rep = check_scaling(sphere, small)
+    rep = check_scaling(*scaling_inputs(sphere, small))
     assert rep.verdict == "pass", rep.to_record()
 
 
 def test_zero_section_unipotent(flat, sphere, surfrev):
     for model, bound in ((flat, 1e-14), (sphere, 1e-9), (surfrev, 1e-9)):
         pts = sample_tube_points(model, 6, 12, 0.1, 0.3)
-        rep = check_zero_section(model, pts)
+        rep = check_zero_section(*zero_section_inputs(model, pts))
         assert rep.verdict == "pass", rep.to_record()
         assert rep.max_residual < bound
 
@@ -212,64 +234,95 @@ def count_kernel_calls(monkeypatch):
 
 
 def test_one_flow_per_ray(sphere, monkeypatch):
-    # every sample on a ray a check has integrated is read from that flow, and
-    # the flows of all points run as lanes of the same few kernel calls; a
-    # check given the points' frames flows only its own route's lanes
+    # every sample on a ray a check has integrated is read from that flow; the
+    # FrameRays a check takes are built in one kernel call, and the check
+    # itself flows nothing
     calls = count_kernel_calls(monkeypatch)
     pts = sample_tube_points(sphere, 2, 12, 0.1, 0.25)
-    # lanes per point, kernel calls per check
-    for check, lanes, kernel_calls in ((check_zero_section, 1, 1),
-                                       (check_scaling, 6, 2)):
+    # the check's inputs, and the lanes per point of its own routes, beside
+    # the main cloud's rays (theta_sigma's 2, kahler_potential's, involution's
+    # and nijenhuis's 1)
+    for check, inputs, own, main in (
+            (check_zero_section, zero_section_inputs, 1, 0),
+            (check_scaling, scaling_inputs, 6, 0),
+            (check_involution, involution_inputs, 1, 1),
+            (check_nijenhuis, nijenhuis_inputs, 16, 1),
+            (check_kahler_potential, lambda m, p: [FrameRays(m, p, [1j])], 0, 1),
+            (check_theta_sigma_identity,
+             lambda m, p: [FrameRays(m, p, verify.THETA_SIGMAS)], 0, 2)):
         for k in (1, 2):
             calls.clear()
-            assert check(sphere, pts[:k]).verdict == "pass"
-            assert sum(calls) == k * lanes, (check.__name__, k, calls)
-            assert len(calls) == kernel_calls, (check.__name__, k, calls)
-    for check, sigmas, lanes, kernel_calls in (
-            (check_theta_sigma_identity, verify.THETA_SIGMAS, 0, 0),
-            (check_kahler_potential, [1j], 0, 0),
-            (check_involution, [1j], 1, 1),
-            (check_nijenhuis, [1j], 16, 1)):
-        for k in (1, 2):
+            args = inputs(sphere, pts[:k])
+            assert calls == [k * (own + main)], (check.__name__, k, calls)
             calls.clear()
-            frames = FrameRays(sphere, pts[:k], sigmas)
-            assert calls == [k * len(frames.reach)]
-            calls.clear()
-            assert check(frames).verdict == "pass"
-            assert sum(calls) == k * lanes, (check.__name__, k, calls)
-            assert len(calls) == kernel_calls, (check.__name__, k, calls)
-    calls.clear()
-    check_nijenhuis(FrameRays(sphere, pts[:1], [1j]))
-    assert calls == [1, 16]
+            assert check(*args).verdict == "pass"
+            assert calls == [], (check.__name__, k, calls)
 
 
 @pytest.mark.parametrize("name", ["round_sphere", "surface_of_revolution"])
 def test_battery_flows_each_main_ray_once(name, monkeypatch):
     # theta_sigma, kahler_potential, involution and nijenhuis read the main
     # cloud's frames from one FrameRays; a flow of the cloud to sigma = i per
-    # check would take 259 lanes in 9 calls
+    # check would take 259 lanes. Every lane that depends on no other flow
+    # runs in one kernel call: 208 lanes of the main cloud and the routes of
+    # involution, nijenhuis, scaling and zero_section; then the adaptedness
+    # strips (state-only) and their nodes
     calls = count_kernel_calls(monkeypatch)
     model = catalog(name)
     run_battery(model, n_samples=8, n_strips=1, seed=1)
-    assert (sum(calls), len(calls)) == (235, 8), calls
+    assert (sum(calls), len(calls)) == (235, 3), calls
+    assert calls == [208, 2, 25]
     # a check that reads no frame of the main cloud flows none of its lanes
     calls.clear()
     run_battery(model, checks=["zero_section"], n_samples=8, n_strips=1, seed=1)
     assert calls == [8]
+    calls.clear()
+    run_battery(model, checks=["scaling", "kahler_potential"], n_samples=8, n_strips=1, seed=1)
+    assert calls == [8 + 16 + 32]
+
+
+@pytest.mark.parametrize("name", ["round_sphere", "surface_of_revolution"])
+def test_a_lane_does_not_care_which_batch_it_runs_in(name):
+    # lanes of two routes, main-cloud rays and Nijenhuis stencil points, take
+    # the same steps with the same coefficients and end on the same jacobian
+    # in calls of their own as merged into one call: the batch couples nothing
+    model = catalog(name)
+    pts = sample_tube_points(model, 2, 1, 0.5, 0.9)  # fast enough to take several steps
+    rays, ray_sigmas = [pts[0], pts[1], pts[1]], [-1j, -1j, 1.5]
+    if name == "round_sphere":
+        # the unit-speed direction of config seed 7 leaves chart a for chart b
+        # on its backward ray of negative real times
+        rays.append(sample_tube_points(model, 1, 7, 1.0, 1.0)[0])
+        ray_sigmas.append(1.4)
+    stencils = nijenhuis_points(pts[:1])
+    own = (flow_lanes(model, rays, sigma=ray_sigmas, variational=True)
+           + flow_lanes(model, stencils, sigma=-1j, variational=True))
+    merged = flow_lanes(model, rays + stencils, sigma=ray_sigmas + [-1j] * len(stencils),
+                        variational=True)
+    assert len(own) == len(merged) == len(rays) + 16
+    for a, b in zip(own, merged):
+        assert a.diagnostics.steps == b.diagnostics.steps > 1
+        assert len(a.segments) == len(b.segments)
+        for sa, sb in zip(a.segments, b.segments):
+            assert sa.chart_id == sb.chart_id and sa.dt == sb.dt
+            assert np.array_equal(sa.coeffs, sb.coeffs)
+        assert np.array_equal(a.jacobian, b.jacobian)
+    if name == "round_sphere":
+        assert merged[3].diagnostics.transitions >= 1
+        assert {s.chart_id for s in merged[3].segments} == {"a", "b"}
 
 
 def test_nijenhuis(flat, sphere):
     pts = sample_tube_points(flat, 4, 13, 0.2, 0.8)
-    rep = check_nijenhuis(FrameRays(flat, pts, [1j]))
+    rep = check_nijenhuis(*nijenhuis_inputs(flat, pts))
     assert rep.max_residual < 1e-11
 
     pts = sample_tube_points(sphere, 4, 14, 0.15, 0.5)
-    rep = check_nijenhuis(FrameRays(sphere, pts, [1j]))
+    rep = check_nijenhuis(*nijenhuis_inputs(sphere, pts))
     assert rep.verdict == "pass", rep.to_record()
 
     # along the zero section the structure is algebraic and the residual drops
-    rest = [PhasePoint(z.chart_id, z.q, np.zeros(2)) for z in pts]
-    rep0 = check_nijenhuis(FrameRays(sphere, rest, [1j]))
+    rep0 = check_nijenhuis(*nijenhuis_inputs(sphere, rest_points(pts)))
     assert rep0.max_residual < 1e-6
 
 
@@ -448,5 +501,6 @@ def test_scaling_property_flat(qx, qy, px, py, c):
     if abs(px) + abs(py) < 1e-3:
         px = 0.5
     z = PhasePoint("main", np.array([qx, qy]), np.array([px, py]))
-    rep = check_scaling(flat, [z], factors=(c,), sigmas=(0.8, 1j))
+    rep = check_scaling(*scaling_inputs(flat, [z], (c,), (0.8, 1j)), factors=(c,),
+                        sigmas=(0.8, 1j))
     assert rep.max_residual < 1e-9
