@@ -12,10 +12,13 @@ of the package.
 Two independent extraction routes are provided. ``f_samples`` reuses the
 backward-flow frame: it reads a point of a :class:`~grauert.lagrangian.FrameRays`
 built by the caller for the times it will sample, so every frame comes from
-one dense backward flow per ray of times (a polynomial evaluation and a
-linear solve per sample). The pole scan and the rational continuation read
-their samples the same way, and each reader builds the lifted basis of its
-point once (:func:`~grauert.lagrangian.lifted_basis`) for all its frames.
+one dense backward flow per ray of times, and all its samples are one
+stacked read (one polynomial evaluation and one linear solve for the
+stack). The rational continuation samples through it, the pole scan reads
+each direction's grid in such stacks, and only the scan's root polishing
+reads one frame at a time; each reader builds the lifted basis
+of its point once (:func:`~grauert.lagrangian.lifted_basis`) for all its
+frames.
 ``f_by_jacobi_transport`` instead integrates the parallel-transport equation
 with an off-the-shelf ODE solver, seeds the vertical lifts of the transported
 frame at the backward point, and pushes them forward with a second
@@ -35,13 +38,13 @@ import numpy as np
 
 from .errors import (
     ConjugatePointError,
-    DegenerateFrameError,
     PadeDegeneracyError,
     SingularityError,
 )
 from .flow import flow, hamiltonian_vector_field, segment_at
 from .geometry import christoffel
 from .lagrangian import (
+    VERTICAL_COND_LIMIT,
     f_matrix_from_frame,
     j_tensor_from_frame,
     lift_coefficients,
@@ -60,8 +63,9 @@ __all__ = [
 
 
 def _vertical_det(L, F):
+    """Real part of det c, c the vertical block of the frame F in L; F may be a stack."""
     _, c = lift_coefficients(L, F)
-    return complex(np.linalg.det(c))
+    return np.linalg.det(c).real
 
 
 def f_samples(frames, k, taus):
@@ -69,22 +73,20 @@ def f_samples(frames, k, taus):
 
     All in one fixed basis at the point, its momentum-led g-orthonormal
     basis; ``frames`` (a :class:`FrameRays`) must have been given times
-    reaching every tau in both directions. Raises
-    :class:`ConjugatePointError` if a sample sits numerically on a
+    reaching every tau in both directions. The frames of all samples are one
+    stacked read, decomposed and inverted as one stack, so a frame that
+    cannot be read raises its error (the first in order) before any pole is
+    looked for. Raises :class:`ConjugatePointError`, naming the first such
+    sample in the order given, if a sample sits numerically on a
     conjugate-point pole.
     """
-    model = frames.model
-    L = lifted_basis(model, frames.points[k])
-    out = np.empty((len(taus), model.dim, model.dim), dtype=complex)
-    for i, tau in enumerate(taus):
-        F = frames.at(tau, k)
-        try:
-            out[i] = f_matrix_from_frame(L, F)
-        except DegenerateFrameError as e:
-            raise ConjugatePointError(
-                f"spreading matrix pole at real time {tau}", sigma=tau
-            ) from e
-    return out
+    L = lifted_basis(frames.model, frames.points[k])
+    b, c = lift_coefficients(L, frames.at(taus, k))
+    poles = np.linalg.cond(c) > VERTICAL_COND_LIMIT
+    if poles.any():
+        tau = taus[poles.argmax()]
+        raise ConjugatePointError(f"spreading matrix pole at real time {tau}", sigma=tau)
+    return b @ np.linalg.inv(c)
 
 
 def _parallel_transport(model, geo, V0, tau):
@@ -152,37 +154,63 @@ def f_by_jacobi_transport(model, z, tau):
     return f_matrix_from_frame(lifted_basis(model, z, basis), fwd.jacobian @ Eta_w)
 
 
+# the pole scan reads its grid in stacks of this many times, so a pole near 0
+# costs no reads far past it and a stack stays small at any tau_max
+SCAN_BLOCK = 64
+
+
 def first_f_singularity(frames, k, tau_max=3.0, coarse=0.1, refine=1e-6):
     """Smallest |tau| <= tau_max with a spreading-matrix pole on the real axis, or None.
 
     Poles are located as sign changes of the real part of the vertical-block
-    determinant, which decays through zero linearly at a conjugate point;
-    each bracket is polished by root finding on the dense output of the
-    backward flow. Scans both time directions of point k of ``frames`` (a
-    :class:`FrameRays` given times reaching ``tau_max`` both ways).
+    determinant, which decays through zero linearly at a conjugate point.
+    The scan grid is coarse, 2 coarse, ... (accumulated) up to tau_max, in
+    both time directions of point k of ``frames`` (a :class:`FrameRays`).
+    Each direction reads its grid in stacked reads of SCAN_BLOCK times, up
+    to the block holding its first sign change (or exact zero); where its
+    ray broke down, it keeps the grid times up to the breakdown's last good
+    time. A read that fails otherwise raises, wherever it lies in its block.
+    The first sign change is polished by root finding on the dense output
+    of the backward flow, one frame at a time. ValueError unless ``coarse``
+    is positive and finite and ``tau_max`` is finite and within the rays'
+    reach in both real directions.
     """
     from scipy.optimize import brentq
 
+    if not 0 < coarse < np.inf:
+        raise ValueError(f"coarse must be positive and finite, got {coarse}")
+    reach = min(frames.reach.get(1.0, 0.0), frames.reach.get(-1.0, 0.0))
+    if not tau_max <= reach:  # NaN and inf too: a reach is finite
+        raise ValueError(f"tau_max must be finite and within the rays' real reach {reach}, "
+                         f"got {tau_max}")
+    ts = []
+    t = coarse
+    while t <= tau_max + 1e-12:
+        ts.append(t)
+        t += coarse
     L = lifted_basis(frames.model, frames.points[k])
     hits = []
-    d0 = _vertical_det(L, frames.at(0.0, k)).real
+    d0 = _vertical_det(L, frames.at(0.0, k))
     for sgn in (1.0, -1.0):
-        d = lambda t: _vertical_det(L, frames.at(sgn * t, k)).real
+        d = lambda t: _vertical_det(L, frames.at(sgn * t, k))
         t_prev, d_prev = 0.0, d0
-        t = coarse
-        while t <= tau_max + 1e-12:
+        start = 0
+        while start < len(ts):
+            grid = ts[start:start + SCAN_BLOCK]
+            start += SCAN_BLOCK
             try:
-                d_cur = d(t)
-            except SingularityError:
-                break  # flow itself broke down first (left the atlas)
-            if d_cur == 0.0:
-                hits.append(t)
+                ds = d(np.array(grid))
+            except SingularityError as e:  # the ray broke down (left the atlas) in this block:
+                grid = [t for t in grid if t <= abs(e.last_good_sigma) + 1e-12]
+                ds = d(np.array(grid))
+                start = len(ts)  # scan up to there and no further
+            grid, ds = [t_prev, *grid], np.concatenate([[d_prev], ds])
+            change = np.flatnonzero((ds[1:] == 0.0) | (np.sign(ds[1:]) != np.sign(ds[:-1])))
+            if change.size:
+                i = change[0] + 1
+                hits.append(grid[i] if ds[i] == 0.0 else brentq(d, grid[i - 1], grid[i], xtol=refine))
                 break
-            if np.sign(d_cur) != np.sign(d_prev):
-                hits.append(brentq(d, t_prev, t, xtol=refine))
-                break
-            t_prev, d_prev = t, d_cur
-            t += coarse
+            t_prev, d_prev = grid[-1], ds[-1]
     return min(hits) if hits else None
 
 

@@ -64,6 +64,9 @@ __all__ = [
 # smallest singular value ratio of [F | conj F] below which a frame counts as
 # meeting its conjugate
 TRANSVERSALITY_THRESHOLD = 1e-8
+# condition number of a frame's vertical coefficient block above which the
+# frame counts as sitting on a conjugate point
+VERTICAL_COND_LIMIT = 1e8
 
 
 def symplectic_form_matrix(n):
@@ -323,7 +326,7 @@ def f_matrix_from_frame(L, F):
     signals a conjugate-point degeneracy of the frame.
     """
     b, c = lift_coefficients(L, F)
-    if np.linalg.cond(c) > 1e8:
+    if np.linalg.cond(c) > VERTICAL_COND_LIMIT:
         raise DegenerateFrameError(
             "vertical coefficients of the frame are numerically singular"
         )

@@ -592,9 +592,12 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
     (positive and negative real time, positive imaginary time) out to
     ``sweep_cap``, and the rays of all directions run as the lanes of one
     kernel call; every frame the scans, fits and bisections use is read from
-    them (:class:`~grauert.lagrangian.FrameRays`). The real-axis scan reads a
-    frame every RADIUS_SCAN_STEP out to ``sweep_cap``, which is therefore at
-    most MAX_SWEEP_CAP (ValueError above it).
+    them (:class:`~grauert.lagrangian.FrameRays`). The scans read their
+    grids and the window its 21 samples as stacked reads; the root
+    polishing and the bisections read one frame at a time. The real-axis
+    scan reads a frame every RADIUS_SCAN_STEP out to ``sweep_cap``, which is
+    therefore at most MAX_SWEEP_CAP; ValueError above it, and unless
+    ``resolution`` lies below ``sweep_cap``.
     """
     if not 0 < sweep_cap <= MAX_SWEEP_CAP:
         raise ValueError(f"sweep_cap must be positive and at most {MAX_SWEEP_CAP:g}")

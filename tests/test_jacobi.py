@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from grauert.catalog import catalog
-from grauert.errors import ConjugatePointError, PadeDegeneracyError
+from grauert.errors import ConjugatePointError, PadeDegeneracyError, SingularityError
 from grauert.flow import PhasePoint
 from grauert.jacobi import (
     continue_f_to_i,
@@ -16,7 +16,15 @@ from grauert.jacobi import (
     j_tensor_from_f,
     rational_continuation,
 )
-from grauert.lagrangian import FrameRays, distribution_at, j_tensor_from_frame
+from grauert.lagrangian import (
+    FrameRays,
+    distribution_at,
+    f_matrix_from_frame,
+    j_tensor_from_frame,
+    lift_coefficients,
+    lifted_basis,
+)
+from grauert.verify import sample_tube_points
 
 
 def test_f_samples_match_sphere_closed_form():
@@ -126,3 +134,103 @@ def test_sample_on_pole_raises():
     z = PhasePoint("a", [math.pi / 2, 0.0], [0.0, 1.0])
     with pytest.raises(ConjugatePointError):
         f_samples(FrameRays(sph, [z], [math.pi / 2]), 0, [math.pi / 2])
+
+
+def test_stacked_f_samples_match_single_frames():
+    sph = catalog("round_sphere")
+    z = PhasePoint("a", [math.pi / 2, 0.0], [0.3, 0.7])
+    window = 1.2
+    taus = window * np.cos(np.pi * np.arange(21) / 20)
+    frames = FrameRays(sph, [z], [window, -window])
+    L = lifted_basis(sph, z)
+    fs = f_samples(frames, 0, taus)
+    for tau, f in zip(taus, fs):
+        assert np.array_equal(f, f_matrix_from_frame(L, frames.at(tau)))
+    # both pi/2 and -pi/2 are poles here; the error names the first in the given order
+    z = PhasePoint("a", [math.pi / 2, 0.0], [0.0, 1.0])
+    for taus, pole in (([0.3, -0.5, math.pi / 2, 1.0, -math.pi / 2], math.pi / 2),
+                       ([0.3, -math.pi / 2, -0.5, math.pi / 2], -math.pi / 2)):
+        with pytest.raises(ConjugatePointError) as info:
+            f_samples(FrameRays(sph, [z], taus), 0, taus)
+        assert info.value.sigma == pole
+
+
+def _scan_one_read_at_a_time(frames, k, tau_max, coarse, refine=1e-6):
+    """The pole scan as a loop of scalar reads, one frame per grid time."""
+    from scipy.optimize import brentq
+
+    L = lifted_basis(frames.model, frames.points[k])
+
+    def det(F):
+        return complex(np.linalg.det(lift_coefficients(L, F)[1])).real
+
+    hits = []
+    d0 = det(frames.at(0.0, k))
+    for sgn in (1.0, -1.0):
+        d = lambda t: det(frames.at(sgn * t, k))
+        t_prev, d_prev = 0.0, d0
+        t = coarse
+        while t <= tau_max + 1e-12:
+            try:
+                d_cur = d(t)
+            except SingularityError:
+                break
+            if d_cur == 0.0:
+                hits.append(t)
+                break
+            if np.sign(d_cur) != np.sign(d_prev):
+                hits.append(brentq(d, t_prev, t, xtol=refine))
+                break
+            t_prev, d_prev = t, d_cur
+            t += coarse
+    return min(hits) if hits else None
+
+
+def _scan_cases():
+    sph, sor = catalog("round_sphere"), catalog("surface_of_revolution")
+    for seed in (5, 7, 9, 17):
+        for coarse in (0.05, 0.03):
+            yield sph, sample_tube_points(sph, 1, seed, 1.0, 1.0)[0], 2.0, coarse
+    yield sor, sample_tube_points(sor, 1, 7, 1.0, 1.0)[0], 2.0, 0.05
+    # the pole pi/2 inside the second stacked block, and between the blocks
+    for coarse in (0.02, 0.0243):
+        yield sph, sample_tube_points(sph, 1, 7, 1.0, 1.0)[0], 2.0, coarse
+
+
+def test_stacked_scan_matches_one_read_at_a_time():
+    hits = 0
+    for model, z, tau_max, coarse in _scan_cases():
+        frames = FrameRays(model, [z], [tau_max, -tau_max])
+        got = first_f_singularity(frames, 0, tau_max=tau_max, coarse=coarse)
+        assert got == _scan_one_read_at_a_time(frames, 0, tau_max, coarse)
+        hits += got is not None
+    assert hits >= 10  # the sphere's scans all find their conjugate point
+    # a ray that leaves the box at sigma = 0.2: scanned up to there, whether
+    # that lies in the first stacked block, a later one or before the grid
+    flat = catalog("flat_space", dim=2)
+    frames = FrameRays(flat, [PhasePoint("main", [19.8, 0.0], [-1.0, 0.0])], [1.0, -1.0])
+    with pytest.raises(SingularityError):
+        frames.at(1.0)
+    for coarse in (0.05, 0.002, 0.3):
+        assert first_f_singularity(frames, 0, tau_max=1.0, coarse=coarse) is None
+        assert _scan_one_read_at_a_time(frames, 0, 1.0, coarse) is None
+    # a grid with no time on it
+    sph = catalog("round_sphere")
+    frames = FrameRays(sph, [sample_tube_points(sph, 1, 7, 1.0, 1.0)[0]], [0.04, -0.04])
+    assert first_f_singularity(frames, 0, tau_max=0.04, coarse=0.05) is None
+
+
+def test_first_singularity_rejects_bad_grids():
+    sph = catalog("round_sphere")
+    frames = FrameRays(sph, [PhasePoint("a", [math.pi / 2, 0.0], [0.0, 1.0])], [2.0, -1.0])
+    for coarse in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="coarse"):
+            first_f_singularity(frames, 0, tau_max=1.0, coarse=coarse)
+    # beyond the reach of the negative ray, and not finite
+    for tau_max in (1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="reach"):
+            first_f_singularity(frames, 0, tau_max=tau_max)
+    # a ray in one real direction only
+    frames = FrameRays(sph, [PhasePoint("a", [math.pi / 2, 0.0], [0.0, 1.0])], [2.0])
+    with pytest.raises(ValueError, match="reach"):
+        first_f_singularity(frames, 0, tau_max=1.0)

@@ -411,7 +411,7 @@ def test_tube_radius_rescan_samples_another_grid(sphere, monkeypatch):
 
     def at(self, sigma, k=0):
         if scanning[0]:
-            scans[-1].append(abs(sigma))
+            scans[-1].extend(np.abs(np.ravel(sigma)))  # every time of a stacked read
         return real_at(self, sigma, k)
 
     monkeypatch.setattr(verify, "first_f_singularity", scan)
@@ -428,6 +428,24 @@ def test_tube_radius_rescan_samples_another_grid(sphere, monkeypatch):
 
     assert not off_grid(first)
     assert len(off_grid(rescan)) > 10
+
+
+def test_tube_radius_reads_scans_and_window_stacked(sphere, monkeypatch):
+    # each scan direction's grid and the rational-fit window are one read
+    # each; the root polishing and the bisections read one frame at a time
+    reads = []
+    real_at = grauert.lagrangian.FrameRays.at
+
+    def at(self, sigma, k=0):
+        reads.append(np.size(sigma))
+        return real_at(self, sigma, k)
+
+    monkeypatch.setattr(grauert.lagrangian.FrameRays, "at", at)
+    est = estimate_tube_radius(sphere, n_directions=1, seed=7, sweep_cap=2.0,
+                               resolution=1e-3)
+    assert not est.capped["continuation"]  # a pole was hit, so the rescan ran
+    assert len(reads) <= 60
+    assert 21 in reads  # the window
 
 
 @pytest.mark.parametrize("resolution", [1e-2, 1e-3])
