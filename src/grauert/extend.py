@@ -52,7 +52,7 @@ from .errors import ChartDomainError, DivergenceError, GrauertError, Singularity
 from .errors import UnsupportedModelError
 from .flow import DEFAULT_TOL, STENCIL, PhasePoint, SigmaPath, diff5, flow, flow_lanes
 from .flow import hamiltonian_vector_field, lane_result, stencil_points
-from .flow import _retire_breakdowns, _taylor_series
+from .flow import _admit, _retire_breakdowns, _taylor_series
 from .geometry import metric_inv_matrix
 from .jets import Jet, value
 from .lagrangian import FrameRays, j_tensor_from_frame
@@ -163,20 +163,11 @@ def _series_coefficients(model, f, points, max_terms):
     points of each chart build their series with one ``_taylor_series`` call,
     and ``f.chart_eval`` runs once on their lane jets, a single lane too.
     """
-    out = [None] * len(points)
-    groups = {}
-    for i, z in enumerate(points):
-        try:
-            q = model.chart(z.chart_id).wrap(z.q)
-            model.require_inside(z.chart_id, q)
-        except ChartDomainError as e:
-            out[i] = e
-            continue
-        groups.setdefault(z.chart_id, []).append((i, q, z.p))
+    groups, errors = _admit(model, points)
+    out = [errors.get(i) for i in range(len(points))]
     n = model.dim
-    for cid, group in groups.items():
-        idx, q, p = zip(*group)
-        q, p = np.array(q), np.array(p)
+    for cid, (idx, q) in groups.items():
+        p = np.array([points[i].p for i in idx])
 
         def build(k):
             coeffs = _taylor_series(model, cid, q[k], p[k], None, 1.0, max_terms)
@@ -189,7 +180,7 @@ def _series_coefficients(model, f, points, max_terms):
                 a[:, 0] = complex(val)
             return a
 
-        ok, a, broken = _retire_breakdowns(build, len(group))
+        ok, a, broken = _retire_breakdowns(build, len(idx))
         for j, e in broken.items():
             out[idx[j]] = SingularityError(f"{f.name}: {e} at 0", last_good_sigma=0j,
                                            reason="singular series")

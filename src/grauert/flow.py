@@ -25,13 +25,17 @@ alongside the state, through chart transitions included.
 
 There is one flow kernel, :func:`flow_lanes`, which integrates a batch of
 trajectories as lanes (the batch mode of Taylor integrators such as heyoka,
-Biscani and Izzo, MNRAS 2021). The jets carry a leading lane axis, so one
-field evaluation builds the series of every lane in a chart at once, while
-each lane keeps its own step size, chart, transitions, margin and box
-checks and dense output (its accepted step polynomials), and leaves the
-batch when it finishes or breaks down; a lane that breaks down hands its
-dense output to its :class:`SingularityError`. :func:`flow` is a one-lane
-call of the kernel.
+Biscani and Izzo, MNRAS 2021). The state of a batch is held as arrays over
+its lanes: phase point, jacobian, place on the path, chart and step counts.
+The jets carry a leading lane axis, so one field evaluation builds the
+series of every lane in a chart at once, and the step choice, the state
+update and the wrap, margin and box checks run as array operations on that
+chart's lanes. Each lane keeps its own step size, chart and dense output
+(its accepted step polynomials), and leaves the batch when it finishes or
+breaks down. Python runs for a single lane only at its events: a
+breakdown, whose :class:`SingularityError` takes the lane's dense output,
+and a step out of its chart's safe interior, where it may change chart.
+:func:`flow` is a one-lane call of the kernel.
 """
 
 from __future__ import annotations
@@ -323,77 +327,62 @@ def _last_inside(coeffs, dt, n, pred):
     """Largest local parameter in [0, dt] whose state still satisfies pred.
 
     The accepted step's series is trusted as the solution on the step, so the
-    exit point is localized by bisection on the polynomial itself.
+    exit point is localized by 50 halvings of [0, dt] on the polynomial
+    itself. They run six levels at a time: the 63 points that six halvings of
+    the current bracket can reach are evaluated as one stack (the first stack
+    also holds t = 0), and a walk down them takes the six halvings. Each
+    point is 0.5 * (lo + hi) of its own bracket, so the result is that of
+    halving one level at a time, to the bit. ``pred`` takes a stack of
+    states (k, n) and returns one verdict per row.
     """
-    q_of = lambda t: eval_poly(coeffs[:n, 0, :], t)
-    if not pred(q_of(0.0)):
-        return 0.0
+    c = coeffs[:n, 0, :]
     lo, hi = 0.0, dt
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if pred(q_of(mid)):
-            lo = mid
-        else:
-            hi = mid
+    start = [0.0]
+    for levels in (6,) * 8 + (2,):
+        # the bracket ends after each level of halving, in order: b[0] = lo, b[-1] = hi
+        b = np.array([lo, hi])
+        for _ in range(levels):
+            finer = np.empty(2 * b.size - 1)
+            finer[::2], finer[1::2] = b, 0.5 * (b[:-1] + b[1:])
+            b = finer
+        ok = pred(eval_poly(c, np.concatenate([start, b[1:-1]])[:, None]))
+        if start:
+            if not ok[0]:
+                return 0.0
+            ok, start = ok[1:], []
+        i, j = 0, b.size - 1
+        while j - i > 1:
+            mid = (i + j) // 2
+            if ok[mid - 1]:
+                i = mid
+            else:
+                j = mid
+        lo, hi = b[i], b[j]
     return lo
 
 
-def _choose_step(a, order, tol):
-    """Step from the largest coefficient magnitude a[k] of each order k of one lane."""
-    scale = tol * max(1.0, a[0])
-    cands = []
-    for kk in (order, order - 1):
-        if a[kk] > 1e-280:
-            cands.append((scale / a[kk]) ** (1.0 / kk))
-    if not cands:
-        return np.inf
-    return SAFETY * min(cands)
+def _step_sizes(mags, tol):
+    """Step of each lane from the largest coefficient magnitude mags[:, k] of each order k.
 
-
-@dataclass
-class _Lane:
-    """One trajectory of a lane batch: its state, where it is on its path, what it accepted."""
-
-    index: int
-    cid: str
-    q: np.ndarray
-    p: np.ndarray
-    D: np.ndarray | None
-    legs: list  # (start sigma, unit direction, length) of each nonempty leg
-    diag: FlowDiagnostics
-    leg: int = 0
-    t_done: float = 0.0
-    t_global: float = 0.0
-    sigma_now: complex = 0j
-    segments: list = field(default_factory=list)
-
-    def on_path(self):
-        """Move past finished legs; False once the whole path is done."""
-        while self.leg < len(self.legs):
-            if self.t_done < self.legs[self.leg][2] * (1.0 - 1e-15):
-                return True
-            self.leg += 1
-            self.t_done = 0.0
-        return False
-
-    def breakdown(self, message, sigma, reason):
-        return SingularityError(message, last_good_sigma=sigma, reason=reason,
-                                segments=self.segments)
-
-
-def _set_energies(model, lanes, attr):
-    """Energy of every lane's state into its diagnostics, one metric evaluation per chart."""
-    by_chart = {}
-    for lane in lanes:
-        by_chart.setdefault(lane.cid, []).append(lane)
-    for cid, group in by_chart.items():
-        q = np.array([lane.q for lane in group]).T
-        p = np.array([lane.p for lane in group]).T
-        # a lane started on a singular metric has no finite energy
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e = energy(model, cid, q, p)
-        for lane, x in zip(group, e):
-            setattr(lane.diag, attr, complex(x))
+    h = SAFETY * min((tol * max(1, mags[:, 0]) / mags[:, k]) ** (1 / k)) over the
+    last two orders k whose magnitude exceeds 1e-280; inf when neither does.
+    The quotients are array operations, but each power is taken on a Python
+    float: numpy's array power can differ from the scalar pow in the last
+    bit, and a step that moves by one ulp moves every output.
+    """
+    order = mags.shape[1] - 1
+    a0 = mags[:, 0]
+    scale = tol * np.where(a0 > 1.0, a0, 1.0)
+    ks = (order, order - 1)
+    tail = mags[:, ks]
+    big = tail > 1e-280
+    ratio = np.divide(scale[:, None], tail, out=np.zeros_like(tail), where=big)
+    h = np.full(len(mags), np.inf)
+    for g, (row, use) in enumerate(zip(ratio.tolist(), big.tolist())):
+        cands = [r ** (1.0 / k) for r, k, b in zip(row, ks, use) if b]
+        if cands:
+            h[g] = SAFETY * min(cands)
+    return h
 
 
 def _retire_breakdowns(build, B):
@@ -417,96 +406,183 @@ def _retire_breakdowns(build, B):
     return ok, None, broken
 
 
-def _group_series(model, cid, group, outcomes, variational):
-    """Series of every lane of ``group`` (all in chart cid), and the lanes it is for.
+def _admit(model, points):
+    """The start points of a batch that lie in their charts, wrapped, grouped by chart.
 
-    A lane whose series meets a vanishing constant term retires with a
-    SingularityError; the others are built again without it.
+    Returns (groups, errors): groups maps each chart id to the indices of its
+    admitted points and their wrapped q (k, n); errors maps the index of each
+    other point (outside its chart's box or margin, or in no chart of the
+    model) to the :class:`~grauert.errors.ChartDomainError` that
+    :meth:`~grauert.geometry.MetricModel.require_inside` raises for it. The
+    points of a chart are wrapped and checked as one stack.
     """
-    q = np.array([lane.q for lane in group])
-    p = np.array([lane.p for lane in group])
-    D = np.array([lane.D for lane in group]) if variational else None
-    u = np.array([lane.legs[lane.leg][1] for lane in group])
-    ok, coeffs, broken = _retire_breakdowns(
-        lambda k: _taylor_series(model, cid, q[k], p[k], None if D is None else D[k], u[k],
-                                 DEFAULT_ORDER),
-        len(group))
-    for i, e in broken.items():
-        lane = group[i]
-        outcomes[lane.index] = lane.breakdown(
-            f"{e} at {lane.sigma_now}", lane.sigma_now, "singular series")
-    return [group[i] for i in ok], coeffs
-
-
-def _accept(model, lane, ch, coeffs, state, dt):
-    """Move one lane along its accepted step; a SingularityError if it leaves its chart."""
-    n = model.dim
-    s0, u, _ = lane.legs[lane.leg]
-    q, p = state[:n, 0], state[n:, 0]
-    if lane.D is not None:
-        lane.D = state[:, 1:]
-    lane.t_done += dt
-    lane.t_global += dt
-    lane.sigma_now = s0 + u * lane.t_done
-    lane.diag.steps += 1
-    lane.diag.min_step = min(lane.diag.min_step, dt)
-    q = ch.wrap(q)
-    if not ch.margin_ok(q.imag):
-        t_ok = _last_inside(coeffs, dt, n, lambda qq: ch.margin_ok(qq.imag))
-        s_ok = s0 + u * (lane.t_done - dt + t_ok)
-        return lane.breakdown(f"imaginary part left the chart margin near {s_ok}", s_ok,
-                              "imaginary margin")
-    cid = lane.cid
-    if model.has_transitions() and not ch.in_safe_interior(q.real):
-        best = model.best_chart(cid, q)
-        if best != cid:
-            q, p, lane.D = transition_phase(model, cid, best, q, p, jac=lane.D)
-            q = model.chart(best).wrap(q)
-            lane.cid = best
-            lane.diag.transitions += 1
-    if not model.chart(lane.cid).contains_re(q.real):
-        t_ok = _last_inside(coeffs, dt, n, lambda qq: ch.contains_re(qq.real))
-        s_ok = s0 + u * (lane.t_done - dt + t_ok)
-        return lane.breakdown(f"real part left the chart box near {s_ok}", s_ok, "chart box")
-    lane.q, lane.p = q, p
-    return None
-
-
-def _step_group(model, cid, group, outcomes, tol, variational):
-    """One accepted step of every lane of ``group`` (all in chart cid); the lanes that go on."""
-    group, coeffs = _group_series(model, cid, group, outcomes, variational)
-    if not group:
-        return []
-    mags = np.max(np.abs(coeffs[:, :, 0, :]), axis=1)
-    dts = np.zeros(len(group))
-    stepping = []
-    for g, lane in enumerate(group):
-        s0, u, leg_len = lane.legs[lane.leg]
-        h = _choose_step(mags[g], DEFAULT_ORDER, tol)
-        left = leg_len - lane.t_done
-        dt = min(h, left)
-        if dt < STEP_FLOOR and left > STEP_FLOOR:
-            outcomes[lane.index] = lane.breakdown(
-                f"series step collapsed to {h:.3e} at {lane.sigma_now}", lane.sigma_now,
-                "step collapse")
-            continue
-        lane.segments.append(Segment(cid, s0 + u * lane.t_done, u, dt, lane.t_global, coeffs[g]))
-        dts[g] = dt
-        stepping.append(g)
-    state = eval_poly(coeffs, dts[:, None, None])
-    ch = model.chart(cid)
-    going = []
-    for g in stepping:
-        lane = group[g]
-        try:
-            err = _accept(model, lane, ch, coeffs[g], state[g], dts[g])
-        except GrauertError as e:
-            err = e
-        if err is None:
-            going.append(lane)
+    by_chart = {}
+    for i, z in enumerate(points):
+        by_chart.setdefault(z.chart_id, []).append(i)
+    groups, errors = {}, {}
+    for cid, idx in by_chart.items():
+        idx = np.array(idx)
+        q = np.array([points[i].q for i in idx])
+        if cid in model.charts:
+            ch = model.chart(cid)
+            q = ch.wrap(q)
+            inside = ch.contains_re(q.real) & ch.margin_ok(q.imag)
         else:
-            outcomes[lane.index] = err
-    return going
+            inside = np.zeros(len(idx), dtype=bool)
+        for k in np.flatnonzero(~inside):
+            try:
+                model.require_inside(cid, q[k])
+            except ChartDomainError as e:
+                errors[int(idx[k])] = e
+        if inside.any():
+            groups[cid] = (idx[inside], q[inside])
+    return groups, errors
+
+
+def _energies(model, st, lanes):
+    """Energy of the states of ``lanes`` (an index array), one metric evaluation per chart."""
+    e = np.zeros(len(st.chart), dtype=complex)
+    for c in np.unique(st.chart[lanes]):
+        g = lanes[st.chart[lanes] == c]
+        # a lane started on a singular metric has no finite energy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e[g] = energy(model, st.charts[c], st.q[g].T, st.p[g].T)
+    return e
+
+
+class _Lanes:
+    """The state of a :func:`flow_lanes` call, one row per lane.
+
+    Lane i's path runs through the waypoints w[i]: its legs are
+    s0[i, j] + u[i, j] t, 0 <= t <= length[i, j], where a leg too short to
+    move the state has length 0. ``leg`` is the current leg, ``t_done`` the
+    arc length done on it, ``t_global`` the arc length done in all, and
+    ``chart`` the index of the lane's chart in ``charts``.
+    """
+
+    def __init__(self, model, p, w, variational):
+        B, n = p.shape
+        d = w[:, 1:] - w[:, :-1]
+        length = np.hypot(d.real, d.imag)  # equals abs of each leg to the bit
+        kept = length >= 1e-200  # a shorter leg has no representable effect on the state
+        self.s0, self.length = w[:, :-1], np.where(kept, length, 0.0)
+        self.u = np.divide(d, length, out=np.zeros_like(d), where=kept)
+        self.charts, self.chart = list(model.charts), np.zeros(B, dtype=int)
+        self.q, self.p = np.zeros((B, n), dtype=complex), p
+        self.D = np.tile(np.eye(2 * n, dtype=complex), (B, 1, 1)) if variational else None
+        self.leg, self.t_done, self.t_global = np.zeros(B, dtype=int), np.zeros(B), np.zeros(B)
+        self.sigma_now = np.zeros(B, dtype=complex)
+        self.steps, self.transitions = np.zeros(B, dtype=int), np.zeros(B, dtype=int)
+        self.min_step = np.full(B, np.inf)
+        self.segments = [[] for _ in range(B)]
+
+    def on_path(self, lanes):
+        """Move ``lanes`` past finished legs; the ones whose path is not done."""
+        while True:
+            lanes = lanes[self.leg[lanes] < self.length.shape[1]]
+            k = self.leg[lanes]
+            over = ~(self.t_done[lanes] < self.length[lanes, k] * (1.0 - 1e-15))
+            if not over.any():
+                return lanes
+            self.leg[lanes[over]] += 1
+            self.t_done[lanes[over]] = 0.0
+
+    def breakdown(self, i, message, sigma, reason):
+        return SingularityError(message, last_good_sigma=sigma, reason=reason,
+                                segments=self.segments[i])
+
+
+def _step_group(model, cid, lanes, st, outcomes, tol):
+    """One accepted step of ``lanes`` (an index array, all in chart cid); the lanes that go on.
+
+    The series, the step choice, the state update and the wrap, margin and
+    box checks are array operations on the group. A lane runs Python of its
+    own only where it has an event: a breakdown, which puts its
+    SingularityError (or the GrauertError of a failed transition) in
+    ``outcomes``, or a step out of the chart's safe interior, where
+    best_chart decides whether it changes chart.
+    """
+    n = model.dim
+    ch = model.chart(cid)
+    k = st.leg[lanes]
+    s0, u, length = st.s0[lanes, k], st.u[lanes, k], st.length[lanes, k]
+    ok, coeffs, broken = _retire_breakdowns(
+        lambda j: _taylor_series(model, cid, st.q[lanes[j]], st.p[lanes[j]],
+                                 None if st.D is None else st.D[lanes[j]], u[j], DEFAULT_ORDER),
+        len(lanes))
+    for j, e in broken.items():
+        i = lanes[j]
+        outcomes[i] = st.breakdown(i, f"{e} at {st.sigma_now[i]}", st.sigma_now[i],
+                                   "singular series")
+    if coeffs is None:
+        return lanes[:0]
+    lanes, s0, u, length = lanes[ok], s0[ok], u[ok], length[ok]
+    h = _step_sizes(np.max(np.abs(coeffs[:, :, 0, :]), axis=1), tol)
+    left = length - st.t_done[lanes]
+    dt = np.where(left < h, left, h)
+    collapsed = (dt < STEP_FLOOR) & (left > STEP_FLOOR)
+    for j in np.flatnonzero(collapsed):
+        i = lanes[j]
+        outcomes[i] = st.breakdown(
+            i, f"series step collapsed to {h[j]:.3e} at {st.sigma_now[i]}", st.sigma_now[i],
+            "step collapse")
+    if collapsed.any():
+        go = ~collapsed
+        lanes, coeffs, s0, u, dt = lanes[go], coeffs[go], s0[go], u[go], dt[go]
+    t_done = st.t_done[lanes]
+    sigma0 = s0 + u * t_done
+    for j, i in enumerate(lanes):
+        st.segments[i].append(Segment(cid, sigma0[j], u[j], dt[j], st.t_global[i], coeffs[j]))
+    state = eval_poly(coeffs, dt[:, None, None])
+    t_done = t_done + dt
+    st.t_done[lanes] = t_done
+    st.t_global[lanes] += dt
+    st.sigma_now[lanes] = s0 + u * t_done
+    st.steps[lanes] += 1
+    st.min_step[lanes] = np.where(dt < st.min_step[lanes], dt, st.min_step[lanes])
+    q, p = ch.wrap(state[:, :n, 0]), state[:, n:, 0]
+    D = None if st.D is None else state[:, :, 1:]
+
+    def exit_sigma(j, pred):
+        # where lane j's accepted step first stops satisfying pred
+        t_ok = _last_inside(coeffs[j], dt[j], n, pred)
+        return s0[j] + u[j] * (t_done[j] - dt[j] + t_ok)
+
+    good = ch.margin_ok(q.imag)
+    for j in np.flatnonzero(~good):
+        s_ok = exit_sigma(j, lambda qq: ch.margin_ok(qq.imag))
+        outcomes[lanes[j]] = st.breakdown(
+            lanes[j], f"imaginary part left the chart margin near {s_ok}", s_ok,
+            "imaginary margin")
+    in_box = ch.contains_re(q.real)
+    if model.has_transitions():
+        for j in np.flatnonzero(good & ~ch.in_safe_interior(q.real)):
+            try:
+                best = model.best_chart(cid, q[j])
+                if best == cid:
+                    continue
+                q_j, p_j, D_j = transition_phase(model, cid, best, q[j], p[j],
+                                                 jac=None if D is None else D[j])
+            except GrauertError as e:
+                outcomes[lanes[j]] = e
+                good[j] = False
+                continue
+            q[j], p[j] = model.chart(best).wrap(q_j), p_j
+            if D is not None:
+                D[j] = D_j
+            st.chart[lanes[j]] = st.charts.index(best)
+            st.transitions[lanes[j]] += 1
+            in_box[j] = model.chart(best).contains_re(q[j].real)
+    for j in np.flatnonzero(good & ~in_box):
+        s_ok = exit_sigma(j, lambda qq: ch.contains_re(qq.real))
+        outcomes[lanes[j]] = st.breakdown(
+            lanes[j], f"real part left the chart box near {s_ok}", s_ok, "chart box")
+    good &= in_box
+    on = lanes[good]
+    st.q[on], st.p[on] = q[good], p[good]
+    if D is not None:
+        st.D[on] = D[good]
+    return on
 
 
 def flow_lanes(
@@ -532,59 +608,52 @@ def flow_lanes(
     ``last_good_sigma``.
 
     Lanes run in lockstep, each with its own step size, chart and checks, so
-    every lane takes the steps it would take alone. Each step builds the
-    series of all lanes in one chart with one field evaluation per doubling
-    pass; lanes that finish or break down leave the batch.
+    every lane takes the steps it would take alone. The state of the lanes
+    is held as arrays; each step builds the series of all lanes in one chart
+    with one field evaluation per doubling pass, and chooses, takes and
+    checks their steps as array operations. Lanes that finish or break down
+    leave the batch.
     """
     if (sigma is None) == (path is None):
         raise ValueError("pass exactly one of sigma or path")
-    B = len(points)
+    B, n = len(points), model.dim
     if path is None:
-        paths = [SigmaPath.straight(s)
-                 for s in np.broadcast_to(np.asarray(sigma, dtype=complex), (B,))]
+        ends = np.broadcast_to(np.asarray(sigma, dtype=complex), (B,))
+        w = np.stack([np.zeros(B, dtype=complex), ends], axis=1)
     else:
-        paths = [path] * B
-    m = 2 * model.dim
-    outcomes = [None] * B
-    lanes = []
-    for i, (z, pth) in enumerate(zip(points, paths)):
-        try:
-            q = model.chart(z.chart_id).wrap(z.q)
-            model.require_inside(z.chart_id, q)
-        except ChartDomainError as e:
-            outcomes[i] = e
-            continue
-        legs = []
-        for s0, s1 in pth.legs():
-            leg_len = abs(s1 - s0)
-            if leg_len >= 1e-200:  # a shorter leg has no representable effect on the state
-                legs.append((s0, (s1 - s0) / leg_len, leg_len))
-        D = np.eye(m, dtype=complex) if variational else None
-        lanes.append(_Lane(i, z.chart_id, q, z.p.copy(), D, legs, FlowDiagnostics()))
-    _set_energies(model, lanes, "energy_initial")
-    active = lanes
-    while active:
-        groups = {}
-        for lane in active:
-            if not lane.on_path():
-                continue
-            if lane.diag.steps >= MAX_STEPS:
-                outcomes[lane.index] = lane.breakdown(
-                    f"step budget exhausted at {lane.sigma_now}", lane.sigma_now, "step budget")
-                continue
-            groups.setdefault(lane.cid, []).append(lane)
-        active = []
-        for cid, group in groups.items():
-            active += _step_group(model, cid, group, outcomes, tol, variational)
-    done = [lane for lane in lanes if outcomes[lane.index] is None]
-    _set_energies(model, done, "energy_final")
-    for lane in done:
-        outcomes[lane.index] = FlowResult(
-            point=PhasePoint(lane.cid, lane.q, lane.p),
-            sigma=paths[lane.index].endpoint,
-            jacobian=lane.D,
-            diagnostics=lane.diag,
-            segments=lane.segments,
+        ends = np.full(B, path.endpoint)
+        w = np.broadcast_to(path.waypoints, (B, path.waypoints.shape[0]))
+    st = _Lanes(model, np.array([z.p for z in points], dtype=complex).reshape(B, n), w,
+                variational)
+    groups, errors = _admit(model, points)
+    for cid, (idx, q) in groups.items():
+        st.chart[idx], st.q[idx] = st.charts.index(cid), q
+    outcomes = [errors.get(i) for i in range(B)]
+    admitted = np.flatnonzero([x is None for x in outcomes])
+    e0 = _energies(model, st, admitted)
+    running = admitted
+    while True:
+        running = st.on_path(running)
+        spent = st.steps[running] >= MAX_STEPS
+        for i in running[spent]:
+            outcomes[i] = st.breakdown(i, f"step budget exhausted at {st.sigma_now[i]}",
+                                       st.sigma_now[i], "step budget")
+        running = running[~spent]
+        if not running.size:
+            break
+        running = np.concatenate([
+            _step_group(model, st.charts[c], running[st.chart[running] == c], st, outcomes, tol)
+            for c in np.unique(st.chart[running])])
+    done = np.array([i for i in admitted if outcomes[i] is None], dtype=int)
+    e1 = _energies(model, st, done)
+    for i in done:
+        outcomes[i] = FlowResult(
+            point=PhasePoint(st.charts[st.chart[i]], st.q[i], st.p[i]),
+            sigma=ends[i],
+            jacobian=None if st.D is None else st.D[i],
+            diagnostics=FlowDiagnostics(int(st.steps[i]), int(st.transitions[i]),
+                                        st.min_step[i], complex(e0[i]), complex(e1[i])),
+            segments=st.segments[i],
         )
     return outcomes
 

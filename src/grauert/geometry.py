@@ -49,7 +49,11 @@ SAFE_FRAC = 0.8
 
 @dataclass(frozen=True)
 class Chart:
-    """A coordinate box with per-axis periodicity and imaginary margins."""
+    """A coordinate box with per-axis periodicity and imaginary margins.
+
+    The checks and ``wrap`` take one point (n,) or a stack of points (..., n)
+    and answer for each point.
+    """
 
     id: str
     lo: np.ndarray
@@ -73,18 +77,17 @@ class Chart:
     def depth(self, q_re):
         """Normalized distance of the real part to the box boundary (periodic axes ignored)."""
         gap = np.minimum(q_re - self.lo, self.hi - q_re) / self.width()
-        return gap.min(where=~self.periodic, initial=1.0)
+        return gap.min(axis=-1, where=~self.periodic, initial=1.0)
 
     def margin_ok(self, q_im):
-        return bool(np.all(np.abs(q_im) <= self.margin))
+        return np.all(np.abs(q_im) <= self.margin, axis=-1)
 
     def wrap(self, q):
         """Fold the real part of periodic axes back into the box; imaginary parts pass through."""
-        q = np.asarray(q, dtype=complex).copy()
-        for i in range(self.dim):
-            if self.periodic[i]:
-                w = self.hi[i] - self.lo[i]
-                q[i] = self.lo[i] + (q[i].real - self.lo[i]) % w + 1j * q[i].imag
+        q = np.array(q, dtype=complex)
+        per = self.periodic
+        lo, x = self.lo[per], q[..., per]
+        q[..., per] = lo + (x.real - lo) % self.width()[per] + 1j * x.imag
         return q
 
 

@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 import grauert.flow as flow_module
 from grauert import jets
 from grauert.catalog import catalog
-from grauert.errors import SingularityError
+from grauert.errors import ChartDomainError, SingularityError
 from grauert.geometry import Chart, MetricModel, energy
 from grauert.flow import (
     PhasePoint,
@@ -400,67 +400,106 @@ def test_path_validation():
 # -- lane batches ----------------------------------------------------------------
 
 
-def _assert_same_flow(lane, alone, tol=1e-13):
-    """A lane of a batch against the one-lane flow from the same point."""
+def _assert_same_flow(lane, alone):
+    """A lane of a batch against the same lane flowed alone, bit for bit."""
+    assert type(lane) is type(alone)
+    if isinstance(alone, ChartDomainError):
+        assert str(lane) == str(alone)
+        return
     if isinstance(alone, SingularityError):
-        assert isinstance(lane, SingularityError), lane
         assert lane.reason == alone.reason
-        assert abs(lane.last_good_sigma - alone.last_good_sigma) <= tol
-        segs_lane, segs_alone = lane.segments, alone.segments
+        assert lane.last_good_sigma == alone.last_good_sigma
+        assert str(lane) == str(alone)
     else:
-        assert lane.point.chart_id == alone.point.chart_id
-        assert np.max(np.abs(lane.point.q - alone.point.q)) <= tol
-        assert np.max(np.abs(lane.point.p - alone.point.p)) <= tol
-        assert np.max(np.abs(lane.jacobian - alone.jacobian)) <= tol
-        assert lane.diagnostics.steps == alone.diagnostics.steps
-        assert lane.diagnostics.transitions == alone.diagnostics.transitions
-        segs_lane, segs_alone = lane.segments, alone.segments
-    assert len(segs_lane) == len(segs_alone) > 0
-    for a, b in zip(segs_lane, segs_alone):
-        assert a.chart_id == b.chart_id
-        assert abs(a.sigma0 - b.sigma0) <= tol and abs(a.dt - b.dt) <= tol
-        assert a.coeffs.shape == b.coeffs.shape
-        assert np.max(np.abs(a.coeffs - b.coeffs)) <= tol * max(1.0, np.max(np.abs(b.coeffs)))
+        a, b = lane.diagnostics, alone.diagnostics
+        assert lane.point.chart_id == alone.point.chart_id and lane.sigma == alone.sigma
+        assert np.array_equal(lane.point.q, alone.point.q)
+        assert np.array_equal(lane.point.p, alone.point.p)
+        assert np.array_equal(lane.jacobian, alone.jacobian)
+        assert (a.steps, a.transitions, a.min_step) == (b.steps, b.transitions, b.min_step)
+        assert (a.energy_initial, a.energy_final) == (b.energy_initial, b.energy_final)
+    assert len(lane.segments) == len(alone.segments)
+    for s, t in zip(lane.segments, alone.segments):
+        assert (s.chart_id, s.sigma0, s.direction) == (t.chart_id, t.sigma0, t.direction)
+        assert (s.dt, s.t0_global) == (t.dt, t.t0_global)
+        assert np.array_equal(s.coeffs, t.coeffs)
 
 
-def test_lanes_match_single_flows():
+def _outcome(lane):
+    if isinstance(lane, ChartDomainError):
+        return "outside its chart"
+    if isinstance(lane, SingularityError):
+        return lane.reason
+    return "transition" if lane.diagnostics.transitions else "finished"
+
+
+def test_lanes_match_single_flows(monkeypatch):
+    # a lane gives, to the bit, what it gives alone, whatever the other lanes
+    # of its batch do; each batch mixes outcomes, and together they cover all
     from grauert.verify import sample_tube_points
 
+    monkeypatch.setattr(flow_module, "MAX_STEPS", 100)
     sph = catalog("round_sphere")
-    cases = [
-        (sph, [
+    # (model, path shared by the batch or None, [(point, sigma, outcome), ...])
+    batches = [
+        (sph, None, [
             # aimed at chart a's pole: moves to chart b
-            (PhasePoint("a", [math.pi / 2, 0.1], [-1.0, 0.05]), 2.0),
+            (PhasePoint("a", [math.pi / 2, 0.1], [-1.0, 0.05]), 2.0, "transition"),
             # the dense -2i ray of test_dense_breakdown_keeps_segments: leaves
             # the chart margin near -1.596i
-            (sample_tube_points(sph, 1, 7, 1.0, 1.0)[0], -2j),
-            (PhasePoint("a", [1.2, 0.4], [0.3, 0.5]), 0.9 - 0.4j),
+            (sample_tube_points(sph, 1, 7, 1.0, 1.0)[0], -2j, "imaginary margin"),
+            (PhasePoint("a", [1.2, 0.4], [0.3, 0.5]), 0.9 - 0.4j, "finished"),
+            # takes 139 steps alone
+            (PhasePoint("a", [1.0, 0.3], [0.4, 0.3]), 40.0, "step budget"),
+            # no legs
+            (PhasePoint("b", [1.0, 0.3], [0.2, 0.1]), 0.0, "finished"),
+            (PhasePoint("a", [0.01, 0.0], [0.1, 0.1]), 1.0, "outside its chart"),
+            (PhasePoint("a", [1.0 + 2.0j, 0.0], [0.1, 0.1]), 1.0, "outside its chart"),
+            (PhasePoint("z", [1.0, 0.0], [0.1, 0.1]), 1.0, "outside its chart"),
         ]),
-        (catalog("surface_of_revolution"), [
-            (PhasePoint("main", [0.4, -1.0], [0.7, 1.1]), 1.2),
-            (PhasePoint("main", [0.1, 0.4], [0.3, -0.2]), 1j),
+        (sph, SigmaPath.via(1.5, 1.5 + 0.5j), [
+            (PhasePoint("a", [1.2, 0.4], [0.3, 0.5]), None, "finished"),
+            (PhasePoint("a", [math.pi / 2, 0.1], [-1.0, 0.05]), None, "transition"),
         ]),
-        (catalog("flat_torus"), [
-            (PhasePoint("main", [0.2, -0.4], [2.0, 1.5]), 4.0 + 5.0j),
-            (PhasePoint("main", [3.0, 1.0], [0.5, -0.25]), -1j),
+        (catalog("surface_of_revolution"), None, [
+            (PhasePoint("main", [0.4, -1.0], [0.7, 1.1]), 1.2, "finished"),
+            (PhasePoint("main", [0.1, 0.4], [0.3, -0.2]), 1j, "finished"),
+        ]),
+        (catalog("flat_torus"), None, [
+            (PhasePoint("main", [0.2, -0.4], [2.0, 1.5]), 4.0 + 5.0j, "finished"),
+            (PhasePoint("main", [3.0, 1.0], [0.5, -0.25]), -1j, "finished"),
+        ]),
+        (catalog("flat_space"), None, [
+            (PhasePoint("main", [0.0, 0.0], [3.0, 4.0]), 6.0, "chart box"),
+            (PhasePoint("main", [1.0, -1.0], [0.5, 0.5]), 2.0 + 1.0j, "finished"),
+        ]),
+        (_g11_is_q0(), None, [
+            # aimed at q0 = 0, where the metric degenerates
+            (PhasePoint("main", [0.5, 0.0], [-0.2, 0.1]), 5.0, "step collapse"),
+            (PhasePoint("main", [0.0, 0.0], [0.1, 0.2]), 5.0, "singular series"),
+            (PhasePoint("main", [1.0, 0.2], [0.1, 0.2]), 5.0, "finished"),
         ]),
     ]
-    batches = []
-    for model, lanes in cases:
-        batch = flow_lanes(model, [z for z, _ in lanes], sigma=[s for _, s in lanes],
-                           variational=True)
-        for (z, s), lane in zip(lanes, batch):
-            try:
-                alone = flow(model, z, sigma=s, variational=True)
-            except SingularityError as e:
-                alone = e
+    results = []
+    for model, path, lanes in batches:
+        points = [z for z, _, _ in lanes]
+        kw = {"path": path} if path else {"sigma": [s for _, s, _ in lanes]}
+        batch = flow_lanes(model, points, variational=True, **kw)
+        for (z, s, outcome), lane in zip(lanes, batch):
+            kw = {"path": path} if path else {"sigma": s}
+            (alone,) = flow_lanes(model, [z], variational=True, **kw)
             _assert_same_flow(lane, alone)
-        batches.append(batch)
-    # the sphere batch has a transitioning lane and a broken one
-    transitioned, broken, _ = batches[0]
-    assert transitioned.diagnostics.transitions >= 1
-    assert broken.reason == "imaginary margin"
-    assert abs(broken.last_good_sigma + 1.596j) < 1e-3
+            assert _outcome(lane) == outcome
+        results.append(batch)
+    assert {outcome for *_, lanes in batches for *_, outcome in lanes} == {
+        "finished", "transition", "imaginary margin", "chart box", "step collapse",
+        "singular series", "step budget", "outside its chart"}
+    sphere, via = results[0], results[1]
+    assert abs(sphere[1].last_good_sigma + 1.596j) < 1e-3
+    # the sigma = 0 lane took no step; the path's lanes stepped along both legs
+    assert sphere[4].diagnostics.steps == 0 and not sphere[4].segments
+    assert np.array_equal(sphere[4].jacobian, np.eye(4))
+    assert {s.direction for s in via[0].segments} == {1.0, 1j}
 
 
 def test_lane_batch_costs_five_field_evaluations_per_step(monkeypatch):
@@ -537,3 +576,77 @@ def test_step_budget_keeps_accepted_segments(monkeypatch):
     assert len(err.segments) == 2
     last = err.segments[-1]
     assert err.last_good_sigma == last.t0_global + last.dt
+
+
+def test_step_sizes_are_scalar_powers(monkeypatch):
+    # The step rule h = SAFETY * min((tol * max(1, a_0) / a_k) ** (1 / k)),
+    # k = 16, 15, bit for bit with the powers taken on Python floats. numpy's
+    # array power differs from the scalar pow in the last bit on some CPUs
+    # (its SIMD loop on AVX-512), and a step that moves by an ulp moves every
+    # output. The magnitudes are drawn where the two differ on this CPU; on a
+    # CPU where they agree everywhere, an array power in the kernel gives the
+    # same steps, and this test cannot see it.
+    rng = np.random.default_rng(11)
+    tol = flow_module.DEFAULT_TOL
+    pool = 10.0 ** rng.uniform(-6.0, 6.0, 4000)
+    mags = {}
+    for k in (16, 15):
+        ratio = tol / pool
+        differ = np.power(ratio, 1.0 / k) != np.array([r ** (1.0 / k) for r in ratio.tolist()])
+        picked = pool[differ][:20] if differ.any() else pool[:20]
+        mags[k] = np.concatenate([picked, pool[-10:]])
+    # each lane's series: its state, and magnitude a_16 at order 16 and a_15 at
+    # order 15 (a zero drops the order from the rule)
+    a16 = np.concatenate([mags[16], np.zeros(len(mags[15])), pool[100:130]])
+    a15 = np.concatenate([np.zeros(len(mags[16])), mags[15], pool[200:230]])
+    points = [PhasePoint("main", [i / 1000.0, 0.0], [0.5, 0.0]) for i in range(len(a16))]
+
+    def series(model, chart_id, q, p, D, direction, order):
+        lane = np.rint(q[:, 0].real * 1000.0).astype(int)
+        c = np.zeros((len(q), 4, 1, order + 1), dtype=complex)
+        c[:, :2, 0, 0], c[:, 2:, 0, 0] = q, p
+        c[:, 0, 0, order], c[:, 1, 0, order - 1] = a16[lane], a15[lane]
+        return c
+
+    monkeypatch.setattr(flow_module, "_taylor_series", series)
+    monkeypatch.setattr(flow_module, "MAX_STEPS", 1)
+    lanes = flow_lanes(catalog("flat_space"), points, sigma=1e6)
+    for lane, x16, x15 in zip(lanes, a16.tolist(), a15.tolist()):
+        # max(|q|, |p|) <= 1, so the scale is tol
+        cands = [(tol / x) ** (1.0 / k) for x, k in ((x16, 16), (x15, 15)) if x > 0]
+        assert lane.reason == "step budget"
+        assert lane.segments[0].dt == flow_module.SAFETY * min(cands)
+
+
+def test_exit_point_is_that_of_halving_one_level_at_a_time(monkeypatch):
+    # a lane that leaves its margin or box is localized by 50 halvings of its
+    # last step, taken six levels per stacked evaluation; the loop that takes
+    # one level per evaluation is the reference, to the bit
+    from grauert.jets import eval_poly
+    from grauert.verify import sample_tube_points
+
+    def halving(coeffs, dt, n, pred):
+        q_of = lambda t: eval_poly(coeffs[:n, 0, :], t)
+        if not pred(q_of(0.0)):
+            return 0.0
+        lo, hi = 0.0, dt
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            if pred(q_of(mid)):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    sph = catalog("round_sphere")
+    cases = [
+        (sph, sample_tube_points(sph, 1, 7, 1.0, 1.0)[0], -2j),
+        (catalog("surface_of_revolution"), PhasePoint("main", [0.0, 0.0], [1.0, 0.0]), 1j),
+        (catalog("flat_space"), PhasePoint("main", [0.0, 0.0], [3.0, 4.0]), 6.0),
+    ]
+    exits = lambda: [flow_lanes(m, [z], sigma=s)[0] for m, z, s in cases]
+    tree = exits()
+    monkeypatch.setattr(flow_module, "_last_inside", halving)
+    loop = exits()
+    assert [e.reason for e in tree] == ["imaginary margin"] * 2 + ["chart box"]
+    assert [e.last_good_sigma for e in tree] == [e.last_good_sigma for e in loop]

@@ -68,6 +68,24 @@ def test_chart_boxes_and_wrap():
         sph.require_inside("a", np.array([1.0 + 2.0j, 0.0]))
     with pytest.raises(ChartDomainError):
         sph.require_inside("z", np.array([1.0, 0.0]))
+    # a stack of points (..., n) gives each point's answer, bit for bit: on
+    # the sphere's box (theta bounded, phi periodic) and on the torus's two
+    # periodic axes, with points on the box edges, on the period seams and
+    # with signed zero imaginary parts
+    rng = np.random.default_rng(5)
+    for model, cid in ((sph, "a"), (catalog("flat_torus"), "main")):
+        ch = model.chart(cid)
+        q = rng.uniform(-12.0, 12.0, (3, 16, 2)) + 1j * rng.uniform(-2.0, 2.0, (3, 16, 2))
+        q[0, :4] = np.stack([ch.lo, ch.hi, ch.lo + ch.width(), ch.hi + 3 * ch.width()]) + 0j
+        q[1, :3].imag, q[1, 3:6].imag = -0.0, 0.0
+        rows = q.reshape(-1, 2)
+        bits = lambda stack, one: stack.tobytes() == np.array([one(x) for x in rows]).tobytes()
+        assert bits(ch.wrap(q), ch.wrap)
+        assert bits(ch.depth(q.real), lambda x: ch.depth(x.real))
+        assert bits(ch.contains_re(q.real), lambda x: ch.contains_re(x.real))
+        assert bits(ch.in_safe_interior(q.real), lambda x: ch.in_safe_interior(x.real))
+        assert bits(ch.margin_ok(q.imag), lambda x: ch.margin_ok(x.imag))
+        assert ch.wrap(q).shape == q.shape and ch.depth(q.real).shape == q.shape[:-1]
 
 
 # -- energy and Christoffel ----------------------------------------------------
