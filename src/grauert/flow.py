@@ -28,13 +28,16 @@ trajectories as lanes (the batch mode of Taylor integrators such as heyoka,
 Biscani and Izzo, MNRAS 2021). The state of a batch is held as arrays over
 its lanes: phase point, jacobian, place on the path, chart and step counts.
 The jets carry a leading lane axis, so one field evaluation builds the
-series of every lane in a chart at once, and the step choice, the state
-update and the wrap, margin and box checks run as array operations on that
-chart's lanes. Each lane keeps its own step size, chart and dense output
-(its accepted step polynomials), and leaves the batch when it finishes or
-breaks down. Python runs for a single lane only at its events: a
-breakdown, whose :class:`SingularityError` takes the lane's dense output,
-and a step out of its chart's safe interior, where it may change chart.
+series of every lane in a chart at once, and the state update and the
+wrap, margin and box checks run as array operations on that chart's lanes.
+The step rule takes its powers on Python floats, one lane at a time, since
+numpy's array power can differ from the scalar one in the last bit. Each
+lane keeps its own step size, chart and dense output (its accepted step
+polynomials), and leaves the batch when it finishes or breaks down. Beyond
+the step rule and its dense output, Python runs for a single lane only at
+its events: a breakdown, whose :class:`SingularityError` takes the lane's
+dense output, and a step out of its chart's safe interior, where it may
+change chart.
 :func:`flow` is a one-lane call of the kernel.
 """
 
@@ -327,37 +330,31 @@ def _last_inside(coeffs, dt, n, pred):
     """Largest local parameter in [0, dt] whose state still satisfies pred.
 
     The accepted step's series is trusted as the solution on the step, so the
-    exit point is localized by 50 halvings of [0, dt] on the polynomial
-    itself. They run six levels at a time: the 63 points that six halvings of
-    the current bracket can reach are evaluated as one stack (the first stack
-    also holds t = 0), and a walk down them takes the six halvings. Each
-    point is 0.5 * (lo + hi) of its own bracket, so the result is that of
-    halving one level at a time, to the bit. ``pred`` takes a stack of
-    states (k, n) and returns one verdict per row.
+    exit point is localized by bisection on the polynomial itself. Its q is
+    summed by Horner's rule on Python complex numbers: at one point that is
+    several times cheaper than eval_poly, and each product and sum rounds as
+    in eval_poly, so the verdicts and the result are the same.
     """
-    c = coeffs[:n, 0, :]
-    lo, hi = 0.0, dt
-    start = [0.0]
-    for levels in (6,) * 8 + (2,):
-        # the bracket ends after each level of halving, in order: b[0] = lo, b[-1] = hi
-        b = np.array([lo, hi])
-        for _ in range(levels):
-            finer = np.empty(2 * b.size - 1)
-            finer[::2], finer[1::2] = b, 0.5 * (b[:-1] + b[1:])
-            b = finer
-        ok = pred(eval_poly(c, np.concatenate([start, b[1:-1]])[:, None]))
-        if start:
-            if not ok[0]:
-                return 0.0
-            ok, start = ok[1:], []
-        i, j = 0, b.size - 1
-        while j - i > 1:
-            mid = (i + j) // 2
-            if ok[mid - 1]:
-                i = mid
-            else:
-                j = mid
-        lo, hi = b[i], b[j]
+    rows = coeffs[:n, 0, ::-1].tolist()
+
+    def q_of(t):
+        out = []
+        for row in rows:
+            acc = 0j
+            for c in row:
+                acc = acc * t + c
+            out.append(acc)
+        return np.array(out)
+
+    if not pred(q_of(0.0)):
+        return 0.0
+    lo, hi = 0.0, float(dt)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if pred(q_of(mid)):
+            lo = mid
+        else:
+            hi = mid
     return lo
 
 
@@ -366,23 +363,19 @@ def _step_sizes(mags, tol):
 
     h = SAFETY * min((tol * max(1, mags[:, 0]) / mags[:, k]) ** (1 / k)) over the
     last two orders k whose magnitude exceeds 1e-280; inf when neither does.
-    The quotients are array operations, but each power is taken on a Python
-    float: numpy's array power can differ from the scalar pow in the last
-    bit, and a step that moves by one ulp moves every output.
+    Each power is taken on a Python float: numpy's array power can differ
+    from the scalar pow in the last bit, and a step that moves by one ulp
+    moves every output. The rest of the rule runs in the same loop, which
+    costs no more than array quotients at 200 lanes and less at a few.
     """
     order = mags.shape[1] - 1
-    a0 = mags[:, 0]
-    scale = tol * np.where(a0 > 1.0, a0, 1.0)
     ks = (order, order - 1)
-    tail = mags[:, ks]
-    big = tail > 1e-280
-    ratio = np.divide(scale[:, None], tail, out=np.zeros_like(tail), where=big)
-    h = np.full(len(mags), np.inf)
-    for g, (row, use) in enumerate(zip(ratio.tolist(), big.tolist())):
-        cands = [r ** (1.0 / k) for r, k, b in zip(row, ks, use) if b]
-        if cands:
-            h[g] = SAFETY * min(cands)
-    return h
+    h = []
+    for a0, *tail in mags[:, (0, *ks)].tolist():
+        scale = tol * (a0 if a0 > 1.0 else 1.0)
+        cands = [(scale / a) ** (1.0 / k) for a, k in zip(tail, ks) if a > 1e-280]
+        h.append(SAFETY * min(cands) if cands else np.inf)
+    return np.array(h)
 
 
 def _retire_breakdowns(build, B):
@@ -495,12 +488,12 @@ class _Lanes:
 def _step_group(model, cid, lanes, st, outcomes, tol):
     """One accepted step of ``lanes`` (an index array, all in chart cid); the lanes that go on.
 
-    The series, the step choice, the state update and the wrap, margin and
-    box checks are array operations on the group. A lane runs Python of its
-    own only where it has an event: a breakdown, which puts its
-    SingularityError (or the GrauertError of a failed transition) in
-    ``outcomes``, or a step out of the chart's safe interior, where
-    best_chart decides whether it changes chart.
+    The series, the state update and the wrap, margin and box checks are
+    array operations on the group; the step rule runs per lane on Python
+    floats. Beyond that, a lane runs Python of its own only where it has an
+    event: a breakdown, which puts its SingularityError (or the GrauertError
+    of a failed transition) in ``outcomes``, or a step out of the chart's
+    safe interior, where best_chart decides whether it changes chart.
     """
     n = model.dim
     ch = model.chart(cid)
@@ -610,9 +603,9 @@ def flow_lanes(
     Lanes run in lockstep, each with its own step size, chart and checks, so
     every lane takes the steps it would take alone. The state of the lanes
     is held as arrays; each step builds the series of all lanes in one chart
-    with one field evaluation per doubling pass, and chooses, takes and
-    checks their steps as array operations. Lanes that finish or break down
-    leave the batch.
+    with one field evaluation per doubling pass, and takes and checks their
+    steps as array operations. Lanes that finish or break down leave the
+    batch.
     """
     if (sigma is None) == (path is None):
         raise ValueError("pass exactly one of sigma or path")
@@ -641,9 +634,11 @@ def flow_lanes(
         running = running[~spent]
         if not running.size:
             break
-        running = np.concatenate([
-            _step_group(model, st.charts[c], running[st.chart[running] == c], st, outcomes, tol)
-            for c in np.unique(st.chart[running])])
+        # the groups are fixed before any steps: a lane that changes chart
+        # takes its next step in the next pass
+        groups = [(c, running[st.chart[running] == c]) for c in np.unique(st.chart[running])]
+        running = np.concatenate([_step_group(model, st.charts[c], g, st, outcomes, tol)
+                                  for c, g in groups])
     done = np.array([i for i in admitted if outcomes[i] is None], dtype=int)
     e1 = _energies(model, st, done)
     for i in done:

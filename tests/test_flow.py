@@ -445,6 +445,8 @@ def test_lanes_match_single_flows(monkeypatch):
         (sph, None, [
             # aimed at chart a's pole: moves to chart b
             (PhasePoint("a", [math.pi / 2, 0.1], [-1.0, 0.05]), 2.0, "transition"),
+            # still stepping in chart b when the lane above moves there
+            (PhasePoint("b", [1.0, 0.3], [0.2, 0.1]), 10.0, "finished"),
             # the dense -2i ray of test_dense_breakdown_keeps_segments: leaves
             # the chart margin near -1.596i
             (sample_tube_points(sph, 1, 7, 1.0, 1.0)[0], -2j, "imaginary margin"),
@@ -495,10 +497,10 @@ def test_lanes_match_single_flows(monkeypatch):
         "finished", "transition", "imaginary margin", "chart box", "step collapse",
         "singular series", "step budget", "outside its chart"}
     sphere, via = results[0], results[1]
-    assert abs(sphere[1].last_good_sigma + 1.596j) < 1e-3
+    assert abs(sphere[2].last_good_sigma + 1.596j) < 1e-3
     # the sigma = 0 lane took no step; the path's lanes stepped along both legs
-    assert sphere[4].diagnostics.steps == 0 and not sphere[4].segments
-    assert np.array_equal(sphere[4].jacobian, np.eye(4))
+    assert sphere[5].diagnostics.steps == 0 and not sphere[5].segments
+    assert np.array_equal(sphere[5].jacobian, np.eye(4))
     assert {s.direction for s in via[0].segments} == {1.0, 1j}
 
 
@@ -618,10 +620,10 @@ def test_step_sizes_are_scalar_powers(monkeypatch):
         assert lane.segments[0].dt == flow_module.SAFETY * min(cands)
 
 
-def test_exit_point_is_that_of_halving_one_level_at_a_time(monkeypatch):
+def test_exit_point_is_that_of_bisection_on_eval_poly(monkeypatch):
     # a lane that leaves its margin or box is localized by 50 halvings of its
-    # last step, taken six levels per stacked evaluation; the loop that takes
-    # one level per evaluation is the reference, to the bit
+    # last step, its q summed on Python complex numbers; halving with
+    # eval_poly is the reference, to the bit
     from grauert.jets import eval_poly
     from grauert.verify import sample_tube_points
 
@@ -645,8 +647,8 @@ def test_exit_point_is_that_of_halving_one_level_at_a_time(monkeypatch):
         (catalog("flat_space"), PhasePoint("main", [0.0, 0.0], [3.0, 4.0]), 6.0),
     ]
     exits = lambda: [flow_lanes(m, [z], sigma=s)[0] for m, z, s in cases]
-    tree = exits()
+    fast = exits()
     monkeypatch.setattr(flow_module, "_last_inside", halving)
-    loop = exits()
-    assert [e.reason for e in tree] == ["imaginary margin"] * 2 + ["chart box"]
-    assert [e.last_good_sigma for e in tree] == [e.last_good_sigma for e in loop]
+    reference = exits()
+    assert [e.reason for e in fast] == ["imaginary margin"] * 2 + ["chart box"]
+    assert [e.last_good_sigma for e in fast] == [e.last_good_sigma for e in reference]
