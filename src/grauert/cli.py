@@ -13,6 +13,9 @@ to a default. The schema:
           counts), seed (non-negative), rho_min, rho_max (verify takes both
           or neither), sweep_cap, resolution (positive), q0, p0 (comma
           lists), chart, function (auto | wave | height | const).
+          n_strips counts adaptedness strips: the check samples 5 unit
+          covectors per strip and tests each at 5 nodes, 25 residuals
+          per strip.
 [paths]   sigma (complex, e.g. 1j) or waypoints (comma list of complex
           corners for a multi-leg time path).
 [output]  dir.

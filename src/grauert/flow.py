@@ -112,10 +112,6 @@ class SigmaPath:
     def via(cls, *waypoints):
         return cls(np.array([0.0, *waypoints], dtype=complex))
 
-    def legs(self):
-        w = self.waypoints
-        return [(w[i], w[i + 1]) for i in range(w.shape[0] - 1)]
-
     @property
     def endpoint(self):
         return self.waypoints[-1]

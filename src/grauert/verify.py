@@ -13,17 +13,19 @@ the continued distribution against its conjugate, and positivity of the
 induced metric candidate. The reported radius of each kind is the infimum
 over directions.
 
-The battery's flows are the lanes of three calls of the flow kernel
-(:func:`~grauert.flow.flow_lanes`). One, through
-:meth:`~grauert.lagrangian.FrameRays.batch`, flows each ray of the main
+The battery's flows are the lanes of one call of the flow kernel
+(:func:`~grauert.flow.flow_lanes`), through
+:meth:`~grauert.lagrangian.FrameRays.batch`. It flows each ray of the main
 point cloud once, into the ``FrameRays`` that theta_sigma,
 kahler_potential, involution and nijenhuis read, and every independent
-route into a ``FrameRays`` of its own that its check takes as an argument;
-each ray is still its own lane, so the routes stay independent. Then come
-the adaptedness strips and, last, their nodes, which lie on the strips. A
-check reads its frames, J tensors and angles as stacks, and still raises
-the error of its first failing point. The radius scan reads all its
-directions from one ``FrameRays``.
+route into a ``FrameRays`` of its own that its check takes as an argument:
+the flipped points, the Nijenhuis stencils, the scaled points, the zero
+section and the adaptedness nodes. Each ray is still its own lane, so the
+routes stay independent. A strip is shifted along itself by the real flow,
+so adaptedness tests each sampled covector's strip at sigma = 0 and flows
+no strip. A check reads its frames, J tensors and angles as stacks, and
+still raises the error of its first failing point. The radius scan reads
+all its directions from one ``FrameRays``.
 
 Sampling is Sobol with a fixed seed throughout, so reports are reproducible
 bit for bit from the same configuration.
@@ -44,10 +46,7 @@ from .flow import (
     MAX_STEPS,
     PhasePoint,
     diff5,
-    flow_lanes,
     hamiltonian_vector_field,
-    lane_result,
-    segment_at,
     stencil_points,
 )
 from .geometry import metric_matrix
@@ -76,6 +75,7 @@ __all__ = [
     "scaled_points",
     "rest_points",
     "nijenhuis_points",
+    "strip_nodes",
     "estimate_tube_radius",
     "run_battery",
     "tightening_comparison",
@@ -96,8 +96,9 @@ THETA_SIGMAS = (0.35, 0.7, 0.45j, 0.8j)
 SCALING_FACTORS = (0.5, 2.0)
 SCALING_SIGMAS = (0.6, 1j)
 ZERO_SECTION_SIGMAS = (0.3, 1.0, 2.0)
-# each adaptedness strip: sigma in [-max, max] and tau in [-max, max], nodes per axis
-STRIP_SIGMA_MAX, STRIP_TAU_MAX, STRIP_NODES = 0.5, 0.4, 5
+# adaptedness samples STRIP_NODES unit covectors per strip and tests each at sigma = 0, these tau
+STRIP_NODES = 5
+STRIP_TAUS = np.linspace(-0.4, 0.4, STRIP_NODES)
 # step of the five-point stencil that differences the J field
 NIJENHUIS_STEP = 1e-3
 # the radius scan reads a frame every RADIUS_SCAN_STEP out to sweep_cap; the
@@ -295,6 +296,11 @@ def nijenhuis_points(points):
     return [w for z in points for w in stencil_points(z, NIJENHUIS_STEP)]
 
 
+def strip_nodes(covectors):
+    """The nodes (q, tau p) of each covector's strip at sigma = 0, tau in STRIP_TAUS."""
+    return [PhasePoint(z.chart_id, z.q, t * z.p) for z in covectors for t in STRIP_TAUS]
+
+
 def _read_in_order(reads):
     """``[read(ks) for read, ks in reads]``, each read one stacked call.
 
@@ -371,66 +377,29 @@ def check_kahler_potential(frames, tolerance=DEFAULT_TOLERANCES["kahler_potentia
     return _report(model, "kahler_potential", residuals, tolerance)
 
 
-def check_adaptedness(model, points, tolerance=DEFAULT_TOLERANCES["adaptedness"],
-                      flow_tol=1e-12):
+def check_adaptedness(strips, nodes, tolerance=DEFAULT_TOLERANCES["adaptedness"]):
     """The geodesic strips are holomorphic curves for the computed structure.
 
-    Each unit covector spans a strip (sigma, tau) -> (position at sigma, tau
-    times momentum at sigma); J applied to the sigma-derivative must give the
-    tau-derivative, at STRIP_NODES x STRIP_NODES nodes of |sigma| <=
-    STRIP_SIGMA_MAX, |tau| <= STRIP_TAU_MAX. Strip states come from one dense
-    real flow per sign of sigma, the sigma-derivative is the Hamiltonian
-    field at the state, and the tau-derivative is exact since the strip is
-    linear in tau. The real flows of all strips run as lanes of one kernel
-    call, and then the backward flows of all nodes of all strips.
+    Each unit covector (q, p) spans a strip sigma + i tau -> tau gamma'(sigma);
+    J applied to its sigma-derivative (dq, tau dp), with (dq, dp) the
+    Hamiltonian field at (q, p), must give its tau-derivative (0, p) at the
+    nodes (q, tau p) of sigma = 0, for each tau of STRIP_TAUS. The strip of
+    the covector flowed to sigma is the strip shifted by sigma, so testing
+    every strip at sigma = 0 covers the others. ``strips`` is a
+    :class:`FrameRays` over the covectors, read for its model and points
+    only, and ``nodes`` one over their :func:`strip_nodes` at sigma = i.
     """
-    signs = (1.0, -1.0)
-    units = []
-    for z in points:
-        g = metric_matrix(model, z.chart_id, z.q).real
-        gi = np.linalg.inv(g)
-        speed = math.sqrt(float((z.p.real @ gi @ z.p.real)))
-        units.append(PhasePoint(z.chart_id, z.q, z.p / speed))
-    rays = flow_lanes(model, [zu for zu in units for _ in signs],
-                      sigma=[sgn * STRIP_SIGMA_MAX for _ in units for sgn in signs],
-                      tol=flow_tol)
-    # per strip: its rows (sigma, q, p, dq, dp), or the error of its rays
-    strips, nodes = [], []
-    taus = np.linspace(-STRIP_TAU_MAX, STRIP_TAU_MAX, STRIP_NODES)
-    for i in range(len(units)):
-        try:
-            segments = {sgn: lane_result(out).segments
-                        for sgn, out in zip(signs, rays[2 * i : 2 * i + 2])}
-        except GrauertError as e:
-            strips.append(e)
-            continue
-        rows = []
-        for s in np.linspace(-STRIP_SIGMA_MAX, STRIP_SIGMA_MAX, STRIP_NODES):
-            seg, t_local = segment_at(segments[math.copysign(1.0, s)], abs(s))
-            q, p = (x.real for x in seg.state_at(t_local))
-            dq, dp = (np.array(x, dtype=complex) for x in
-                      hamiltonian_vector_field(model, seg.chart_id, list(q), list(p)))
-            nodes.extend(PhasePoint(seg.chart_id, q, t * p) for t in taus)
-            rows.append((s, q, p, dq, dp))
-        strips.append(rows)
-    frames = FrameRays(model, nodes, [1j], tol=flow_tol)
-    # the strips up to the first one whose rays broke down are read, then it raises
-    good = next((i for i, rows in enumerate(strips) if isinstance(rows, Exception)), len(strips))
-    per_strip = STRIP_NODES * len(taus)
-    ks = np.arange(good * per_strip).reshape(good, per_strip)
-    (Js,) = _read_in_order([(_j_at_i(frames), ks)])
-    if good < len(strips):
-        raise strips[good]
+    model = strips.model
+    C, T = len(strips.points), len(STRIP_TAUS)
+    (Js,) = _read_in_order([(_j_at_i(nodes), np.arange(C * T).reshape(C, T))])
     residuals = []
-    Js = iter(Js.reshape(-1, *Js.shape[-2:]))
-    for zu, rows in zip(units, strips):
-        for s, q, p, dq, dp in rows:
-            for t in taus:
-                J = next(Js)
-                push_sigma = np.concatenate([dq, t * dp])
-                push_tau = np.concatenate([np.zeros_like(q), p])
-                r = float(np.max(np.abs(J @ push_sigma - push_tau)))
-                residuals.append((_label(zu, f"sigma={s:.2f},tau={t:.2f}"), r))
+    for z, Jz in zip(strips.points, Js):
+        dq, dp = (np.array(x, dtype=complex) for x in
+                  hamiltonian_vector_field(model, z.chart_id, list(z.q), list(z.p)))
+        push_tau = np.concatenate([np.zeros_like(z.q), z.p])
+        for t, J in zip(STRIP_TAUS, Jz):
+            r = float(np.max(np.abs(J @ np.concatenate([dq, t * dp]) - push_tau)))
+            residuals.append((_label(z, f"tau={t:.2f}"), r))
     return _report(model, "adaptedness", residuals, tolerance)
 
 
@@ -691,12 +660,13 @@ def run_battery(model, checks=None, n_samples=50, seed=0, flow_tol=1e-12,
     """Run the named checks (default: all) and return reports sorted by name.
 
     ``n_samples`` controls the main point cloud; the adaptedness check gets
-    ``n_strips`` unit covectors with its own strip grid, and the scaling check
-    resamples at smaller momentum so the doubled fiber stays well inside
-    every model's safe region. The main cloud's frames are one
-    :class:`FrameRays`, flowed out to the times of the selected checks that
-    read it and to no others, so each of its rays is flowed once. One
-    :meth:`FrameRays.batch` builds it with the selected checks' own routes.
+    ``n_strips`` x STRIP_NODES unit covectors of its own, each tested at
+    STRIP_NODES nodes, and the scaling check resamples at smaller momentum
+    so the doubled fiber stays well inside every model's safe region. The
+    main cloud's frames are one :class:`FrameRays`, flowed out to the times
+    of the selected checks that read it and to no others, so each of its
+    rays is flowed once. One :meth:`FrameRays.batch`, the battery's one
+    kernel call, builds it with the selected checks' own routes.
     """
     names = CHECK_NAMES if checks is None else tuple(checks)
     unknown = set(names) - set(CHECK_NAMES)
@@ -707,13 +677,14 @@ def run_battery(model, checks=None, n_samples=50, seed=0, flow_tol=1e-12,
         tols.update(tolerances)
     rho = rho_range or _MODEL_RHO.get(model.name, (0.1, 0.6))
     points = sample_tube_points(model, n_samples, seed, *rho)
-    strips = sample_tube_points(model, n_strips, seed + 1, 1.0, 1.0)
+    covectors = sample_tube_points(model, n_strips * STRIP_NODES, seed + 1, 1.0, 1.0)
     small = sample_tube_points(model, n_samples, seed + 2, 0.05, 0.25)
     # the main cloud's rays reach the times its selected readers use
     times = {"theta_sigma": THETA_SIGMAS, "kahler_potential": [1j], "involution": [1j],
              "nijenhuis": [1j]}
     # the (points, times) of the FrameRays each selected check takes besides the main cloud's
     own = {
+        "adaptedness": [(covectors, []), (strip_nodes(covectors), [1j])],
         "involution": [(flipped_points(points), [1j])],
         "nijenhuis": [(nijenhuis_points(points), [1j])],
         "scaling": [(small, [c * s for c in SCALING_FACTORS for s in SCALING_SIGMAS]),
@@ -729,7 +700,7 @@ def run_battery(model, checks=None, n_samples=50, seed=0, flow_tol=1e-12,
     # function replaced on this module (as the benchmark's tracer does) is
     # the one run
     table = {
-        "adaptedness": partial(check_adaptedness, model, strips, flow_tol=flow_tol),
+        "adaptedness": partial(check_adaptedness, *rays.get("adaptedness", ())),
         "involution": partial(check_involution, frames, *rays.get("involution", ())),
         "kahler_potential": partial(check_kahler_potential, frames, dbar_sign=dbar_sign),
         "nijenhuis": partial(check_nijenhuis, frames, *rays.get("nijenhuis", ())),

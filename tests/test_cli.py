@@ -334,22 +334,13 @@ def test_jtensor_flat_torus_standard_structure(tmp_path):
         assert float(r["j_imag_max"]) < 1e-9
 
 
-def test_jtensor_one_kernel_call(tmp_path, monkeypatch):
+def test_jtensor_one_kernel_call(tmp_path, kernel_calls):
     # the frames of all points are lanes of one kernel call
-    real_flow_lanes = grauert.flow.flow_lanes
-    calls = []
-
-    def counted(model, points, *args, **kwargs):
-        calls.append(len(points))
-        return real_flow_lanes(model, points, *args, **kwargs)
-
-    for name in ("flow", "lagrangian"):
-        monkeypatch.setattr(f"grauert.{name}.flow_lanes", counted)
     path = write_ini(tmp_path, "[model]\nname = round_sphere\n[grids]\nn_points = 8\n")
     code, out = run(tmp_path, "jtensor", "--config", path)
     assert code == 0
     assert len(read_rows(out / "jtensor.csv")[1]) == 8
-    assert calls == [8]
+    assert kernel_calls == [8]
 
 
 def test_jtensor_zero_momentum_bounds(tmp_path):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grauert.extend as extend_module
-import grauert.flow as flow_module
 from grauert.catalog import catalog
 from grauert.cli import main
 from grauert.errors import ChartDomainError, DivergenceError, SingularityError, UnsupportedModelError
@@ -289,7 +288,7 @@ def test_batch_routes_equal_one_point_reads():
         _same_result(fl, extend_by_flow(srf, f, z))
 
 
-def _count_calls(monkeypatch, module, name, modules):
+def _count_calls(monkeypatch, module, name):
     calls = []
     orig = getattr(module, name)
 
@@ -297,14 +296,13 @@ def _count_calls(monkeypatch, module, name, modules):
         calls.append(1)
         return orig(*args, **kwargs)
 
-    for m in modules:
-        monkeypatch.setattr(m, name, counted, raising=False)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
-def test_extend_runs_one_series_and_one_flow_call_per_route(tmp_path, monkeypatch):
-    series = _count_calls(monkeypatch, extend_module, "_taylor_series", [extend_module])
-    flows = _count_calls(monkeypatch, flow_module, "flow_lanes", [flow_module, extend_module])
+def test_extend_runs_one_series_and_one_flow_call_per_route(tmp_path, monkeypatch, kernel_calls):
+    series = _count_calls(monkeypatch, extend_module, "_taylor_series")
+    flows = kernel_calls
     for model, function in (("flat_torus", "wave"), ("round_sphere", "height")):
         ini = tmp_path / f"{model}.ini"
         ini.write_text(f"[model]\nname = {model}\n\n[grids]\nn_points = 48\nseed = 1\n"

@@ -29,6 +29,7 @@ from grauert.verify import (
     run_battery,
     sample_tube_points,
     scaled_points,
+    strip_nodes,
     tightening_comparison,
 )
 
@@ -149,23 +150,54 @@ def test_kahler_potential_curved(sphere, surfrev):
         assert rep.verdict == "pass", rep.to_record()
 
 
+def adaptedness_inputs(model, covs):
+    return FrameRays.batch(model, [(covs, []), (strip_nodes(covs), [1j])], 1e-12)
+
+
 def test_adaptedness_strips(flat, sphere):
     covs = sample_tube_points(flat, 2, 6, 1.0, 1.0)
-    rep = check_adaptedness(flat, covs)
+    rep = check_adaptedness(*adaptedness_inputs(flat, covs))
     assert rep.verdict == "pass"
     assert rep.max_residual < 1e-8
 
     covs = sample_tube_points(sphere, 2, 7, 1.0, 1.0)
-    rep = check_adaptedness(sphere, covs)
+    rep = check_adaptedness(*adaptedness_inputs(sphere, covs))
     assert rep.verdict == "pass", rep.to_record()
 
 
-def test_adaptedness_raises_the_breakdown_of_a_strip(flat):
-    # the real flow of the strip at x = 19.8 leaves the box |x| <= 20 at sigma 0.2
+@pytest.mark.parametrize("name", ["round_sphere", "surface_of_revolution"])
+def test_adaptedness_covers_the_nodes_off_sigma_0(name):
+    # a strip's node at sigma is the node at 0 of the strip of the covector
+    # flowed to sigma: the real flows of the old strip grid, fed back as
+    # covectors, pass at roundoff
+    model = catalog(name)
+    covs = sample_tube_points(model, 3, 1, 1.0, 1.0)
+    sigmas = (-0.5, -0.25, 0.25, 0.5)
+    ends = flow_lanes(model, [z for z in covs for _ in sigmas], sigma=list(sigmas) * len(covs))
+    shifted = [PhasePoint(r.point.chart_id, r.point.q.real, r.point.p.real) for r in ends]
+    rep = check_adaptedness(*adaptedness_inputs(model, shifted))
+    assert rep.n_samples == len(shifted) * len(verify.STRIP_TAUS)
+    assert rep.verdict == "pass"
+    assert rep.max_residual <= 1e-12, rep.to_record()
+
+
+def test_adaptedness_raises_the_first_failing_node_breakdown(sphere):
+    # at |p| near 5 the nodes of |tau| = 0.4 leave the imaginary margin on
+    # their backward flow to -i; the error raised is the first failing node's
+    # in covector-major order, after a covector whose nodes all work
+    covs = sample_tube_points(sphere, 1, 3, 1.0, 1.0) + sample_tube_points(sphere, 4, 3, 4.5, 5.5)
     with pytest.raises(SingularityError) as exc:
-        check_adaptedness(flat, [PhasePoint("main", [19.8, 0.0], [1.0, 0.0])])
-    assert exc.value.reason == "chart box"
-    assert abs(exc.value.last_good_sigma - 0.2) < 1e-12
+        check_adaptedness(*adaptedness_inputs(sphere, covs))
+    first = None
+    for k, w in enumerate(strip_nodes(covs)):
+        try:
+            distribution_at(sphere, w, 1j)
+        except SingularityError as e:
+            first = e
+            break
+    assert k >= len(verify.STRIP_TAUS)
+    assert exc.value.reason == first.reason == "imaginary margin"
+    assert abs(exc.value.last_good_sigma - first.last_good_sigma) < 1e-12
 
 
 def test_adaptedness_at_roundoff(sphere, surfrev):
@@ -218,26 +250,11 @@ def test_zero_section_unipotent(flat, sphere, surfrev):
         assert rep.max_residual < bound
 
 
-def count_kernel_calls(monkeypatch):
-    """The lanes of each flow_lanes call from here on, in call order."""
-    real_flow_lanes = grauert.flow.flow_lanes
-    calls = []
-
-    def counted(model, points, *args, **kwargs):
-        calls.append(len(points))
-        return real_flow_lanes(model, points, *args, **kwargs)
-
-    # every flow is a lane of flow_lanes; flow() is a one-lane call of it
-    for name in ("flow", "lagrangian", "verify"):
-        monkeypatch.setattr(f"grauert.{name}.flow_lanes", counted)
-    return calls
-
-
-def test_one_flow_per_ray(sphere, monkeypatch):
+def test_one_flow_per_ray(sphere, kernel_calls):
     # every sample on a ray a check has integrated is read from that flow; the
     # FrameRays a check takes are built in one kernel call, and the check
     # itself flows nothing
-    calls = count_kernel_calls(monkeypatch)
+    calls = kernel_calls
     pts = sample_tube_points(sphere, 2, 12, 0.1, 0.25)
     # the check's inputs, and the lanes per point of its own routes, beside
     # the main cloud's rays (theta_sigma's 2, kahler_potential's, involution's
@@ -260,22 +277,23 @@ def test_one_flow_per_ray(sphere, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["round_sphere", "surface_of_revolution"])
-def test_battery_flows_each_main_ray_once(name, monkeypatch):
+def test_battery_flows_each_main_ray_once(name, kernel_calls):
     # theta_sigma, kahler_potential, involution and nijenhuis read the main
     # cloud's frames from one FrameRays; a flow of the cloud to sigma = i per
-    # check would take 259 lanes. Every lane that depends on no other flow
-    # runs in one kernel call: 208 lanes of the main cloud and the routes of
-    # involution, nijenhuis, scaling and zero_section; then the adaptedness
-    # strips (state-only) and their nodes
-    calls = count_kernel_calls(monkeypatch)
+    # check would take 259 lanes. The battery is one kernel call: 208 lanes
+    # of the main cloud and the routes of involution, nijenhuis, scaling and
+    # zero_section, and the 25 adaptedness nodes; no strip is flowed
+    calls = kernel_calls
     model = catalog(name)
     run_battery(model, n_samples=8, n_strips=1, seed=1)
-    assert (sum(calls), len(calls)) == (235, 3), calls
-    assert calls == [208, 2, 25]
+    assert calls == [233]
     # a check that reads no frame of the main cloud flows none of its lanes
     calls.clear()
     run_battery(model, checks=["zero_section"], n_samples=8, n_strips=1, seed=1)
     assert calls == [8]
+    calls.clear()
+    run_battery(model, checks=["adaptedness"], n_samples=8, n_strips=1, seed=1)
+    assert calls == [25]
     calls.clear()
     run_battery(model, checks=["scaling", "kahler_potential"], n_samples=8, n_strips=1, seed=1)
     assert calls == [8 + 16 + 32]
@@ -368,13 +386,12 @@ def test_tube_radius_sphere_conjugate_point(sphere):
     assert not est.capped["transversality"]
 
 
-def test_tube_radius_by_fresh_frames(sphere, monkeypatch):
+def test_tube_radius_by_fresh_frames(sphere, monkeypatch, kernel_calls):
     # independent route: fresh backward flows, one per frame, at the reported
     # transversality radius and one resolution beyond it
-    calls = count_kernel_calls(monkeypatch)
     est = estimate_tube_radius(sphere, n_directions=1, seed=5, sweep_cap=2.0,
                                resolution=1e-3)
-    assert sum(calls) <= 4
+    assert sum(kernel_calls) <= 4
     monkeypatch.undo()
 
     # this direction's imaginary-time flow leaves the chart margin first
@@ -466,11 +483,10 @@ def test_tube_radius_builds_a_lift_basis_once_per_reader(sphere, monkeypatch, re
     assert 1 <= len(builds) <= 3
 
 
-def test_tube_radius_one_kernel_call(sphere, monkeypatch):
+def test_tube_radius_one_kernel_call(sphere, kernel_calls):
     # the three rays of every direction are lanes of one kernel call
-    calls = count_kernel_calls(monkeypatch)
     estimate_tube_radius(sphere, n_directions=3, seed=7, sweep_cap=2.0, resolution=1e-3)
-    assert calls == [9]
+    assert kernel_calls == [9]
 
 
 def test_tube_radius_rejects_bad_cap(sphere):
