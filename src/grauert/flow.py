@@ -9,14 +9,16 @@ direction, t arc length.
 
 Each step builds the Taylor series of the solution at the current state by
 Newton doubling (Brent-Kung): one field evaluation in truncated series
-arithmetic, with derivative channels seeded with the identity, on the
-coefficients known so far gives the field's series and its jacobian series
-along them, and a linear recurrence in those doubles the number of known
-coefficients. An order-16 step takes 4 field evaluations (5 with the
-jacobian), not 16. The step size comes from the tail of the computed series,
-so a shrinking radius of convergence is felt directly: when the admissible
-step falls below the floor the flow reports a singularity with the last
-trustworthy time.
+arithmetic on the coefficients known so far gives the field's series and its
+jacobian series along them, and a linear recurrence in those doubles the
+number of known coefficients. The metric depends on q alone, so only the n
+position coordinates carry derivative channels, seeded with the identity:
+they give the q-columns of the jacobian, and its p-columns come by the chain
+rule through dq = g^-1 p, as products of value series. An order-16 step takes
+4 field evaluations (5 with the jacobian), not 16. The step size comes from
+the tail of the computed series, so a shrinking radius of convergence is felt
+directly: when the admissible step falls below the floor the flow reports a
+singularity with the last trustworthy time.
 
 With ``variational=True`` the series of the phase-space jacobian of the flow
 map follows from the field's jacobian series by the linear recurrence of
@@ -208,11 +210,18 @@ def hamiltonian_vector_field(model, chart_id, qs, ps):
 
     dq = g^-1 p and dp_l = 1/2 v^T (d_l g) v with v = dq, which equals
     -1/2 p^T (d_l g^-1) p, so only the metric and its derivative are needed.
+    """
+    _, gi, dg = model.metric(chart_id, qs)
+    return _field_from_metric(gi, dg, ps)
+
+
+def _field_from_metric(gi, dg, ps):
+    """(dq, dp) of the energy field from g^-1, dg and p: the one place the field is written.
+
     Terms whose metric factor is a plain (non-jet) zero are skipped: they are
     exact zeros, and most entries of dg are.
     """
-    n = model.dim
-    _, gi, dg = model.metric(chart_id, qs)
+    n = len(ps)
     dq = []
     for j in range(n):
         acc = 0.0
@@ -231,14 +240,57 @@ def hamiltonian_vector_field(model, chart_id, qs, ps):
     return dq, dp
 
 
+def _value_series(x):
+    """The value series of a jet as a jet without channels; a plain number as itself."""
+    return Jet(x.c[..., :1, :]) if isinstance(x, Jet) else x
+
+
+def _momentum_columns(gi, dg, dq):
+    """d(dq, dp)/dp as value series, by the chain rule through dq = g^-1 p.
+
+    d dq_j / d p_m = g^jm, and from dp_l = 1/2 sum_jk dg_ljk dq_j dq_k,
+    d dp_l / d p_m = 1/2 sum_jk dg_ljk (g^jm dq_k + dq_j g^km)
+                   = 1/2 sum_j t_lj g^jm,  t_lj = sum_k (dg_ljk + dg_lkj) dq_k.
+    This is exact for the field as written, whether or not dg is the
+    derivative of g; it does not use dp_p = -(dq_q)^T, which assumes it is.
+    Returns the 2n rows of the (2n, n) block, entries jets or plain numbers.
+    """
+    n = len(dq)
+    gv = [[_value_series(x) for x in row] for row in gi]
+    qv = [_value_series(x) for x in dq]
+    rows = []
+    for l in range(n):
+        t = []
+        for j in range(n):
+            acc = 0.0
+            for k in range(n):
+                d = _value_series(dg[l][j][k]) + _value_series(dg[l][k][j])
+                if not is_plain_zero(d):
+                    acc = acc + d * qv[k]
+            t.append(acc)
+        row = []
+        for m in range(n):
+            acc = 0.0
+            for j in range(n):
+                if not (is_plain_zero(t[j]) or is_plain_zero(gv[j][m])):
+                    acc = acc + t[j] * gv[j][m]
+            row.append(0.5 * acc)
+        rows.append(row)
+    return gv + rows
+
+
 def _field_series(model, chart_id, z, L, N):
     """Field series X (B, N, 2n) and reversed jacobian blocks along each lane's polynomial.
 
     The polynomials have the state coefficients z[:, :L] (z is (B, order+1, 2n),
-    one row per order); they are evaluated as lane jets of length N whose 2n
-    channels are seeded with the identity, so A_j[i, a], coefficient j of
-    dX_i/dz_a, comes out for every lane. It is returned as Ahat (B, 2n, N*2n),
-    the blocks A_{N-1}, ..., A_1, A_0 side by side, so that every sum
+    one row per order); they are evaluated as lane jets of length N. The
+    metric depends on q alone, so only the n position jets carry channels,
+    seeded with the identity; the momentum jets have zero channels. The
+    channels of the field give the q-columns of A = DX, and the p-columns
+    come from the value series of g^-1, dg and dq by the chain rule
+    (:func:`_momentum_columns`), so A_j[i, a], coefficient j of dX_i/dz_a,
+    comes out for every lane. It is returned as Ahat (B, 2n, N*2n), the
+    blocks A_{N-1}, ..., A_1, A_0 side by side, so that every sum
     sum_j A_j w_{k-j} of the recurrences is one matmul of a trailing block
     range with the stacked w. A single lane is evaluated on jets without a
     lane axis: the same operations on smaller arrays, which numpy runs with
@@ -246,21 +298,27 @@ def _field_series(model, chart_id, z, L, N):
     """
     B, _, m = z.shape
     n = m // 2
-    c = np.zeros((m, B, 1 + m, N), dtype=complex)
+    c = np.zeros((m, B, 1 + n, N), dtype=complex)
     c[:, :, 0, :L] = z[:, :L].transpose(2, 0, 1)
-    for a in range(m):
+    for a in range(n):
         c[a, :, 1 + a, 0] = 1.0
     zs = [Jet(c[a] if B > 1 else c[a, 0]) for a in range(m)]
-    dq, dp = hamiltonian_vector_field(model, chart_id, zs[:n], zs[n:])
+    _, gi, dg = model.metric(chart_id, zs[:n])
+    dq, dp = _field_from_metric(gi, dg, zs[n:])
     X = np.zeros((B, N, m), dtype=complex)
     Ahat = np.zeros((B, m, N, m), dtype=complex)
     for i, x in enumerate(dq + dp):
-        if not isinstance(x, Jet):
+        if isinstance(x, Jet):
+            X[:, :, i] = x.c[..., 0, :]
+            Ahat[:, i, :, :n] = x.c[..., 1:, ::-1].swapaxes(-1, -2)
+        else:
             X[:, 0, i] = x
-            continue
-        X[:, :, i] = x.c[..., 0, :]
-        if x.R > 1:
-            Ahat[:, i] = x.c[..., 1:, ::-1].swapaxes(-1, -2)
+    for i, row in enumerate(_momentum_columns(gi, dg, dq)):
+        for a, x in enumerate(row):
+            if isinstance(x, Jet):
+                Ahat[:, i, :, n + a] = x.c[..., 0, ::-1]
+            else:
+                Ahat[:, i, N - 1, n + a] = x
     return X, Ahat.reshape(B, m, N * m)
 
 

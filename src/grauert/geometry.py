@@ -97,9 +97,8 @@ class MetricModel:
     ``metric_fns`` maps chart ids to functions of a coordinate sequence
     returning ``(g, dg)``, the metric and its first derivative; entries may
     be any scalar the jets facade accepts. The inverse metric is derived from
-    ``g``: by the adjugate on two-dimensional charts, which works on plain
-    numbers and jets alike, and by ``numpy.linalg.inv`` on plain numbers in
-    other dimensions.
+    ``g`` by Gauss-Jordan elimination over those scalars, in any dimension
+    (``_inverse``): plain zeros are skipped and plain entries stay plain.
     """
 
     def __init__(
@@ -154,13 +153,7 @@ class MetricModel:
     def metric(self, chart_id, q):
         """(g, g^-1, dg) at q from one call of the chart's evaluator."""
         g, dg = self._metric[chart_id](q)
-        if self.dim != 2:
-            return g, np.linalg.inv(np.array(g, dtype=complex)).tolist(), dg
-        (a, b), (c, d) = g
-        det = a * d - b * c
-        r = det.reciprocal() if isinstance(det, jets.Jet) else 1.0 / det
-        off = lambda x: 0.0 if is_plain_zero(x) else -x * r
-        return g, [[d * r, off(b)], [off(c), a * r]], dg
+        return g, _inverse(g), dg
 
     def transition_coords(self, from_chart, to_chart, q_scalars):
         if self._transition is None:
@@ -187,6 +180,38 @@ class MetricModel:
 
 
 # -- pointwise operations ---------------------------------------------------
+
+
+def _inverse(g):
+    """Inverse of the square matrix ``g`` (nested lists) of generic scalars.
+
+    Gauss-Jordan elimination in place, without pivoting, on plain numbers,
+    lane arrays and jets alike. Every product or difference with a plain
+    zero is skipped, so a diagonal g costs one reciprocal per diagonal entry
+    and no product, a plain entry stays plain and a plain zero stays a plain
+    zero. The pivots are the ratios of successive leading principal minors,
+    positive on the real slice for a metric. A pivot that is a series with
+    vanishing constant term raises :class:`~grauert.jets.SeriesBreakdown`, the
+    flow's "singular series", as a vanishing determinant does; off the real
+    slice a pivot of a non-diagonal g can vanish where the determinant does
+    not.
+    """
+    n = len(g)
+    a = [list(row) for row in g]
+    for k in range(n):
+        r = a[k][k].reciprocal() if isinstance(a[k][k], jets.Jet) else 1.0 / a[k][k]
+        a[k][k] = r
+        cols = [j for j in range(n) if j != k and not is_plain_zero(a[k][j])]
+        for j in cols:
+            a[k][j] = a[k][j] * r
+        for i in range(n):
+            f = a[i][k]
+            if i == k or is_plain_zero(f):
+                continue
+            for j in cols:
+                a[i][j] = a[i][j] - f * a[k][j]
+            a[i][k] = -f * r
+    return a
 
 
 def metric_matrix(model, chart_id, q):
@@ -265,22 +290,19 @@ def transition_phase(model, from_chart, to_chart, q, p, jac=None):
     transpose of its derivative M = dT/dq (the cotangent lift), and a tracked
     jacobian by the full phase-space derivative of the lift. The second
     derivatives of T needed for the momentum row are extracted exactly by
-    series-axis seeding, so the transported jacobian stays symplectic to
-    machine precision.
+    series-axis seeding, one pass per coordinate, so the transported jacobian
+    stays symplectic to machine precision; the first pass also gives T(q) and
+    M at order 0, so a jacobian costs n evaluations of T and a point alone 1.
     """
     n = model.dim
     q = np.asarray(q, dtype=complex)
     p = np.asarray(p, dtype=complex)
     fn = lambda qs: model.transition_coords(from_chart, to_chart, qs)
-    q_new, M = push_through(fn, q, np.eye(n))
-    Minv = np.linalg.inv(M)
-    p_new = Minv.T @ p
     if jac is None:
-        return q_new, p_new, None
-    # dM[b][a][c] = d^2 T_a / dq_c dq_b via one series pass per direction b
-    S = np.zeros((2 * n, 2 * n), dtype=complex)
-    S[:n, :n] = M
-    S[n:, n:] = Minv.T
+        q_new, M = push_through(fn, q, np.eye(n))
+        return q_new, np.linalg.inv(M).T @ p, None
+    # coefficient [a, 1 + c, 1] of pass b is d^2 T_a / dq_c dq_b
+    passes = []
     for b in range(n):
         args = []
         for i in range(n):
@@ -289,8 +311,14 @@ def transition_phase(model, from_chart, to_chart, q, p, jac=None):
             c[0, 1] = 1.0 if i == b else 0.0  # series direction e_b
             c[1 + i, 0] = 1.0
             args.append(jets.Jet(c))
-        out = fn(args)
-        dMb = np.array([x.c[1:, 1] for x in out])  # dMb[a, c] = d^2 T_a / dq_c dq_b
-        # d p'_a / dq_b = -[Minv.T dMb.T Minv.T p]_a
-        S[n:, b] = -Minv.T @ dMb.T @ (Minv.T @ p)
+        passes.append(np.array([x.c for x in fn(args)]))
+    q_new, M = passes[0][:, 0, 0], passes[0][:, 1:, 0]
+    MinvT = np.linalg.inv(M).T
+    p_new = MinvT @ p
+    S = np.zeros((2 * n, 2 * n), dtype=complex)
+    S[:n, :n] = M
+    S[n:, n:] = MinvT
+    for b, c in enumerate(passes):
+        # d p'_a / dq_b = -[Minv.T dMb.T Minv.T p]_a with dMb[a, c] = d^2 T_a / dq_c dq_b
+        S[n:, b] = -MinvT @ c[:, 1:, 1].T @ p_new
     return q_new, p_new, S @ jac

@@ -10,10 +10,12 @@ One class does triple duty:
   channels, used to push jacobians through closed-form maps (chart
   transitions, embeddings) without hand-coded derivative formulas.
 * ``L > 1, R > 1``: both at once. The series integrator seeds the channels
-  of the state polynomial with the identity, once per doubling pass, so the
-  channels of the field X(z(s)) carry its jacobian series DX(z(s)); the
-  flow's jacobian series then follows from the linear recurrence of the
-  first variational equation.
+  of the position polynomials with the identity, once per doubling pass, so
+  the channels of the field X(z(s)) carry the position columns of its
+  jacobian series DX(z(s)); the momentum polynomials have zero channels, and
+  the integrator adds the momentum columns by the chain rule on value
+  series. The flow's jacobian series then follows from the linear
+  recurrence of the first variational equation.
 
 Coefficients live in one complex array of shape (..., R, L); row 0 is the
 value series, rows 1..R-1 the channels. The leading axes are lanes: a jet

@@ -164,7 +164,10 @@ def _label(z, extra=""):
 
 
 def _report(model, check, residuals, tolerance):
-    """residuals: list of (label, value). Keeps the three worst for the record."""
+    """residuals: list of ((point, extra), value). Keeps the three worst for the record.
+
+    Only those three are labelled (see :func:`_label`).
+    """
     ranked = sorted(residuals, key=lambda t: -t[1])
     return VerificationReport(
         model=model.name,
@@ -173,7 +176,7 @@ def _report(model, check, residuals, tolerance):
         n_samples=len(residuals),
         max_residual=float(ranked[0][1]) if ranked else 0.0,
         tolerance=tolerance,
-        worst=tuple(ranked[:3]),
+        worst=tuple((_label(*where), r) for where, r in ranked[:3]),
     )
 
 
@@ -346,7 +349,7 @@ def check_theta_sigma_identity(frames, sigmas=THETA_SIGMAS,
                 Z = cols[:, j]
                 theta = complex(z.p @ Z[:n])
                 r = max(r, abs(theta - s * complex(dE @ Z)))
-            residuals.append((_label(z, f"sigma={s}"), r))
+            residuals.append(((z, f"sigma={s}"), r))
     return _report(model, "theta_sigma", residuals, tolerance)
 
 
@@ -373,7 +376,7 @@ def check_kahler_potential(frames, tolerance=DEFAULT_TOLERANCES["kahler_potentia
             dbar = 0.5 * (dkappa[a] + dbar_sign * 1j * (dkappa @ J[:, a]))
             theta = z.p[a].real if a < n else 0.0
             r = max(r, abs(dbar.imag - theta))
-        residuals.append((_label(z), r))
+        residuals.append(((z, ""), r))
     return _report(model, "kahler_potential", residuals, tolerance)
 
 
@@ -399,7 +402,7 @@ def check_adaptedness(strips, nodes, tolerance=DEFAULT_TOLERANCES["adaptedness"]
         push_tau = np.concatenate([np.zeros_like(z.q), z.p])
         for t, J in zip(STRIP_TAUS, Jz):
             r = float(np.max(np.abs(J @ np.concatenate([dq, t * dp]) - push_tau)))
-            residuals.append((_label(z, f"tau={t:.2f}"), r))
+            residuals.append(((z, f"tau={t:.2f}"), r))
     return _report(model, "adaptedness", residuals, tolerance)
 
 
@@ -417,7 +420,7 @@ def check_involution(frames, flipped, tolerance=DEFAULT_TOLERANCES["involution"]
         n = z.dim
         S = np.diag(np.concatenate([np.ones(n), -np.ones(n)]))
         r = float(np.max(np.abs(S @ J2[k] @ S + J1[k])))
-        residuals.append((_label(z), r))
+        residuals.append(((z, ""), r))
     return _report(frames.model, "involution", residuals, tolerance)
 
 
@@ -445,7 +448,7 @@ def check_scaling(frames, scaled, factors=SCALING_FACTORS, sigmas=SCALING_SIGMAS
     left, right = left.reshape(-1, 2 * n, n), right.reshape(-1, 2 * n, n)
     right[:, n:] *= c[:, None, None]  # the dilation diag(1, c) of the fibre
     angles = principal_angles(left, right)
-    residuals = [(_label(frames.points[kk], f"c={factors[ii]},sigma={sigmas[jj]}"),
+    residuals = [((frames.points[kk], f"c={factors[ii]},sigma={sigmas[jj]}"),
                   float(np.max(ang)) if ang.size else 0.0)
                  for kk, ii, jj, ang in zip(k, i, j, angles)]
     return _report(frames.model, "scaling", residuals, tolerance)
@@ -470,7 +473,7 @@ def check_zero_section(rests, tolerance=DEFAULT_TOLERANCES["zero_section"]):
             want = np.eye(2 * n, dtype=complex)
             want[:n, n:] = s * np.eye(n)
             r = float(np.max(np.abs(g - want)))
-            residuals.append((_label(rest, f"sigma={s}"), r))
+            residuals.append(((rest, f"sigma={s}"), r))
     return _report(model, "zero_section", residuals, tolerance)
 
 
@@ -503,7 +506,7 @@ def check_nijenhuis(frames, stencils, tolerance=DEFAULT_TOLERANCES["nijenhuis"])
                     term += J[j, a] * dJ[j][:, b] - J[j, b] * dJ[j][:, a]
                 term += J @ (dJ[b][:, a] - dJ[a][:, b])
                 r = max(r, float(np.max(np.abs(term))))
-        residuals.append((_label(z), r))
+        residuals.append(((z, ""), r))
     return _report(model, "nijenhuis", residuals, tolerance)
 
 

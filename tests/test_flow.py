@@ -92,15 +92,86 @@ def test_series_build_matches_order_by_order_recurrence():
                     assert np.max(np.abs(got[b] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _reference_field_series(model, cid, z, L, N):
+    # the field series with all 2n channels seeded with the identity, so
+    # every column of A = DX comes from the channels
+    B, _, m = z.shape
+    n = m // 2
+    c = np.zeros((m, B, 1 + m, N), dtype=complex)
+    c[:, :, 0, :L] = z[:, :L].transpose(2, 0, 1)
+    for a in range(m):
+        c[a, :, 1 + a, 0] = 1.0
+    zs = [jets.Jet(c[a] if B > 1 else c[a, 0]) for a in range(m)]
+    dq, dp = hamiltonian_vector_field(model, cid, zs[:n], zs[n:])
+    X = np.zeros((B, N, m), dtype=complex)
+    Ahat = np.zeros((B, m, N, m), dtype=complex)
+    for i, x in enumerate(dq + dp):
+        if not isinstance(x, jets.Jet):
+            X[:, 0, i] = x
+            continue
+        X[:, :, i] = x.c[..., 0, :]
+        if x.R > 1:
+            Ahat[:, i] = x.c[..., 1:, ::-1].swapaxes(-1, -2)
+    return X, Ahat.reshape(B, m, N * m)
+
+
+def _skew_metric(consistent=True):
+    """One chart with g_01 != 0 and dg_l off the diagonal.
+
+    With ``consistent=False`` dg is not the derivative of g and d_0 g is not
+    symmetric: the field is still defined by g^-1 and dg as written.
+    """
+    def metric_fn(qs):
+        s0, c0 = jets.sincos(qs[0])
+        s1, c1 = jets.sincos(qs[1])
+        s01, c01 = jets.sincos(qs[0] + qs[1])
+        g01 = 0.4 * c01
+        g = [[2.0 + 0.3 * s0, g01], [g01, 1.5 + 0.2 * c1]]
+        d01 = -0.4 * s01
+        dg = [[[0.3 * c0, d01 if consistent else d01 + 0.1 * c1], [d01, 0.0]],
+              [[0.0, d01], [d01, -0.2 * s1]]]
+        return g, dg
+
+    chart = Chart(id="main", lo=np.array([-4.0, -4.0]), hi=np.array([4.0, 4.0]),
+                  periodic=np.array([False, False]), margin=np.array([np.inf, np.inf]))
+    return MetricModel("skew", 2, {}, [chart], "main", {"main": metric_fn})
+
+
+@pytest.mark.parametrize("B", [1, 3])
+def test_field_series_matches_all_channel_reference(B):
+    # position channels and chain-rule momentum columns against seeding all
+    # 2n channels, at every pass length of a variational step and of a state step
+    rng = np.random.default_rng(11)
+    cases = [
+        (catalog("round_sphere"), "a", [1.2, 0.3]),
+        (catalog("round_sphere"), "b", [1.4, -0.5]),
+        (catalog("surface_of_revolution"), "main", [0.4, -1.0]),
+        (catalog("flat_torus"), "main", [0.2, 0.5]),
+        (_skew_metric(), "main", [0.3, -0.6]),
+        (_skew_metric(consistent=False), "main", [0.3, -0.6]),
+    ]
+    for model, cid, q in cases:
+        z = 0.1 * (rng.standard_normal((B, 17, 4)) + 1j * rng.standard_normal((B, 17, 4)))
+        z[:, 0, :2] = np.array(q) + 0.1j * rng.standard_normal((B, 2))
+        z[:, 0, 2:] = [0.6 + 0.1j, -0.5 + 0.2j]
+        for L, N in ((1, 1), (2, 3), (4, 7), (8, 15), (16, 16), (2, 4), (4, 8), (8, 16)):
+            got = flow_module._field_series(model, cid, z, L, N)
+            want = _reference_field_series(model, cid, z, L, N)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), (model.name, L, N)
+
+
 def test_variational_step_costs_five_field_evaluations(monkeypatch):
     calls = []
-    field = flow_module.hamiltonian_vector_field
+    field = flow_module._field_from_metric
 
     def counted(*args):
         calls.append(1)
         return field(*args)
 
-    monkeypatch.setattr(flow_module, "hamiltonian_vector_field", counted)
+    # the kernel evaluates the field from its metric: one call per evaluation
+    monkeypatch.setattr(flow_module, "_field_from_metric", counted)
     sph = catalog("round_sphere")
     r = flow(sph, PhasePoint("a", [1.2, 0.4], [0.6, 0.5]), sigma=1.0 + 0.5j, variational=True)
     assert r.diagnostics.steps >= 3
@@ -506,13 +577,14 @@ def test_lanes_match_single_flows(monkeypatch):
 
 def test_lane_batch_costs_five_field_evaluations_per_step(monkeypatch):
     calls = []
-    field = flow_module.hamiltonian_vector_field
+    field = flow_module._field_from_metric
 
     def counted(*args):
         calls.append(1)
         return field(*args)
 
-    monkeypatch.setattr(flow_module, "hamiltonian_vector_field", counted)
+    # the kernel evaluates the field from its metric: one call per evaluation
+    monkeypatch.setattr(flow_module, "_field_from_metric", counted)
     sph = catalog("round_sphere")
     points = [PhasePoint("a", [1.2 + 0.1 * k, 0.4], [0.6 - 0.1 * k, 0.5]) for k in range(4)]
     results = flow_lanes(sph, points, sigma=1.0 + 0.5j, variational=True)

@@ -11,6 +11,8 @@ from grauert import jets
 from grauert.catalog import catalog, round_sphere, surface_of_revolution
 from grauert.errors import ChartDomainError, InvalidParamsError, UnknownModelError
 from grauert.geometry import (
+    Chart,
+    MetricModel,
     christoffel,
     energy,
     metric_inv_matrix,
@@ -152,6 +154,15 @@ def test_metric_inverse_and_derivative_consistency():
     assert np.array_equal(metric_inv_matrix(flat3, "main", np.zeros(3)), np.eye(3))
 
 
+def _coeffs(x, shape):
+    """Coefficients of a jet; a plain number lifted to a constant jet of that shape."""
+    if isinstance(x, jets.Jet):
+        return x.c
+    c = np.zeros(shape, dtype=complex)
+    c[..., 0, 0] = x
+    return c
+
+
 def test_derived_inverse_on_variational_series():
     # the jets the Taylor step passes: series with identity-seeded channels
     rng = np.random.default_rng(3)
@@ -172,7 +183,86 @@ def test_derived_inverse_on_variational_series():
                 prod = gi[j][0] * g[0][l] + gi[j][1] * g[1][l]
                 want = np.zeros((5, 6), dtype=complex)
                 want[0, 0] = 1.0 if j == l else 0.0
+                assert np.max(np.abs(_coeffs(prod, want.shape) - want)) < 1e-13
+
+
+def _one_chart_model(dim, metric_fn):
+    chart = Chart(id="main", lo=np.full(dim, -4.0), hi=np.full(dim, 4.0),
+                  periodic=np.zeros(dim, dtype=bool), margin=np.full(dim, np.inf))
+    return MetricModel("test", dim, {}, [chart], "main", {"main": metric_fn})
+
+
+def test_inverse_of_non_diagonal_jet_metric_in_three_dimensions():
+    # g = S + sum_a U_a q_a + V q_0 q_1 with S symmetric positive definite:
+    # every entry a series jet with channels, so elimination takes its
+    # off-diagonal path on every step
+    rng = np.random.default_rng(8)
+    n = 3
+    A = rng.standard_normal((n, n))
+    S = A @ A.T + n * np.eye(n)
+    U = rng.standard_normal((n, n, n))
+    U = 0.2 * (U + U.transpose(0, 2, 1))
+    V = rng.standard_normal((n, n))
+    V = 0.1 * (V + V.T)
+
+    def metric_fn(qs):
+        g = [[S[j, k] + sum(U[a, j, k] * qs[a] for a in range(n)) + V[j, k] * qs[0] * qs[1]
+              for k in range(n)] for j in range(n)]
+        return g, [[[0.0] * n for _ in range(n)] for _ in range(n)]
+
+    model = _one_chart_model(n, metric_fn)
+    for B in (None, 4):
+        lanes = () if B is None else (B,)
+        qs = []
+        for i in range(n):
+            shape = lanes + (1 + n, 6)
+            c = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            c[..., 0, 0] = rng.uniform(-0.5, 0.5)
+            c[..., 1:, 0] = 0.0
+            c[..., 1 + i, 0] = 1.0
+            qs.append(jets.Jet(c))
+        g, gi, _ = model.metric("main", qs)
+        assert all(isinstance(x, jets.Jet) for row in gi for x in row)
+        for j in range(n):
+            for l in range(n):
+                prod = sum(g[j][k] * gi[k][l] for k in range(n))
+                want = np.zeros(lanes + (1 + n, 6), dtype=complex)
+                want[..., 0, 0] = 1.0 if j == l else 0.0
                 assert np.max(np.abs(prod.c - want)) < 1e-13
+    # on plain numbers the same elimination matches numpy's inverse
+    q = [0.3, -0.2, 0.1]
+    g, gi, _ = model.metric("main", q)
+    assert np.max(np.abs(np.array(gi) - np.linalg.inv(np.array(g)))) < 1e-14
+
+
+def test_diagonal_inverse_makes_no_jet_product(monkeypatch):
+    calls = []
+    mul = jets.Jet.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    rng = np.random.default_rng(9)
+    entries = [jets.Jet(1.0 + 0.1 * rng.standard_normal((3, 5)) + 0j) for _ in range(2)]
+    z = 0.0
+    model = _one_chart_model(
+        3, lambda qs: ([[entries[0], z, z], [z, entries[1], z], [z, z, 2.5]], None))
+    monkeypatch.setattr(jets.Jet, "__mul__", counted)
+    monkeypatch.setattr(jets.Jet, "__rmul__", counted)
+    _, gi, _ = model.metric("main", [0.0] * 3)
+    assert not calls
+    for j in range(3):
+        for k in range(3):
+            if j != k:
+                assert jets.is_plain_zero(gi[j][k])
+    assert gi[2][2] == 1.0 / 2.5
+    for j in range(2):
+        assert np.array_equal(gi[j][j].c, entries[j].reciprocal().c)
+    # the sphere's constant g_00 = a^2 inverts to a plain number
+    sph = catalog("round_sphere", radius=0.8)
+    _, gi, _ = sph.metric("a", [jets.variable(1.1, 0, 2), jets.variable(0.3, 1, 2)])
+    assert gi[0][0] == 1.0 / (0.8 * 0.8) and jets.is_plain_zero(gi[0][1])
 
 
 def test_metric_positive_definite_sweep():
@@ -293,6 +383,47 @@ def test_transition_jacobian_symplectic_and_matches_fd():
         e[c] = 1.0
         S_fd[:, c] = (lifted(x0 + h * e) - lifted(x0 - h * e)) / (2 * h)
     assert np.max(np.abs(S - S_fd)) < 1e-8
+
+
+def _reference_transition_phase(model, from_chart, to_chart, q, p, jac):
+    # one push_through for T(q) and M, then one series pass per coordinate
+    n = model.dim
+    fn = lambda qs: model.transition_coords(from_chart, to_chart, qs)
+    q_new, M = push_through(fn, q, np.eye(n))
+    Minv = np.linalg.inv(M)
+    p_new = Minv.T @ p
+    S = np.zeros((2 * n, 2 * n), dtype=complex)
+    S[:n, :n] = M
+    S[n:, n:] = Minv.T
+    for b in range(n):
+        args = []
+        for i in range(n):
+            c = np.zeros((1 + n, 2), dtype=complex)
+            c[0, 0] = q[i]
+            c[0, 1] = 1.0 if i == b else 0.0
+            c[1 + i, 0] = 1.0
+            args.append(jets.Jet(c))
+        dMb = np.array([x.c[1:, 1] for x in fn(args)])
+        S[n:, b] = -Minv.T @ dMb.T @ (Minv.T @ p)
+    return q_new, p_new, S @ jac
+
+
+def test_transition_with_jacobian_matches_separate_push_through():
+    sph = catalog("round_sphere", radius=1.3)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        q = [rng.uniform(0.4, 2.7), rng.uniform(-3.0, 3.0)] + 0.3j * rng.standard_normal(2)
+        p = rng.standard_normal(2) + 0.3j * rng.standard_normal(2)
+        jac = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        for src, dst in (("a", "b"), ("b", "a")):
+            got = transition_phase(sph, src, dst, q, p, jac=jac)
+            want = _reference_transition_phase(sph, src, dst, q, p, jac)
+            # T(q) and M come from a series pass of length 2, whose products
+            # round apart from push_through's length-1 pass in the last bits
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+            _, _, S = transition_phase(sph, src, dst, q, p, jac=np.eye(4, dtype=complex))
+            assert np.max(np.abs(S.T @ OMEGA4 @ S - OMEGA4)) <= 1e-13
 
 
 def test_embedding_roundtrip_complex():
