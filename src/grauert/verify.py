@@ -239,18 +239,57 @@ def _sobol(d, m, seed):
     return (shift ^ np.bitwise_xor.reduce(columns, axis=1)) * (1.0 / 2**_SOBOL_BITS)
 
 
+# Cephes ndtri.c tables, highest degree first; the leading 1.0 of each Q is implicit there
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_EXP_M2 = 0.13533528323661269189
+
+
+def _horner(x, coef):
+    """Cephes ``polevl``; from 0.0, so a leading 1.0 gives ``p1evl``'s x + c1 exactly."""
+    acc = 0.0
+    for c in coef:
+        acc = acc * x + c
+    return acc
+
+
+def _ndtri(y):
+    """Inverse normal CDF of a float y in (exp(-32), 1 - exp(-32)), ``scipy.special.ndtri``'s bits.
+
+    Cephes ``ndtri`` operation for operation: a rational in (y - 1/2)^2 for e^-2 < y < 1 - e^-2,
+    else z - ln z / z - r(1/z), z = sqrt(-2 ln y) on the nearer tail; its z >= 8 branch is left out.
+    """
+    upper = y > 1.0 - _EXP_M2
+    y = 1.0 - y if upper else y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _horner(y2, _NDTRI_P0) / _horner(y2, _NDTRI_Q0))
+        return x * 2.50662827463100050242  # sqrt(2 pi) as Cephes rounds it
+    z = math.sqrt(-2.0 * math.log(y))
+    w = 1.0 / z
+    x = z - math.log(z) / z - w * _horner(w, _NDTRI_P1) / _horner(w, _NDTRI_Q1)
+    return x if upper else -x
+
+
 def sample_tube_points(model, n, seed, rho_min, rho_max, chart_id=None):
     """Deterministic low-discrepancy tube points: chart box x momentum shell.
 
     The points are the first n rows of a scrambled Sobol sample in 2 dim + 1
     coordinates (:func:`_sobol`, bit-identical to ``scipy.stats.qmc.Sobol``
     with the same seed). Positions fill the central 70% of the chart box;
-    momentum directions are the inverse-normal-mapped coordinates normalized
-    in the metric, scaled to |v| in [rho_min, rho_max].
+    momentum directions are the coordinates clipped to [1e-6, 1 - 1e-6] and mapped by
+    :func:`_ndtri`, normalized in the metric, scaled to |v| in [rho_min, rho_max].
     """
-    # norm.ppf is ndtri on (0, 1), and scipy.special loads without scipy.stats
-    from scipy.special import ndtri
-
     cid = chart_id or model.default_chart
     ch = model.chart(cid)
     dim = model.dim
@@ -258,7 +297,8 @@ def sample_tube_points(model, n, seed, rho_min, rho_max, chart_id=None):
     u = _sobol(2 * dim + 1, max(1, math.ceil(math.log2(max(n, 2)))), seed)[:n]
     lo = ch.lo + 0.15 * ch.width()
     hi = ch.hi - 0.15 * ch.width()
-    raws = ndtri(np.clip(u[:, dim : 2 * dim], 1e-6, 1.0 - 1e-6))
+    clipped = np.clip(u[:, dim : 2 * dim], 1e-6, 1.0 - 1e-6)
+    raws = np.array([[_ndtri(y) for y in row] for row in clipped.tolist()])
     out = []
     for row, raw in zip(u, raws):
         q = lo + row[:dim] * (hi - lo)

@@ -525,32 +525,34 @@ def test_console_entry_point(tmp_path):
 
 def test_cli_import_loads_no_scipy(tmp_path):
     # scipy is imported where it is used: the CLI module loads numpy alone,
-    # and extend samples its points without scipy.stats
+    # and extend and jtensor sample their points without any scipy module
     script = (
         "import sys\n"
         "import grauert.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
         "code = grauert.cli.main(sys.argv[1:])\n"
-        "print(code, 'scipy.stats' in sys.modules)\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "extend", "--config", str(CONFIGS / "default.ini"),
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "0 False"]
-    assert (tmp_path / "o" / "extend.csv").is_file()
+    for command, csv in (("extend", "extend.csv"), ("jtensor", "jtensor.csv")):
+        out = tmp_path / command
+        proc = subprocess.run(
+            [sys.executable, "-c", script, command, "--config", str(CONFIGS / "default.ini"),
+             "--out", str(out)],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "0 []"], command
+        assert (out / csv).is_file()
 
 
 def test_verify_loads_no_scipy_linalg(tmp_path):
-    # the battery's principal angles are numpy's, so verify loads scipy.special
-    # (the Sobol sampler's inverse normal) and no scipy.linalg
+    # the battery's principal angles and the sampler's inverse normal are
+    # numpy and plain floats, so verify loads no scipy module at all
     script = (
         "import sys\n"
         "import grauert.cli\n"
         "code = grauert.cli.main(sys.argv[1:])\n"
-        "print(code, 'scipy.special' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, "verify", "--config", str(CONFIGS / "sphere.ini"),
@@ -558,7 +560,7 @@ def test_verify_loads_no_scipy_linalg(tmp_path):
         capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 True False"
+    assert proc.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "o" / "verify.jsonl").is_file()
 
 
