@@ -79,23 +79,20 @@ def test_sobol_matches_scipy_qmc(d):
             assert np.array_equal(verify._sobol(d, m, seed), want), (seed, m)
 
 
-CLIP = (1e-6, 1.0 - 1e-6)
-EXP_M2 = math.exp(-2.0)
-
-
 def test_ndtri_matches_scipy_special():
     # scipy.special is the oracle: the plain-float Cephes transcription returns
     # its bits on the clip interval, at both ends, at 1/2, around both branch
     # points e^-2 and 1 - e^-2, and at drawn points
     from scipy.special import ndtri
 
-    edges = np.array([*CLIP, 0.5, EXP_M2, 1.0 - EXP_M2])
-    ys = np.concatenate([np.linspace(*CLIP, 100_001), edges,
+    clip, e2 = (1e-6, 1.0 - 1e-6), math.exp(-2.0)
+    edges = np.array([*clip, 0.5, e2, 1.0 - e2])
+    ys = np.concatenate([np.linspace(*clip, 100_001), edges,
                          np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
     assert np.array_equal([verify._ndtri(y) for y in ys.tolist()], ndtri(ys))
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(st.floats(*CLIP))
+    @given(st.floats(*clip))
     def drawn(y):
         assert np.array_equal(verify._ndtri(y), ndtri(y))
 
