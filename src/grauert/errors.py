@@ -69,8 +69,8 @@ class ConjugatePointError(GrauertError):
 
 
 class PadeDegeneracyError(GrauertError):
-    """The rational (AAA) fit of a continuation misses its samples, or the
-    evaluation target sits on one of its poles."""
+    """The rational (AAA) fit of a continuation misses its samples, a sample
+    to fit is not finite, or the evaluation target sits on one of its poles."""
 
 
 class DivergenceError(GrauertError):

@@ -524,8 +524,9 @@ def test_console_entry_point(tmp_path):
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    # scipy is imported where it is used: the CLI module loads numpy alone,
-    # and extend and jtensor sample their points without any scipy module
+    # the CLI module loads numpy alone; flow, extend and jtensor run without
+    # any scipy module, and tube-radius too: its root polish and rational
+    # fit are numpy and plain floats
     script = (
         "import sys\n"
         "import grauert.cli\n"
@@ -533,35 +534,49 @@ def test_cli_import_loads_no_scipy(tmp_path):
         "code = grauert.cli.main(sys.argv[1:])\n"
         "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
-    for command, csv in (("extend", "extend.csv"), ("jtensor", "jtensor.csv")):
+    default = str(CONFIGS / "default.ini")
+    tube = write_ini(tmp_path, "[model]\nname = round_sphere\n"
+                               "[grids]\nn_directions = 1\nsweep_cap = 2.0\n")
+    for command, config, csv in (("flow", default, "flow.csv"),
+                                 ("extend", default, "extend.csv"),
+                                 ("jtensor", default, "jtensor.csv"),
+                                 ("tube-radius", tube, "tube_radius.jsonl")):
         out = tmp_path / command
         proc = subprocess.run(
-            [sys.executable, "-c", script, command, "--config", str(CONFIGS / "default.ini"),
-             "--out", str(out)],
+            [sys.executable, "-c", script, command, "--config", config, "--out", str(out)],
             capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "0 []"], command
+        lines = proc.stdout.splitlines()  # tube-radius prints its radii in between
+        assert [lines[0], lines[-1]] == ["[]", "0 []"], command
         assert (out / csv).is_file()
 
 
 def test_verify_loads_no_scipy_linalg(tmp_path):
     # the battery's principal angles and the sampler's inverse normal are
-    # numpy and plain floats, so verify loads no scipy module at all
+    # numpy and plain floats, so verify loads no scipy module at all; nor do
+    # tube-radius and flow run after it in the same interpreter
     script = (
-        "import sys\n"
+        "import json, sys\n"
         "import grauert.cli\n"
-        "code = grauert.cli.main(sys.argv[1:])\n"
-        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = grauert.cli.main(argv)\n"
+        "    print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
+    tube = write_ini(tmp_path, "[model]\nname = round_sphere\n"
+                               "[grids]\nn_directions = 1\nsweep_cap = 2.0\n")
+    runs = [["verify", "--config", str(CONFIGS / "sphere.ini"), "--out", str(tmp_path / "v")],
+            ["tube-radius", "--config", tube, "--out", str(tmp_path / "t")],
+            ["flow", "--model", "flat_space", "--out", str(tmp_path / "f")]]
     proc = subprocess.run(
-        [sys.executable, "-c", script, "verify", "--config", str(CONFIGS / "sphere.ini"),
-         "--out", str(tmp_path / "o")],
+        [sys.executable, "-c", script, json.dumps(runs)],
         capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
-    assert (tmp_path / "o" / "verify.jsonl").is_file()
+    assert [line for line in proc.stdout.splitlines() if line[:1].isdigit()] == ["0 []"] * 3
+    assert (tmp_path / "v" / "verify.jsonl").is_file()
+    assert (tmp_path / "t" / "tube_radius.jsonl").is_file()
+    assert (tmp_path / "f" / "flow.csv").is_file()
 
 
 def test_singular_frame_exits_2(tmp_path, monkeypatch, capsys):

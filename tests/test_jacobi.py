@@ -1,10 +1,14 @@
 """Real-time spreading samples, two-route agreement, rational continuation, pole finding."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grauert import jacobi
 from grauert.catalog import catalog
 from grauert.errors import ConjugatePointError, PadeDegeneracyError, SingularityError
 from grauert.flow import PhasePoint
@@ -24,7 +28,7 @@ from grauert.lagrangian import (
     lift_coefficients,
     lifted_basis,
 )
-from grauert.verify import sample_tube_points
+from grauert.verify import estimate_tube_radius, sample_tube_points
 
 
 def test_f_samples_match_sphere_closed_form():
@@ -83,6 +87,68 @@ def test_rational_continuation_degeneracies():
         rational_continuation(xs, np.abs(xs), 0.5)
     with pytest.raises(PadeDegeneracyError):
         rational_continuation(xs, 1.0 / (1.0 + xs**2), 1j)  # the fit really has a pole there
+
+
+def test_rational_continuation_input_guard():
+    xs = np.cos(np.pi * np.arange(21) / 20)
+    # the fit's Loewner matrix stays tall only with 18 or more distinct times
+    for few in (xs[:17], np.concatenate([xs[:17], xs[:17]]), np.append(xs[:17], np.nan)):
+        with pytest.raises(ValueError, match="18 or more"):
+            rational_continuation(few, np.ones(few.size), 1j)
+    rational_continuation(xs[:18], np.tan(xs[:18]), 1j)
+    # a sample that is not a number is refused, not dropped
+    for bad in (np.nan, np.inf, complex(1.0, np.inf)):
+        ys = np.tan(xs).astype(complex)
+        ys[5] = bad
+        with pytest.raises(PadeDegeneracyError, match="not finite"):
+            rational_continuation(xs, ys, 1j)
+        with pytest.raises(PadeDegeneracyError, match="not finite"):  # on a repeated time too
+            rational_continuation(np.append(xs, xs[5]), np.append(np.tan(xs), bad), 1j)
+
+
+def _tube_scan_fits(monkeypatch, model):
+    """The (xs, ys, target) of every rational fit one direction's tube-radius scan makes."""
+    fits, fit = [], jacobi.rational_continuation
+    with monkeypatch.context() as m:
+        m.setattr(jacobi, "rational_continuation",
+                  lambda xs, ys, target: fits.append((xs, ys, target)) or fit(xs, ys, target))
+        estimate_tube_radius(model, n_directions=1, seed=7, sweep_cap=2.0)
+    return fits
+
+
+def test_rational_fit_matches_scipy_aaa_without_clean_up(monkeypatch):
+    # scipy's AAA without its clean-up step is the oracle: the fitted values
+    # at the samples and at the target are its values, and every pole of
+    # non-negligible residue near the samples is one of its poles, up to that
+    # pole's own condition (both are zeros of one denominator to roundoff)
+    from scipy.interpolate import AAA
+
+    xs = np.cos(np.pi * np.arange(21) / 20)
+    fits = [(xs, f(w * xs), 1j) for w in (0.3, 0.6, 0.9, 1.2, 1.5)
+            for f in (np.tan, lambda x: np.tan(x) / (1 + 0.3j * x / w),
+                      lambda x: np.tanh(x) * np.exp(0.2 * x / w))]
+    fits += _tube_scan_fits(monkeypatch, catalog("round_sphere"))
+    fits += _tube_scan_fits(monkeypatch, catalog("surface_of_revolution"))
+    assert len(fits) == 15 + 4 + 4
+    eps = np.finfo(float).eps
+    for xs, ys, target in fits:
+        ys = np.asarray(ys, dtype=complex)  # as the continuation fits them
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # short of rtol in 9 terms
+            r = AAA(xs, ys, rtol=1e-14, max_terms=9, clean_up=False)
+        zs, first = np.unique(xs, return_index=True)
+        zj, fj, wj = jacobi._aaa(zs, ys[first])
+        want = r(xs)
+        assert np.all(np.abs(jacobi._barycentric(zj, fj, wj, xs) - want) <= 1e-13 * np.abs(want))
+        # alone, as the continuation evaluates it: the target's denominator
+        # cancels, so a different summation order moves it far above roundoff
+        value, want = rational_continuation(xs, ys, target)[0], r(target)
+        assert abs(value - want) <= 1e-13 * abs(want)
+        poles = jacobi._poles(zj, wj)
+        for pole in r.poles()[(np.abs(r.residues()) > 1e-4) & (np.abs(r.poles()) < 8)]:
+            mine = poles[np.argmin(np.abs(poles - pole))]
+            cond = np.sum(np.abs(wj / (mine - zj))) / abs(np.sum(wj / (mine - zj) ** 2))
+            assert abs(mine - pole) <= max(1e-9 * abs(pole), 64 * eps * cond)
 
 
 def test_continue_f_to_i_sphere():
@@ -234,3 +300,38 @@ def test_first_singularity_rejects_bad_grids():
     frames = FrameRays(sph, [PhasePoint("a", [math.pi / 2, 0.0], [0.0, 1.0])], [2.0])
     with pytest.raises(ValueError, match="reach"):
         first_f_singularity(frames, 0, tau_max=1.0)
+
+
+def test_brentq_matches_scipy_optimize():
+    # scipy.optimize.brentq is the oracle: the port returns its bits
+    from scipy.optimize import brentq
+
+    families = [
+        (lambda c: lambda x: math.cos(x) - c * x, 0.0, 2.0),
+        (lambda c: lambda x: x**3 + c * x - 2.0, 0.0, 2.0),
+        (lambda c: lambda x: math.tan(x) - c, -1.0, 1.5),
+    ]
+    xtols = (1e-3, 1e-6, 1e-12, 2e-12)
+    for family, a, b in families:
+        for c in np.linspace(0.1, 3.0, 12).tolist():
+            f = family(c)
+            for xtol in xtols:
+                assert jacobi._brentq(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+                assert jacobi._brentq(f, b, a, xtol) == brentq(f, b, a, xtol=xtol)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 2), st.floats(0.1, 3.0), st.sampled_from(xtols))
+    def drawn(k, c, xtol):
+        family, a, b = families[k]
+        f = family(c)
+        assert jacobi._brentq(f, a, b, xtol) == brentq(f, a, b, xtol=xtol)
+
+    drawn()
+    # an exact zero at either end is the root, however the other end lies
+    square = lambda x: x * x - 4.0
+    for a, b in ((2.0, 5.0), (-1.0, 2.0), (-2.0, 1.0), (-5.0, -2.0)):
+        assert jacobi._brentq(square, a, b, 1e-6) == brentq(square, a, b, xtol=1e-6)
+    with pytest.raises(ValueError, match="different signs"):
+        jacobi._brentq(square, 3.0, 5.0, 1e-6)
+    with pytest.raises(ValueError):
+        brentq(square, 3.0, 5.0, xtol=1e-6)
