@@ -280,8 +280,9 @@ _NODES = np.cos(np.pi * np.arange(21) / 20)  # Chebyshev points of [-1, 1]
 
 
 def _aaa(z, f):
-    """Support points, values and weights of the AAA fit to f on z (sorted, distinct).
+    """Support points, values and weights of the AAA fit to f on z, and its miss.
 
+    z is sorted and distinct; the miss is the fit's largest error at a sample.
     scipy's ``AAA(z, f, rtol=1e-14, max_terms=9, clean_up=False)`` step for
     step (Nakatsukasa-Sete-Trefethen, 2018), its rescaling of ill-conditioned
     Loewner matrices included. Only its tall branch: z must have at least 18
@@ -325,10 +326,11 @@ def _aaa(z, f):
         D[D_inf] = 1
         N[D_inf] = f[D_inf]
         R = N / D
-        if np.linalg.norm(f - R, ord=np.inf) <= atol:
+        err = np.linalg.norm(f - R, ord=np.inf)
+        if err <= atol:
             break
     keep = wj != 0
-    return zj[: m + 1][keep], fj[: m + 1][keep], wj[keep]
+    return zj[: m + 1][keep], fj[: m + 1][keep], wj[keep], float(err)
 
 
 def _barycentric(zj, fj, wj, x):
@@ -392,8 +394,7 @@ def rational_continuation(xs, ys, target):
     ys = ys[first]
     if xs.size < 18 or not np.all(np.isfinite(xs)):
         raise ValueError("a rational fit needs 18 or more distinct finite sample times")
-    zj, fj, wj = _aaa(xs, ys)
-    miss = float(np.max(np.abs(_barycentric(zj, fj, wj, xs) - ys)))
+    zj, fj, wj, miss = _aaa(xs, ys)
     if miss > 1e-6 * max(1.0, float(np.max(np.abs(ys)))):
         raise PadeDegeneracyError(
             f"rational fit does not reproduce the samples (residual {miss:.3e})"

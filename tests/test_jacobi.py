@@ -106,29 +106,32 @@ def test_rational_continuation_input_guard():
             rational_continuation(np.append(xs, xs[5]), np.append(np.tan(xs), bad), 1j)
 
 
-def _tube_scan_fits(monkeypatch, model):
+def _tube_scan_fits(monkeypatch, model, sweep_cap):
     """The (xs, ys, target) of every rational fit one direction's tube-radius scan makes."""
     fits, fit = [], jacobi.rational_continuation
     with monkeypatch.context() as m:
         m.setattr(jacobi, "rational_continuation",
                   lambda xs, ys, target: fits.append((xs, ys, target)) or fit(xs, ys, target))
-        estimate_tube_radius(model, n_directions=1, seed=7, sweep_cap=2.0)
+        estimate_tube_radius(model, n_directions=1, seed=7, sweep_cap=sweep_cap)
     return fits
 
 
 def test_rational_fit_matches_scipy_aaa_without_clean_up(monkeypatch):
     # scipy's AAA without its clean-up step is the oracle: the fitted values
-    # at the samples and at the target are its values, and every pole of
-    # non-negligible residue near the samples is one of its poles, up to that
-    # pole's own condition (both are zeros of one denominator to roundoff)
+    # at the samples and at the target are its bits, and every pole of
+    # non-negligible residue near the samples is one of its poles: within
+    # 1e-9 relative out to 2 sweep_cap in the time plane, which is as far as
+    # the scan reads poles, and beyond that within the pole's own condition
+    # (both are zeros of one denominator to roundoff)
     from scipy.interpolate import AAA
 
     xs = np.cos(np.pi * np.arange(21) / 20)
     fits = [(xs, f(w * xs), 1j) for w in (0.3, 0.6, 0.9, 1.2, 1.5)
             for f in (np.tan, lambda x: np.tan(x) / (1 + 0.3j * x / w),
                       lambda x: np.tanh(x) * np.exp(0.2 * x / w))]
-    fits += _tube_scan_fits(monkeypatch, catalog("round_sphere"))
-    fits += _tube_scan_fits(monkeypatch, catalog("surface_of_revolution"))
+    sweep_cap = 2.0
+    fits += _tube_scan_fits(monkeypatch, catalog("round_sphere"), sweep_cap)
+    fits += _tube_scan_fits(monkeypatch, catalog("surface_of_revolution"), sweep_cap)
     assert len(fits) == 15 + 4 + 4
     eps = np.finfo(float).eps
     for xs, ys, target in fits:
@@ -137,18 +140,20 @@ def test_rational_fit_matches_scipy_aaa_without_clean_up(monkeypatch):
             warnings.simplefilter("ignore", RuntimeWarning)  # short of rtol in 9 terms
             r = AAA(xs, ys, rtol=1e-14, max_terms=9, clean_up=False)
         zs, first = np.unique(xs, return_index=True)
-        zj, fj, wj = jacobi._aaa(zs, ys[first])
-        want = r(xs)
-        assert np.all(np.abs(jacobi._barycentric(zj, fj, wj, xs) - want) <= 1e-13 * np.abs(want))
+        zj, fj, wj, _ = jacobi._aaa(zs, ys[first])
+        assert np.array_equal(jacobi._barycentric(zj, fj, wj, xs), r(xs))
         # alone, as the continuation evaluates it: the target's denominator
         # cancels, so a different summation order moves it far above roundoff
-        value, want = rational_continuation(xs, ys, target)[0], r(target)
-        assert abs(value - want) <= 1e-13 * abs(want)
+        assert rational_continuation(xs, ys, target)[0] == r(target)
         poles = jacobi._poles(zj, wj)
+        read = 2 * sweep_cap * abs(target)  # target = i / window
         for pole in r.poles()[(np.abs(r.residues()) > 1e-4) & (np.abs(r.poles()) < 8)]:
             mine = poles[np.argmin(np.abs(poles - pole))]
-            cond = np.sum(np.abs(wj / (mine - zj))) / abs(np.sum(wj / (mine - zj) ** 2))
-            assert abs(mine - pole) <= max(1e-9 * abs(pole), 64 * eps * cond)
+            if abs(pole) < read:
+                assert abs(mine - pole) <= 1e-9 * abs(pole)
+            else:
+                cond = np.sum(np.abs(wj / (mine - zj))) / abs(np.sum(wj / (mine - zj) ** 2))
+                assert abs(mine - pole) <= max(1e-9 * abs(pole), 64 * eps * cond)
 
 
 def test_continue_f_to_i_sphere():
