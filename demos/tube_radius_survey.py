@@ -9,12 +9,14 @@ stays clear of poles. Conjugate points put those poles on the real axis,
 where a scan finds them; the surface of revolution also has genuinely
 off-axis singularities, which the rational fit of the scanned window locates.
 Transversality and positivity radii push straight up the imaginary axis until
-the frame degenerates or the metric loses definiteness; on a multi-chart
-atlas those two are conservative, because the working chart's margin can end
-the sweep before the geometry does.
+the frame degenerates or the metric loses definiteness. No chart bounds the
+imaginary part of a flow: the sweep ends only where the frame does, or where
+the flow's step rule meets a genuine singularity of the metric.
 
 Flat models have no singularities at all, so every number is the sweep cap.
-On the unit sphere the continuation radius must come out at pi/2.
+On the unit sphere the continuation radius must come out at pi/2, and the
+transversality and positivity radii at the cap: the adapted structure exists
+on the whole tangent bundle there.
 """
 
 import argparse

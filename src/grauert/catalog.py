@@ -1,19 +1,20 @@
 """Built-in model catalog: flat space, flat torus, round sphere, surface of revolution.
 
 Every entry returns a fully wired :class:`~grauert.geometry.MetricModel`. A
-model supplies its atlas (chart boxes, margins, and transitions) and, per
-chart, one evaluator returning the metric and its first derivative, written
-over the jets facade so the same closed forms serve real evaluation,
-holomorphic extension in the coordinates, and exact differentiation through
-derivative channels; everything else is derived from those.
+model supplies its atlas (chart boxes and transitions) and, per chart, one
+evaluator returning the metric and its first derivative, written over the
+jets facade so the same closed forms serve real evaluation, holomorphic
+extension in the coordinates, and exact differentiation through derivative
+channels; everything else is derived from those.
 
 The curved entries are two-dimensional. The sphere carries a two-chart atlas
 (spherical coordinates in two frames rotated by a quarter turn about the y
 axis, so the coordinate singularities of one chart sit in the deep interior
 of the other) with transitions computed through the ambient embedding using
-principal inverse branches seeded from the current value. The margins of
-each chart bound the imaginary displacement for which those principal
-branches, and the metric closed forms, remain single-valued.
+principal inverse branches seeded from the current value. No chart bounds
+the imaginary displacement: a continuation runs until the flow's step rule
+meets a singularity of the metric closed forms or its real part leaves the
+atlas.
 
 Models with a known geodesic flow in closed form also carry an ``oracle``
 exposing that flow, the diagonal form of the tangent/normal spreading
@@ -210,7 +211,6 @@ def _flat(name, params, lo, hi, periodic):
         lo=np.asarray(lo, dtype=float),
         hi=np.asarray(hi, dtype=float),
         periodic=np.full(dim, periodic),
-        margin=np.full(dim, np.inf),
     )
     eye = [[1.0 if j == k else 0.0 for k in range(dim)] for j in range(dim)]
     zeros3 = [[[0.0] * dim for _ in range(dim)] for _ in range(dim)]
@@ -269,7 +269,6 @@ def round_sphere(radius=1.0, dim=2):
             lo=np.array([cut, -math.pi]),
             hi=np.array([math.pi - cut, math.pi]),
             periodic=np.array([False, True]),
-            margin=np.array([math.pi / 2.0, math.pi / 2.0]),
         )
         for cid in ("a", "b")
     ]
@@ -318,7 +317,6 @@ def surface_of_revolution(base=2.0, amp=1.0):
         lo=np.array([-math.pi, -math.pi]),
         hi=np.array([math.pi, math.pi]),
         periodic=np.array([True, True]),
-        margin=np.array([0.7, np.inf]),
     )
     return MetricModel(
         name="surface_of_revolution",

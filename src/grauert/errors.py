@@ -29,7 +29,7 @@ class GrauertError(Exception):
 
 
 class ChartDomainError(GrauertError):
-    """A coordinate left the declared chart box or its imaginary-part margin."""
+    """A real part lies outside the declared chart box, or the chart does not exist."""
 
     def __init__(self, message, chart_id=None, coords=None):
         super().__init__(message)
@@ -38,8 +38,10 @@ class ChartDomainError(GrauertError):
 
 
 class SingularityError(GrauertError):
-    """Continuation broke down: step collapse or margin exit mid-flow.
+    """Continuation broke down mid-flow; ``reason`` names how.
 
+    A flow lane stops by "step collapse", "singular series", "non-finite
+    series", "non-finite energy" (at its end), "chart box" or "step budget".
     ``last_good_sigma`` is the last path parameter at which the state was
     still certified. ``segments`` holds the dense output a flow lane accepted
     before the breakdown (empty when it broke down before its first step).

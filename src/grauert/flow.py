@@ -18,7 +18,8 @@ rule through dq = g^-1 p, as products of value series. An order-16 step takes
 4 field evaluations (5 with the jacobian), not 16. The step size comes from
 the tail of the computed series, so a shrinking radius of convergence is felt
 directly: when the admissible step falls below the floor the flow reports a
-singularity with the last trustworthy time.
+singularity with the last trustworthy time. No chart bounds the imaginary
+part of the state: the breakdowns of :func:`flow_lanes` find where it stops.
 
 With ``variational=True`` the series of the phase-space jacobian of the flow
 map follows from the field's jacobian series by the linear recurrence of
@@ -31,7 +32,7 @@ Biscani and Izzo, MNRAS 2021). The state of a batch is held as arrays over
 its lanes: phase point, jacobian, place on the path, chart and step counts.
 The jets carry a leading lane axis, so one field evaluation builds the
 series of every lane in a chart at once, and the state update and the
-wrap, margin and box checks run as array operations on that chart's lanes.
+wrap and box checks run as array operations on that chart's lanes.
 The step rule takes its powers on Python floats, one lane at a time, since
 numpy's array power can differ from the scalar one in the last bit. Each
 lane keeps its own step size, chart and dense output (its accepted step
@@ -458,8 +459,8 @@ def _admit(model, points):
 
     Returns (groups, errors): groups maps each chart id to the indices of its
     admitted points and their wrapped q (k, n); errors maps the index of each
-    other point (outside its chart's box or margin, or in no chart of the
-    model) to the :class:`~grauert.errors.ChartDomainError` that
+    other point (outside its chart's box, or in no chart of the model) to
+    the :class:`~grauert.errors.ChartDomainError` that
     :meth:`~grauert.geometry.MetricModel.require_inside` raises for it. The
     points of a chart are wrapped and checked as one stack.
     """
@@ -473,7 +474,7 @@ def _admit(model, points):
         if cid in model.charts:
             ch = model.chart(cid)
             q = ch.wrap(q)
-            inside = ch.contains_re(q.real) & ch.margin_ok(q.imag)
+            inside = ch.contains_re(q.real)
         else:
             inside = np.zeros(len(idx), dtype=bool)
         for k in np.flatnonzero(~inside):
@@ -491,8 +492,9 @@ def _energies(model, st, lanes):
     e = np.zeros(len(st.chart), dtype=complex)
     for c in np.unique(st.chart[lanes]):
         g = lanes[st.chart[lanes] == c]
-        # a lane started on a singular metric has no finite energy
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a lane started on a singular metric, or ended where it overflows,
+        # has no finite energy
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             e[g] = energy(model, st.charts[c], st.q[g].T, st.p[g].T)
     return e
 
@@ -542,21 +544,23 @@ class _Lanes:
 def _step_group(model, cid, lanes, st, outcomes, tol):
     """One accepted step of ``lanes`` (an index array, all in chart cid); the lanes that go on.
 
-    The series, the state update and the wrap, margin and box checks are
-    array operations on the group; the step rule runs per lane on Python
-    floats. Beyond that, a lane runs Python of its own only where it has an
-    event: a breakdown, which puts its SingularityError (or the GrauertError
-    of a failed transition) in ``outcomes``, or a step out of the chart's
-    safe interior, where best_chart decides whether it changes chart.
+    The series, the state update and the wrap and box checks are array
+    operations on the group; the step rule runs per lane on Python floats.
+    Beyond that, a lane runs Python of its own only where it has an event: a
+    breakdown, which puts its SingularityError (or the GrauertError of a
+    failed transition) in ``outcomes``, or a step out of the chart's safe
+    interior, where best_chart decides whether it changes chart. A lane whose
+    series is not finite breaks down before its step is chosen.
     """
     n = model.dim
     ch = model.chart(cid)
     k = st.leg[lanes]
     s0, u, length = st.s0[lanes, k], st.u[lanes, k], st.length[lanes, k]
-    ok, coeffs, broken = _retire_breakdowns(
-        lambda j: _taylor_series(model, cid, st.q[lanes[j]], st.p[lanes[j]],
-                                 None if st.D is None else st.D[lanes[j]], u[j], DEFAULT_ORDER),
-        len(lanes))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite series breaks down
+        ok, coeffs, broken = _retire_breakdowns(
+            lambda j: _taylor_series(model, cid, st.q[lanes[j]], st.p[lanes[j]],
+                                     None if st.D is None else st.D[lanes[j]], u[j], DEFAULT_ORDER),
+            len(lanes))
     for j, e in broken.items():
         i = lanes[j]
         outcomes[i] = st.breakdown(i, f"{e} at {st.sigma_now[i]}", st.sigma_now[i],
@@ -564,17 +568,18 @@ def _step_group(model, cid, lanes, st, outcomes, tol):
     if coeffs is None:
         return lanes[:0]
     lanes, s0, u, length = lanes[ok], s0[ok], u[ok], length[ok]
+    finite = np.isfinite(coeffs).all(axis=(1, 2, 3))
     h = _step_sizes(np.max(np.abs(coeffs[:, :, 0, :]), axis=1), tol)
     left = length - st.t_done[lanes]
     dt = np.where(left < h, left, h)
     collapsed = (dt < STEP_FLOOR) & (left > STEP_FLOOR)
-    for j in np.flatnonzero(collapsed):
-        i = lanes[j]
-        outcomes[i] = st.breakdown(
-            i, f"series step collapsed to {h[j]:.3e} at {st.sigma_now[i]}", st.sigma_now[i],
-            "step collapse")
-    if collapsed.any():
-        go = ~collapsed
+    for j in np.flatnonzero(~finite | collapsed):
+        i, s = lanes[j], st.sigma_now[lanes[j]]
+        outcomes[i] = (
+            st.breakdown(i, f"series step collapsed to {h[j]:.3e} at {s}", s, "step collapse")
+            if finite[j] else st.breakdown(i, f"non-finite series at {s}", s, "non-finite series"))
+    go = finite & ~collapsed
+    if not go.all():
         lanes, coeffs, s0, u, dt = lanes[go], coeffs[go], s0[go], u[go], dt[go]
     t_done = st.t_done[lanes]
     sigma0 = s0 + u * t_done
@@ -589,21 +594,10 @@ def _step_group(model, cid, lanes, st, outcomes, tol):
     st.min_step[lanes] = np.where(dt < st.min_step[lanes], dt, st.min_step[lanes])
     q, p = ch.wrap(state[:, :n, 0]), state[:, n:, 0]
     D = None if st.D is None else state[:, :, 1:]
-
-    def exit_sigma(j, pred):
-        # where lane j's accepted step first stops satisfying pred
-        t_ok = _last_inside(coeffs[j], dt[j], n, pred)
-        return s0[j] + u[j] * (t_done[j] - dt[j] + t_ok)
-
-    good = ch.margin_ok(q.imag)
-    for j in np.flatnonzero(~good):
-        s_ok = exit_sigma(j, lambda qq: ch.margin_ok(qq.imag))
-        outcomes[lanes[j]] = st.breakdown(
-            lanes[j], f"imaginary part left the chart margin near {s_ok}", s_ok,
-            "imaginary margin")
+    good = np.ones(len(lanes), dtype=bool)
     in_box = ch.contains_re(q.real)
     if model.has_transitions():
-        for j in np.flatnonzero(good & ~ch.in_safe_interior(q.real)):
+        for j in np.flatnonzero(~ch.in_safe_interior(q.real)):
             try:
                 best = model.best_chart(cid, q[j])
                 if best == cid:
@@ -621,7 +615,8 @@ def _step_group(model, cid, lanes, st, outcomes, tol):
             st.transitions[lanes[j]] += 1
             in_box[j] = model.chart(best).contains_re(q[j].real)
     for j in np.flatnonzero(good & ~in_box):
-        s_ok = exit_sigma(j, lambda qq: ch.contains_re(qq.real))
+        t_ok = _last_inside(coeffs[j], dt[j], n, lambda qq: ch.contains_re(qq.real))
+        s_ok = s0[j] + u[j] * (t_done[j] - dt[j] + t_ok)
         outcomes[lanes[j]] = st.breakdown(
             lanes[j], f"real part left the chart box near {s_ok}", s_ok, "chart box")
     good &= in_box
@@ -647,12 +642,12 @@ def flow_lanes(
     be given. Returns a list with one entry per lane: its
     :class:`FlowResult`, or the :class:`~grauert.errors.GrauertError` that
     ended it (a :class:`SingularityError` when its series step collapses
-    below the floor, its series meets a vanishing constant term, its state
-    leaves the chart's imaginary margin, or its real part exits the atlas; a
-    :class:`~grauert.errors.ChartDomainError` when it starts outside its
-    chart). A result keeps the lane's accepted segments as dense output, and
-    so does a SingularityError, whose segments are trustworthy up to its
-    ``last_good_sigma``.
+    below the floor, its series meets a vanishing constant term, its series
+    or its end energy is not finite, or its real part exits the atlas; a
+    :class:`~grauert.errors.ChartDomainError` when its real part starts
+    outside its chart's box). A result keeps the lane's accepted segments as
+    dense output, and so does a SingularityError, whose segments are
+    trustworthy up to its ``last_good_sigma``.
 
     Lanes run in lockstep, each with its own step size, chart and checks, so
     every lane takes the steps it would take alone. The state of the lanes
@@ -695,7 +690,14 @@ def flow_lanes(
                                   for c, g in groups])
     done = np.array([i for i in admitted if outcomes[i] is None], dtype=int)
     e1 = _energies(model, st, done)
+    finite = np.isfinite(e1)
     for i in done:
+        if not finite[i]:
+            # the metric overflows at the end: no step from there could be built
+            s = st.segments[i][-1].sigma0 if st.segments[i] else 0j
+            outcomes[i] = st.breakdown(i, f"non-finite energy at {ends[i]}", s,
+                                       "non-finite energy")
+            continue
         outcomes[i] = FlowResult(
             point=PhasePoint(st.charts[st.chart[i]], st.q[i], st.p[i]),
             sigma=ends[i],
@@ -720,8 +722,8 @@ def flow(
     A one-lane call of :func:`flow_lanes`. Exactly one of ``sigma`` (straight
     path) or ``path`` must be given. Returns a :class:`FlowResult`; raises the
     lane's :class:`SingularityError` when the series step collapses below the
-    floor, the series meets a vanishing constant term, the state leaves the
-    chart's imaginary margin, or its real part exits the atlas. The error
+    floor, the series meets a vanishing constant term, the series or the end
+    energy is not finite, or its real part exits the atlas. The error
     keeps the accepted segments, which are trustworthy up to its
     ``last_good_sigma``.
     """

@@ -6,10 +6,10 @@ the metric and its first derivative from one pass over shared intermediates.
 The inverse metric, the energy and the Christoffel symbols are derived from
 those two. Because the same code path runs on floats, complex numbers, dual
 jets, and truncated series, every evaluator is simultaneously a real
-evaluator, a holomorphic extension, and a derivative generator. Each chart
-declares how far into the imaginary directions its evaluators remain
-trustworthy (the margin); leaving the margin is a domain error, not a
-numerical accident.
+evaluator, a holomorphic extension, and a derivative generator. A chart
+bounds only the real part of its coordinates; how far a continuation may go
+into the imaginary directions is not declared but found by the flow, whose
+step rule feels the singularities of the evaluators.
 
 Index conventions used throughout, with ``g, ginv, dg = model.metric(chart, q)``:
 
@@ -49,7 +49,7 @@ SAFE_FRAC = 0.8
 
 @dataclass(frozen=True)
 class Chart:
-    """A coordinate box with per-axis periodicity and imaginary margins.
+    """A box for the real part of the coordinates, with per-axis periodicity.
 
     The checks and ``wrap`` take one point (n,) or a stack of points (..., n)
     and answer for each point.
@@ -59,7 +59,6 @@ class Chart:
     lo: np.ndarray
     hi: np.ndarray
     periodic: np.ndarray
-    margin: np.ndarray
 
     @property
     def dim(self):
@@ -78,9 +77,6 @@ class Chart:
         """Normalized distance of the real part to the box boundary (periodic axes ignored)."""
         gap = np.minimum(q_re - self.lo, self.hi - q_re) / self.width()
         return gap.min(axis=-1, where=~self.periodic, initial=1.0)
-
-    def margin_ok(self, q_im):
-        return np.all(np.abs(q_im) <= self.margin, axis=-1)
 
     def wrap(self, q):
         """Fold the real part of periodic axes back into the box; imaginary parts pass through."""
@@ -136,12 +132,6 @@ class MetricModel:
         if not ch.contains_re(q.real):
             raise ChartDomainError(
                 f"real part {q.real} outside chart {chart_id!r} box of {self.name}",
-                chart_id,
-                q,
-            )
-        if not ch.margin_ok(q.imag):
-            raise ChartDomainError(
-                f"imaginary part {q.imag} exceeds chart {chart_id!r} margin {ch.margin}",
                 chart_id,
                 q,
             )

@@ -5,7 +5,6 @@ import csv
 import importlib
 import io
 import json
-import math
 import os
 import pkgutil
 import subprocess
@@ -22,6 +21,7 @@ import grauert
 from grauert.cli import RunConfig, load_config, main
 from grauert.errors import ConfigError
 from grauert.verify import CHECK_NAMES
+from test_flow import MERIDIAN_TAU
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -105,7 +105,7 @@ CONFIG_HASHES = {
     "broken_sign": "55ba0b87741557b8",
     "default": "4c244a4a9b51da79",
     "sphere": "e6acb68a42394274",
-    "sphere_breakdown": "80711bf94ef5388e",
+    "surface_breakdown": "31bae89f94c28900",
     "surface_of_revolution": "9c215fa40bd188df",
     "tube_radius_sphere": "430d70beb3d99f05",
 }
@@ -306,14 +306,33 @@ def test_flow_waypoint_path(tmp_path):
     assert abs(float(rows[-1]["sigma_re"])) < 1e-12
 
 
-def test_flow_breakdown_exit_2_with_sidecar(tmp_path):
-    code, out = run(tmp_path, "flow", "--config", str(CONFIGS / "sphere_breakdown.ini"))
-    assert code == 2
+def read_breakdown(out):
     lines = (out / "flow_breakdown.jsonl").read_text().splitlines()
-    rec = json.loads([l for l in lines if not l.startswith("#")][0])
+    return json.loads([l for l in lines if not l.startswith("#")][0])
+
+
+def test_flow_breakdown_exit_2_with_sidecar(tmp_path):
+    code, out = run(tmp_path, "flow", "--config", str(CONFIGS / "surface_breakdown.ini"))
+    assert code == 2
+    rec = read_breakdown(out)
     assert rec["error"] == "singularity"
-    # speed-2 geodesic on the unit sphere focuses at pi/4
-    assert rec["last_good_sigma_im"] == pytest.approx(math.pi / 4, abs=0.02)
+    # the unit meridian meets the zero of g_11 at tau*
+    assert rec["reason"] == "step collapse"
+    assert rec["last_good_sigma_re"] == 0.0
+    assert abs(rec["last_good_sigma_im"] - MERIDIAN_TAU) < 1e-6
+
+
+def test_flow_non_finite_series_exit_2(tmp_path, capsys):
+    # the series overflows on the first step: one line on stderr, no table
+    path = write_ini(tmp_path, "[model]\nname = surface_of_revolution\n\n"
+                               "[grids]\nq0 = 0, 0\np0 = 1e150, 0\n\n[paths]\nsigma = 1j\n")
+    code, out = run(tmp_path, "flow", "--config", path)
+    assert code == 2
+    rec = read_breakdown(out)
+    assert rec["reason"] == "non-finite series"
+    assert (rec["last_good_sigma_re"], rec["last_good_sigma_im"]) == (0.0, 0.0)
+    assert not (out / "flow.csv").exists()
+    assert capsys.readouterr().err == "flow breakdown: non-finite series at 0j\n"
 
 
 # -- jtensor command -----------------------------------------------------------
@@ -390,14 +409,33 @@ def test_extend_constant_function_all_routes_equal(tmp_path):
 
 
 def test_extend_breakdown_is_first_failing_point(tmp_path, capsys):
-    # the points' flows run as lanes of one call; the error reported is the
-    # one a point-by-point pass meets first
-    path = write_ini(tmp_path, "[model]\nname = round_sphere\n\n[grids]\nn_points = 12\n"
-                               "seed = 3\nrho_min = 1.2\nrho_max = 2.2\nfunction = height\n")
+    # the points' series and flows run as lanes of one call per route; the
+    # error reported is the one a point-by-point pass meets first. Points 2,
+    # 6, 7 and 11 lie beyond the series' reach, and point 11's terms grow
+    # soonest
+    from grauert.catalog import catalog
+    from grauert.errors import GrauertError
+    from grauert.extend import extend_by_flow, extend_by_series, torus_trig
+    from grauert.verify import sample_tube_points
+
+    path = write_ini(tmp_path, "[model]\nname = surface_of_revolution\n\n[grids]\n"
+                               "n_points = 12\nseed = 3\nrho_min = 1.2\nrho_max = 2.2\n"
+                               "function = wave\n")
     code, _ = run(tmp_path, "extend", "--config", path)
     assert code == 2
-    assert capsys.readouterr().err == (
-        "numerical breakdown: imaginary part left the chart margin near 0.8553685031386361j\n")
+    err = capsys.readouterr().err
+
+    surf = catalog("surface_of_revolution")
+    wave = torus_trig("wave", {(1, 0): 1.0})
+    failing = []
+    for k, z in enumerate(sample_tube_points(surf, 12, 3, 1.2, 2.2)):
+        for route in (extend_by_series, extend_by_flow):
+            try:
+                route(surf, wave, z)
+            except GrauertError as e:
+                failing.append((k, str(e)))
+    assert [k for k, _ in failing] == [2, 6, 7, 11]
+    assert err == f"numerical breakdown: {failing[0][1]}\n"
 
 
 def test_extend_rejects_mismatched_function(tmp_path):
@@ -601,44 +639,39 @@ def test_every_exported_name_resolves():
 
 
 def test_verify_breakdown_is_first_failing_point_in_serial_order(tmp_path, capsys):
-    # the Nijenhuis stencils of all points run as lanes of one kernel call;
-    # the error reported is still the one of the first failing frame in the
-    # check's serial order
+    # the theta_sigma frames of all points are read from rays flowed as lanes
+    # of one kernel call; the error reported is still the one of the first
+    # failing frame in the check's serial order (point by point, then its
+    # times). On flat_space at these speeds the backward flows to the real
+    # times leave the box [-20, 20]^2: point 0 at its second time, though
+    # point 2 leaves sooner, and even at its first time
     from grauert.catalog import catalog
     from grauert.errors import SingularityError
-    from grauert.flow import PhasePoint
     from grauert.lagrangian import distribution_at
-    from grauert.verify import sample_tube_points
+    from grauert.verify import THETA_SIGMAS, sample_tube_points
 
-    path = write_ini(tmp_path, "[model]\nname = round_sphere\n\n[checks]\nnames = nijenhuis\n\n"
-                               "[grids]\nn_samples = 4\nseed = 3\nrho_min = 1.4\nrho_max = 2.2\n")
+    path = write_ini(tmp_path, "[model]\nname = flat_space\n\n[checks]\nnames = theta_sigma\n\n"
+                               "[grids]\nn_samples = 4\nseed = 3\nrho_min = 30\nrho_max = 60\n")
     code, _ = run(tmp_path, "verify", "--config", path)
     assert code == 2
     err = capsys.readouterr().err
-    assert "imaginary part left the chart margin near" in err
+    assert "real part left the chart box near" in err
     last_good = complex(err.rsplit("near ", 1)[1].strip())
-    assert abs(last_good - (-0.9820262374327805j)) < 1e-12
 
     # serial reference: a flow of its own per frame, in the check's order
-    sph = catalog("round_sphere")
-    h = 1e-3
+    flat = catalog("flat_space")
     first = None
-    for z in sample_tube_points(sph, 4, 3, 1.4, 2.2):
-        stencil = [z]
-        for j in range(4):
-            e = np.zeros(4)
-            e[j] = h
-            stencil += [PhasePoint(z.chart_id, z.q + s * e[:2], z.p + s * e[2:])
-                        for s in (2.0, 1.0, -1.0, -2.0)]
-        for w in stencil:
+    for k, z in enumerate(sample_tube_points(flat, 4, 3, 30.0, 60.0)):
+        for sigma in THETA_SIGMAS:
             try:
-                distribution_at(sph, w, 1j)
+                distribution_at(flat, z, sigma)
             except SingularityError as exc:
                 first = exc
                 break
         if first is not None:
             break
-    assert first.reason == "imaginary margin"
+    assert (k, sigma) == (0, THETA_SIGMAS[1])
+    assert first.reason == "chart box"
     assert abs(first.last_good_sigma - last_good) < 1e-12
 
 

@@ -24,6 +24,28 @@ from grauert.flow import (
     scaling_conjugation_residual,
 )
 
+
+def _meridian_singular_time():
+    """tau* = int_0^{asinh 1} sqrt(1 - sinh^2 y) dy, where a unit meridian of the surface stops.
+
+    On surface_of_revolution (r = 2 + cos u) the meridian u = 0, p = (1, 0)
+    continued toward i runs along u = i y with y' = 1 / sqrt(1 - sinh^2 y),
+    and meets the zero u = i asinh 1 of g_11 = 1 + sin^2 u at tau*. With
+    sinh y = sin t the integrand is smooth: int_0^{pi/2} cos^2 t / sqrt(1 + sin^2 t) dt.
+    """
+    x, w = np.polynomial.legendre.leggauss(40)
+    t = (x + 1.0) * math.pi / 4.0
+    return math.pi / 4.0 * float(np.sum(w * np.cos(t) ** 2 / np.sqrt(1.0 + np.sin(t) ** 2)))
+
+
+MERIDIAN_TAU = _meridian_singular_time()
+
+
+def meridian(speed):
+    """The meridian of surface_of_revolution through its widest parallel, at the given speed."""
+    return PhasePoint("main", [0.0, 0.0], [speed, 0.0])
+
+
 OMEGA4 = np.block(
     [[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]]
 ).astype(complex)
@@ -133,7 +155,7 @@ def _skew_metric(consistent=True):
         return g, dg
 
     chart = Chart(id="main", lo=np.array([-4.0, -4.0]), hi=np.array([4.0, 4.0]),
-                  periodic=np.array([False, False]), margin=np.array([np.inf, np.inf]))
+                  periodic=np.array([False, False]))
     return MetricModel("skew", 2, {}, [chart], "main", {"main": metric_fn})
 
 
@@ -382,32 +404,29 @@ def test_zero_section_jacobian_blocks():
         assert np.max(np.abs(D - expected)) < 1e-9
 
 
-def test_singularity_sphere_margin():
+def test_sphere_flows_to_i_match_the_oracle():
+    # the adapted structure of the round sphere lives on the whole tangent
+    # bundle: speed-2 flows (the equatorial one has Im phi = 2 tau) and a
+    # slower one reach sigma = i and agree with the closed-form flow
     sph = catalog("round_sphere")
-    # speed-2 equatorial geodesic: Im(phi) = 2 tau hits the pi/2 margin at tau = pi/4
-    z = PhasePoint("a", [math.pi / 2, 0.0], [0.0, 2.0])
-    with pytest.raises(SingularityError) as exc:
-        flow(sph, z, sigma=1.0j)
-    assert abs(exc.value.last_good_sigma - 1j * math.pi / 4) < 1e-6
-    # generic speed-2 direction exits a little later
-    z_mix = PhasePoint("a", [math.pi / 2, 0.0], [1.2, 1.6])
-    with pytest.raises(SingularityError) as exc2:
-        flow(sph, z_mix, sigma=1.4j)
-    assert 0.9 <= exc2.value.last_good_sigma.imag <= 1.25
-    # slower flows reach the same height without incident
-    z_slow = PhasePoint("a", [math.pi / 2, 0.0], [0.6, 0.8])
-    r = flow(sph, z_slow, sigma=1.0j)
-    assert r.diagnostics.energy_drift < 1e-10
+    for p in ([0.0, 2.0], [1.2, 1.6], [0.6, 0.8]):
+        z = PhasePoint("a", [math.pi / 2, 0.0], p)
+        r = flow(sph, z, sigma=1.0j)
+        want = PhasePoint(*sph.oracle.state_flow("a", z.q, z.p, 1.0j))
+        assert phase_residual(sph, r.point, want) < 1e-12, p
+        assert r.diagnostics.energy_drift < 1e-10
 
 
-def test_singularity_surface_margin():
+def test_singularity_surface_meridian():
+    # the step rule finds the zero of g_11 on the unit meridian's path
     m = catalog("surface_of_revolution")
-    z = PhasePoint("main", [0.0, 0.0], [1.0, 0.0])
+    z = meridian(1.0)
     with pytest.raises(SingularityError) as exc:
         flow(m, z, sigma=1.0j)
-    assert 0.3 <= exc.value.last_good_sigma.imag <= 0.75
+    assert exc.value.reason == "step collapse"
+    assert abs(exc.value.last_good_sigma - 1j * MERIDIAN_TAU) < 1e-6
     r = flow(m, z, sigma=0.5j)
-    assert abs(r.point.q[0].imag) < 0.7
+    assert abs(r.point.q[0].real) < 1e-12 and 0 < r.point.q[0].imag < math.asinh(1.0)
 
 
 def test_flat_box_exit_raises():
@@ -438,19 +457,18 @@ def test_dense_sampling():
 def test_every_flow_keeps_its_segments():
     # there is no switch for dense output: a flow that breaks down keeps its
     # accepted steps, and so do the lanes of extend's flow route
-    from grauert.extend import extend_by_flow_lanes, sphere_ambient
-    from grauert.verify import sample_tube_points
+    from grauert.extend import extend_by_flow_lanes, torus_trig
 
-    sph = catalog("round_sphere")
-    z = sample_tube_points(sph, 1, 7, 1.0, 1.0)[0]
+    surf = catalog("surface_of_revolution")
+    z = meridian(1.0)
     with pytest.raises(SingularityError) as exc:
-        flow(sph, z, sigma=-2j)
+        flow(surf, z, sigma=-2j)
     err = exc.value
-    assert err.reason == "imaginary margin"
+    assert err.reason == "step collapse"
     segs = err.segments
-    assert segs and segs[-1].t0_global < abs(err.last_good_sigma) <= segs[-1].t0_global + segs[-1].dt
-    height = sphere_ambient(sph, "height", (0.0, 0.0, 1.0))
-    (lane,) = extend_by_flow_lanes(sph, height, [z], path=SigmaPath.straight(-2j))
+    assert segs and segs[-1].t0_global + segs[-1].dt == abs(err.last_good_sigma)
+    wave = torus_trig("wave", {(1, 0): 1.0})
+    (lane,) = extend_by_flow_lanes(surf, wave, [z], path=SigmaPath.straight(-2j))
     assert isinstance(lane, SingularityError)
     assert len(lane.segments) == len(segs)
     for a, b in zip(lane.segments, segs):
@@ -518,16 +536,18 @@ def test_lanes_match_single_flows(monkeypatch):
             (PhasePoint("a", [math.pi / 2, 0.1], [-1.0, 0.05]), 2.0, "transition"),
             # still stepping in chart b when the lane above moves there
             (PhasePoint("b", [1.0, 0.3], [0.2, 0.1]), 10.0, "finished"),
-            # the dense -2i ray of test_dense_breakdown_keeps_segments: leaves
-            # the chart margin near -1.596i
-            (sample_tube_points(sph, 1, 7, 1.0, 1.0)[0], -2j, "imaginary margin"),
+            # a unit covector's imaginary ray, two units long
+            (sample_tube_points(sph, 1, 7, 1.0, 1.0)[0], -2j, "finished"),
             (PhasePoint("a", [1.2, 0.4], [0.3, 0.5]), 0.9 - 0.4j, "finished"),
             # takes 139 steps alone
             (PhasePoint("a", [1.0, 0.3], [0.4, 0.3]), 40.0, "step budget"),
             # no legs
             (PhasePoint("b", [1.0, 0.3], [0.2, 0.1]), 0.0, "finished"),
             (PhasePoint("a", [0.01, 0.0], [0.1, 0.1]), 1.0, "outside its chart"),
-            (PhasePoint("a", [1.0 + 2.0j, 0.0], [0.1, 0.1]), 1.0, "outside its chart"),
+            # far off the real slice, but inside the box
+            (PhasePoint("a", [1.0 + 2.0j, 0.0], [0.1, 0.1]), 1.0, "finished"),
+            # its last step ends at Im theta = 562, where sin(theta)^2 overflows
+            (PhasePoint("a", [1.0, 0.5], [3.0, 4.0]), 100j, "non-finite energy"),
             (PhasePoint("z", [1.0, 0.0], [0.1, 0.1]), 1.0, "outside its chart"),
         ]),
         (sph, SigmaPath.via(1.5, 1.5 + 0.5j), [
@@ -537,6 +557,9 @@ def test_lanes_match_single_flows(monkeypatch):
         (catalog("surface_of_revolution"), None, [
             (PhasePoint("main", [0.4, -1.0], [0.7, 1.1]), 1.2, "finished"),
             (PhasePoint("main", [0.1, 0.4], [0.3, -0.2]), 1j, "finished"),
+            (meridian(1.0), 1j, "step collapse"),
+            # its series overflows at once
+            (meridian(1e150), 1j, "non-finite series"),
         ]),
         (catalog("flat_torus"), None, [
             (PhasePoint("main", [0.2, -0.4], [2.0, 1.5]), 4.0 + 5.0j, "finished"),
@@ -565,10 +588,13 @@ def test_lanes_match_single_flows(monkeypatch):
             assert _outcome(lane) == outcome
         results.append(batch)
     assert {outcome for *_, lanes in batches for *_, outcome in lanes} == {
-        "finished", "transition", "imaginary margin", "chart box", "step collapse",
-        "singular series", "step budget", "outside its chart"}
-    sphere, via = results[0], results[1]
-    assert abs(sphere[2].last_good_sigma + 1.596j) < 1e-3
+        "finished", "transition", "non-finite series", "non-finite energy", "chart box",
+        "step collapse", "singular series", "step budget", "outside its chart"}
+    sphere, via, surf = results[0], results[1], results[2]
+    assert abs(surf[2].last_good_sigma - 1j * MERIDIAN_TAU) < 1e-6
+    assert surf[3].last_good_sigma == 0 and surf[3].segments == []
+    # the last good time of an overflow at the end is the start of the last step
+    assert sphere[8].last_good_sigma == sphere[8].segments[-1].sigma0
     # the sigma = 0 lane took no step; the path's lanes stepped along both legs
     assert sphere[5].diagnostics.steps == 0 and not sphere[5].segments
     assert np.array_equal(sphere[5].jacobian, np.eye(4))
@@ -602,7 +628,7 @@ def _g11_is_q0():
         return [[qs[0], z], [z, 1.0]], [[[1.0, z], [z, z]], [[z, z], [z, z]]]
 
     chart = Chart(id="main", lo=np.array([-2.0, -2.0]), hi=np.array([2.0, 2.0]),
-                  periodic=np.array([False, False]), margin=np.array([np.inf, np.inf]))
+                  periodic=np.array([False, False]))
     return MetricModel("g11_is_q0", 2, {}, [chart], "main", {"main": metric_fn})
 
 
@@ -638,6 +664,24 @@ def test_step_collapse_retires_one_lane():
     assert abs(broken.last_good_sigma - 5.0 / 6.0) < 1e-3
     assert broken.segments
     _assert_same_flow(finished, flow(model, sibling, sigma=5.0, variational=True))
+
+
+def test_non_finite_series_retires_one_lane():
+    # at speed 1e150 the series overflows on its first step: the lane breaks
+    # down there, and no lane of its batch ends on a non-finite state
+    surf = catalog("surface_of_revolution")
+    good = [PhasePoint("main", [0.4, -1.0], [0.7, 1.1]), meridian(0.5)]
+    points = [good[0], meridian(1e150), good[1], PhasePoint("main", [0.0, 0.0], [np.nan, 0.0])]
+    for variational in (False, True):
+        first, broken, last, nan = flow_lanes(surf, points, sigma=1j, variational=variational)
+        for lane in (broken, nan):
+            assert isinstance(lane, SingularityError)
+            assert lane.reason == "non-finite series"
+            assert lane.last_good_sigma == 0 and lane.segments == []
+        for lane, z in ((first, good[0]), (last, good[1])):
+            _assert_same_flow(lane, flow(surf, z, sigma=1j, variational=variational))
+            assert np.isfinite(lane.point.q).all() and np.isfinite(lane.point.p).all()
+            assert lane.jacobian is None or np.isfinite(lane.jacobian).all()
 
 
 def test_step_budget_keeps_accepted_segments(monkeypatch):
@@ -693,11 +737,10 @@ def test_step_sizes_are_scalar_powers(monkeypatch):
 
 
 def test_exit_point_is_that_of_bisection_on_eval_poly(monkeypatch):
-    # a lane that leaves its margin or box is localized by 50 halvings of its
-    # last step, its q summed on Python complex numbers; halving with
-    # eval_poly is the reference, to the bit
+    # a lane that leaves its box is localized by 50 halvings of its last
+    # step, its q summed on Python complex numbers; halving with eval_poly is
+    # the reference, to the bit
     from grauert.jets import eval_poly
-    from grauert.verify import sample_tube_points
 
     def halving(coeffs, dt, n, pred):
         q_of = lambda t: eval_poly(coeffs[:n, 0, :], t)
@@ -712,15 +755,16 @@ def test_exit_point_is_that_of_bisection_on_eval_poly(monkeypatch):
                 hi = mid
         return lo
 
-    sph = catalog("round_sphere")
+    flat = catalog("flat_space")
     cases = [
-        (sph, sample_tube_points(sph, 1, 7, 1.0, 1.0)[0], -2j),
-        (catalog("surface_of_revolution"), PhasePoint("main", [0.0, 0.0], [1.0, 0.0]), 1j),
-        (catalog("flat_space"), PhasePoint("main", [0.0, 0.0], [3.0, 4.0]), 6.0),
+        (flat, PhasePoint("main", [0.0, 0.0], [3.0, 4.0]), 6.0),
+        (flat, PhasePoint("main", [1.0, -1.0], [0.5, 2.0]), 20.0 + 5.0j),
+        # q0 grows along a curved path until it leaves the box at q0 = 2
+        (_g11_is_q0(), PhasePoint("main", [1.0, 0.0], [0.5, 0.0]), 20.0),
     ]
     exits = lambda: [flow_lanes(m, [z], sigma=s)[0] for m, z, s in cases]
     fast = exits()
     monkeypatch.setattr(flow_module, "_last_inside", halving)
     reference = exits()
-    assert [e.reason for e in fast] == ["imaginary margin"] * 2 + ["chart box"]
+    assert [e.reason for e in fast] == ["chart box"] * 3
     assert [e.last_good_sigma for e in fast] == [e.last_good_sigma for e in reference]

@@ -30,6 +30,7 @@ from grauert.lagrangian import (
     vertical_frame,
 )
 from grauert.verify import sample_tube_points
+from test_flow import MERIDIAN_TAU, meridian
 
 J0 = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]]).astype(complex)
 OMEGA4 = symplectic_form_matrix(2)
@@ -221,21 +222,27 @@ def test_frame_rays_match_fresh_frames():
             assert charts == {"a", "b"}
     assert np.max(np.abs(rays.at(0.0) - vertical_frame(2))) == 0.0
 
-    # past the imaginary ray's breakdown the reader fails as a fresh flow does
-    far = FrameRays(sph, [z], [2.0j])
-    f_dense = f_matrix_from_frame(L, far.at(1.55j))
-    f_fresh = f_matrix_from_frame(L, fresh(1.55j))
-    assert np.max(np.abs(f_dense - f_fresh)) < 1e-9
+    # past the imaginary ray's breakdown the reader fails as a fresh flow
+    # does: the unit meridian of the surface stops at -i tau*
+    surf, m = catalog("surface_of_revolution"), meridian(1.0)
+
+    def fresh_surf(sigma):
+        back = flow(surf, m, sigma=-sigma, variational=True)
+        return np.linalg.solve(back.jacobian, vertical_frame(2))
+
+    far = FrameRays(surf, [m], [2.0j])
+    assert np.max(np.abs(far.at(0.65j) - fresh_surf(0.65j))) < 1e-9
     with pytest.raises(SingularityError) as fresh_exc:
-        fresh(1.7j)
+        fresh_surf(0.8j)
     with pytest.raises(SingularityError) as dense_exc:
-        far.at(1.7j)
+        far.at(0.8j)
     with pytest.raises(SingularityError) as single_exc:
-        distribution_at(sph, z, 1.7j)
+        distribution_at(surf, m, 0.8j)
     assert single_exc.value.reason == fresh_exc.value.reason
     assert single_exc.value.last_good_sigma == fresh_exc.value.last_good_sigma
-    assert dense_exc.value.reason == fresh_exc.value.reason == "imaginary margin"
+    assert dense_exc.value.reason == fresh_exc.value.reason == "step collapse"
     assert abs(dense_exc.value.last_good_sigma - fresh_exc.value.last_good_sigma) < 1e-9
+    assert abs(fresh_exc.value.last_good_sigma + 1j * MERIDIAN_TAU) < 1e-6
 
 
 def test_frame_rays_read_the_rays_of_their_times():
@@ -268,18 +275,18 @@ def test_frame_of_a_point_outside_its_chart():
 
 
 def test_dense_breakdown_keeps_segments():
-    sph = catalog("round_sphere")
-    z = sample_tube_points(sph, 1, 7, 1.0, 1.0)[0]
+    surf = catalog("surface_of_revolution")
     with pytest.raises(SingularityError) as exc:
-        flow(sph, z, sigma=-2j, variational=True)
+        flow(surf, meridian(1.0), sigma=-2j, variational=True)
     err = exc.value
-    assert abs(err.last_good_sigma + 1.596j) < 1e-3
+    assert err.reason == "step collapse"
+    assert abs(err.last_good_sigma + 1j * MERIDIAN_TAU) < 1e-6
     segs = err.segments
     assert segs and segs[0].t0_global == 0.0
     for a, b in zip(segs, segs[1:]):
         assert abs(a.t0_global + a.dt - b.t0_global) < 1e-14
-    # the accepted steps reach the last good time, the last one straddles it
-    assert segs[-1].t0_global < abs(err.last_good_sigma) <= segs[-1].t0_global + segs[-1].dt
+    # the accepted steps reach the last good time: the step after it collapsed
+    assert abs(segs[-1].t0_global + segs[-1].dt - abs(err.last_good_sigma)) < 1e-14
 
 
 def test_rank_deficient_lift_basis_is_a_degenerate_frame():
@@ -345,25 +352,27 @@ def test_stacked_reads_equal_scalar_reads():
 
 
 def test_stacked_read_raises_its_first_failing_read():
-    # a healthy ray, a ray past its breakdown near 1.596 i and a point outside
-    # its chart: the error raised is that of the first failing read in order
-    sph = catalog("round_sphere")
-    z7 = sample_tube_points(sph, 1, 7, 1.0, 1.0)[0]
-    healthy = PhasePoint("a", [1.2, 0.3], [0.2, 0.3])
-    outside = PhasePoint("a", [3.5, 0.3], [0.2, 0.3])
-    rays = FrameRays(sph, [healthy, z7, outside], [2.0j])
+    # a healthy ray, a ray past its breakdown at the meridian's tau* and a
+    # point in no chart: the error raised is that of the first failing read
+    # in order
+    surf = catalog("surface_of_revolution")
+    healthy = PhasePoint("main", [0.4, -1.0], [0.2, 0.3])
+    outside = PhasePoint("b", [0.4, -1.0], [0.2, 0.3])
+    rays = FrameRays(surf, [healthy, meridian(1.0), outside], [2.0j])
     with pytest.raises(SingularityError) as past:
-        FrameRays(sph, [z7], [2.0j]).at(1.7j)
-    for sigmas, ks, error in (([1.0j, 1.7j, 1.0j], [0, 1, 2], SingularityError),
-                              ([1.0j, 1.0j, 1.7j], [0, 2, 1], ChartDomainError),
-                              ([1.7j, 1.0j], [1, 2], SingularityError)):
+        FrameRays(surf, [meridian(1.0)], [2.0j]).at(0.8j)
+    for sigmas, ks, error in (([1.0j, 0.8j, 1.0j], [0, 1, 2], SingularityError),
+                              ([1.0j, 1.0j, 0.8j], [0, 2, 1], ChartDomainError),
+                              ([0.8j, 1.0j], [1, 2], SingularityError)):
         for read in (rays.at, rays.jacobian):
             with pytest.raises(error) as exc:
                 read(sigmas, ks)
             if error is SingularityError:
-                assert exc.value.reason == past.value.reason == "imaginary margin"
+                assert exc.value.reason == past.value.reason == "step collapse"
                 assert exc.value.last_good_sigma == past.value.last_good_sigma
-    assert rays.at([1.5j, 1.55j, 0.0], [1, 1, 2]).shape == (3, 4, 2)
+    assert rays.at([0.6j, 0.65j, 0.0], [1, 1, 2]).shape == (3, 4, 2)
+    sph = catalog("round_sphere")
+    healthy = PhasePoint("a", [1.2, 0.3], [0.2, 0.3])
 
     # J of a stack: the first frame that meets its conjugate
     frames = FrameRays(sph, [healthy], [1j, 0.6, 0.3])

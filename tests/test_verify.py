@@ -14,6 +14,7 @@ from grauert.flow import PhasePoint, flow_lanes
 from grauert.geometry import metric_matrix
 from grauert.lagrangian import FrameRays, distribution_at, j_tensor_from_frame
 from grauert import jacobi, verify
+from test_flow import MERIDIAN_TAU, meridian
 from grauert.verify import (
     check_adaptedness,
     check_involution,
@@ -201,23 +202,27 @@ def test_adaptedness_covers_the_nodes_off_sigma_0(name):
     assert rep.max_residual <= 1e-12, rep.to_record()
 
 
-def test_adaptedness_raises_the_first_failing_node_breakdown(sphere):
-    # at |p| near 5 the nodes of |tau| = 0.4 leave the imaginary margin on
-    # their backward flow to -i; the error raised is the first failing node's
-    # in covector-major order, after a covector whose nodes all work
-    covs = sample_tube_points(sphere, 1, 3, 1.0, 1.0) + sample_tube_points(sphere, 4, 3, 4.5, 5.5)
+def test_adaptedness_raises_the_first_failing_node_breakdown(surfrev):
+    # a node (q, tau p) of a surface meridian whose speed |tau p| exceeds
+    # tau* stops on its backward flow to -i, at -i tau* / |tau p|; the error
+    # raised is the first failing node's in covector-major order, after a
+    # covector whose nodes all work, though the last covector's nodes stop
+    # sooner
+    covs = sample_tube_points(surfrev, 1, 3, 1.0, 1.0) + [meridian(2.0), meridian(3.0)]
     with pytest.raises(SingularityError) as exc:
-        check_adaptedness(*adaptedness_inputs(sphere, covs))
+        check_adaptedness(*adaptedness_inputs(surfrev, covs))
     first = None
     for k, w in enumerate(strip_nodes(covs)):
         try:
-            distribution_at(sphere, w, 1j)
+            distribution_at(surfrev, w, 1j)
         except SingularityError as e:
             first = e
             break
-    assert k >= len(verify.STRIP_TAUS)
-    assert exc.value.reason == first.reason == "imaginary margin"
+    assert k == len(verify.STRIP_TAUS)
+    assert exc.value.reason == first.reason == "step collapse"
     assert abs(exc.value.last_good_sigma - first.last_good_sigma) < 1e-12
+    speed = 2.0 * abs(verify.STRIP_TAUS[0])
+    assert abs(first.last_good_sigma + 1j * MERIDIAN_TAU / speed) < 1e-6
 
 
 def test_adaptedness_at_roundoff(sphere, surfrev):
@@ -399,24 +404,23 @@ def test_tube_radius_sphere_conjugate_point(sphere):
     assert est.monotone
     assert est.pade_nearest_pole is not None
     assert abs(est.pade_nearest_pole - HALF_PI) < 0.05
-    # imaginary-axis notions are bounded by what the atlas certifies, but
-    # must stay positive and below the cap on the sphere
-    assert 0.5 < est.radius_transversality < 2.0
-    assert 0.5 < est.radius_positivity < 2.0
-    assert not est.capped["transversality"]
+    # the spreading matrix f(i tau) = diag(i tau, i tanh tau) is transverse
+    # and positive for every tau: both radii reach the cap
+    assert est.radius_transversality == est.radius_positivity == 2.0
+    assert est.capped["transversality"] and est.capped["positivity"]
 
 
 def test_tube_radius_by_fresh_frames(sphere, monkeypatch, kernel_calls):
-    # independent route: fresh backward flows, one per frame, at the reported
-    # transversality radius and one resolution beyond it
+    # independent route: fresh backward flows, one per frame, out to the
+    # reported transversality radius
     est = estimate_tube_radius(sphere, n_directions=1, seed=5, sweep_cap=2.0,
                                resolution=1e-3)
     assert sum(kernel_calls) <= 4
     monkeypatch.undo()
 
-    # this direction's imaginary-time flow leaves the chart margin first
+    # the frame is transverse for every tau, so the radius is the cap
     r = est.radius_transversality
-    assert abs(r - 1.5149) < 1e-3
+    assert r == 2.0 and est.capped["transversality"]
     z = sample_tube_points(sphere, 1, 5, 1.0, 1.0)[0]
 
     def transversal(tau):
@@ -426,8 +430,7 @@ def test_tube_radius_by_fresh_frames(sphere, monkeypatch, kernel_calls):
         except GrauertError:
             return False
 
-    assert transversal(r)
-    assert not transversal(r + 1e-3)
+    assert all(transversal(tau) for tau in np.linspace(0.25, r, 8))
     assert est.radius_positivity == r
 
 
