@@ -33,8 +33,9 @@ Exit codes: 0 success, 1 a verification check failed, 2 numerical breakdown
 flow_breakdown.jsonl), 3 configuration error (including a number that is
 nan or infinite, an output directory that cannot be created, a sweep_cap
 above 500, whose scan would read a frame every 0.05 out to it, a model
-scale whose square is zero or infinite, and a start point whose energy is
-not finite), 4 internal error (an exception the toolkit does not diagnose;
+scale whose square is zero or infinite, a start point whose energy is not
+finite, and a sampling command on a model of dim above 10, whose 2 dim + 1
+Sobol coordinates pass the sampler's 21), 4 internal error (an exception the toolkit does not diagnose;
 reported on one line of stderr).
 """
 

@@ -23,12 +23,7 @@ by point, and no route is merged into another.
 
 Pairwise agreement of the routes is the practical certificate that the
 extension exists at the sampled points; ``crosscheck`` packages that for a
-batch of points. The module also carries derivative bookkeeping that the
-tests run (the verification battery calls none of it): fiber homogeneity of
-the flow-derivative coefficients, a slow finite-difference oracle for the
-first few of them, strip identities for the continued exponential, and
-holomorphy residuals of the extended values against a computed complex
-structure.
+batch of points.
 
 Functions are declared, not sniffed: the constructors build evaluators from
 structured coefficient data (trigonometric frequency tables, ambient linear
@@ -40,7 +35,6 @@ which it holds as its ``margin``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Mapping
@@ -50,12 +44,10 @@ import numpy as np
 from . import jets
 from .errors import ChartDomainError, DivergenceError, GrauertError, SingularityError
 from .errors import UnsupportedModelError
-from .flow import DEFAULT_TOL, STENCIL, PhasePoint, SigmaPath, diff5, flow, flow_lanes
-from .flow import hamiltonian_vector_field, lane_result, stencil_points
+from .flow import DEFAULT_TOL, SigmaPath, flow_lanes, lane_result
 from .flow import _admit, _retire_breakdowns, _taylor_series
 from .geometry import metric_inv_matrix
 from .jets import Jet, value
-from .lagrangian import FrameRays, j_tensor_from_frame
 
 __all__ = [
     "BaseFunction",
@@ -68,11 +60,6 @@ __all__ = [
     "extend_by_flow_lanes",
     "extend_by_exp",
     "crosscheck",
-    "flow_derivative_coefficients",
-    "nested_flow_derivative_fd",
-    "homogeneity_residuals",
-    "strip_identity_residual",
-    "holomorphy_residual",
 ]
 
 DEFAULT_MAX_TERMS = 40
@@ -159,9 +146,10 @@ def _series_coefficients(model, f, points, max_terms):
 
     Returns one entry per point: its coefficients, or the GrauertError that
     ended its lane (a ChartDomainError when the point lies outside its chart,
-    a SingularityError when its series meets a vanishing constant term). The
-    points of each chart build their series with one ``_taylor_series`` call,
-    and ``f.chart_eval`` runs once on their lane jets, a single lane too.
+    a SingularityError when its series meets a vanishing constant term or
+    its state or value series is not finite). The points of each chart build
+    their series with one ``_taylor_series`` call, and ``f.chart_eval`` runs
+    once on their lane jets, a single lane too.
     """
     groups, errors = _admit(model, points)
     out = [errors.get(i) for i in range(len(points))]
@@ -178,14 +166,18 @@ def _series_coefficients(model, f, points, max_terms):
                 a[:] = val.c[..., 0, :]
             else:
                 a[:, 0] = complex(val)
-            return a
+            return a, np.isfinite(coeffs).all(axis=(1, 2, 3)) & np.isfinite(a).all(axis=1)
 
-        ok, a, broken = _retire_breakdowns(build, len(idx))
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite series breaks down
+            ok, built, broken = _retire_breakdowns(build, len(idx))
         for j, e in broken.items():
             out[idx[j]] = SingularityError(f"{f.name}: {e} at 0", last_good_sigma=0j,
                                            reason="singular series")
-        for j, row in zip(ok, () if a is None else a):
-            out[idx[j]] = row
+        a, finite = ((), ()) if built is None else built
+        for j, row, fin in zip(ok, a, finite):
+            out[idx[j]] = row if fin else SingularityError(
+                f"{f.name}: non-finite series at 0", last_good_sigma=0j,
+                reason="non-finite series")
     return out
 
 
@@ -257,7 +249,7 @@ def extend_by_series(model, f, z):
     past order 10: with complex or paired singularities the magnitudes
     oscillate while growing, so record highs are the robust growth signal
     rather than consecutive increases. Raises a :class:`SingularityError`
-    when the series meets a vanishing constant term.
+    when the series meets a vanishing constant term or is not finite.
     """
     return lane_result(extend_by_series_lanes(model, f, [z])[0])
 
@@ -358,116 +350,3 @@ def crosscheck(model, f, points, tol=DEFAULT_TOL):
             "max_deviation": max(pairwise.values()),
         })
     return reports
-
-
-def _derivatives(a, max_order):
-    return np.array([math.factorial(k) * a[k] for k in range(max_order + 1)])
-
-
-def flow_derivative_coefficients(model, f, z, max_order):
-    """k-fold derivatives of f along the energy field, k = 0..max_order.
-
-    These are k! times the flow-parameter Taylor coefficients; degree-k
-    fiber homogeneity in the momentum is their structural invariant.
-    """
-    return _derivatives(lane_result(_series_coefficients(model, f, [z], max_order)[0]), max_order)
-
-
-def nested_flow_derivative_fd(model, f, z, k, h=0.05):
-    """Slow oracle for the k-fold derivative along the energy field.
-
-    Recursive five-point differencing of the directional derivative; each
-    nesting level costs a factor of the stencil size and loses accuracy, so
-    this is only worth comparing for small k.
-    """
-    cid = z.chart_id
-    n = model.dim
-    fn = f.chart_fns[cid]
-    basis = np.eye(n)
-
-    def make(level):
-        if level == 0:
-            return lambda q, p: complex(value(fn(list(q))))
-        inner = make(level - 1)
-
-        def out(q, p):
-            dq, dp = hamiltonian_vector_field(model, cid, list(q), list(p))
-            acc = 0.0 + 0.0j
-            for j in range(n):
-                ej = basis[j]
-                acc += complex(value(dq[j])) * diff5([inner(q + t * h * ej, p)
-                                                      for t in STENCIL], h)
-                acc += complex(value(dp[j])) * diff5([inner(q, p + t * h * ej)
-                                                      for t in STENCIL], h)
-            return acc
-
-        return out
-
-    return make(k)(np.asarray(z.q, dtype=complex), np.asarray(z.p, dtype=complex))
-
-
-def homogeneity_residuals(model, f, z, c, max_order=8):
-    """Relative defect of degree-k momentum homogeneity for each derivative order."""
-    scaled = PhasePoint(z.chart_id, z.q, c * z.p)
-    base, sc = (_derivatives(lane_result(a), max_order)
-                for a in _series_coefficients(model, f, [z, scaled], max_order))
-    out = np.empty(max_order + 1)
-    for k in range(max_order + 1):
-        want = (c**k) * base[k]
-        out[k] = abs(sc[k] - want) / max(1.0, abs(want))
-    return out
-
-
-def strip_identity_residual(model, z, sigma, tau):
-    """Continued exponential at sigma + i tau vs the strip point it must equal.
-
-    The left side continues the exponential map of the initial velocity to the
-    complex parameter directly; the right side flows for real time sigma
-    first, then continues by i tau from the transported base point. Both land
-    in the model's complexified ambient coordinates.
-    """
-    orc = model.oracle
-    if orc is None or not hasattr(orc, "exp_complex"):
-        raise UnsupportedModelError(f"{model.name} has no closed-form exponential map")
-    cid = z.chart_id
-    q = model.chart(cid).wrap(z.q)
-    v = metric_inv_matrix(model, cid, q) @ z.p
-    left = np.asarray(orc.exp_complex(cid, q, (sigma + 1j * tau) * v))
-    moved = flow(model, z, sigma=float(sigma)).point
-    v2 = metric_inv_matrix(model, moved.chart_id, moved.q) @ moved.p
-    right = np.asarray(orc.exp_complex(moved.chart_id, moved.q, 1j * tau * v2))
-    return float(np.max(np.abs(left - right)))
-
-
-def holomorphy_residual(model, f, points, h=1e-4, method="flow",
-                        max_terms=DEFAULT_MAX_TERMS, tol=DEFAULT_TOL):
-    """Max defect of (X + iJX) applied to the extended values over sample points.
-
-    X runs over the coordinate tangent basis of the phase space; derivatives
-    of the extension are five-point central differences with step h, and J is
-    computed at each point from the continued vertical distribution. Zero up
-    to differencing error certifies the extension is holomorphic for the
-    computed structure. The frames of all points come from one
-    :class:`~grauert.lagrangian.FrameRays`, and the stencil points of all
-    points run as lanes of one call of the chosen route; errors are raised
-    in the order a point-by-point pass meets them.
-    """
-    if method == "series":
-        route = lambda pts: extend_by_series_lanes(model, f, pts, max_terms=max_terms)
-    elif method == "flow":
-        route = lambda pts: extend_by_flow_lanes(model, f, pts, tol=tol)
-    else:
-        raise ValueError("method must be 'series' or 'flow'")
-    n = model.dim
-    values = iter(route([w for z in points for w in stencil_points(z, h)]))
-    frames = FrameRays(model, points, [1j], tol=tol)
-    worst = 0.0
-    for k in range(len(points)):
-        J = j_tensor_from_frame(frames.at(1j, k))
-        grad = np.zeros(2 * n, dtype=complex)
-        for a in range(2 * n):
-            grad[a] = diff5([lane_result(next(values)).value for _ in STENCIL], h)
-        for a in range(2 * n):
-            resid = abs(grad[a] + 1j * (grad @ J[:, a]))
-            worst = max(worst, resid)
-    return worst

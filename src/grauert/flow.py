@@ -68,9 +68,6 @@ __all__ = [
     "flow",
     "flow_lanes",
     "lane_result",
-    "phase_residual",
-    "flow_group_residual",
-    "scaling_conjugation_residual",
 ]
 
 STEP_FLOOR = 1e-8
@@ -737,36 +734,3 @@ def lane_result(out):
     if isinstance(out, Exception):
         raise out
     return out
-
-
-def phase_residual(model, a, b):
-    """Sup distance between two phase points, transitioning b into a's chart if needed."""
-    if a.chart_id != b.chart_id:
-        qb, pb, _ = transition_phase(model, b.chart_id, a.chart_id, b.q, b.p)
-    else:
-        qb, pb = b.q, b.p
-    ch = model.chart(a.chart_id)
-    dq = a.q - qb
-    for i in range(ch.dim):
-        if ch.periodic[i]:
-            w = ch.hi[i] - ch.lo[i]
-            re = (dq[i].real + w / 2.0) % w - w / 2.0
-            dq[i] = re + 1j * dq[i].imag
-    return float(max(np.max(np.abs(dq)), np.max(np.abs(a.p - pb))))
-
-
-def flow_group_residual(model, point, s1, s2, **kw):
-    """Deviation of flowing s1 then s2 from flowing s1 + s2 directly."""
-    mid = flow(model, point, sigma=s1, **kw)
-    two = flow(model, mid.point, sigma=s2, **kw)
-    direct = flow(model, point, sigma=s1 + s2, **kw)
-    return phase_residual(model, direct.point, two.point)
-
-
-def scaling_conjugation_residual(model, point, c, sigma, **kw):
-    """Fiber dilation by c > 0 conjugates time-sigma flow into time-(c sigma) flow."""
-    scaled = PhasePoint(point.chart_id, point.q, c * point.p)
-    left = flow(model, scaled, sigma=sigma, **kw).point
-    right = flow(model, point, sigma=c * sigma, **kw).point
-    right_scaled = PhasePoint(right.chart_id, right.q, c * right.p)
-    return phase_residual(model, left, right_scaled)

@@ -14,26 +14,16 @@ eigenvalues of a deflated arrowhead matrix polished by Newton steps on the
 fit's denominator. The pole scan polishes its roots with a plain-float
 port of scipy's ``brentq``.
 
-Two independent extraction routes are provided. ``f_samples`` reuses the
-backward-flow frame: it reads a point of a :class:`~grauert.lagrangian.FrameRays`
-built by the caller for the times it will sample, so every frame comes from
-one dense backward flow per ray of times, and all its samples are one
-stacked read (one polynomial evaluation and one linear solve for the
-stack). The rational continuation samples through it, the pole scan reads
-each direction's grid in such stacks, and only the scan's root polishing
-reads one frame at a time; each reader builds the lifted basis
-of its point once (:func:`~grauert.lagrangian.lifted_basis`) for all its
-frames.
-``f_by_jacobi_transport`` instead integrates the parallel-transport equation
-with an off-the-shelf ODE solver, seeds the vertical lifts of the transported
-frame at the backward point, and pushes them forward with a second
-variational flow; no jacobian is ever inverted. Agreement of the two is a
-strong end-to-end test of the variational machinery; the tests run it, and
-``tube-radius`` does not.
-
-scipy (the ODE solver of the transport route) is imported inside the
-function that uses it, so importing this module, and ``tube-radius``, load
-numpy alone.
+``f_samples`` takes the spreading matrix from the backward-flow frame: it
+reads a point of a :class:`~grauert.lagrangian.FrameRays` built by the
+caller for the times it will sample, so every frame comes from one dense
+backward flow per ray of times, and all its samples are one stacked read
+(one polynomial evaluation and one linear solve for the stack). The
+rational continuation samples through it, the pole scan reads each
+direction's grid in such stacks, and only the scan's root polishing reads
+one frame at a time; each reader builds the lifted basis of its point once
+(:func:`~grauert.lagrangian.lifted_basis`) for all its frames. The module
+loads numpy alone.
 """
 
 from __future__ import annotations
@@ -47,24 +37,13 @@ from .errors import (
     PadeDegeneracyError,
     SingularityError,
 )
-from .flow import flow, hamiltonian_vector_field, segment_at
-from .geometry import christoffel
-from .lagrangian import (
-    VERTICAL_COND_LIMIT,
-    f_matrix_from_frame,
-    j_tensor_from_frame,
-    lift_coefficients,
-    lifted_basis,
-    orthonormal_tangent_basis,
-)
+from .lagrangian import VERTICAL_COND_LIMIT, lift_coefficients, lifted_basis
 
 __all__ = [
     "f_samples",
-    "f_by_jacobi_transport",
     "first_f_singularity",
     "rational_continuation",
     "continue_f_to_i",
-    "j_tensor_from_f",
 ]
 
 
@@ -93,71 +72,6 @@ def f_samples(frames, k, taus):
         tau = taus[poles.argmax()]
         raise ConjugatePointError(f"spreading matrix pole at real time {tau}", sigma=tau)
     return b @ np.linalg.inv(c)
-
-
-def _parallel_transport(model, geo, V0, tau):
-    """Transport the columns of V0 along the dense real geodesic to time tau."""
-    from scipy.integrate import solve_ivp
-
-    n = model.dim
-    segs = geo.segments
-    cid = segs[0].chart_id
-    for s in segs[1:]:
-        if s.chart_id != cid:
-            raise SingularityError(
-                "parallel transport across chart transitions is not supported here",
-                reason="chart transition",
-            )
-
-    def q_of(t):
-        seg, t_local = segment_at(segs, t)
-        return seg.state_at(t_local)
-
-    sgn = geo.sigma.real / abs(geo.sigma.real)
-
-    def rhs(t, y):
-        q, p = q_of(t)
-        G = christoffel(model, cid, list(q))
-        v, _ = hamiltonian_vector_field(model, cid, list(q), list(p))
-        V = y.reshape(2, n, n)  # real and imaginary parts stacked
-        Vc = V[0] + 1j * V[1]
-        out = np.empty_like(Vc)
-        for col in range(n):
-            for i in range(n):
-                out[i, col] = -sgn * sum(
-                    G[i][j][k] * v[j] * Vc[k, col] for j in range(n) for k in range(n)
-                )
-        return np.concatenate([out.real.ravel(), out.imag.ravel()])
-
-    y0 = np.concatenate([V0.real.ravel(), V0.imag.ravel()])
-    T = abs(tau)
-    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=1e-12, atol=1e-13)
-    y = sol.y[:, -1].reshape(2, n, n)
-    return y[0] + 1j * y[1]
-
-
-def f_by_jacobi_transport(model, z, tau):
-    """Spreading matrix at real time tau without inverting any flow jacobian.
-
-    Flows backward (state only, dense), parallel-transports the momentum-led
-    basis to the backward point with an independent ODE solver, seeds its
-    vertical lifts there, flows them forward variationally, and reads the
-    slope at z.
-    """
-    if tau == 0:
-        return np.zeros((model.dim, model.dim), dtype=complex)
-    n = model.dim
-    basis = orthonormal_tangent_basis(model, z.chart_id, z.q, z.p)
-    back = flow(model, z, sigma=-complex(tau))
-    w = back.point
-    V_w = _parallel_transport(model, back, basis, -tau)
-    Eta_w = lifted_basis(model, w, V_w)[:, n:]
-    fwd = flow(model, w, sigma=complex(tau), variational=True)
-    if fwd.point.chart_id != z.chart_id:
-        raise SingularityError(
-            "forward leg did not return to the base chart", reason="chart transition"
-        )
-    return f_matrix_from_frame(lifted_basis(model, z, basis), fwd.jacobian @ Eta_w)
 
 
 # the pole scan reads its grid in stacks of this many times, so a pole near 0
@@ -430,14 +344,3 @@ def continue_f_to_i(frames, k, window):
             f_i[a, b], x_poles = rational_continuation(_NODES, fs[:, a, b], 1j / window)
             poles[(a, b)] = window * x_poles
     return f_i, {"poles": poles, "taus": taus}
-
-
-def j_tensor_from_f(model, z, f):
-    """Real structure tensor rebuilt from a spreading matrix at z.
-
-    Columns Xi f + Eta of the lifted basis frame span the distribution the
-    spreading matrix encodes; the tensor then follows as for any frame.
-    """
-    L = lifted_basis(model, z)
-    n = model.dim
-    return j_tensor_from_frame(L[:, :n] @ f + L[:, n:])

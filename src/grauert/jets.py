@@ -45,8 +45,6 @@ __all__ = [
     "Jet",
     "SeriesBreakdown",
     "value",
-    "constant",
-    "variable",
     "sincos",
     "exp",
     "log",
@@ -294,21 +292,7 @@ def _sqrt_series(f):
     return s.reshape(shape)
 
 
-# -- constructors and accessors ------------------------------------------
-
-
-def constant(x, L=1):
-    c = np.zeros((1, L), dtype=complex)
-    c[0, 0] = x
-    return Jet(c)
-
-
-def variable(x, channel, n_channels):
-    """Dual-seeded scalar: value x, unit sensitivity in one channel."""
-    c = np.zeros((1 + n_channels, 1), dtype=complex)
-    c[0, 0] = x
-    c[1 + channel, 0] = 1.0
-    return Jet(c)
+# -- accessors --------------------------------------------------------------
 
 
 def value(x):

@@ -33,15 +33,13 @@ bit for bit from the same configuration.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 from dataclasses import asdict, dataclass
 from functools import cache, partial
-from pathlib import Path
 
 import numpy as np
 
-from .errors import GrauertError
+from .errors import GrauertError, InvalidParamsError
 from .flow import (
     MAX_STEPS,
     PhasePoint,
@@ -78,7 +76,6 @@ __all__ = [
     "strip_nodes",
     "estimate_tube_radius",
     "run_battery",
-    "tightening_comparison",
     "DEFAULT_TOLERANCES",
 ]
 
@@ -184,24 +181,50 @@ def _report(model, check, residuals, tolerance):
 
 
 _SOBOL_BITS = 30
+# the first rows of Joe and Kuo's direction-number table (new-joe-kuo-6.21201,
+# as scipy.stats.qmc ships it): a primitive polynomial, bit i the coefficient
+# of x^i, then the initial direction numbers m_1 .. m_deg of its degree deg
+_JOE_KUO = (
+    (1, 1),
+    (3, 1),
+    (7, 1, 3),
+    (11, 1, 3, 1),
+    (13, 1, 1, 1),
+    (19, 1, 1, 3, 3),
+    (25, 1, 3, 5, 13),
+    (37, 1, 1, 5, 5, 17),
+    (41, 1, 1, 5, 5, 5),
+    (47, 1, 1, 7, 11, 19),
+    (55, 1, 1, 5, 1, 1),
+    (59, 1, 1, 1, 3, 11),
+    (61, 1, 3, 5, 5, 31),
+    (67, 1, 3, 3, 9, 7, 49),
+    (91, 1, 1, 1, 15, 21, 21),
+    (97, 1, 3, 1, 13, 27, 49),
+    (103, 1, 1, 1, 15, 7, 5),
+    (109, 1, 3, 1, 15, 13, 25),
+    (115, 1, 1, 5, 5, 19, 61),
+    (131, 1, 3, 7, 11, 23, 15, 103),
+    (137, 1, 3, 7, 13, 13, 15, 69),
+)
 
 
 @cache
 def _sobol_directions(d):
     """Unscrambled Sobol direction numbers of the first d dimensions, (d, 30) uint32.
 
-    Joe-Kuo primitive polynomials and initial numbers from the table scipy
-    ships with ``scipy.stats.qmc``, found without importing ``scipy.stats``;
-    column j is direction number j scaled by 2^(29 - j).
+    From the Joe-Kuo rows in ``_JOE_KUO``, so d is at most 21 (a model of
+    dim <= 10); :class:`InvalidParamsError` above that. Column j is
+    direction number j scaled by 2^(29 - j).
     """
-    stats = Path(importlib.util.find_spec("scipy").origin).parent / "stats"
-    with np.load(stats / "_sobol_direction_numbers.npz") as table:
-        poly, vinit = table["poly"][:d], table["vinit"][:d]
+    if d > len(_JOE_KUO):
+        raise InvalidParamsError(f"the Sobol sampler covers {len(_JOE_KUO)} dimensions "
+                                 f"(model dim <= {(len(_JOE_KUO) - 1) // 2}), got {d}")
     v = np.ones((d, _SOBOL_BITS), dtype=np.int64)
     for k in range(1, d):
-        p = int(poly[k])
+        p, *m = _JOE_KUO[k]
         deg = p.bit_length() - 1
-        v[k, :deg] = vinit[k, :deg]
+        v[k, :deg] = m
         for j in range(deg, _SOBOL_BITS):
             new = v[k, j - deg] ^ (v[k, j - deg] << deg)
             for i in range(1, deg):
@@ -752,29 +775,3 @@ def run_battery(model, checks=None, n_samples=50, seed=0, flow_tol=1e-12,
         "zero_section": partial(check_zero_section, *rays.get("zero_section", ())),
     }
     return [table[name](tolerance=tols[name]) for name in sorted(names)]
-
-
-def tightening_comparison(model, checks=None, n_samples=20, seed=0,
-                          flow_tol=1e-12, factor=10.0):
-    """Each check at the working integrator tolerance and at factor x tighter.
-
-    Returns per-check records with both residuals, their ratio, and whether
-    the verdict moved; residuals dominated by integration error would blow
-    past ratio 2 here.
-    """
-    loose = run_battery(model, checks=checks, n_samples=n_samples, seed=seed,
-                        flow_tol=flow_tol)
-    tight = run_battery(model, checks=checks, n_samples=n_samples, seed=seed,
-                        flow_tol=flow_tol / factor)
-    out = []
-    floor = 1e-13  # below this both runs sit on roundoff noise; ratios there are meaningless
-    for a, b in zip(loose, tight):
-        ratio = (b.max_residual + floor) / (a.max_residual + floor)
-        out.append({
-            "check": a.check,
-            "residual": a.max_residual,
-            "residual_tight": b.max_residual,
-            "ratio": ratio,
-            "verdict_changed": a.verdict != b.verdict,
-        })
-    return out

@@ -13,26 +13,21 @@ import numpy as np
 import pytest
 
 from grauert.catalog import catalog
-from grauert.extend import (
-    crosscheck,
-    holomorphy_residual,
-    homogeneity_residuals,
-    sphere_ambient,
-    torus_trig,
-)
+from grauert.extend import crosscheck, sphere_ambient, torus_trig
 from grauert.flow import PhasePoint, SigmaPath, flow
 from grauert.geometry import metric_inv_matrix
-from grauert.jacobi import continue_f_to_i, j_tensor_from_f
+from grauert.jacobi import continue_f_to_i
 from grauert.lagrangian import (
     FrameRays,
     distribution_at,
     j_tensor_from_frame,
     principal_angles,
 )
-from grauert.verify import (
-    estimate_tube_radius,
-    run_battery,
-    sample_tube_points,
+from grauert.verify import estimate_tube_radius, run_battery, sample_tube_points
+from oracles import (
+    holomorphy_residual,
+    homogeneity_residuals,
+    j_tensor_from_f,
     tightening_comparison,
 )
 

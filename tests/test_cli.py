@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line driver and its exit-code contract."""
 
+import ast
 import contextlib
 import csv
 import importlib
@@ -438,6 +439,17 @@ def test_extend_breakdown_is_first_failing_point(tmp_path, capsys):
     assert err == f"numerical breakdown: {failing[0][1]}\n"
 
 
+@pytest.mark.parametrize("model", ["round_sphere", "surface_of_revolution"])
+def test_extend_overflow_exits_2_with_one_line(tmp_path, capsys, model):
+    # both routes' series overflow at this momentum: one typed breakdown, no warning
+    path = write_ini(tmp_path, f"[model]\nname = {model}\n\n[grids]\n"
+                               "rho_min = 1e200\nrho_max = 1e200\n")
+    code, _ = run(tmp_path, "extend", "--config", path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown: ") and err.count("\n") == 1, err
+
+
 def test_extend_rejects_mismatched_function(tmp_path):
     path = write_ini(tmp_path, "[grids]\nfunction = height\n")
     code, _ = run(tmp_path, "extend", "--config", path)
@@ -561,16 +573,24 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "o" / "flow.csv").exists()
 
 
+# a child script's first lines: scipy cannot be imported, and loaded() lists
+# the scipy modules that are loaded
+NO_SCIPY = (
+    "import sys\n"
+    "sys.modules['scipy'] = None\n"
+    "loaded = lambda: sorted(m for m, v in sys.modules.items() if m.startswith('scipy') and v)\n"
+)
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
-    # the CLI module loads numpy alone; flow, extend and jtensor run without
-    # any scipy module, and tube-radius too: its root polish and rational
+    # the CLI module loads numpy alone; flow, extend and jtensor run with
+    # scipy unimportable, and tube-radius too: its root polish and rational
     # fit are numpy and plain floats
-    script = (
-        "import sys\n"
+    script = NO_SCIPY + (
         "import grauert.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(loaded())\n"
         "code = grauert.cli.main(sys.argv[1:])\n"
-        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(code, loaded())\n"
     )
     default = str(CONFIGS / "default.ini")
     tube = write_ini(tmp_path, "[model]\nname = round_sphere\n"
@@ -593,15 +613,15 @@ def test_cli_import_loads_no_scipy(tmp_path):
 
 
 def test_verify_loads_no_scipy_linalg(tmp_path):
-    # the battery's principal angles and the sampler's inverse normal are
-    # numpy and plain floats, so verify loads no scipy module at all; nor do
-    # tube-radius and flow run after it in the same interpreter
-    script = (
-        "import json, sys\n"
+    # the battery's principal angles, the sampler's direction numbers and its
+    # inverse normal are numpy and plain floats, so verify runs with scipy
+    # unimportable; so do tube-radius and flow after it in the same interpreter
+    script = NO_SCIPY + (
+        "import json\n"
         "import grauert.cli\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    code = grauert.cli.main(argv)\n"
-        "    print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "    print(code, loaded())\n"
     )
     tube = write_ini(tmp_path, "[model]\nname = round_sphere\n"
                                "[grids]\nn_directions = 1\nsweep_cap = 2.0\n")
@@ -617,6 +637,30 @@ def test_verify_loads_no_scipy_linalg(tmp_path):
     assert (tmp_path / "v" / "verify.jsonl").is_file()
     assert (tmp_path / "t" / "tube_radius.jsonl").is_file()
     assert (tmp_path / "f" / "flow.csv").is_file()
+
+
+def test_no_module_imports_scipy():
+    # a function-local import that no command reaches escapes the runtime
+    # tests above, so the source is read: no import of scipy at any depth
+    for path in sorted(Path(grauert.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, node.lineno)
+
+
+def test_flat_space_beyond_the_sobol_rows_exits_3(tmp_path, capsys):
+    # the sampler's 21 Joe-Kuo rows cover 2 dim + 1 coordinates up to dim 10
+    path = write_ini(tmp_path, "[model]\nname = flat_space\ndim = 11\n")
+    code, _ = run(tmp_path, "jtensor", "--config", path)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the Sobol sampler covers 21 dimensions")
+    assert err.count("\n") == 1
 
 
 def test_singular_frame_exits_2(tmp_path, monkeypatch, capsys):

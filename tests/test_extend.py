@@ -18,16 +18,18 @@ from grauert.extend import (
     extend_by_flow_lanes,
     extend_by_series,
     extend_by_series_lanes,
-    flow_derivative_coefficients,
-    holomorphy_residual,
-    homogeneity_residuals,
-    nested_flow_derivative_fd,
     sphere_ambient,
-    strip_identity_residual,
     torus_trig,
 )
 from grauert.flow import PhasePoint, SigmaPath
 from grauert.verify import sample_tube_points
+from oracles import (
+    flow_derivative_coefficients,
+    holomorphy_residual,
+    homogeneity_residuals,
+    nested_flow_derivative_fd,
+    strip_identity_residual,
+)
 from test_flow import _g11_is_q0
 
 E_MINUS_HALF = 0.6065306597126334  # e^{-1/2}
@@ -370,3 +372,13 @@ def test_singular_series_retires_one_lane():
     with pytest.raises(SingularityError) as exc:
         extend_by_series(model, f, bad)
     assert exc.value.reason == "singular series"
+
+
+def test_non_finite_series_is_a_typed_breakdown():
+    # the order-40 series overflows at this momentum: a breakdown at 0, not a NaN value
+    srf = catalog("surface_of_revolution")
+    wave = torus_trig("wave", {(1, 0): 1.0})
+    with pytest.raises(SingularityError) as exc:
+        extend_by_series(srf, wave, PhasePoint("main", [0.0, 0.0], [1e150, 0.0]))
+    assert exc.value.reason == "non-finite series"
+    assert exc.value.last_good_sigma == 0j

@@ -20,6 +20,7 @@ from grauert.geometry import (
     push_through,
     transition_phase,
 )
+from oracles import variable
 
 OMEGA4 = np.block(
     [[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]]
@@ -262,7 +263,7 @@ def test_diagonal_inverse_makes_no_jet_product(monkeypatch):
         assert np.array_equal(gi[j][j].c, entries[j].reciprocal().c)
     # the sphere's constant g_00 = a^2 inverts to a plain number
     sph = catalog("round_sphere", radius=0.8)
-    _, gi, _ = sph.metric("a", [jets.variable(1.1, 0, 2), jets.variable(0.3, 1, 2)])
+    _, gi, _ = sph.metric("a", [variable(1.1, 0, 2), variable(0.3, 1, 2)])
     assert gi[0][0] == 1.0 / (0.8 * 0.8) and jets.is_plain_zero(gi[0][1])
 
 

@@ -12,14 +12,7 @@ from grauert import jacobi
 from grauert.catalog import catalog
 from grauert.errors import ConjugatePointError, PadeDegeneracyError, SingularityError
 from grauert.flow import PhasePoint
-from grauert.jacobi import (
-    continue_f_to_i,
-    f_by_jacobi_transport,
-    f_samples,
-    first_f_singularity,
-    j_tensor_from_f,
-    rational_continuation,
-)
+from grauert.jacobi import continue_f_to_i, f_samples, first_f_singularity, rational_continuation
 from grauert.lagrangian import (
     FrameRays,
     distribution_at,
@@ -29,6 +22,7 @@ from grauert.lagrangian import (
     lifted_basis,
 )
 from grauert.verify import estimate_tube_radius, sample_tube_points
+from oracles import f_by_jacobi_transport, j_tensor_from_f
 
 
 def test_f_samples_match_sphere_closed_form():

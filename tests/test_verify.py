@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import grauert
 from grauert.catalog import catalog
-from grauert.errors import GrauertError, SingularityError
+from grauert.errors import GrauertError, InvalidParamsError, SingularityError
 from grauert.flow import PhasePoint, flow_lanes
 from grauert.geometry import metric_matrix
 from grauert.lagrangian import FrameRays, distribution_at, j_tensor_from_frame
@@ -31,8 +31,8 @@ from grauert.verify import (
     sample_tube_points,
     scaled_points,
     strip_nodes,
-    tightening_comparison,
 )
+from oracles import tightening_comparison
 
 HALF_PI = 1.5707963267948966
 
@@ -78,6 +78,12 @@ def test_sobol_matches_scipy_qmc(d):
         for m in (1, 3, 5, 7):
             want = qmc.Sobol(d=d, scramble=True, seed=seed).random_base2(m=m)
             assert np.array_equal(verify._sobol(d, m, seed), want), (seed, m)
+
+
+def test_sobol_rows_end_at_21_dimensions():
+    # d = 21 is covered above; the sampler has direction numbers for no more
+    with pytest.raises(InvalidParamsError):
+        verify._sobol(22, 1, 0)
 
 
 def test_ndtri_matches_scipy_special():
