@@ -31,7 +31,7 @@ import numpy as np
 
 from . import jets
 from .errors import InvalidParamsError, UnknownModelError
-from .geometry import Chart, MetricModel, metric_inv_matrix, metric_matrix, push_through
+from .geometry import Chart, MetricModel, metric_inv_matrix, metric_matrix
 from .jets import value
 
 __all__ = [
@@ -92,10 +92,6 @@ class SphereEmbedding:
     def transition(self, from_chart, to_chart, qs):
         return self.world_to_chart(to_chart, self.to_world(from_chart, qs))
 
-    def push_to_world(self, chart_id, q, vecs):
-        _, pushed = push_through(lambda qs: self.to_world(chart_id, qs), q, vecs)
-        return pushed
-
 
 # -- oracles ------------------------------------------------------------------
 
@@ -119,12 +115,11 @@ class FlatOracle:
 
 
 def _entire_cos_sinc(s):
-    """cos(sqrt(s)) and sin(sqrt(s))/sqrt(s); even in sqrt(s), so entire in s."""
-    s = complex(s)
-    if abs(s) < 1e-24:
-        return 1.0 - s / 2.0, 1.0 - s / 6.0
-    r = np.sqrt(s)
-    return np.cos(r), np.sin(r) / r
+    """cos(sqrt(s)) and sin(sqrt(s))/sqrt(s), elementwise; even in sqrt(s), so entire in s."""
+    s = np.asarray(s, dtype=complex)
+    small = np.abs(s) < 1e-24
+    r = np.sqrt(np.where(small, 1.0, s))
+    return np.where(small, 1.0 - s / 2.0, np.cos(r)), np.where(small, 1.0 - s / 6.0, np.sin(r) / r)
 
 
 class SphereOracle:
@@ -135,13 +130,18 @@ class SphereOracle:
         self.radius = model.params["radius"]
         self.emb = model.embedding
 
+    def _push(self, chart_id, q, w):
+        """World point of q and image of w there, lanes (..., n) to (..., 3), by one jet pass."""
+        qw = np.stack([np.asarray(q, dtype=complex), np.asarray(w, dtype=complex)], -1)
+        args = [jets.Jet(c) for c in np.ascontiguousarray(np.moveaxis(qw, -2, 0))[..., None]]
+        world = self.emb.to_world(chart_id, args)
+        return tuple(np.stack([x.c[..., r, 0] for x in world], -1) for r in (0, 1))
+
     def _world_state(self, chart_id, q, p):
         q = np.asarray(q, dtype=complex)
         p = np.asarray(p, dtype=complex)
         v = metric_inv_matrix(self.model, chart_id, q) @ p
-        P0 = np.array([value(x) for x in self.emb.to_world(chart_id, list(q))])
-        V0 = self.emb.push_to_world(chart_id, q, v[:, None])[:, 0]
-        return P0, V0, p @ v  # third slot: 2E = |v|^2
+        return *self._push(chart_id, q, v), p @ v  # third slot: 2E = |v|^2
 
     def state_flow(self, chart_id, q, p, sigma):
         a = self.radius
@@ -152,8 +152,8 @@ class SphereOracle:
         V = -(rho / a) * s * P0 + c * V0
         cid = self._pick_chart(P)
         q_new = self.emb.world_to_chart(cid, P)
-        J = self.emb.push_to_world(cid, q_new, np.eye(2))
-        v_new = np.linalg.lstsq(J, V, rcond=None)[0]
+        _, J = self._push(cid, [q_new, q_new], np.eye(2))  # row k: the image of e_k
+        v_new = np.linalg.lstsq(J.T, V, rcond=None)[0]
         return cid, q_new, metric_matrix(self.model, cid, q_new) @ v_new
 
     def _pick_chart(self, P):
@@ -189,16 +189,14 @@ class SphereOracle:
         """Analytic continuation of the exponential map to complex tangent vectors.
 
         Returns the ambient quadric point; built from even entire functions
-        of the complex squared length, so no branch choice is involved.
+        of the complex squared length, so no branch choice is involved. q and
+        w are one point (n,) or lanes of points (..., n); the result is (..., 3).
         """
         a = self.radius
-        q = np.asarray(q, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        P0 = np.array([value(x) for x in self.emb.to_world(chart_id, list(q))])
-        W = self.emb.push_to_world(chart_id, q, w[:, None])[:, 0]
-        s = (W @ W) / a**2
+        P0, W = self._push(chart_id, q, w)
+        s = (W[..., None, :] @ W[..., :, None])[..., 0, 0] / a**2
         c, snc = _entire_cos_sinc(s)
-        return c * P0 + snc * W
+        return c[..., None] * P0 + snc[..., None] * W
 
 
 # -- catalog entries ----------------------------------------------------------

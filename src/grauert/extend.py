@@ -13,13 +13,13 @@ of a tube point z = (x, v), and the same value can be reached three ways:
   that map to the imaginary tangent vector and evaluate a declared closed-form
   extension there. Independent of the integrator entirely.
 
-The series and flow routes take batches: ``extend_by_series_lanes`` builds
-the series of all points in a chart with one lane-batched series call and
-evaluates f once on their lane jets, and ``extend_by_flow_lanes`` sends all
-points to time i as lanes of one :func:`~grauert.flow.flow_lanes` call. Each
-lane keeps its own checks and its own error, and ``extend_by_series`` and
-``extend_by_flow`` are one-point reads of them. The exp-map route runs point
-by point, and no route is merged into another.
+Every route takes batches. ``extend_by_series_lanes`` builds the series of
+all points in a chart with one series call and evaluates f once on their lane
+jets, ``extend_by_flow_lanes`` sends all points to time i in one
+:func:`~grauert.flow.flow_lanes` call, and ``extend_by_exp_lanes`` makes one
+oracle call per chart and evaluates the extension once on its lane arrays.
+Each lane keeps its own checks and error; the one-point routes are reads of
+these, and no route is merged into another.
 
 Pairwise agreement of the routes is the practical certificate that the
 extension exists at the sampled points; ``crosscheck`` packages that for a
@@ -59,6 +59,7 @@ __all__ = [
     "extend_by_flow",
     "extend_by_flow_lanes",
     "extend_by_exp",
+    "extend_by_exp_lanes",
     "crosscheck",
 ]
 
@@ -74,9 +75,10 @@ class BaseFunction:
     ``chart_fns`` maps chart id to an evaluator over generic scalars (floats,
     complex numbers, jets all work); ``margin`` is the half-width of the
     imaginary strip per coordinate on which the formulas stay holomorphic;
-    ``extension`` is an optional closed form on the complexified model, taking
-    complex chart coordinates on flat models and an ambient complex point on
-    embedded ones.
+    ``extension`` is an optional closed form on the complexified model. It
+    takes lane arrays: a sequence of coordinates, each an array with one
+    complex value per lane (chart coordinates on flat models, ambient ones on
+    embedded models), and returns one value per lane or a constant.
     """
 
     name: str
@@ -115,11 +117,8 @@ def torus_trig(name, coeffs):
             acc = acc + c * jets.exp(1j * phase)
         return acc
 
-    return BaseFunction(
-        name=name,
-        chart_fns={"main": ev},
-        extension=lambda xc: complex(value(ev(list(np.asarray(xc, dtype=complex))))),
-    )
+    # on a flat model the complexified coordinates are the chart's own
+    return BaseFunction(name=name, chart_fns={"main": ev}, extension=ev)
 
 
 def sphere_ambient(model, name, coeffs, offset=0.0):
@@ -127,17 +126,16 @@ def sphere_ambient(model, name, coeffs, offset=0.0):
     c = np.asarray(coeffs, dtype=complex)
     emb = model.embedding
 
-    def make(cid):
-        def ev(qs):
-            w = emb.to_world(cid, qs)
-            return c[0] * w[0] + c[1] * w[1] + c[2] * w[2] + offset
+    def ambient(w):
+        return c[0] * w[0] + c[1] * w[1] + c[2] * w[2] + offset
 
-        return ev
+    def make(cid):
+        return lambda qs: ambient(emb.to_world(cid, qs))
 
     return BaseFunction(
         name=name,
         chart_fns={cid: make(cid) for cid in model.charts},
-        extension=lambda Z: complex(c @ np.asarray(Z, dtype=complex) + offset),
+        extension=ambient,
     )
 
 
@@ -302,51 +300,62 @@ def extend_by_flow(model, f, z, path=None):
     return lane_result(extend_by_flow_lanes(model, f, [z], path=path)[0])
 
 
-def extend_by_exp(model, f, z):
-    """Closed-form route: declared extension at the continued exponential map."""
+def extend_by_exp_lanes(model, f, points):
+    """The exp-map route at every point of ``points`` at once, one lane per point.
+
+    Returns one entry per point: its :class:`ExtensionResult`, or the
+    :class:`~grauert.errors.ChartDomainError` of a point in no chart of the
+    model. The points of each chart share one evaluation of g^-1, one call of
+    the oracle's ``exp_complex`` and one of ``f.extension``.
+    """
     orc = model.oracle
     if orc is None or not hasattr(orc, "exp_complex"):
-        raise UnsupportedModelError(
-            f"{model.name} has no closed-form exponential map"
-        )
+        raise UnsupportedModelError(f"{model.name} has no closed-form exponential map")
     if f.extension is None:
-        raise UnsupportedModelError(
-            f"{f.name} declares no closed-form extension"
-        )
-    cid = z.chart_id
-    q = model.chart(cid).wrap(z.q)
-    v = metric_inv_matrix(model, cid, q) @ z.p
-    target = orc.exp_complex(cid, q, 1j * v)
-    return ExtensionResult(value=complex(f.extension(target)), method="exp_map",
-                           error_estimate=0.0, diagnostics={"target": np.asarray(target)})
+        raise UnsupportedModelError(f"{f.name} declares no closed-form extension")
+    out = [None] * len(points)
+    for cid in dict.fromkeys(z.chart_id for z in points):
+        idx = [i for i, z in enumerate(points) if z.chart_id == cid]
+        try:
+            q = model.chart(cid).wrap(np.array([points[i].q for i in idx]))
+        except ChartDomainError as e:
+            for i in idx:
+                out[i] = e
+            continue
+        p = np.array([points[i].p for i in idx])
+        v = (metric_inv_matrix(model, cid, q) @ p[:, :, None])[:, :, 0]
+        targets = orc.exp_complex(cid, q, 1j * v)
+        values = np.broadcast_to(f.extension(list(targets.T)), len(idx))
+        for i, target, val in zip(idx, targets, values):
+            out[i] = ExtensionResult(value=complex(val), method="exp_map",
+                                     error_estimate=0.0, diagnostics={"target": target})
+    return out
+
+
+def extend_by_exp(model, f, z):
+    """Closed-form route: the declared extension at the continued exponential map, one point."""
+    return lane_result(extend_by_exp_lanes(model, f, [z])[0])
 
 
 def crosscheck(model, f, points, tol=DEFAULT_TOL):
     """Run every applicable route at every point and report pairwise deviations.
 
-    Returns one report per point. The series and flow routes each run all
-    points as lanes of one batch; the exp-map route runs point by point. A
-    failure raises what a point-by-point pass would: the error of the first
-    failing point, and for that point the series route's before the flow
-    route's.
+    Returns one report per point. Each route runs all points as lanes of one
+    batch. A failure raises what a point-by-point pass would: the error of
+    the first failing point, and for that point the series route's before the
+    flow route's. The exp-map route runs once those two have passed at every
+    point, so its arithmetic never meets a point they reject.
     """
     series = extend_by_series_lanes(model, f, points)
     flows = extend_by_flow_lanes(model, f, points, tol=tol)
+    results = [{"series": lane_result(s), "flow": lane_result(fl)} for s, fl in zip(series, flows)]
     orc = model.oracle
-    exp_route = orc is not None and hasattr(orc, "exp_complex") and f.extension is not None
+    if orc is not None and hasattr(orc, "exp_complex") and f.extension is not None:
+        for res, ex in zip(results, extend_by_exp_lanes(model, f, points)):
+            res["exp_map"] = lane_result(ex)
     reports = []
-    for z, s, fl in zip(points, series, flows):
-        results = {"series": lane_result(s), "flow": lane_result(fl)}
-        if exp_route:
-            results["exp_map"] = extend_by_exp(model, f, z)
-        pairwise = {
-            (m1, m2): abs(results[m1].value - results[m2].value)
-            for m1, m2 in combinations(results, 2)
-        }
-        reports.append({
-            "values": {m: r.value for m, r in results.items()},
-            "results": results,
-            "pairwise": pairwise,
-            "max_deviation": max(pairwise.values()),
-        })
+    for res in results:
+        pairwise = {(m1, m2): abs(res[m1].value - res[m2].value) for m1, m2 in combinations(res, 2)}
+        reports.append({"values": {m: r.value for m, r in res.items()}, "results": res,
+                        "pairwise": pairwise, "max_deviation": max(pairwise.values())})
     return reports

@@ -204,14 +204,23 @@ def _inverse(g):
     return a
 
 
+def _metric_rows(model, chart_id, q, which):
+    """Entry ``which`` of ``model.metric`` at one point q (n,) or lanes of points (lanes, n)."""
+    q = np.asarray(q)
+    rows = model.metric(chart_id, list(q.T))[which]
+    out = np.empty(q.shape[:-1] + (len(rows), len(rows)), dtype=complex)
+    for j, row in enumerate(rows):
+        for k, x in enumerate(row):
+            out[..., j, k] = value(x)
+    return out
+
+
 def metric_matrix(model, chart_id, q):
-    rows, _, _ = model.metric(chart_id, list(q))
-    return np.array([[value(x) for x in row] for row in rows], dtype=complex)
+    return _metric_rows(model, chart_id, q, 0)
 
 
 def metric_inv_matrix(model, chart_id, q):
-    _, rows, _ = model.metric(chart_id, list(q))
-    return np.array([[value(x) for x in row] for row in rows], dtype=complex)
+    return _metric_rows(model, chart_id, q, 1)
 
 
 def energy(model, chart_id, q, p):

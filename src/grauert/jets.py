@@ -63,6 +63,12 @@ class SeriesBreakdown(ZeroDivisionError):
 
 
 _TOEP_IDX: dict[int, np.ndarray] = {}
+# Temporaries of at most _SMALL complex entries (128 KiB, glibc's default mmap
+# threshold) are made fresh. Larger ones go to _TOEP_WORK, one flat buffer grown
+# to the largest yet served, or are avoided: made fresh per call, they would be
+# mapped and unmapped, or trim and refault the heap, every pass.
+_SMALL = 8192
+_TOEP_WORK = np.empty(0, dtype=complex)
 
 
 def _toep(series):
@@ -70,8 +76,10 @@ def _toep(series):
 
     ``x @ _toep(a)`` is the truncated Cauchy product of x's rows with a. Entry
     [j, i] is a[i - j], zero above i = j; it is gathered from the series with
-    L - 1 zeros in front of it.
+    L - 1 zeros in front of it. A large result is a view of the shared
+    workspace, valid until the next call.
     """
+    global _TOEP_WORK
     L = series.shape[-1]
     idx = _TOEP_IDX.get(L)
     if idx is None:
@@ -79,7 +87,15 @@ def _toep(series):
         idx = _TOEP_IDX[L] = L - 1 + i[None, :] - i[:, None]
     padded = np.zeros(series.shape[:-1] + (2 * L - 1,), dtype=complex)
     padded[..., L - 1 :] = series
-    return padded.take(idx, axis=-1)
+    size = series.size * L
+    if size <= _SMALL:
+        return padded.take(idx, axis=-1)
+    if _TOEP_WORK.size < size:
+        _TOEP_WORK = np.empty(size, dtype=complex)
+    out = _TOEP_WORK[:size].reshape(series.shape[:-1] + (L, L))
+    # the indices are in range, so "clip" gathers what "raise" would, without
+    # the temporary that "raise" buffers the output through
+    return padded.take(idx, axis=-1, out=out, mode="clip")
 
 
 class Jet:
@@ -200,8 +216,8 @@ def _operand(a, b):
 # Each takes a series with lanes, (..., L), and works on it flattened to
 # (lanes, L). Each order is one lane-wise dot product with the orders below it,
 # written straight into its column. The fixed factors of a recurrence (its
-# weights) are scaled and conjugated once up front: np.vecdot conjugates its
-# first argument, so the sums come out unconjugated.
+# weights) are conjugated up front: np.vecdot conjugates its first argument, so
+# the sums come out unconjugated.
 
 _RATIOS: dict[int, np.ndarray] = {}
 
@@ -213,6 +229,15 @@ def _ratios(L):
         j = np.arange(L, dtype=float)
         cached = _RATIOS[L] = j[None, :] / np.maximum(j, 1.0)[:, None]
     return cached
+
+
+def _scaled_weights(fc):
+    """k -> conj(j f_j / k), j = 1..k, from fc = conj(f): one product for all k while small."""
+    r = _ratios(fc.shape[-1])
+    if fc.size * fc.shape[-1] <= _SMALL:
+        w = fc[..., None, :] * r
+        return lambda k: w[..., k, 1 : k + 1]
+    return lambda k: fc[..., 1 : k + 1] * r[k, 1 : k + 1]
 
 
 def _lanes(f):
@@ -240,12 +265,11 @@ def _recip_series(b):
 def _exp_series(f):
     shape = f.shape
     f = _lanes(f)
-    # conj(j f_j / k) at [lane, k, j]
-    w = np.conj(f)[:, None, :] * _ratios(shape[-1])
+    w = _scaled_weights(np.conj(f))
     e = np.zeros(f.shape, dtype=complex)
     e[:, 0] = np.exp(f[:, 0])
     for k in range(1, shape[-1]):
-        np.vecdot(w[:, k, 1 : k + 1], e[:, k - 1 :: -1], out=e[:, k])
+        np.vecdot(w(k), e[:, k - 1 :: -1], out=e[:, k])
     return e.reshape(shape)
 
 
@@ -254,12 +278,12 @@ def _sincos_series(f):
     # from one product with the orders below it
     shape = f.shape
     f = _lanes(f)
-    w = np.conj(f)[:, None, None, :] * _ratios(shape[-1])[:, None, :]
+    w = _scaled_weights(np.conj(f)[:, None, :])
     sc = np.zeros((f.shape[0], 2, shape[-1]), dtype=complex)
     sc[:, 0, 0] = np.sin(f[:, 0])
     sc[:, 1, 0] = np.cos(f[:, 0])
     for k in range(1, shape[-1]):
-        d = np.vecdot(w[:, k, :, 1 : k + 1], sc[:, :, k - 1 :: -1])
+        d = np.vecdot(w(k), sc[:, :, k - 1 :: -1])
         sc[:, 0, k] = d[:, 1]
         sc[:, 1, k] = -d[:, 0]
     return sc[:, 0].reshape(shape), sc[:, 1].reshape(shape)

@@ -321,16 +321,15 @@ def sample_tube_points(model, n, seed, rho_min, rho_max, chart_id=None):
     lo = ch.lo + 0.15 * ch.width()
     hi = ch.hi - 0.15 * ch.width()
     clipped = np.clip(u[:, dim : 2 * dim], 1e-6, 1.0 - 1e-6)
-    raws = np.array([[_ndtri(y) for y in row] for row in clipped.tolist()])
-    out = []
-    for row, raw in zip(u, raws):
-        q = lo + row[:dim] * (hi - lo)
-        g = metric_matrix(model, cid, q.astype(complex)).real
-        nrm = math.sqrt(float(raw @ g @ raw))
-        rho = rho_min + row[-1] * (rho_max - rho_min)
-        v = (rho / nrm) * raw
-        out.append(PhasePoint(cid, q, g @ v))
-    return out
+    raws = np.array([_ndtri(y) for y in clipped.ravel().tolist()]).reshape(clipped.shape)
+    q = lo + u[:, :dim] * (hi - lo)
+    # one metric evaluation over the lanes of the sample; the stacked products
+    # take the per-point routes of raw @ g @ raw and g @ v, so every bit is theirs
+    g = metric_matrix(model, cid, q.astype(complex)).real
+    nrm = np.sqrt((raws[:, None, :] @ g @ raws[:, :, None])[:, 0, 0])
+    rho = rho_min + u[:, -1] * (rho_max - rho_min)
+    p = (g @ ((rho / nrm)[:, None] * raws)[:, :, None])[:, :, 0]
+    return [PhasePoint(cid, qk, pk) for qk, pk in zip(q, p)]
 
 
 def _grad_energy(model, cid, q, p):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grauert.extend as extend_module
+import grauert.flow
 from grauert.catalog import catalog
 from grauert.cli import main
 from grauert.errors import ChartDomainError, DivergenceError, SingularityError, UnsupportedModelError
@@ -14,6 +15,7 @@ from grauert.extend import (
     BaseFunction,
     crosscheck,
     extend_by_exp,
+    extend_by_exp_lanes,
     extend_by_flow,
     extend_by_flow_lanes,
     extend_by_series,
@@ -43,7 +45,7 @@ def pole_function():
     ev = lambda qs: 1.0 / (1.25 + np.cos(qs[0])) if not hasattr(qs[0], "c") else (
         1.0 / (1.25 + qs[0].sincos()[1])
     )
-    ext = lambda xc: 1.0 / (1.25 + np.cos(complex(xc[0])))
+    ext = lambda xc: 1.0 / (1.25 + np.cos(xc[0]))
     return BaseFunction("cos_pole", {"main": ev}, margin=POLE_IM, extension=ext)
 
 
@@ -269,15 +271,21 @@ def _same_result(batch, alone):
         assert batch.diagnostics.get(key) == alone.diagnostics.get(key)
 
 
+def _both_sphere_charts(sph, n, seed):
+    """n points of chart a and n of chart b, alternating."""
+    a, b = (sample_tube_points(sph, n, seed, 0.1, 0.4, cid) for cid in ("a", "b"))
+    return [z for pair in zip(a, b) for z in pair]
+
+
 def test_batch_routes_equal_one_point_reads():
     tor = catalog("flat_torus")
     sph = catalog("round_sphere")
     cases = [
-        (tor, torus_trig("wave", {(1, 0): 1.0})),
-        (sph, sphere_ambient(sph, "height", (0.0, 0.0, 1.0))),
+        (tor, torus_trig("wave", {(1, 0): 1.0}), sample_tube_points(tor, 12, 5, 0.1, 0.4)),
+        (sph, sphere_ambient(sph, "height", (0.0, 0.0, 1.0)), sample_tube_points(sph, 12, 5, 0.1, 0.4)),
+        (sph, sphere_ambient(sph, "tilted", (1.0, 0.5, -0.25)), _both_sphere_charts(sph, 6, 5)),
     ]
-    for model, f in cases:
-        pts = sample_tube_points(model, 12, 5, 0.1, 0.4)
+    for model, f, pts in cases:
         for z, rep in zip(pts, crosscheck(model, f, pts)):
             _same_result(rep["results"]["series"], extend_by_series(model, f, z))
             _same_result(rep["results"]["flow"], extend_by_flow(model, f, z))
@@ -288,6 +296,29 @@ def test_batch_routes_equal_one_point_reads():
     for z, s, fl in zip(pts, extend_by_series_lanes(srf, f, pts), extend_by_flow_lanes(srf, f, pts)):
         _same_result(s, extend_by_series(srf, f, z))
         _same_result(fl, extend_by_flow(srf, f, z))
+
+
+def test_exp_route_needs_neither_flow_nor_series(monkeypatch):
+    sph = catalog("round_sphere")
+    tor = catalog("flat_torus")
+    cases = [
+        (sph, sphere_ambient(sph, "tilted", (1.0, 0.5, -0.25)), _both_sphere_charts(sph, 4, 3)),
+        (tor, torus_trig("mix", {(1, 0): 1.0, (2, 1): 0.3 - 0.2j}), sample_tube_points(tor, 8, 3, 0.1, 0.4)),
+    ]
+    want = [[r.value for r in extend_by_exp_lanes(*case)] for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exp-map route reached the integrator")
+
+    for module in (grauert.flow, extend_module):
+        monkeypatch.setattr(module, "flow_lanes", refuse)
+        monkeypatch.setattr(module, "_taylor_series", refuse)
+    for case, values in zip(cases, want):
+        assert [r.value for r in extend_by_exp_lanes(*case)] == values
+    # the torus's exponential map at v is the complex point q + i v
+    z = PhasePoint("main", [0.4, -0.3], [0.25, 0.15])
+    want = cmath.exp(1j * (0.4 + 0.25j)) + (0.3 - 0.2j) * cmath.exp(1j * (0.5 + 0.65j))
+    assert abs(extend_by_exp(tor, cases[1][1], z).value - want) < 1e-15
 
 
 def _count_calls(monkeypatch, module, name):

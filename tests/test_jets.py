@@ -157,3 +157,66 @@ def test_dispatch_on_plain_numbers():
     assert jets.sincos(0.3) == (np.sin(0.3), np.cos(0.3))
     assert jets.sqrt(-4.0) == 2j
     assert jets.value(3.5) == 3.5
+
+
+# -- the shared Toeplitz workspace ----------------------------------------------
+
+# (lanes, R, L): lane counts and series lengths of the kernel's jets, no lane axis
+# for lanes 0; the order mixes growing and shrinking shapes
+WORKSPACE_SHAPES = [(3, 5, 17), (233, 5, 17), (48, 1, 41), (0, 3, 1), (7, 1, 2), (48, 3, 41)]
+
+
+def _fresh_toep(series):
+    """The Toeplitz gather into a new C-ordered array per call: no workspace to share."""
+    L = series.shape[-1]
+    i = np.arange(L)
+    padded = np.concatenate([np.zeros(series.shape[:-1] + (L - 1,), dtype=complex), series], -1)
+    return padded.take(L - 1 + i[None, :] - i[:, None], axis=-1)
+
+
+def _gathering_ops(lanes, R, L):
+    """Every jet operation that gathers Toeplitz matrices, on seeded jets of one shape."""
+    rng = np.random.default_rng(lanes * 1000 + R * 100 + L)
+    shape = (lanes, R, L) if lanes else (R, L)
+    a, b = (Jet(rng.normal(size=shape) + 1j * rng.normal(size=shape) + 3.0) for _ in range(2))
+    return [lambda: a * b, a.reciprocal, lambda: a.sincos()[0], a.exp, a.log, a.sqrt, lambda: b * a]
+
+
+def test_products_interleaved_across_shapes_keep_their_bits(monkeypatch):
+    ops = [_gathering_ops(*s) for s in WORKSPACE_SHAPES]
+    monkeypatch.setattr(jets, "_TOEP_WORK", np.empty(0, dtype=complex))
+    # interleaved: each operation round the shapes in turn, every result held to the end
+    held = [[None] * len(row) for row in ops]
+    for k in range(len(ops[0])):
+        for s, row in enumerate(ops):
+            held[s][k] = row[k]().c
+    assert jets._TOEP_WORK.size == max(max(lanes, 1) * L * L for lanes, _, L in WORKSPACE_SHAPES)
+    # alone: each shape by itself, every gather a new array
+    monkeypatch.setattr(jets, "_toep", _fresh_toep)
+    for row, got in zip(ops, held):
+        for op, c in zip(row, got):
+            assert np.array_equal(op().c, c)
+
+
+def _all_orders_weights(f):
+    """conj(j f_j / k) at [lane, k, j], every order at once: the reference weights."""
+    L = f.shape[-1]
+    j = np.arange(L, dtype=float)
+    return np.conj(f)[:, None, :] * (j[None, :] / np.maximum(j, 1.0)[:, None])
+
+
+def test_exp_and_sincos_recurrences_equal_the_all_orders_reference():
+    rng = np.random.default_rng(3)
+    for lanes, L in ((1, 2), (48, 41), (233, 17)):
+        f = rng.normal(size=(lanes, L)) + 1j * rng.normal(size=(lanes, L))
+        w = _all_orders_weights(f)
+        e = np.zeros_like(f)
+        sc = np.zeros((lanes, 2, L), dtype=complex)
+        e[:, 0], sc[:, 0, 0], sc[:, 1, 0] = np.exp(f[:, 0]), np.sin(f[:, 0]), np.cos(f[:, 0])
+        for k in range(1, L):
+            e[:, k] = np.vecdot(w[:, k, 1 : k + 1], e[:, k - 1 :: -1])
+            d = np.vecdot(w[:, k, None, 1 : k + 1], sc[:, :, k - 1 :: -1])
+            sc[:, 0, k], sc[:, 1, k] = d[:, 1], -d[:, 0]
+        assert np.array_equal(jets._exp_series(f), e)
+        s, c = jets._sincos_series(f)
+        assert np.array_equal(s, sc[:, 0]) and np.array_equal(c, sc[:, 1])

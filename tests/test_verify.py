@@ -136,6 +136,34 @@ def test_tube_points_match_scipy_stats_route(model, case):
         assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
 
 
+def per_point_tube_points(model, n, seed, rho_min, rho_max):
+    """sample_tube_points one point at a time, with metric_matrix per point: the reference."""
+    cid, dim = model.default_chart, model.dim
+    ch = model.chart(cid)
+    u = verify._sobol(2 * dim + 1, max(1, math.ceil(math.log2(max(n, 2)))), seed)[:n]
+    lo, hi = ch.lo + 0.15 * ch.width(), ch.hi - 0.15 * ch.width()
+    out = []
+    for row in u:
+        raw = np.array([verify._ndtri(y) for y in np.clip(row[dim:2 * dim], 1e-6, 1.0 - 1e-6).tolist()])
+        q = lo + row[:dim] * (hi - lo)
+        g = metric_matrix(model, cid, q.astype(complex)).real
+        v = (rho_min + row[-1] * (rho_max - rho_min)) / math.sqrt(float(raw @ g @ raw)) * raw
+        out.append(PhasePoint(cid, q, g @ v))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(grauert.catalog._BUILDERS))
+@pytest.mark.parametrize("seed", [1, 101])
+@pytest.mark.parametrize("n", [8, 48])
+def test_tube_points_equal_the_per_point_reference(name, seed, n):
+    model = catalog(name)
+    got, want = sample_tube_points(model, n, seed, 0.1, 0.4), per_point_tube_points(model, n, seed, 0.1, 0.4)
+    assert len(got) == len(want) == n
+    for a, b in zip(got, want):
+        assert a.chart_id == b.chart_id
+        assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
+
+
 def test_theta_identity_flat_exact(flat):
     pts = sample_tube_points(flat, 10, 0, 0.2, 0.9)
     sigmas = (0.0, 0.35, 0.7, 1j)
