@@ -14,7 +14,8 @@ jacobian series along them, and a linear recurrence in those doubles the
 number of known coefficients. The metric depends on q alone, so only the n
 position coordinates carry derivative channels, seeded with the identity:
 they give the q-columns of the jacobian, and its p-columns come by the chain
-rule through dq = g^-1 p, as products of value series. An order-16 step takes
+rule through dq = g^-1 p, as products of value series; a state-only pass
+computes only the orders of the jacobian it reads. An order-16 step takes
 4 field evaluations (5 with the jacobian), not 16. The step size comes from
 the tail of the computed series, so a shrinking radius of convergence is felt
 directly: when the admissible step falls below the floor the flow reports a
@@ -238,12 +239,12 @@ def _field_from_metric(gi, dg, ps):
     return dq, dp
 
 
-def _value_series(x):
-    """The value series of a jet as a jet without channels; a plain number as itself."""
-    return Jet(x.c[..., :1, :]) if isinstance(x, Jet) else x
+def _value_series(x, orders):
+    """A jet's value series to ``orders`` orders, without channels; a plain number as itself."""
+    return Jet(x.c[..., :1, :orders]) if isinstance(x, Jet) else x
 
 
-def _momentum_columns(gi, dg, dq):
+def _momentum_columns(gi, dg, dq, orders):
     """d(dq, dp)/dp as value series, by the chain rule through dq = g^-1 p.
 
     d dq_j / d p_m = g^jm, and from dp_l = 1/2 sum_jk dg_ljk dq_j dq_k,
@@ -254,15 +255,15 @@ def _momentum_columns(gi, dg, dq):
     Returns the 2n rows of the (2n, n) block, entries jets or plain numbers.
     """
     n = len(dq)
-    gv = [[_value_series(x) for x in row] for row in gi]
-    qv = [_value_series(x) for x in dq]
+    gv = [[_value_series(x, orders) for x in row] for row in gi]
+    qv = [_value_series(x, orders) for x in dq]
     rows = []
     for l in range(n):
         t = []
         for j in range(n):
             acc = 0.0
             for k in range(n):
-                d = _value_series(dg[l][j][k]) + _value_series(dg[l][k][j])
+                d = _value_series(dg[l][j][k], orders) + _value_series(dg[l][k][j], orders)
                 if not is_plain_zero(d):
                     acc = acc + d * qv[k]
             t.append(acc)
@@ -277,17 +278,18 @@ def _momentum_columns(gi, dg, dq):
     return gv + rows
 
 
-def _field_series(model, chart_id, z, L, N):
+def _field_series(model, chart_id, z, L, N, exact=None):
     """Field series X (B, N, 2n) and reversed jacobian blocks along each lane's polynomial.
 
     The polynomials have the state coefficients z[:, :L] (z is (B, order+1, 2n),
     one row per order); they are evaluated as lane jets of length N. The
     metric depends on q alone, so only the n position jets carry channels,
-    seeded with the identity; the momentum jets have zero channels. The
+    seeded with the identity; the momentum jets are value series. The
     channels of the field give the q-columns of A = DX, and the p-columns
     come from the value series of g^-1, dg and dq by the chain rule
     (:func:`_momentum_columns`), so A_j[i, a], coefficient j of dX_i/dz_a,
-    comes out for every lane. It is returned as Ahat (B, 2n, N*2n), the
+    comes out for every lane, for j < ``exact`` (all N orders by default;
+    zeros above). It is returned as Ahat (B, 2n, N*2n), the
     blocks A_{N-1}, ..., A_1, A_0 side by side, so that every sum
     sum_j A_j w_{k-j} of the recurrences is one matmul of a trailing block
     range with the stacked w. A single lane is evaluated on jets without a
@@ -300,21 +302,24 @@ def _field_series(model, chart_id, z, L, N):
     c[:, :, 0, :L] = z[:, :L].transpose(2, 0, 1)
     for a in range(n):
         c[a, :, 1 + a, 0] = 1.0
-    zs = [Jet(c[a] if B > 1 else c[a, 0]) for a in range(m)]
-    _, gi, dg = model.metric(chart_id, zs[:n])
-    dq, dp = _field_from_metric(gi, dg, zs[n:])
+    if B == 1:
+        c = c[:, 0]
+    K = N if exact is None else exact
+    _, gi, dg = model.metric(chart_id, [Jet(c[a], K) for a in range(n)])
+    dq, dp = _field_from_metric(gi, dg, [Jet(c[a, ..., :1, :]) for a in range(n, m)])
     X = np.zeros((B, N, m), dtype=complex)
     Ahat = np.zeros((B, m, N, m), dtype=complex)
     for i, x in enumerate(dq + dp):
-        if isinstance(x, Jet):
-            X[:, :, i] = x.c[..., 0, :]
-            Ahat[:, i, :, :n] = x.c[..., 1:, ::-1].swapaxes(-1, -2)
-        else:
+        if not isinstance(x, Jet):
             X[:, 0, i] = x
-    for i, row in enumerate(_momentum_columns(gi, dg, dq)):
+            continue
+        X[:, :, i] = x.c[..., 0, :]
+        if x.R > 1:
+            Ahat[:, i, :, :n] = x.c[..., 1:, ::-1].swapaxes(-1, -2)
+    for i, row in enumerate(_momentum_columns(gi, dg, dq, K)):
         for a, x in enumerate(row):
             if isinstance(x, Jet):
-                Ahat[:, i, :, n + a] = x.c[..., 0, ::-1]
+                Ahat[:, i, N - K :, n + a] = x.c[..., 0, ::-1]
             else:
                 Ahat[:, i, N - 1, n + a] = x
     return X, Ahat.reshape(B, m, N * m)
@@ -340,10 +345,12 @@ def _taylor_series(model, chart_id, q, p, D, direction, order):
     (k+1) Phi_{k+1} = u sum_{j <= k} A_j Phi_{k-j}, which needs A_0..A_{order-1}
     exact; A of a pass is exact for j < L only. Without D the passes take
     N = min(2L, order), lengths 2, 6, 14, 16: 4 field evaluations for order
-    16. With D they take N = min(2L - 1, order), lengths 1, 3, 7, 15, 16, so
-    the last pass starts at L = order and its A serves Phi: 5 evaluations.
-    When the last pass started from L < order (longer series) the field is
-    evaluated once more on the whole polynomial.
+    16. They read A_j for j < N - L only and compute no more orders of A:
+    1, 3, 7 and 1 at order 16, 1, 3, 7, 15 and 9 at order 40. With D they
+    take N = min(2L - 1, order), lengths 1, 3, 7, 15, 16, so the last pass
+    starts at L = order and its A, all N orders in every pass, serves Phi:
+    5 evaluations. When the last pass started from L < order (longer
+    series) the field is evaluated once more on the whole polynomial.
     """
     B, n = q.shape
     m = 2 * n
@@ -354,7 +361,7 @@ def _taylor_series(model, chart_id, q, p, D, direction, order):
     L = 1
     while L <= order:
         N = min(2 * L - (D is not None), order)
-        X, Ahat = _field_series(model, chart_id, z, L, N)
+        X, Ahat = _field_series(model, chart_id, z, L, N, N if D is not None else N - L)
         for k in range(L - 1, N):
             rhs = X[:, k]
             if k >= L:

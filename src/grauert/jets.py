@@ -12,7 +12,7 @@ One class does triple duty:
 * ``L > 1, R > 1``: both at once. The series integrator seeds the channels
   of the position polynomials with the identity, once per doubling pass, so
   the channels of the field X(z(s)) carry the position columns of its
-  jacobian series DX(z(s)); the momentum polynomials have zero channels, and
+  jacobian series DX(z(s)); the momentum polynomials are value series, and
   the integrator adds the momentum columns by the chain rule on value
   series. The flow's jacobian series then follows from the linear
   recurrence of the first variational equation.
@@ -22,10 +22,15 @@ value series, rows 1..R-1 the channels. The leading axes are lanes: a jet
 holds one independent scalar per lane, and every operation acts on all lanes
 at once, which is how the flow kernel integrates many trajectories with one
 pass of a model evaluator. A jet without leading axes is one scalar. Two jets
-in one operation have one shape: the same lanes, channels and series length.
-Products use the first-order rule in the channels (channels never multiply
-each other) and full truncated Cauchy products along the series axis,
-realized as small Toeplitz matmuls so the inner loops stay in BLAS.
+in one operation have the same lanes and series length, and the same
+channels unless one is a value series (R == 1), which acts as if its channel
+rows were zeros. Products use the first-order rule in the channels (channels
+never multiply each other) and full truncated Cauchy products along the
+series axis, realized as small Toeplitz matmuls so the inner loops stay in
+BLAS. Order k of a product reads orders up to k only, so a jet records how
+many channel orders it computes (``exact``, by default all): operations
+compute the channel columns below the smaller count of their operands and
+leave zeros past it; the value series stays whole.
 
 Scalars (int/float/complex/numpy numbers) mix freely with jets. The
 functions at module level (``sincos``, ``exp``, ...) dispatch on type, so model
@@ -38,6 +43,8 @@ happened in.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -61,6 +68,9 @@ class SeriesBreakdown(ZeroDivisionError):
         super().__init__(f"{what} of series with vanishing constant term")
         self.lanes = lanes
 
+
+# the exact channel orders of a jet that computes them all
+_ALL = sys.maxsize
 
 _TOEP_IDX: dict[int, np.ndarray] = {}
 # Temporaries of at most _SMALL complex entries (128 KiB, glibc's default mmap
@@ -99,10 +109,12 @@ def _toep(series):
 
 
 class Jet:
-    __slots__ = ("c",)
+    __slots__ = ("c", "exact")
 
-    def __init__(self, c):
+    def __init__(self, c, exact=_ALL):
         self.c = c
+        # channel orders below this are computed; the columns past it are zeros
+        self.exact = exact
 
     # -- taxonomy ---------------------------------------------------------
     @property
@@ -126,34 +138,50 @@ class Jet:
                 return self
             out = self.c.copy()
             out[..., 0, 0] += other
-            return Jet(out)
-        return Jet(self.c + _operand(self, other))
+            return Jet(out, self.exact)
+        a, b = self.c, other.c
+        k = self.exact if self.exact <= other.exact else other.exact
+        if a.shape == b.shape:
+            return Jet(a + b, k)
+        if not _has_channels(a, b):
+            a, b = b, a
+        out = a.copy()
+        out[..., 0, :] += b[..., 0, :]
+        return Jet(out, k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.c)
+        return Jet(-self.c, self.exact)
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
             out = self.c.copy()
             out[..., 0, 0] -= other
-            return Jet(out)
-        return Jet(self.c - _operand(self, other))
+            return Jet(out, self.exact)
+        if self.c.shape != other.c.shape:
+            return self + (-other)
+        return Jet(self.c - other.c, self.exact if self.exact <= other.exact else other.exact)
 
     def __rsub__(self, other):
         out = -self.c
         out[..., 0, 0] += other
-        return Jet(out)
+        return Jet(out, self.exact)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.c * other)
-        a, b = self.c, _operand(self, other)
+            return Jet(self.c * other, self.exact)
+        a, b = self.c, other.c
+        k = self.exact if self.exact <= other.exact else other.exact
+        if a.shape != b.shape and not _has_channels(a, b):
+            a = np.zeros_like(b)
+            a[..., :1, :] = self.c
         out = a @ _toep(b[..., 0, :])
         if b.shape[-2] > 1:
-            out[..., 1:, :] += b[..., 1:, :] @ _toep(a[..., 0, :])
-        return Jet(out)
+            out[..., 1:, :k] += b[..., 1:, :k] @ _toep(a[..., 0, :k])
+        if k < b.shape[-1]:
+            out[..., 1:, k:] = 0.0
+        return Jet(out, k)
 
     __rmul__ = __mul__
 
@@ -162,16 +190,19 @@ class Jet:
         r0 = _recip_series(c[..., 0, :])
         if c.shape[-2] == 1:
             return Jet(r0[..., None, :])
+        k = self.exact
         out = np.empty_like(c)
         out[..., 0, :] = r0
         # d(1/b) = -db / b^2
-        t = _toep(r0)
-        out[..., 1:, :] = -((c[..., 1:, :] @ t) @ t)
-        return Jet(out)
+        t = _toep(r0[..., :k])
+        out[..., 1:, :k] = -((c[..., 1:, :k] @ t) @ t)
+        if k < c.shape[-1]:
+            out[..., 1:, k:] = 0.0
+        return Jet(out, k)
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.c * (1.0 / other))
+            return Jet(self.c * (1.0 / other), self.exact)
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -182,10 +213,13 @@ class Jet:
         c = self.c
         if c.shape[-2] == 1:
             return Jet(val_series[..., None, :])
+        k = self.exact
         out = np.empty_like(c)
         out[..., 0, :] = val_series
-        out[..., 1:, :] = c[..., 1:, :] @ _toep(dval_series)
-        return Jet(out)
+        out[..., 1:, :k] = c[..., 1:, :k] @ _toep(dval_series[..., :k])
+        if k < c.shape[-1]:
+            out[..., 1:, k:] = 0.0
+        return Jet(out, k)
 
     def sincos(self):
         s, co = _sincos_series(self.c[..., 0, :])
@@ -204,11 +238,16 @@ class Jet:
         return self._apply(s, 0.5 * _recip_series(s))
 
 
-def _operand(a, b):
-    """b's coefficients, for an operation with a: two jets in one operation have one shape."""
-    if a.c.shape != b.c.shape:
-        raise ValueError(f"jet shapes differ: {a.c.shape} and {b.c.shape}")
-    return b.c
+def _has_channels(a, b):
+    """Whether a is the one with channels, of two coefficient arrays of different shapes.
+
+    They mix only when they have the same lanes and series length and one of
+    them is a value series (one row); any other difference raises.
+    """
+    (*lanes_a, ra, la), (*lanes_b, rb, lb) = a.shape, b.shape
+    if lanes_a != lanes_b or la != lb or min(ra, rb) > 1:
+        raise ValueError(f"jet shapes differ: {a.shape} and {b.shape}")
+    return a.shape[-2] > 1
 
 
 # -- series recurrences, all lanes at once -------------------------------------
@@ -361,4 +400,4 @@ def log(x):
 
 
 def sqrt(x):
-    return x.sqrt() if isinstance(x, Jet) else np.sqrt(complex(x))
+    return x.sqrt() if isinstance(x, Jet) else np.sqrt(np.asarray(x, dtype=complex))

@@ -176,6 +176,140 @@ def test_field_series_matches_all_channel_reference(B):
                 assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), (model.name, L, N)
 
 
+# the kernel's models and charts, with a start point in each
+KERNEL_CASES = [
+    ("flat_torus", "main", [0.2, 0.5]),
+    ("round_sphere", "a", [1.2, 0.3]),
+    ("round_sphere", "b", [1.4, -0.5]),
+    ("surface_of_revolution", "main", [0.4, -1.0]),
+]
+
+
+def _build_passes(model, cid, q, B, D, order, field=flow_module._field_series):
+    """Each pass (z, L, N, exact) of one Taylor build of B lanes from q by ``field``, and the build.
+
+    One lane is built without a lane axis, as the kernel builds it.
+    """
+    rng = np.random.default_rng(B + order)
+    qs = np.array(q) + 0.05 * (rng.standard_normal((B, 2)) + 1j * rng.standard_normal((B, 2)))
+    ps = np.array([0.3 + 0.1j, -0.7 + 0.05j]) * (0.5 + rng.random((B, 1)))
+    passes = []
+
+    def recorded(model, cid, z, L, N, exact=None):
+        passes.append((z.copy(), L, N, exact))
+        return field(model, cid, z, L, N, exact)
+
+    Ds = None if D is None else np.broadcast_to(D, (B, 4, 4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow_module, "_field_series", recorded)
+        coeffs = flow_module._taylor_series(model, cid, qs, ps, Ds, np.exp(1j * rng.random(B)), order)
+    return passes, coeffs
+
+
+def _zero_channel_field_series(model, cid, z, L, N, exact):
+    """The field series with zero channel rows on the momentum jets: the reference.
+
+    The position jets are seeded with ``exact`` channel orders.
+    """
+    B, _, m = z.shape
+    n = m // 2
+    c = np.zeros((m, B, 1 + n, N), dtype=complex)
+    c[:, :, 0, :L] = z[:, :L].transpose(2, 0, 1)
+    for a in range(n):
+        c[a, :, 1 + a, 0] = 1.0
+    zs = [jets.Jet(c[a] if B > 1 else c[a, 0], exact) for a in range(m)]
+    _, gi, dg = model.metric(cid, zs[:n])
+    dq, dp = flow_module._field_from_metric(gi, dg, zs[n:])
+    X = np.zeros((B, N, m), dtype=complex)
+    Ahat = np.zeros((B, m, N, m), dtype=complex)
+    for i, x in enumerate(dq + dp):
+        if isinstance(x, jets.Jet):
+            X[:, :, i] = x.c[..., 0, :]
+            Ahat[:, i, :, :n] = x.c[..., 1:, ::-1].swapaxes(-1, -2)
+        else:
+            X[:, 0, i] = x
+    for i, row in enumerate(flow_module._momentum_columns(gi, dg, dq, exact)):
+        for a, x in enumerate(row):
+            if isinstance(x, jets.Jet):
+                Ahat[:, i, N - exact :, n + a] = x.c[..., 0, ::-1]
+            else:
+                Ahat[:, i, N - 1, n + a] = x
+    return X, Ahat.reshape(B, m, N * m)
+
+
+@pytest.mark.parametrize("B", [1, 7])
+def test_momentum_jets_without_channels_equal_zero_channel_rows(B):
+    # every pass of state-only builds at orders 16 and 40 and of a variational
+    # build, against momentum jets with zero channel rows and the channel
+    # orders each pass reads: N - L state-only, all N variational
+    for name, cid, q in KERNEL_CASES:
+        model = catalog(name)
+        for D, order in ((None, 16), (None, 40), (np.eye(4), 16)):
+            passes, _ = _build_passes(model, cid, q, B, D, order)
+            for z, L, N, exact in passes:
+                orders = N - L if D is None else N
+                got = flow_module._field_series(model, cid, z, L, N, exact)
+                want = _zero_channel_field_series(model, cid, z, L, N, orders)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w), (name, cid, order, L, N)
+
+
+@pytest.mark.parametrize("B", [1, 7])
+def test_state_only_pass_computes_the_orders_it_reads(B):
+    # X to the bit and A_j for j < N - L within 4 ulp of a full-channel pass;
+    # A_j for j >= N - L is not computed. An ulp is 2^-52 times the largest
+    # |A_j| entry of the lane.
+    m = 4
+    for name, cid, q in KERNEL_CASES:
+        model = catalog(name)
+        for order in (16, 40):
+            passes, _ = _build_passes(model, cid, q, B, None, order)
+            for z, L, N, exact in passes:
+                K = N - L
+                X, Ahat = flow_module._field_series(model, cid, z, L, N, exact)
+                X_full, Ahat_full = flow_module._field_series(model, cid, z, L, N)
+                assert np.array_equal(X, X_full)
+                # blocks A_{N-1}, ..., A_0: the last K are the orders read
+                A = Ahat.reshape(B, m, N, m)
+                A_full = Ahat_full.reshape(B, m, N, m)[:, :, N - K :]
+                assert not np.any(A[:, :, : N - K]), (name, cid, L, N)
+                ulp = np.finfo(float).eps * np.abs(A_full).max(axis=(1, 3), keepdims=True)
+                assert np.all(np.abs(A[:, :, N - K :] - A_full) <= 4 * ulp), (name, cid, L, N)
+
+
+@pytest.mark.parametrize("B", [1, 7])
+def test_state_only_build_matches_a_full_channel_build(B):
+    field = flow_module._field_series
+
+    def full(model, cid, z, L, N, exact=None):
+        return field(model, cid, z, L, N)
+
+    for name, cid, q in KERNEL_CASES:
+        model = catalog(name)
+        for order in (16, 40):
+            _, got = _build_passes(model, cid, q, B, None, order)
+            _, want = _build_passes(model, cid, q, B, None, order, field=full)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), (name, cid, order)
+
+
+@pytest.mark.parametrize("B", [1, 7])
+def test_variational_build_computes_every_order(B):
+    # every pass of a variational build is the full-channel pass, to the bit,
+    # and feeds all N orders of A; a state-only build reads N - L per pass
+    for name, cid, q in KERNEL_CASES:
+        model = catalog(name)
+        for order in (16, 40):
+            passes, _ = _build_passes(model, cid, q, B, np.eye(4), order)
+            for z, L, N, exact in passes:
+                got = flow_module._field_series(model, cid, z, L, N, exact)
+                want = flow_module._field_series(model, cid, z, L, N)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w), (name, cid, order, L, N)
+            state, _ = _build_passes(model, cid, q, B, None, order)
+            assert [exact for *_, exact in state] == (
+                [1, 3, 7, 1] if order == 16 else [1, 3, 7, 15, 9])
+
+
 def test_variational_step_costs_five_field_evaluations(monkeypatch):
     calls = []
     field = flow_module._field_from_metric

@@ -133,10 +133,58 @@ def test_series_with_channels_chain():
 
 
 def test_jets_of_different_shapes_do_not_mix():
-    a, t = Jet(np.ones((2, 4), dtype=complex)), Jet(np.ones((1, 4), dtype=complex))
-    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
-        with pytest.raises(ValueError, match=r"\(2, 4\) and \(1, 4\)"):
-            op(a, t)
+    # only a value series mixes with a jet of another shape; lanes, lengths and
+    # two channel counts above one do not
+    pairs = [((2, 4), (3, 4)), ((3, 2, 4), (2, 4)), ((3, 2, 4), (4, 1, 4)),
+             ((2, 4), (1, 5)), ((3, 1, 4), (1, 4))]
+    for sa, sb in pairs:
+        a, b = Jet(np.ones(sa, dtype=complex)), Jet(np.ones(sb, dtype=complex))
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match="jet shapes differ") as err:
+                    op(x, y)
+                assert str(x.c.shape) in str(err.value) and str(y.c.shape) in str(err.value)
+
+
+def test_value_series_mixes_as_zero_channel_rows():
+    # a value series with a jet that has channels: the same bits as with
+    # explicit zero channel rows, either operand first, with and without lanes
+    rng = np.random.default_rng(4)
+    for lanes in ((), (5,)):
+        a = Jet(rng.normal(size=lanes + (3, 6)) + 1j * rng.normal(size=lanes + (3, 6)))
+        v = rng.normal(size=lanes + (1, 6)) + 1j * rng.normal(size=lanes + (1, 6))
+        padded = np.zeros(lanes + (3, 6), dtype=complex)
+        padded[..., :1, :] = v
+        t, tz = Jet(v), Jet(padded)
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            for got, want in ((op(a, t), op(a, tz)), (op(t, a), op(tz, a))):
+                assert got.c.shape == want.c.shape
+                assert np.array_equal(got.c, want.c)
+
+
+def test_channels_past_the_exact_orders_are_zeros():
+    # a jet with k exact channel orders: products, reciprocals and series
+    # functions give the value series of the full jet to the bit, its first k
+    # channel orders to roundoff, and zeros past them
+    rng = np.random.default_rng(8)
+    L, k = 9, 4
+    for lanes in ((), (5,)):
+        full = [rng.normal(size=lanes + (3, L)) + 1j * rng.normal(size=lanes + (3, L)) + 3.0
+                for _ in range(2)]
+        cut = [c.copy() for c in full]
+        for c in cut:
+            c[..., 1:, k:] = 0.0
+        v = rng.normal(size=lanes + (1, L)) + 1j * rng.normal(size=lanes + (1, L))
+        ops = [lambda x, y: x * y, lambda x, y: x / y, lambda x, y: x + 2.0 * y,
+               lambda x, y: (x - y) * Jet(v), lambda x, y: Jet(v) * x - y,
+               lambda x, y: x.sincos()[1] * y.exp(), lambda x, y: x.log() - y.sqrt()]
+        for op in ops:
+            want = op(Jet(full[0]), Jet(full[1]))
+            got = op(Jet(cut[0], k), Jet(cut[1], k))
+            assert got.exact == k
+            assert np.array_equal(got.c[..., 0, :], want.c[..., 0, :])
+            assert close(got.c[..., 1:, :k], want.c[..., 1:, :k], 1e-13)
+            assert not np.any(got.c[..., 1:, k:])
 
 
 def test_eval_poly_matches_numpy():
@@ -157,6 +205,19 @@ def test_dispatch_on_plain_numbers():
     assert jets.sincos(0.3) == (np.sin(0.3), np.cos(0.3))
     assert jets.sqrt(-4.0) == 2j
     assert jets.value(3.5) == 3.5
+
+
+def test_sqrt_takes_lane_arrays_and_keeps_plain_bits():
+    # like log, exp and sincos, sqrt takes a lane array; a plain number keeps
+    # the bits of the principal complex root
+    x = np.array([-4.0, 2.0, 1.0 + 1.0j, -0.0, 3e-300])
+    got = jets.sqrt(x)
+    assert got.shape == x.shape
+    assert np.array_equal(got, np.array([np.sqrt(complex(e)) for e in x]))
+    for e in (-4.0, 2.0, 7, 1.0 + 1.0j, -0.0, np.float64(0.3)):
+        r = jets.sqrt(e)
+        assert np.array(r).tobytes() == np.array(np.sqrt(complex(e))).tobytes()
+        assert type(r) is np.complex128
 
 
 # -- the shared Toeplitz workspace ----------------------------------------------
