@@ -75,7 +75,6 @@ from .lagrangian import (
 )
 from .verify import (
     CHECK_NAMES,
-    MAX_SWEEP_CAP,
     _plain,
     estimate_tube_radius,
     run_battery,
@@ -483,12 +482,6 @@ def cmd_verify(cfg, out):
 
 
 def cmd_tube_radius(cfg, out):
-    if not cfg.resolution < cfg.sweep_cap:
-        # the bisections resolve each radius to within resolution, inside the cap
-        raise ConfigError("tube-radius needs resolution < sweep_cap")
-    if cfg.sweep_cap > MAX_SWEEP_CAP:
-        # the scan reads a frame every verify.RADIUS_SCAN_STEP out to the cap
-        raise ConfigError(f"sweep_cap must be at most {MAX_SWEEP_CAP:g}, got {cfg.sweep_cap:g}")
     model = cfg.build_model()
     est = estimate_tube_radius(
         model,

@@ -40,8 +40,9 @@ class ChartDomainError(GrauertError):
 class SingularityError(GrauertError):
     """Continuation broke down mid-flow; ``reason`` names how.
 
-    A flow lane stops by "step collapse", "singular series", "non-finite
-    series", "non-finite energy" (at its end), "chart box" or "step budget".
+    A flow lane stops by "step collapse", "non-finite series" (a vanishing
+    constant term of a reciprocal, log or sqrt, or an overflow), "non-finite
+    energy" (at its end), "chart box" or "step budget".
     ``last_good_sigma`` is the last path parameter at which the state was
     still certified. ``segments`` holds the dense output a flow lane accepted
     before the breakdown (empty when it broke down before its first step).
@@ -88,7 +89,7 @@ class UnknownModelError(GrauertError):
 
 
 class InvalidParamsError(GrauertError):
-    """Catalog model parameters fail validation."""
+    """Parameters of a catalog model or of a computation fail validation."""
 
 
 class ConfigError(GrauertError):

@@ -45,7 +45,7 @@ from . import jets
 from .errors import ChartDomainError, DivergenceError, GrauertError, SingularityError
 from .errors import UnsupportedModelError
 from .flow import DEFAULT_TOL, SigmaPath, flow_lanes, lane_result
-from .flow import _admit, _retire_breakdowns, _taylor_series
+from .flow import _admit, _lane_series
 from .geometry import metric_inv_matrix
 from .jets import Jet, value
 
@@ -144,36 +144,28 @@ def _series_coefficients(model, f, points, max_terms):
 
     Returns one entry per point: its coefficients, or the GrauertError that
     ended its lane (a ChartDomainError when the point lies outside its chart,
-    a SingularityError when its series meets a vanishing constant term or
-    its state or value series is not finite). The points of each chart build
-    their series with one ``_taylor_series`` call, and ``f.chart_eval`` runs
-    once on their lane jets, a single lane too.
+    a SingularityError when its state or value series is not finite, as a
+    vanishing constant term of a reciprocal, log or sqrt makes it). The
+    points of each chart build their series with one ``_lane_series`` call,
+    and ``f.chart_eval`` runs once on their lane jets, a single lane too.
     """
     groups, errors = _admit(model, points)
     out = [errors.get(i) for i in range(len(points))]
     n = model.dim
     for cid, (idx, q) in groups.items():
         p = np.array([points[i].p for i in idx])
-
-        def build(k):
-            coeffs = _taylor_series(model, cid, q[k], p[k], None, 1.0, max_terms)
-            lanes = coeffs.transpose(1, 0, 2, 3)
+        coeffs, finite = _lane_series(model, cid, q, p, None, 1.0, max_terms)
+        lanes = coeffs.transpose(1, 0, 2, 3)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             val = f.chart_eval(cid, [Jet(lanes[i].copy()) for i in range(n)])
-            a = np.zeros((len(k), max_terms + 1), dtype=complex)
-            if isinstance(val, Jet):
-                a[:] = val.c[..., 0, :]
-            else:
-                a[:, 0] = complex(val)
-            return a, np.isfinite(coeffs).all(axis=(1, 2, 3)) & np.isfinite(a).all(axis=1)
-
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite series breaks down
-            ok, built, broken = _retire_breakdowns(build, len(idx))
-        for j, e in broken.items():
-            out[idx[j]] = SingularityError(f"{f.name}: {e} at 0", last_good_sigma=0j,
-                                           reason="singular series")
-        a, finite = ((), ()) if built is None else built
-        for j, row, fin in zip(ok, a, finite):
-            out[idx[j]] = row if fin else SingularityError(
+        a = np.zeros((len(idx), max_terms + 1), dtype=complex)
+        if isinstance(val, Jet):
+            a[:] = val.c[..., 0, :]
+        else:
+            a[:, 0] = complex(val)
+        finite &= np.isfinite(a).all(axis=1)
+        for i, row, fin in zip(idx, a, finite):
+            out[i] = row if fin else SingularityError(
                 f"{f.name}: non-finite series at 0", last_good_sigma=0j,
                 reason="non-finite series")
     return out
@@ -247,7 +239,8 @@ def extend_by_series(model, f, z):
     past order 10: with complex or paired singularities the magnitudes
     oscillate while growing, so record highs are the robust growth signal
     rather than consecutive increases. Raises a :class:`SingularityError`
-    when the series meets a vanishing constant term or is not finite.
+    when the state or value series is not finite (a vanishing constant term
+    of a reciprocal, log or sqrt, or an overflow).
     """
     return lane_result(extend_by_series_lanes(model, f, [z])[0])
 
@@ -304,24 +297,19 @@ def extend_by_exp_lanes(model, f, points):
     """The exp-map route at every point of ``points`` at once, one lane per point.
 
     Returns one entry per point: its :class:`ExtensionResult`, or the
-    :class:`~grauert.errors.ChartDomainError` of a point in no chart of the
-    model. The points of each chart share one evaluation of g^-1, one call of
-    the oracle's ``exp_complex`` and one of ``f.extension``.
+    :class:`~grauert.errors.ChartDomainError` of a point outside its chart's
+    box or in no chart of the model. The points are admitted as the other
+    routes admit them, and the points of each chart share one evaluation of
+    g^-1, one call of the oracle's ``exp_complex`` and one of ``f.extension``.
     """
     orc = model.oracle
     if orc is None or not hasattr(orc, "exp_complex"):
         raise UnsupportedModelError(f"{model.name} has no closed-form exponential map")
     if f.extension is None:
         raise UnsupportedModelError(f"{f.name} declares no closed-form extension")
-    out = [None] * len(points)
-    for cid in dict.fromkeys(z.chart_id for z in points):
-        idx = [i for i, z in enumerate(points) if z.chart_id == cid]
-        try:
-            q = model.chart(cid).wrap(np.array([points[i].q for i in idx]))
-        except ChartDomainError as e:
-            for i in idx:
-                out[i] = e
-            continue
+    groups, errors = _admit(model, points)
+    out = [errors.get(i) for i in range(len(points))]
+    for cid, (idx, q) in groups.items():
         p = np.array([points[i].p for i in idx])
         v = (metric_inv_matrix(model, cid, q) @ p[:, :, None])[:, :, 0]
         targets = orc.exp_complex(cid, q, 1j * v)
@@ -349,10 +337,12 @@ def crosscheck(model, f, points, tol=DEFAULT_TOL):
     series = extend_by_series_lanes(model, f, points)
     flows = extend_by_flow_lanes(model, f, points, tol=tol)
     results = [{"series": lane_result(s), "flow": lane_result(fl)} for s, fl in zip(series, flows)]
-    orc = model.oracle
-    if orc is not None and hasattr(orc, "exp_complex") and f.extension is not None:
-        for res, ex in zip(results, extend_by_exp_lanes(model, f, points)):
-            res["exp_map"] = lane_result(ex)
+    try:
+        exps = extend_by_exp_lanes(model, f, points)
+    except UnsupportedModelError:
+        exps = ()
+    for res, ex in zip(results, exps):
+        res["exp_map"] = lane_result(ex)
     reports = []
     for res in results:
         pairwise = {(m1, m2): abs(res[m1].value - res[m2].value) for m1, m2 in combinations(res, 2)}

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import ChartDomainError, GrauertError, SingularityError
 from .geometry import energy, transition_phase
-from .jets import Jet, SeriesBreakdown, eval_poly, is_plain_zero
+from .jets import Jet, eval_poly, is_plain_zero
 
 __all__ = [
     "PhasePoint",
@@ -389,22 +389,9 @@ def _last_inside(coeffs, dt, n, pred):
     """Largest local parameter in [0, dt] whose state still satisfies pred.
 
     The accepted step's series is trusted as the solution on the step, so the
-    exit point is localized by bisection on the polynomial itself. Its q is
-    summed by Horner's rule on Python complex numbers: at one point that is
-    several times cheaper than eval_poly, and each product and sum rounds as
-    in eval_poly, so the verdicts and the result are the same.
+    exit point is localized by bisection on the polynomial itself.
     """
-    rows = coeffs[:n, 0, ::-1].tolist()
-
-    def q_of(t):
-        out = []
-        for row in rows:
-            acc = 0j
-            for c in row:
-                acc = acc * t + c
-            out.append(acc)
-        return np.array(out)
-
+    q_of = lambda t: eval_poly(coeffs[:n, 0, :], t)
     if not pred(q_of(0.0)):
         return 0.0
     lo, hi = 0.0, float(dt)
@@ -437,25 +424,16 @@ def _step_sizes(mags, tol):
     return np.array(h)
 
 
-def _retire_breakdowns(build, B):
-    """``build(ok)`` for the lanes ok of 0..B-1, retiring each lane whose series breaks down.
+def _lane_series(model, chart_id, q, p, D, direction, order):
+    """:func:`_taylor_series` of lanes, and per lane whether its coefficients are all finite.
 
-    ``build`` takes an index array of lanes. When it raises
-    :class:`~grauert.jets.SeriesBreakdown` (a vanishing constant term), the
-    lanes it names retire and it runs again on the others. Returns (ok, out,
-    broken): the lanes built, build's result for them (None when no lane is
-    left) and the SeriesBreakdown of each retired lane by index.
+    The one Taylor build of the flow and the series route. A lane whose series
+    breaks down, by a vanishing constant term of a reciprocal, log or sqrt (a
+    pivot of g) or by overflow, gets non-finite coefficients in that lane only.
     """
-    ok = np.arange(B)
-    broken = {}
-    while ok.size:
-        try:
-            return ok, build(ok), broken
-        except SeriesBreakdown as e:
-            bad = np.broadcast_to(e.lanes, ok.shape)
-            broken.update((int(i), e) for i in ok[bad])
-            ok = ok[~bad]
-    return ok, None, broken
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        coeffs = _taylor_series(model, chart_id, q, p, D, direction, order)
+    return coeffs, np.isfinite(coeffs).all(axis=(1, 2, 3))
 
 
 def _admit(model, points):
@@ -560,19 +538,8 @@ def _step_group(model, cid, lanes, st, outcomes, tol):
     ch = model.chart(cid)
     k = st.leg[lanes]
     s0, u, length = st.s0[lanes, k], st.u[lanes, k], st.length[lanes, k]
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite series breaks down
-        ok, coeffs, broken = _retire_breakdowns(
-            lambda j: _taylor_series(model, cid, st.q[lanes[j]], st.p[lanes[j]],
-                                     None if st.D is None else st.D[lanes[j]], u[j], DEFAULT_ORDER),
-            len(lanes))
-    for j, e in broken.items():
-        i = lanes[j]
-        outcomes[i] = st.breakdown(i, f"{e} at {st.sigma_now[i]}", st.sigma_now[i],
-                                   "singular series")
-    if coeffs is None:
-        return lanes[:0]
-    lanes, s0, u, length = lanes[ok], s0[ok], u[ok], length[ok]
-    finite = np.isfinite(coeffs).all(axis=(1, 2, 3))
+    coeffs, finite = _lane_series(model, cid, st.q[lanes], st.p[lanes],
+                                  None if st.D is None else st.D[lanes], u, DEFAULT_ORDER)
     h = _step_sizes(np.max(np.abs(coeffs[:, :, 0, :]), axis=1), tol)
     left = length - st.t_done[lanes]
     dt = np.where(left < h, left, h)
@@ -646,8 +613,9 @@ def flow_lanes(
     be given. Returns a list with one entry per lane: its
     :class:`FlowResult`, or the :class:`~grauert.errors.GrauertError` that
     ended it (a :class:`SingularityError` when its series step collapses
-    below the floor, its series meets a vanishing constant term, its series
-    or its end energy is not finite, or its real part exits the atlas; a
+    below the floor, its series is not finite, as a vanishing constant term
+    of a reciprocal, log or sqrt makes it in that lane only, its end energy
+    is not finite, or its real part exits the atlas; a
     :class:`~grauert.errors.ChartDomainError` when its real part starts
     outside its chart's box). A result keeps the lane's accepted segments as
     dense output, and so does a SingularityError, whose segments are
@@ -726,10 +694,9 @@ def flow(
     A one-lane call of :func:`flow_lanes`. Exactly one of ``sigma`` (straight
     path) or ``path`` must be given. Returns a :class:`FlowResult`; raises the
     lane's :class:`SingularityError` when the series step collapses below the
-    floor, the series meets a vanishing constant term, the series or the end
-    energy is not finite, or its real part exits the atlas. The error
-    keeps the accepted segments, which are trustworthy up to its
-    ``last_good_sigma``.
+    floor, the series or the end energy is not finite, or its real part exits
+    the atlas. The error keeps the accepted segments, which are trustworthy
+    up to its ``last_good_sigma``.
     """
     (out,) = flow_lanes(model, [point], sigma=sigma, path=path, tol=tol,
                         variational=variational)

@@ -181,8 +181,8 @@ def _inverse(g):
     and no product, a plain entry stays plain and a plain zero stays a plain
     zero. The pivots are the ratios of successive leading principal minors,
     positive on the real slice for a metric. A pivot that is a series with
-    vanishing constant term raises :class:`~grauert.jets.SeriesBreakdown`, the
-    flow's "singular series", as a vanishing determinant does; off the real
+    vanishing constant term gives a non-finite inverse in its lane, the
+    flow's "non-finite series", as a vanishing determinant does; off the real
     slice a pivot of a non-diagonal g can vanish where the determinant does
     not.
     """

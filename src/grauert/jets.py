@@ -37,9 +37,11 @@ functions at module level (``sincos``, ``exp``, ...) dispatch on type, so model
 evaluators written against them run unchanged on plain numbers, duals, or
 series, one lane or many.
 
-A series function whose argument has a vanishing constant term (reciprocal,
-log, sqrt) raises :class:`SeriesBreakdown`, which names the lanes it
-happened in.
+Series functions never raise. One whose argument has a vanishing constant
+term (reciprocal, log, sqrt) gives non-finite coefficients, in that lane
+only: every product, gather and recurrence acts lane by lane, so a lane
+never reads another. Callers that expect it build under ``np.errstate`` and
+test each lane's coefficients for finiteness.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ import numpy as np
 
 __all__ = [
     "Jet",
-    "SeriesBreakdown",
     "value",
     "sincos",
     "exp",
@@ -59,14 +60,6 @@ __all__ = [
     "eval_poly",
     "is_plain_zero",
 ]
-
-
-class SeriesBreakdown(ZeroDivisionError):
-    """A series with a vanishing constant term; ``lanes`` is True in the lanes where it vanished."""
-
-    def __init__(self, what, lanes):
-        super().__init__(f"{what} of series with vanishing constant term")
-        self.lanes = lanes
 
 
 # the exact channel orders of a jet that computes them all
@@ -283,16 +276,10 @@ def _lanes(f):
     return f.reshape(-1, f.shape[-1])
 
 
-def _require_nonzero(c0, what, shape):
-    if not np.all(c0):
-        raise SeriesBreakdown(what, (c0 == 0).reshape(shape))
-
-
 def _recip_series(b):
     shape = b.shape
     b = _lanes(b)
     b0 = b[:, 0]
-    _require_nonzero(b0, "reciprocal", shape[:-1])
     w = np.conj(b / -b0[:, None])
     r = np.zeros(b.shape, dtype=complex)
     r[:, 0] = 1.0 / b0
@@ -333,7 +320,6 @@ def _log_series(f):
     shape = f.shape
     f = _lanes(f)
     f0 = f[:, 0]
-    _require_nonzero(f0, "log", shape[:-1])
     w = np.conj(_toep(f).swapaxes(-1, -2) * _ratios(shape[-1]) / f0[:, None, None])
     g = (f / f0[:, None]).astype(complex, copy=False)
     g[:, 0] = np.log(f0)
@@ -346,7 +332,6 @@ def _sqrt_series(f):
     shape = f.shape
     f = _lanes(f)
     s0 = np.sqrt(f[:, 0])
-    _require_nonzero(s0, "sqrt", shape[:-1])
     s = np.zeros(f.shape, dtype=complex)
     s[:, 0] = s0
     for k in range(1, shape[-1]):

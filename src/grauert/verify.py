@@ -630,13 +630,16 @@ def estimate_tube_radius(model, n_directions=20, seed=7, sweep_cap=3.0,
     grids and the window its 21 samples as stacked reads; the root
     polishing and the bisections read one frame at a time. The real-axis
     scan reads a frame every RADIUS_SCAN_STEP out to ``sweep_cap``, which is
-    therefore at most MAX_SWEEP_CAP; ValueError above it, and unless
-    ``resolution`` lies below ``sweep_cap``.
+    therefore positive and at most MAX_SWEEP_CAP; the bisections resolve each
+    radius to within ``resolution``, which must lie below it.
+    :class:`InvalidParamsError` otherwise.
     """
-    if not 0 < sweep_cap <= MAX_SWEEP_CAP:
-        raise ValueError(f"sweep_cap must be positive and at most {MAX_SWEEP_CAP:g}")
     if not resolution < sweep_cap:
-        raise ValueError("resolution must be below sweep_cap")
+        raise InvalidParamsError("tube-radius needs resolution < sweep_cap")
+    if sweep_cap > MAX_SWEEP_CAP:
+        raise InvalidParamsError(f"sweep_cap must be at most {MAX_SWEEP_CAP:g}, got {sweep_cap:g}")
+    if not sweep_cap > 0:
+        raise InvalidParamsError(f"sweep_cap must be positive, got {sweep_cap:g}")
     dirs = sample_tube_points(model, n_directions, seed, 1.0, 1.0)
     refine = min(resolution, 1e-6)
     frames = FrameRays(model, dirs, [sweep_cap, -sweep_cap, 1j * sweep_cap], tol=flow_tol)

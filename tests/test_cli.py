@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import grauert
 from grauert.cli import RunConfig, load_config, main
-from grauert.errors import ConfigError
+from grauert.errors import ConfigError, InvalidParamsError
 from grauert.verify import CHECK_NAMES
 from test_flow import MERIDIAN_TAU
 
@@ -207,7 +207,7 @@ def test_tube_radius_resolution_below_cap(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: tube-radius needs resolution < sweep_cap\n"
     from grauert.catalog import catalog
     from grauert.verify import estimate_tube_radius
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParamsError, match="^tube-radius needs resolution < sweep_cap$"):
         estimate_tube_radius(catalog("round_sphere"), n_directions=1, sweep_cap=2.0,
                              resolution=3.0)
 
@@ -218,6 +218,10 @@ def test_tube_radius_sweep_cap_above_scan_budget(tmp_path, capsys):
     code, _ = run(tmp_path, "tube-radius", "--config", write_ini(tmp_path, text))
     assert code == 3
     assert capsys.readouterr().err == "config error: sweep_cap must be at most 500, got 1e+06\n"
+    from grauert.catalog import catalog
+    from grauert.verify import estimate_tube_radius
+    with pytest.raises(InvalidParamsError, match="^sweep_cap must be at most 500, got 1e\\+06$"):
+        estimate_tube_radius(catalog("flat_torus"), n_directions=1, sweep_cap=1e6)
 
 
 @pytest.mark.parametrize("command, text", [

@@ -312,7 +312,7 @@ def test_exp_route_needs_neither_flow_nor_series(monkeypatch):
 
     for module in (grauert.flow, extend_module):
         monkeypatch.setattr(module, "flow_lanes", refuse)
-        monkeypatch.setattr(module, "_taylor_series", refuse)
+        monkeypatch.setattr(module, "_lane_series", refuse)
     for case, values in zip(cases, want):
         assert [r.value for r in extend_by_exp_lanes(*case)] == values
     # the torus's exponential map at v is the complex point q + i v
@@ -334,7 +334,7 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_extend_runs_one_series_and_one_flow_call_per_route(tmp_path, monkeypatch, kernel_calls):
-    series = _count_calls(monkeypatch, extend_module, "_taylor_series")
+    series = _count_calls(monkeypatch, extend_module, "_lane_series")
     flows = kernel_calls
     for model, function in (("flat_torus", "wave"), ("round_sphere", "height")):
         ini = tmp_path / f"{model}.ini"
@@ -389,20 +389,48 @@ def test_unknown_chart_stays_in_its_lane():
 
 
 def test_singular_series_retires_one_lane():
-    model = _g11_is_q0()
-    f = BaseFunction("q1", {"main": lambda qs: qs[1]}, margin=np.inf)
+    # at q0 = 0 a series has a vanishing constant term: a pivot of g, or, on
+    # the flat torus, where every state series is finite, f's divisor
+    cases = [
+        (_g11_is_q0(), BaseFunction("q1", {"main": lambda qs: qs[1]}, margin=np.inf)),
+        (catalog("flat_torus"), BaseFunction("inv_q0", {"main": lambda qs: 1.0 / qs[0]},
+                                             margin=np.inf)),
+    ]
     good = [PhasePoint("main", [1.0, 0.2], [0.1, 0.2]), PhasePoint("main", [1.5, -0.3], [-0.2, 0.1])]
     bad = PhasePoint("main", [0.0, 0.0], [0.1, 0.2])
-    first, broken, last = extend_by_series_lanes(model, f, [good[0], bad, good[1]])
-    assert isinstance(broken, SingularityError)
-    assert broken.reason == "singular series"
-    assert broken.last_good_sigma == 0
-    _same_result(first, extend_by_series(model, f, good[0]))
-    _same_result(last, extend_by_series(model, f, good[1]))
-    # one point raises the typed breakdown, not an arithmetic error
-    with pytest.raises(SingularityError) as exc:
-        extend_by_series(model, f, bad)
-    assert exc.value.reason == "singular series"
+    for model, f in cases:
+        first, broken, last = extend_by_series_lanes(model, f, [good[0], bad, good[1]])
+        assert isinstance(broken, SingularityError)
+        assert broken.reason == "non-finite series"
+        assert broken.last_good_sigma == 0
+        _same_result(first, extend_by_series(model, f, good[0]))
+        _same_result(last, extend_by_series(model, f, good[1]))
+        # one point raises the typed breakdown, not an arithmetic error
+        with pytest.raises(SingularityError) as exc:
+            extend_by_series(model, f, bad)
+        assert exc.value.reason == "non-finite series"
+    # on the flat torus the flow reaches q + i p at parameter i
+    for z, lane in zip(good, (first, last)):
+        assert abs(lane.value - 1.0 / (z.q[0] + 1j * z.p[0])) < 1e-12
+
+
+def test_point_outside_its_box_is_refused_by_every_route():
+    sph = catalog("round_sphere")
+    f = sphere_ambient(sph, "tilted", (1.0, 0.5, -0.25))
+    pts = _both_sphere_charts(sph, 2, 3)
+    # theta = 0.01 lies beyond chart a's box, short of its pole
+    pts.insert(2, PhasePoint("a", [0.01, 0.0], [0.1, 0.1]))
+    routes = ((extend_by_series_lanes, extend_by_series), (extend_by_flow_lanes, extend_by_flow),
+              (extend_by_exp_lanes, extend_by_exp))
+    refusals = set()
+    for lanes, one in routes:
+        got = lanes(sph, f, pts)
+        assert isinstance(got[2], ChartDomainError), lanes.__name__
+        refusals.add(str(got[2]))
+        for z, lane in zip(pts, got):
+            if z is not pts[2]:
+                _same_result(lane, one(sph, f, z))
+    assert len(refusals) == 1
 
 
 def test_non_finite_series_is_a_typed_breakdown():

@@ -195,10 +195,21 @@ def test_eval_poly_matches_numpy():
     assert close(eval_poly(coeffs, dt), expected, 1e-13)
 
 
-def test_zero_constant_reciprocal_raises():
-    j = poly_jet([0.0, 1.0, 0.0])
-    with pytest.raises(ZeroDivisionError):
-        j.reciprocal()
+def test_vanishing_constant_term_breaks_down_in_its_lane_only():
+    # reciprocal, log and sqrt never raise: a lane whose constant term is 0
+    # gets non-finite coefficients, and every other lane keeps the bits it
+    # has in a batch without it. L = 41 gathers through the shared workspace.
+    rng = np.random.default_rng(29)
+    for R, L in ((1, 8), (3, 8), (3, 41)):
+        c = rng.normal(size=(5, R, L)) + 1j * rng.normal(size=(5, R, L)) + 2.0
+        c[2, 0, 0] = 0.0
+        rest = np.delete(c, 2, axis=0)
+        for op in (Jet.reciprocal, Jet.log, Jet.sqrt):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                got, want = op(Jet(c)).c, op(Jet(rest)).c
+            assert not np.isfinite(got[2]).all(), (op.__name__, R, L)
+            assert np.array_equal(np.delete(got, 2, axis=0), want), (op.__name__, R, L)
+            assert np.isfinite(want).all()
 
 
 def test_dispatch_on_plain_numbers():

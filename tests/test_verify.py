@@ -547,10 +547,12 @@ def test_tube_radius_one_kernel_call(sphere, kernel_calls):
 
 
 def test_tube_radius_rejects_bad_cap(sphere):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParamsError):
         estimate_tube_radius(sphere, sweep_cap=0.0)
+    with pytest.raises(InvalidParamsError, match="positive"):
+        estimate_tube_radius(sphere, sweep_cap=-1.0, resolution=-2.0)
     # the scan would read 2 * 10^7 frames per direction
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParamsError):
         estimate_tube_radius(sphere, sweep_cap=1e6)
 
 
