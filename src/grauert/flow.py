@@ -32,8 +32,8 @@ trajectories as lanes (the batch mode of Taylor integrators such as heyoka,
 Biscani and Izzo, MNRAS 2021). The state of a batch is held as arrays over
 its lanes: phase point, jacobian, place on the path, chart and step counts.
 The jets carry a leading lane axis, so one field evaluation builds the
-series of every lane in a chart at once, and the state update and the
-wrap and box checks run as array operations on that chart's lanes.
+series of every lane on one metric evaluator, whatever its chart, and the
+state update and the wrap and box checks run as array operations on them.
 The step rule takes its powers on Python floats, one lane at a time, since
 numpy's array power can differ from the scalar one in the last bit. Each
 lane keeps its own step size, chart and dense output (its accepted step
@@ -386,12 +386,12 @@ def _taylor_series(model, chart_id, q, p, D, direction, order):
 
 
 def _last_inside(coeffs, dt, n, pred):
-    """Largest local parameter in [0, dt] whose state still satisfies pred.
+    """Largest local parameter in [0, dt] at which pred still holds of the real part of q.
 
     The accepted step's series is trusted as the solution on the step, so the
     exit point is localized by bisection on the polynomial itself.
     """
-    q_of = lambda t: eval_poly(coeffs[:n, 0, :], t)
+    q_of = lambda t: eval_poly(coeffs[:n, 0, :], t).real
     if not pred(q_of(0.0)):
         return 0.0
     lo, hi = 0.0, float(dt)
@@ -470,14 +470,15 @@ def _admit(model, points):
 
 
 def _energies(model, st, lanes):
-    """Energy of the states of ``lanes`` (an index array), one metric evaluation per chart."""
+    """Energy of the states of ``lanes`` (an index array), one metric evaluation per evaluator."""
     e = np.zeros(len(st.chart), dtype=complex)
-    for c in np.unique(st.chart[lanes]):
-        g = lanes[st.chart[lanes] == c]
+    keys = st.key[st.chart[lanes]]
+    for k in np.unique(keys):
+        g = lanes[keys == k]
         # a lane started on a singular metric, or ended where it overflows,
         # has no finite energy
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            e[g] = energy(model, st.charts[c], st.q[g].T, st.p[g].T)
+            e[g] = energy(model, st.charts[k], st.q[g].T, st.p[g].T)
     return e
 
 
@@ -499,6 +500,7 @@ class _Lanes:
         self.s0, self.length = w[:, :-1], np.where(kept, length, 0.0)
         self.u = np.divide(d, length, out=np.zeros_like(d), where=kept)
         self.charts, self.chart = list(model.charts), np.zeros(B, dtype=int)
+        self.key = np.array([model.evaluator_key[c] for c in self.charts])  # per chart
         self.q, self.p = np.zeros((B, n), dtype=complex), p
         self.D = np.tile(np.eye(2 * n, dtype=complex), (B, 1, 1)) if variational else None
         self.leg, self.t_done, self.t_global = np.zeros(B, dtype=int), np.zeros(B), np.zeros(B)
@@ -523,22 +525,26 @@ class _Lanes:
                                 segments=self.segments[i])
 
 
-def _step_group(model, cid, lanes, st, outcomes, tol):
-    """One accepted step of ``lanes`` (an index array, all in chart cid); the lanes that go on.
+def _step_group(model, lanes, st, outcomes, tol):
+    """One accepted step of ``lanes`` (an index array, on one evaluator); the lanes that go on.
 
-    The series, the state update and the wrap and box checks are array
-    operations on the group; the step rule runs per lane on Python floats.
-    Beyond that, a lane runs Python of its own only where it has an event: a
-    breakdown, which puts its SingularityError (or the GrauertError of a
-    failed transition) in ``outcomes``, or a step out of the chart's safe
-    interior, where best_chart decides whether it changes chart. A lane whose
-    series is not finite breaks down before its step is chosen.
+    The series (built in the first lane's chart), the state update and the
+    wrap and box checks (chart by chart) are array operations on the group;
+    the step rule runs per lane on Python floats. Beyond that, a lane runs
+    Python of its own only where it has an event: a breakdown, which puts
+    its SingularityError (or the GrauertError of a failed transition) in
+    ``outcomes``, or a step out of its chart's safe interior, where
+    best_chart decides whether it changes chart. A lane whose series is not
+    finite breaks down before its step is chosen. Its segment, checks and
+    exit point are of its own chart.
     """
     n = model.dim
-    ch = model.chart(cid)
+    cids = st.chart[lanes]  # each lane's chart before its step
+    split = (cids != cids[0]).any()
+    ch = model.chart(st.charts[cids[0]])
     k = st.leg[lanes]
     s0, u, length = st.s0[lanes, k], st.u[lanes, k], st.length[lanes, k]
-    coeffs, finite = _lane_series(model, cid, st.q[lanes], st.p[lanes],
+    coeffs, finite = _lane_series(model, ch.id, st.q[lanes], st.p[lanes],
                                   None if st.D is None else st.D[lanes], u, DEFAULT_ORDER)
     h = _step_sizes(np.max(np.abs(coeffs[:, :, 0, :]), axis=1), tol)
     left = length - st.t_done[lanes]
@@ -551,11 +557,12 @@ def _step_group(model, cid, lanes, st, outcomes, tol):
             if finite[j] else st.breakdown(i, f"non-finite series at {s}", s, "non-finite series"))
     go = finite & ~collapsed
     if not go.all():
-        lanes, coeffs, s0, u, dt = lanes[go], coeffs[go], s0[go], u[go], dt[go]
+        lanes, cids, coeffs, s0, u, dt = lanes[go], cids[go], coeffs[go], s0[go], u[go], dt[go]
     t_done = st.t_done[lanes]
     sigma0 = s0 + u * t_done
-    for j, i in enumerate(lanes):
-        st.segments[i].append(Segment(cid, sigma0[j], u[j], dt[j], st.t_global[i], coeffs[j]))
+    for j, (i, c) in enumerate(zip(lanes, cids.tolist())):
+        st.segments[i].append(Segment(st.charts[c], sigma0[j], u[j], dt[j], st.t_global[i],
+                                      coeffs[j]))
     state = eval_poly(coeffs, dt[:, None, None])
     t_done = t_done + dt
     st.t_done[lanes] = t_done
@@ -563,12 +570,21 @@ def _step_group(model, cid, lanes, st, outcomes, tol):
     st.sigma_now[lanes] = s0 + u * t_done
     st.steps[lanes] += 1
     st.min_step[lanes] = np.where(dt < st.min_step[lanes], dt, st.min_step[lanes])
-    q, p = ch.wrap(state[:, :n, 0]), state[:, n:, 0]
+    q, p = state[:, :n, 0], state[:, n:, 0]
     D = None if st.D is None else state[:, :, 1:]
+    if split:
+        in_box, safe = np.empty((2, len(lanes)), dtype=bool)
+        for c in np.unique(cids):
+            g, box = cids == c, model.chart(st.charts[c])
+            q[g] = box.wrap(q[g])
+            in_box[g], safe[g] = box.contains_re(q[g].real), box.in_safe_interior(q[g].real)
+    else:
+        q = ch.wrap(q)
+        in_box = ch.contains_re(q.real)
     good = np.ones(len(lanes), dtype=bool)
-    in_box = ch.contains_re(q.real)
     if model.has_transitions():
-        for j in np.flatnonzero(~ch.in_safe_interior(q.real)):
+        for j in np.flatnonzero(~(safe if split else ch.in_safe_interior(q.real))):
+            cid = st.charts[cids[j]]
             try:
                 best = model.best_chart(cid, q[j])
                 if best == cid:
@@ -586,7 +602,7 @@ def _step_group(model, cid, lanes, st, outcomes, tol):
             st.transitions[lanes[j]] += 1
             in_box[j] = model.chart(best).contains_re(q[j].real)
     for j in np.flatnonzero(good & ~in_box):
-        t_ok = _last_inside(coeffs[j], dt[j], n, lambda qq: ch.contains_re(qq.real))
+        t_ok = _last_inside(coeffs[j], dt[j], n, model.chart(st.charts[cids[j]]).contains_re)
         s_ok = s0[j] + u[j] * (t_done[j] - dt[j] + t_ok)
         outcomes[lanes[j]] = st.breakdown(
             lanes[j], f"real part left the chart box near {s_ok}", s_ok, "chart box")
@@ -623,10 +639,10 @@ def flow_lanes(
 
     Lanes run in lockstep, each with its own step size, chart and checks, so
     every lane takes the steps it would take alone. The state of the lanes
-    is held as arrays; each step builds the series of all lanes in one chart
-    with one field evaluation per doubling pass, and takes and checks their
-    steps as array operations. Lanes that finish or break down leave the
-    batch.
+    is held as arrays; each step builds the series of all lanes on one
+    metric evaluator, in every chart that shares it, with one field
+    evaluation per doubling pass, and takes and checks their steps as array
+    operations. Lanes that finish or break down leave the batch.
     """
     if (sigma is None) == (path is None):
         raise ValueError("pass exactly one of sigma or path")
@@ -657,9 +673,9 @@ def flow_lanes(
             break
         # the groups are fixed before any steps: a lane that changes chart
         # takes its next step in the next pass
-        groups = [(c, running[st.chart[running] == c]) for c in np.unique(st.chart[running])]
-        running = np.concatenate([_step_group(model, st.charts[c], g, st, outcomes, tol)
-                                  for c, g in groups])
+        keys = st.key[st.chart[running]]
+        running = np.concatenate([_step_group(model, running[keys == e], st, outcomes, tol)
+                                  for e in np.unique(keys)])
     done = np.array([i for i in admitted if outcomes[i] is None], dtype=int)
     e1 = _energies(model, st, done)
     finite = np.isfinite(e1)

@@ -32,7 +32,7 @@ from oracles import (
     nested_flow_derivative_fd,
     strip_identity_residual,
 )
-from test_flow import _g11_is_q0
+from test_flow import _count_calls, _g11_is_q0
 
 E_MINUS_HALF = 0.6065306597126334  # e^{-1/2}
 SINH_03 = 0.3045202934471426
@@ -319,18 +319,6 @@ def test_exp_route_needs_neither_flow_nor_series(monkeypatch):
     z = PhasePoint("main", [0.4, -0.3], [0.25, 0.15])
     want = cmath.exp(1j * (0.4 + 0.25j)) + (0.3 - 0.2j) * cmath.exp(1j * (0.5 + 0.65j))
     assert abs(extend_by_exp(tor, cases[1][1], z).value - want) < 1e-15
-
-
-def _count_calls(monkeypatch, module, name):
-    calls = []
-    orig = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def test_extend_runs_one_series_and_one_flow_call_per_route(tmp_path, monkeypatch, kernel_calls):

@@ -13,7 +13,7 @@ import grauert.flow as flow_module
 from grauert import jets
 from grauert.catalog import catalog
 from grauert.errors import ChartDomainError, SingularityError
-from grauert.geometry import Chart, MetricModel, energy
+from grauert.geometry import Chart, MetricModel, energy, metric_inv_matrix, push_through
 from grauert.flow import PhasePoint, SigmaPath, flow, flow_lanes, hamiltonian_vector_field
 from oracles import flow_group_residual, phase_residual, scaling_conjugation_residual, variable
 
@@ -427,6 +427,23 @@ def test_sphere_complex_flow_matches_closed_form():
         assert r.diagnostics.energy_drift < 1e-10
 
 
+def test_far_imaginary_flow_matches_the_closed_form_in_world_coordinates():
+    # the sphere's geodesic through P0 with velocity V0 is
+    # cos(rho sigma) P0 + sin(rho sigma) / rho V0 in 3-space, at any complex
+    # sigma; far off the real slice the flow keeps to it, where the oracle's
+    # chart point does not (see SphereOracle.state_flow)
+    sph = catalog("round_sphere")
+    q0, p0 = np.array([1.0, 0.5]), np.array([3.0, 4.0])
+    v0 = metric_inv_matrix(sph, "a", q0) @ p0
+    P0, V0 = push_through(lambda qs: sph.embedding.to_world("a", qs), q0, v0[:, None])
+    rho = np.sqrt(v0 @ p0)
+    for sig in (3j, 10j):
+        want = np.cos(rho * sig) * P0 + np.sin(rho * sig) / rho * V0[:, 0]
+        r = flow(sph, PhasePoint("a", q0, p0), sigma=sig)
+        got = np.array(sph.embedding.to_world(r.point.chart_id, r.point.q))
+        assert np.linalg.norm(got - want) < 1e-10 * np.linalg.norm(want), sig
+
+
 def test_energy_conserved_along_dogleg():
     m = catalog("surface_of_revolution")
     z = PhasePoint("main", [0.3, 0.9], [0.8, -0.6])
@@ -756,6 +773,133 @@ def test_lane_batch_costs_five_field_evaluations_per_step(monkeypatch):
     assert sum(steps) > max(steps) >= 3
     # one field evaluation per doubling pass for all lanes together
     assert len(calls) == 5 * max(steps)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _batch(model, lanes, **kw):
+    """One flow_lanes call on (point, sigma) pairs."""
+    return flow_lanes(model, [z for z, _ in lanes], sigma=[s for _, s in lanes], **kw)
+
+
+def _assert_each_as_alone(model, lanes, batch, **kw):
+    for (z, s), lane in zip(lanes, batch):
+        _assert_same_flow(lane, flow_lanes(model, [z], sigma=s, **kw)[0])
+
+
+# lanes on round_sphere that start in both charts and finish; the first two
+# are aimed at their chart's pole and finish in the other chart
+MIXED_SPHERE_LANES = [
+    (PhasePoint("a", [math.pi / 2, 0.1], [-1.0, 0.05]), 2.0),
+    (PhasePoint("b", [math.pi / 2, -0.2], [-1.0, 0.1]), 2.0),
+    (PhasePoint("b", [1.0, 0.3], [0.2, 0.1]), 3.0),
+    (PhasePoint("a", [1.2, 0.4], [0.3, 0.5]), 0.9 - 0.4j),
+    (PhasePoint("b", [1.4, -0.2], [0.3, -0.4]), 1.5j),
+]
+
+
+def _unshared_sphere():
+    """round_sphere with one evaluator object per chart, each calling the catalog's."""
+    sph = catalog("round_sphere")
+
+    def evaluator(cid):
+        def metric_fn(qs):
+            g, _, dg = sph.metric(cid, qs)
+            return g, dg
+        return metric_fn
+
+    return MetricModel("round_sphere", 2, sph.params, list(sph.charts.values()), "a",
+                       {cid: evaluator(cid) for cid in sph.charts}, sph.transition_coords)
+
+
+def test_charts_of_one_evaluator_step_as_one_group(monkeypatch):
+    # the sphere's two charts share one evaluator: every step of a batch with
+    # lanes in both is one series build, and a lane gives what it gives alone
+    sph = catalog("round_sphere")
+    assert sph.evaluator_key == {"a": 0, "b": 0}
+    builds = _count_calls(monkeypatch, flow_module, "_lane_series")
+    batch = _batch(sph, MIXED_SPHERE_LANES, variational=True)
+    assert len(builds) == max(r.diagnostics.steps for r in batch)
+    assert [r.point.chart_id for r in batch[:2]] == ["b", "a"]
+    _assert_each_as_alone(sph, MIXED_SPHERE_LANES, batch, variational=True)
+
+
+def test_charts_of_distinct_evaluators_build_apart(monkeypatch):
+    # with one evaluator object per chart, each step builds once per chart
+    # that holds a lane, and every lane is bit-equal to the shared model's
+    sph, copy = catalog("round_sphere"), _unshared_sphere()
+    assert copy.evaluator_key == {"a": 0, "b": 1}
+    shared = _batch(sph, MIXED_SPHERE_LANES, variational=True)
+    builds = _count_calls(monkeypatch, flow_module, "_lane_series")
+    apart = _batch(copy, MIXED_SPHERE_LANES, variational=True)
+    charts_per_step = [{r.segments[k].chart_id for r in apart if len(r.segments) > k}
+                       for k in range(max(len(r.segments) for r in apart))]
+    assert len(builds) == sum(len(c) for c in charts_per_step) > len(charts_per_step)
+    for lane, one in zip(apart, shared):
+        _assert_same_flow(lane, one)
+
+
+def _two_box_strip():
+    """Two charts of one evaluator, r = 2 + cos(x) / 2, g = diag(1, r^2), with different boxes.
+
+    west holds x in [-4, 1] and y in [-pi, pi), east x in [-1, 4] and y in
+    [0, 2 pi), y periodic in both; the transition is the identity, so a
+    lane's chart, wrap and box show in its coordinates.
+    """
+    def metric_fn(qs):
+        s, c = jets.sincos(qs[0])
+        r = 2.0 + 0.5 * c
+        z = 0.0
+        return [[1.0, z], [z, r * r]], [[[z, z], [z, -r * s]], [[z, z], [z, z]]]
+
+    per = np.array([False, True])
+    charts = [Chart("west", np.array([-4.0, -math.pi]), np.array([1.0, math.pi]), per),
+              Chart("east", np.array([-1.0, 0.0]), np.array([4.0, 2 * math.pi]), per)]
+    return MetricModel("two_box_strip", 2, {}, charts, "west",
+                       {"west": metric_fn, "east": metric_fn}, lambda a, b, qs: list(qs))
+
+
+def test_lanes_keep_their_own_chart_when_charts_share_an_evaluator(monkeypatch):
+    # one series build serves lanes in both charts, but each lane wraps,
+    # checks its box, changes chart, leaves its box and records its segments
+    # in its own chart, bit-equal to a one-lane flow
+    model = _two_box_strip()
+    assert model.evaluator_key == {"west": 0, "east": 0}
+    lanes = [
+        (PhasePoint("west", [-3.0, 3.0], [1.0, 0.3]), 6.0),  # east, across y = pi
+        (PhasePoint("east", [3.0, 0.2], [-1.0, -0.3]), 6.0),  # west, across y = 0
+        (PhasePoint("east", [2.0, 6.0], [0.5, 0.2]), 8.0),  # leaves east at x = 4
+        (PhasePoint("west", [-2.0, -3.0], [-0.5, -0.2]), 8.0),  # leaves west at x = -4
+        (PhasePoint("east", [0.0, 4.0], [0.2, 0.5]), 2.0),  # stays in east, past y = pi
+    ]
+    builds = _count_calls(monkeypatch, flow_module, "_lane_series")
+    batch = _batch(model, lanes)
+    assert len(builds) == max(len(r.segments) for r in batch)
+    _assert_each_as_alone(model, lanes, batch)
+    to_east, to_west, out_east, out_west, in_east = batch
+    assert [_outcome(r) for r in batch] == ["transition"] * 2 + ["chart box"] * 2 + ["finished"]
+    assert (to_east.point.chart_id, to_west.point.chart_id) == ("east", "west")
+    charts_of = lambda lane: {s.chart_id for s in lane.segments}
+    assert charts_of(to_east) == charts_of(to_west) == {"west", "east"}
+    assert charts_of(out_east) == charts_of(in_east) == {"east"}
+    # each exit is where the real part of x crosses the edge of its own box
+    for lane, edge in ((out_east, 4.0), (out_west, -4.0)):
+        seg, t = flow_module.segment_at(lane.segments, abs(lane.last_good_sigma))
+        assert abs(seg.state_at(t)[0][0].real - edge) < 1e-9
+    # wrapped into its own chart's y range
+    assert math.pi < to_east.point.q[1].real < 2 * math.pi
+    assert -math.pi <= to_west.point.q[1].real < 0.0
+    assert math.pi < in_east.point.q[1].real < 2 * math.pi
 
 
 def _g11_is_q0():

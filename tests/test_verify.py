@@ -14,7 +14,7 @@ from grauert.flow import PhasePoint, flow_lanes
 from grauert.geometry import metric_matrix
 from grauert.lagrangian import FrameRays, distribution_at, j_tensor_from_frame
 from grauert import jacobi, verify
-from test_flow import MERIDIAN_TAU, meridian
+from test_flow import MERIDIAN_TAU, _count_calls, meridian
 from grauert.verify import (
     check_adaptedness,
     check_involution,
@@ -544,6 +544,22 @@ def test_tube_radius_one_kernel_call(sphere, kernel_calls):
     # the three rays of every direction are lanes of one kernel call
     estimate_tube_radius(sphere, n_directions=3, seed=7, sweep_cap=2.0, resolution=1e-3)
     assert kernel_calls == [9]
+
+
+def test_tube_radius_builds_once_per_step_across_charts(sphere, monkeypatch):
+    # the sphere's charts share one evaluator, so the rays of every direction
+    # take each step with one series build, wherever each ray's chart is
+    builds = _count_calls(monkeypatch, grauert.flow, "_lane_series")
+    estimate_tube_radius(sphere, n_directions=1, seed=7, sweep_cap=2.0, resolution=1e-3)
+    assert len(builds) == 13
+    builds.clear()
+    est = estimate_tube_radius(sphere, n_directions=20, seed=7, sweep_cap=2.0,
+                               resolution=1e-3)
+    assert len(builds) <= 21
+    # the radii that one build per chart and step gave, to the bit
+    assert (est.radius_continuation, est.pade_nearest_pole) == (1.5707960828872254,
+                                                                1.570796326567883)
+    assert est.radius_transversality == est.radius_positivity == 2.0
 
 
 def test_tube_radius_rejects_bad_cap(sphere):
