@@ -500,7 +500,8 @@ class _Lanes:
         self.s0, self.length = w[:, :-1], np.where(kept, length, 0.0)
         self.u = np.divide(d, length, out=np.zeros_like(d), where=kept)
         self.charts, self.chart = list(model.charts), np.zeros(B, dtype=int)
-        self.key = np.array([model.evaluator_key[c] for c in self.charts])  # per chart
+        # per chart, the index in charts of the chart whose evaluator it shares
+        self.key = np.array([self.charts.index(model.evaluator_key[c]) for c in self.charts])
         self.q, self.p = np.zeros((B, n), dtype=complex), p
         self.D = np.tile(np.eye(2 * n, dtype=complex), (B, 1, 1)) if variational else None
         self.leg, self.t_done, self.t_global = np.zeros(B, dtype=int), np.zeros(B), np.zeros(B)
@@ -540,11 +541,9 @@ def _step_group(model, lanes, st, outcomes, tol):
     """
     n = model.dim
     cids = st.chart[lanes]  # each lane's chart before its step
-    split = (cids != cids[0]).any()
-    ch = model.chart(st.charts[cids[0]])
     k = st.leg[lanes]
     s0, u, length = st.s0[lanes, k], st.u[lanes, k], st.length[lanes, k]
-    coeffs, finite = _lane_series(model, ch.id, st.q[lanes], st.p[lanes],
+    coeffs, finite = _lane_series(model, st.charts[cids[0]], st.q[lanes], st.p[lanes],
                                   None if st.D is None else st.D[lanes], u, DEFAULT_ORDER)
     h = _step_sizes(np.max(np.abs(coeffs[:, :, 0, :]), axis=1), tol)
     left = length - st.t_done[lanes]
@@ -572,18 +571,14 @@ def _step_group(model, lanes, st, outcomes, tol):
     st.min_step[lanes] = np.where(dt < st.min_step[lanes], dt, st.min_step[lanes])
     q, p = state[:, :n, 0], state[:, n:, 0]
     D = None if st.D is None else state[:, :, 1:]
-    if split:
-        in_box, safe = np.empty((2, len(lanes)), dtype=bool)
-        for c in np.unique(cids):
-            g, box = cids == c, model.chart(st.charts[c])
-            q[g] = box.wrap(q[g])
-            in_box[g], safe[g] = box.contains_re(q[g].real), box.in_safe_interior(q[g].real)
-    else:
-        q = ch.wrap(q)
-        in_box = ch.contains_re(q.real)
+    in_box, safe = np.empty((2, len(lanes)), dtype=bool)
+    for c in np.unique(cids):
+        g, box = cids == c, model.chart(st.charts[c])
+        q[g] = box.wrap(q[g])
+        in_box[g], safe[g] = box.contains_re(q[g].real), box.in_safe_interior(q[g].real)
     good = np.ones(len(lanes), dtype=bool)
     if model.has_transitions():
-        for j in np.flatnonzero(~(safe if split else ch.in_safe_interior(q.real))):
+        for j in np.flatnonzero(~safe):
             cid = st.charts[cids[j]]
             try:
                 best = model.best_chart(cid, q[j])

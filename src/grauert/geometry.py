@@ -95,7 +95,7 @@ class MetricModel:
     be any scalar the jets facade accepts. The inverse metric is derived from
     ``g`` by Gauss-Jordan elimination over those scalars, in any dimension
     (``_inverse``): plain zeros are skipped and plain entries stay plain.
-    ``evaluator_key`` maps each chart id to the index of the first chart with
+    ``evaluator_key`` maps each chart id to the id of the first chart with
     the same function object; one evaluation serves all charts of one key.
     """
 
@@ -116,8 +116,8 @@ class MetricModel:
         self.charts = {c.id: c for c in charts}
         self.default_chart = default_chart
         self._metric = metric_fns
-        fs = [metric_fns[c] for c in self.charts]
-        self.evaluator_key = {c: [g is f for g in fs].index(True) for c, f in zip(self.charts, fs)}
+        self.evaluator_key = {c: next(d for d in self.charts if metric_fns[d] is metric_fns[c])
+                              for c in self.charts}
         self._transition = transition_fn
         self.embedding = embedding
         # closed-form reference answers; the catalog sets one where it has them

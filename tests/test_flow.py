@@ -826,7 +826,7 @@ def test_charts_of_one_evaluator_step_as_one_group(monkeypatch):
     # the sphere's two charts share one evaluator: every step of a batch with
     # lanes in both is one series build, and a lane gives what it gives alone
     sph = catalog("round_sphere")
-    assert sph.evaluator_key == {"a": 0, "b": 0}
+    assert sph.evaluator_key == {"a": "a", "b": "a"}
     builds = _count_calls(monkeypatch, flow_module, "_lane_series")
     batch = _batch(sph, MIXED_SPHERE_LANES, variational=True)
     assert len(builds) == max(r.diagnostics.steps for r in batch)
@@ -838,7 +838,7 @@ def test_charts_of_distinct_evaluators_build_apart(monkeypatch):
     # with one evaluator object per chart, each step builds once per chart
     # that holds a lane, and every lane is bit-equal to the shared model's
     sph, copy = catalog("round_sphere"), _unshared_sphere()
-    assert copy.evaluator_key == {"a": 0, "b": 1}
+    assert copy.evaluator_key == {"a": "a", "b": "b"}
     shared = _batch(sph, MIXED_SPHERE_LANES, variational=True)
     builds = _count_calls(monkeypatch, flow_module, "_lane_series")
     apart = _batch(copy, MIXED_SPHERE_LANES, variational=True)
@@ -874,7 +874,7 @@ def test_lanes_keep_their_own_chart_when_charts_share_an_evaluator(monkeypatch):
     # checks its box, changes chart, leaves its box and records its segments
     # in its own chart, bit-equal to a one-lane flow
     model = _two_box_strip()
-    assert model.evaluator_key == {"west": 0, "east": 0}
+    assert model.evaluator_key == {"west": "west", "east": "west"}
     lanes = [
         (PhasePoint("west", [-3.0, 3.0], [1.0, 0.3]), 6.0),  # east, across y = pi
         (PhasePoint("east", [3.0, 0.2], [-1.0, -0.3]), 6.0),  # west, across y = 0
