@@ -12,7 +12,7 @@ import numpy as np
 
 from grauert.catalog import catalog
 from grauert.lagrangian import (
-    distribution_at,
+    FrameRays,
     j_tensor_from_frame,
     positivity_check,
     principal_angles,
@@ -29,7 +29,7 @@ J_std = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]]
 print("flat torus, five sample points, flow route to time i")
 print(f"{'point':<34} {'angle':>9} {'J dev':>9} {'G dev':>9} {'min eig':>8}")
 for z in points:
-    F = distribution_at(model, z, 1j)
+    F = FrameRays(model, [z], [1j]).at(1j)
     angle = float(np.max(principal_angles(F, span)))
     J = j_tensor_from_frame(F)
     G = symplectic_form_matrix(2).real @ J

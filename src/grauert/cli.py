@@ -134,8 +134,8 @@ class RunConfig:
 
 
 def _finite(value, what):
-    """value, unless it is nan or infinite (a ConfigError)."""
-    if not abs(value) < math.inf:
+    """value, unless its real or imaginary part is nan or infinite (a ConfigError)."""
+    if not (abs(value.real) < math.inf and abs(value.imag) < math.inf):
         raise ConfigError(f"{what} must be finite, got {value}")
     return value
 

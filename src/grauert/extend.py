@@ -3,23 +3,24 @@
 A real-analytic function of position alone extends to a holomorphic function
 of a tube point z = (x, v), and the same value can be reached three ways:
 
-* ``extend_by_series``: sum the Taylor coefficients of the flow parameter,
-  evaluated at parameter i. The k-th coefficient times k! is the k-fold
-  derivative of the function along the energy field, so this route needs no
-  complex arithmetic in the state itself.
-* ``extend_by_flow``: transport the base point to complex time i and read the
-  function's chart formula at the complex coordinates that come out.
-* ``extend_by_exp``: for models with a closed-form exponential map, continue
-  that map to the imaginary tangent vector and evaluate a declared closed-form
-  extension there. Independent of the integrator entirely.
+* ``extend_by_series_lanes``: sum the Taylor coefficients of the flow
+  parameter, evaluated at parameter i. The k-th coefficient times k! is the
+  k-fold derivative of the function along the energy field, so this route
+  needs no complex arithmetic in the state itself.
+* ``extend_by_flow_lanes``: transport the base point to complex time i and
+  read the function's chart formula at the complex coordinates that come out.
+* ``extend_by_exp_lanes``: for models with a closed-form exponential map,
+  continue that map to the imaginary tangent vector and evaluate a declared
+  closed-form extension there. Independent of the integrator entirely.
 
-Every route takes batches. ``extend_by_series_lanes`` builds the series of
-all points in a chart with one series call and evaluates f once on their lane
-jets, ``extend_by_flow_lanes`` sends all points to time i in one
-:func:`~grauert.flow.flow_lanes` call, and ``extend_by_exp_lanes`` makes one
-oracle call per chart and evaluates the extension once on its lane arrays.
-Each lane keeps its own checks and error; the one-point routes are reads of
-these, and no route is merged into another.
+Every route takes a batch of points, one lane per point, and returns one
+entry per point: its :class:`ExtensionResult`, or the error that ended its
+lane. The series route builds the series of all points in a chart with one
+series call and evaluates f once on their lane jets, the flow route sends
+all points to time i in one :func:`~grauert.flow.flow_lanes` call, and the
+exp route makes one oracle call per chart and evaluates the extension once on
+its lane arrays. Each lane keeps its own checks and error, and no route is
+merged into another; a single point is a batch of one.
 
 Pairwise agreement of the routes is the practical certificate that the
 extension exists at the sampled points; ``crosscheck`` packages that for a
@@ -44,7 +45,7 @@ import numpy as np
 from . import jets
 from .errors import ChartDomainError, DivergenceError, GrauertError, SingularityError
 from .errors import UnsupportedModelError
-from .flow import DEFAULT_TOL, SigmaPath, flow_lanes, lane_result
+from .flow import DEFAULT_TOL, flow_lanes, lane_result
 from .flow import _admit, _lane_series
 from .geometry import metric_inv_matrix
 from .jets import Jet, value
@@ -54,11 +55,8 @@ __all__ = [
     "ExtensionResult",
     "torus_trig",
     "sphere_ambient",
-    "extend_by_series",
     "extend_by_series_lanes",
-    "extend_by_flow",
     "extend_by_flow_lanes",
-    "extend_by_exp",
     "extend_by_exp_lanes",
     "crosscheck",
 ]
@@ -93,7 +91,6 @@ class BaseFunction:
 @dataclass(frozen=True)
 class ExtensionResult:
     value: complex
-    method: str
     error_estimate: float
     terms_used: int | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -185,7 +182,7 @@ def _then(outcomes, fn):
 
 
 def _sum_series(f, a, max_terms):
-    """Sum one lane's coefficients a at parameter i; see :func:`extend_by_series`."""
+    """Sum one lane's coefficients a at parameter i; see :func:`extend_by_series_lanes`."""
     total = 0.0 + 0.0j
     used = 0
     last = 0.0
@@ -212,37 +209,27 @@ def _sum_series(f, a, max_terms):
                 break
         else:
             tiny = 0
-    return ExtensionResult(value=complex(total), method="series",
-                           error_estimate=last, terms_used=used)
+    return ExtensionResult(value=complex(total), error_estimate=last, terms_used=used)
 
 
 def extend_by_series_lanes(model, f, points, max_terms=DEFAULT_MAX_TERMS):
-    """The series route at every point of ``points`` at once, one lane per point.
+    """Sum the flow-parameter Taylor series of f at parameter i, one lane per point.
 
     Returns one entry per point: its :class:`ExtensionResult`, or the
     :class:`~grauert.errors.GrauertError` that ended its lane. The lanes of
-    each chart share one series build and one evaluation of f on their jets;
-    each lane sums its own terms, stops early and tests for divergence as
-    :func:`extend_by_series` describes.
+    each chart share one series build and one evaluation of f on their jets,
+    and each lane sums its own terms. A lane stops early once two
+    consecutive terms drop below 1e-15 of the partial sum (two in a row so
+    parity-sparse series do not truncate at an accidental zero). It ends in
+    a :class:`DivergenceError` when term magnitudes keep setting new records
+    past order 10 (five of them): with complex or paired singularities the
+    magnitudes oscillate while growing, so record highs are the robust growth
+    signal rather than consecutive increases. It ends in a
+    :class:`SingularityError` when its state or value series is not finite
+    (a vanishing constant term of a reciprocal, log or sqrt, or an overflow).
     """
     return _then(_series_coefficients(model, f, points, max_terms),
                  lambda a: _sum_series(f, a, max_terms))
-
-
-def extend_by_series(model, f, z):
-    """Sum the flow-parameter Taylor series of f at parameter i.
-
-    A one-point read of :func:`extend_by_series_lanes`. Stops early once two
-    consecutive terms drop below 1e-15 of the partial sum (two in a row so
-    parity-sparse series do not truncate at an accidental zero). Raises
-    :class:`DivergenceError` when term magnitudes keep setting new records
-    past order 10: with complex or paired singularities the magnitudes
-    oscillate while growing, so record highs are the robust growth signal
-    rather than consecutive increases. Raises a :class:`SingularityError`
-    when the state or value series is not finite (a vanishing constant term
-    of a reciprocal, log or sqrt, or an overflow).
-    """
-    return lane_result(extend_by_series_lanes(model, f, [z])[0])
 
 
 def _flow_value(f, res, tol):
@@ -259,38 +246,25 @@ def _flow_value(f, res, tol):
     val = complex(value(f.chart_eval(end.chart_id, end.q)))
     return ExtensionResult(
         value=val,
-        method="flow",
         error_estimate=tol,
         diagnostics={
             "chart": end.chart_id,
             "steps": res.diagnostics.steps,
             "transitions": res.diagnostics.transitions,
-            "endpoint_q": end.q.copy(),
         },
     )
 
 
-def extend_by_flow_lanes(model, f, points, path=None, tol=DEFAULT_TOL):
-    """The flow route at every point of ``points`` at once: one lane-batched flow.
+def extend_by_flow_lanes(model, f, points, tol=DEFAULT_TOL):
+    """f's chart formula at the complex-time-i transport of every point: one lane-batched flow.
 
-    Returns one entry per point: its :class:`ExtensionResult`, or the
+    Each point flows along the straight segment to sigma = i. Returns one
+    entry per point: its :class:`ExtensionResult`, or the
     :class:`~grauert.errors.GrauertError` that ended its lane (its flow's, or
     the margin check's at its endpoint).
     """
-    if path is None:
-        path = SigmaPath.straight(1j)
-    return _then(flow_lanes(model, points, path=path, tol=tol),
+    return _then(flow_lanes(model, points, sigma=1j, tol=tol),
                  lambda res: _flow_value(f, res, tol))
-
-
-def extend_by_flow(model, f, z, path=None):
-    """Evaluate f's chart formula at the complex-time-i transport of the base point.
-
-    A one-point read of :func:`extend_by_flow_lanes`. ``path`` defaults to
-    the straight segment to i; any endpoint works and gives the continuation
-    at that parameter instead.
-    """
-    return lane_result(extend_by_flow_lanes(model, f, [z], path=path)[0])
 
 
 def extend_by_exp_lanes(model, f, points):
@@ -314,15 +288,9 @@ def extend_by_exp_lanes(model, f, points):
         v = (metric_inv_matrix(model, cid, q) @ p[:, :, None])[:, :, 0]
         targets = orc.exp_complex(cid, q, 1j * v)
         values = np.broadcast_to(f.extension(list(targets.T)), len(idx))
-        for i, target, val in zip(idx, targets, values):
-            out[i] = ExtensionResult(value=complex(val), method="exp_map",
-                                     error_estimate=0.0, diagnostics={"target": target})
+        for i, val in zip(idx, values):
+            out[i] = ExtensionResult(value=complex(val), error_estimate=0.0)
     return out
-
-
-def extend_by_exp(model, f, z):
-    """Closed-form route: the declared extension at the continued exponential map, one point."""
-    return lane_result(extend_by_exp_lanes(model, f, [z])[0])
 
 
 def crosscheck(model, f, points, tol=DEFAULT_TOL):

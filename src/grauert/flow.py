@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChartDomainError, GrauertError, SingularityError
+from .errors import ChartDomainError, GrauertError, InvalidParamsError, SingularityError
 from .geometry import energy, transition_phase
 from .jets import Jet, eval_poly, is_plain_zero
 
@@ -95,7 +95,11 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class SigmaPath:
-    """Piecewise-linear path in the complex time plane, starting at 0."""
+    """Piecewise-linear path in the complex time plane, starting at 0.
+
+    Raises InvalidParamsError when its arc length is not finite, as it can
+    be when every waypoint is.
+    """
 
     waypoints: np.ndarray
 
@@ -103,6 +107,10 @@ class SigmaPath:
         w = np.asarray(self.waypoints, dtype=complex)
         if w.ndim != 1 or w.shape[0] < 2 or w[0] != 0:
             raise ValueError("path needs waypoints starting at 0")
+        with np.errstate(over="ignore"):
+            total = np.abs(np.diff(w)).sum()
+        if not np.isfinite(total):
+            raise InvalidParamsError(f"the path's arc length must be finite, got {total}")
         object.__setattr__(self, "waypoints", w)
 
     @classmethod
@@ -292,9 +300,7 @@ def _field_series(model, chart_id, z, L, N, exact=None):
     zeros above). It is returned as Ahat (B, 2n, N*2n), the
     blocks A_{N-1}, ..., A_1, A_0 side by side, so that every sum
     sum_j A_j w_{k-j} of the recurrences is one matmul of a trailing block
-    range with the stacked w. A single lane is evaluated on jets without a
-    lane axis: the same operations on smaller arrays, which numpy runs with
-    less overhead.
+    range with the stacked w.
     """
     B, _, m = z.shape
     n = m // 2
@@ -302,11 +308,9 @@ def _field_series(model, chart_id, z, L, N, exact=None):
     c[:, :, 0, :L] = z[:, :L].transpose(2, 0, 1)
     for a in range(n):
         c[a, :, 1 + a, 0] = 1.0
-    if B == 1:
-        c = c[:, 0]
     K = N if exact is None else exact
     _, gi, dg = model.metric(chart_id, [Jet(c[a], K) for a in range(n)])
-    dq, dp = _field_from_metric(gi, dg, [Jet(c[a, ..., :1, :]) for a in range(n, m)])
+    dq, dp = _field_from_metric(gi, dg, [Jet(c[a, :, :1]) for a in range(n, m)])
     X = np.zeros((B, N, m), dtype=complex)
     Ahat = np.zeros((B, m, N, m), dtype=complex)
     for i, x in enumerate(dq + dp):

@@ -15,8 +15,8 @@ those times, and runs every ray of every point as a lane of one flow kernel
 call; :meth:`FrameRays.batch` builds several in one such call, each ray
 still a flow of its own. :meth:`FrameRays.at` reads a frame, or a stack of
 them at arrays of times and points, with one polynomial evaluation and one
-linear solve for the stack. A single frame (:func:`distribution_at`) is a
-read of a one-point :class:`FrameRays` given just that time. A frame is its
+linear solve for the stack; a single frame is
+``FrameRays(model, [z], [sigma]).at(sigma)``. A frame is its
 (2n, n) complex column array and nothing more: the point it sits at is the
 caller's to keep. The readers of frames (J tensor, positivity, lift
 coefficients, principal angles) take stacks (..., 2n, n) as well.
@@ -38,8 +38,6 @@ The module needs numpy alone; principal angles follow scipy's
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .errors import DegenerateFrameError, SingularityError, TransversalityError
@@ -50,7 +48,6 @@ from .geometry import christoffel, metric_inv_matrix, metric_matrix
 __all__ = [
     "symplectic_form_matrix",
     "vertical_frame",
-    "distribution_at",
     "FrameRays",
     "orthonormal_tangent_basis",
     "lifted_basis",
@@ -101,16 +98,6 @@ def _solve(A, B, what):
     if singular is not None:
         raise DegenerateFrameError(f"{what} is singular") from singular
     raise DegenerateFrameError(f"{what}: the solution is not finite")
-
-
-def distribution_at(model, z, sigma):
-    """Frame of the sigma-shifted vertical distribution at z.
-
-    A one-point, one-ray read of :class:`FrameRays` given just sigma: one
-    backward variational flow, and the same frame and errors as any other
-    read of a ray through sigma.
-    """
-    return FrameRays(model, [z], [sigma]).at(sigma)
 
 
 class FrameRays:
@@ -172,15 +159,12 @@ class FrameRays:
     def _jacobians(self, sigma, k):
         """B(sigma) of point k per read, and the first failing read's error or None.
 
-        The reads are ``sigma`` and ``k`` broadcast; B is (*shape, 2n, 2n),
-        or (reads, 2n, 2n) over the reads before the first failing one, from
-        one evaluation of their step polynomials.
+        The reads are ``sigma`` and ``k`` broadcast, a single read too; B is
+        (*shape, 2n, 2n), or (reads, 2n, 2n) over the reads before the first
+        failing one, from one evaluation of their step polynomials.
         """
-        if isinstance(sigma, numbers.Number) and isinstance(k, numbers.Integral):
-            shape, reads = (), [(complex(sigma), k)]  # one read, without a broadcast
-        else:
-            reads = np.broadcast(np.asarray(sigma, dtype=complex), k)
-            shape, reads = reads.shape, [(complex(s), int(kk)) for s, kk in reads]
+        reads = np.broadcast(np.asarray(sigma, dtype=complex), k)
+        shape, reads = reads.shape, [(complex(s), int(kk)) for s, kk in reads]
         steps, ts, error = [], [], None
         for s, kk in reads:
             step, t_local = self._rest, 0.0
@@ -206,17 +190,12 @@ class FrameRays:
             ts.append(t_local)
         if error is not None and not steps:  # no earlier read to evaluate
             raise error
-        # one read's own step and its time as a number, which numpy evaluates
-        # fastest, or a copy of every read's that keeps each order's block
+        # a copy of every read's step that keeps each order's block
         # contiguous, as a step does
-        if len(steps) == 1:
-            steps, t = steps[0], ts[0]
-        else:
-            m, R, N = self._rest.shape
-            steps = np.array([c.transpose(2, 0, 1) for c in steps]).reshape(-1, N, m, R)
-            steps = steps.transpose(0, 2, 3, 1)
-            t = np.array(ts)[:, None, None]
-        B = eval_poly(steps, t)[..., 1:]
+        m, R, N = self._rest.shape
+        steps = np.array([c.transpose(2, 0, 1) for c in steps]).reshape(-1, N, m, R)
+        steps = steps.transpose(0, 2, 3, 1)
+        B = eval_poly(steps, np.array(ts)[:, None, None])[..., 1:]
         return (B if error is not None else B.reshape(shape + B.shape[-2:])), error
 
     def jacobian(self, sigma, k):

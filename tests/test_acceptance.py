@@ -19,7 +19,6 @@ from grauert.geometry import metric_inv_matrix
 from grauert.jacobi import continue_f_to_i
 from grauert.lagrangian import (
     FrameRays,
-    distribution_at,
     j_tensor_from_frame,
     principal_angles,
 )
@@ -50,7 +49,7 @@ def test_flat_torus_calibration():
                       [np.eye(2), np.zeros((2, 2))]])
     worst_angle = worst_j = 0.0
     for z in pts:
-        F = distribution_at(model, z, 1j)
+        F = FrameRays(model, [z], [1j]).at(1j)
         worst_angle = max(worst_angle, float(np.max(principal_angles(F, span))))
         J = j_tensor_from_frame(F)
         worst_j = max(worst_j, float(np.max(np.abs(J - J_std))))
@@ -82,7 +81,7 @@ def test_sphere_closed_form_agreement():
         target = np.diag([1j, 1j * math.tanh(rho) / rho])
         worst_f = max(worst_f, float(np.max(np.abs(f_i - target))))
         J_jac = j_tensor_from_f(model, z, f_i)
-        J_flow = j_tensor_from_frame(distribution_at(model, z, 1j))
+        J_flow = j_tensor_from_frame(FrameRays(model, [z], [1j]).at(1j))
         worst_j = max(worst_j, float(np.linalg.norm(J_flow - J_jac, 2)))
     elapsed = time.monotonic() - t0
     ok = worst_f < 1e-7 and worst_j < 1e-6

@@ -148,6 +148,10 @@ BAD_CONFIGS = [
     ("tube-radius", "[grids]\nresolution = fine\n"),
     ("flow", "[model]\nname = round_sphere\n[grids]\nq0 = 0.01, 0.0\n"),
     ("flow", "[model]\nname = round_sphere\n[grids]\nchart = z\n"),
+    # every waypoint is finite, but the path's arc length is not
+    ("flow", "[model]\nname = flat_torus\n[paths]\nwaypoints = 1e308, 1j\n"),
+    ("flow", "[model]\nname = flat_torus\n[paths]\nwaypoints = 1e308, -1e308\n"),
+    ("flow", "[model]\nname = flat_torus\n[paths]\nsigma = 1.7e308+1.7e308j\n"),
 ]
 
 
@@ -420,7 +424,8 @@ def test_extend_breakdown_is_first_failing_point(tmp_path, capsys):
     # soonest
     from grauert.catalog import catalog
     from grauert.errors import GrauertError
-    from grauert.extend import extend_by_flow, extend_by_series, torus_trig
+    from grauert.extend import extend_by_flow_lanes, extend_by_series_lanes, torus_trig
+    from grauert.flow import lane_result
     from grauert.verify import sample_tube_points
 
     path = write_ini(tmp_path, "[model]\nname = surface_of_revolution\n\n[grids]\n"
@@ -434,9 +439,9 @@ def test_extend_breakdown_is_first_failing_point(tmp_path, capsys):
     wave = torus_trig("wave", {(1, 0): 1.0})
     failing = []
     for k, z in enumerate(sample_tube_points(surf, 12, 3, 1.2, 2.2)):
-        for route in (extend_by_series, extend_by_flow):
+        for route in (extend_by_series_lanes, extend_by_flow_lanes):
             try:
-                route(surf, wave, z)
+                lane_result(route(surf, wave, [z])[0])
             except GrauertError as e:
                 failing.append((k, str(e)))
     assert [k for k, _ in failing] == [2, 6, 7, 11]
@@ -695,7 +700,7 @@ def test_verify_breakdown_is_first_failing_point_in_serial_order(tmp_path, capsy
     # point 2 leaves sooner, and even at its first time
     from grauert.catalog import catalog
     from grauert.errors import SingularityError
-    from grauert.lagrangian import distribution_at
+    from grauert.lagrangian import FrameRays
     from grauert.verify import THETA_SIGMAS, sample_tube_points
 
     path = write_ini(tmp_path, "[model]\nname = flat_space\n\n[checks]\nnames = theta_sigma\n\n"
@@ -712,7 +717,7 @@ def test_verify_breakdown_is_first_failing_point_in_serial_order(tmp_path, capsy
     for k, z in enumerate(sample_tube_points(flat, 4, 3, 30.0, 60.0)):
         for sigma in THETA_SIGMAS:
             try:
-                distribution_at(flat, z, sigma)
+                FrameRays(flat, [z], [sigma]).at(sigma)
             except SingularityError as exc:
                 first = exc
                 break
@@ -762,8 +767,10 @@ KEYS = {
     ("checks", "dbar_sign"): (["1.0", "-1.0"], ["minus", "nan"]),
     **{("checks", f"tol_{name}"): (["1e-6", "1.0"], ["0", "loose", "inf"])
        for name in CHECK_NAMES},
-    ("paths", "sigma"): (["1j", "0.5", "0.3+0.4j", "2j", "0"], ["oops", "inf", "nanj"]),
-    ("paths", "waypoints"): (["0, 0.5, 0.5+0.5j", "0, 1j"], ["0.5, 1j", "0, infj"]),
+    ("paths", "sigma"): (["1j", "0.5", "0.3+0.4j", "2j", "0"],
+                         ["oops", "inf", "nanj", "1.7e308+1.7e308j"]),
+    ("paths", "waypoints"): (["0, 0.5, 0.5+0.5j", "0, 1j"],
+                             ["0.5, 1j", "0, infj", "1e308, 1j", "1e308, -1e308"]),
     # {tmp} is the run's temporary directory, and {tmp}/cfg.ini the config file
     ("output", "dir"): (["{tmp}/from_config", "{tmp}/nested/dir"], ["{tmp}/cfg.ini/sub"]),
 }
@@ -852,3 +859,14 @@ def test_demo_runs(demo):
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_quick_look_runs():
+    # the first python block of README.md, checked against what its comments state
+    text = (ROOT / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    f, J = names["f"], names["J"]
+    assert np.max(np.abs(f - np.diag([1j, 1j * np.tanh(0.7) / 0.7]))) < 1e-12
+    assert np.max(np.abs(J @ J + np.eye(4))) < 1e-14

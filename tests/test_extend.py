@@ -14,16 +14,13 @@ from grauert.errors import ChartDomainError, DivergenceError, SingularityError, 
 from grauert.extend import (
     BaseFunction,
     crosscheck,
-    extend_by_exp,
     extend_by_exp_lanes,
-    extend_by_flow,
     extend_by_flow_lanes,
-    extend_by_series,
     extend_by_series_lanes,
     sphere_ambient,
     torus_trig,
 )
-from grauert.flow import PhasePoint, SigmaPath
+from grauert.flow import PhasePoint, flow, lane_result
 from grauert.verify import sample_tube_points
 from oracles import (
     flow_derivative_coefficients,
@@ -49,6 +46,11 @@ def pole_function():
     return BaseFunction("cos_pole", {"main": ev}, margin=POLE_IM, extension=ext)
 
 
+def alone(route, model, f, z):
+    """A route's result at z, run as a batch of one."""
+    return lane_result(route(model, f, [z])[0])
+
+
 def sphere_point(rng, rho, chart="a"):
     th = rng.uniform(0.7, math.pi - 0.7)
     ph = rng.uniform(-math.pi, math.pi)
@@ -62,9 +64,9 @@ def test_torus_exponential_three_routes():
     tor = catalog("flat_torus")
     f = torus_trig("wave", {(1, 0): 1.0})
     z = PhasePoint("main", [0.0, 0.0], [0.5, 0.0])
-    s = extend_by_series(tor, f, z)
-    fl = extend_by_flow(tor, f, z)
-    ex = extend_by_exp(tor, f, z)
+    s = alone(extend_by_series_lanes, tor, f, z)
+    fl = alone(extend_by_flow_lanes, tor, f, z)
+    ex = alone(extend_by_exp_lanes, tor, f, z)
     for r in (s, fl, ex):
         assert abs(r.value - E_MINUS_HALF) < 1e-12
     assert s.terms_used <= 41 and s.error_estimate < 1e-14
@@ -87,11 +89,11 @@ def test_sphere_height_series_matches_exp():
     sph = catalog("round_sphere")
     f = sphere_ambient(sph, "height", (0.0, 0.0, 1.0))
     z = PhasePoint("a", [math.pi / 2, 0.0], [0.3, 0.0])
-    s = extend_by_series(sph, f, z)
-    ex = extend_by_exp(sph, f, z)
+    s = alone(extend_by_series_lanes, sph, f, z)
+    ex = alone(extend_by_exp_lanes, sph, f, z)
     assert abs(s.value - ex.value) < 1e-10
     assert abs(s.value - (-1j * SINH_03)) < 1e-10
-    fl = extend_by_flow(sph, f, z)
+    fl = alone(extend_by_flow_lanes, sph, f, z)
     assert abs(fl.value - ex.value) < 1e-9
 
 
@@ -126,9 +128,9 @@ def test_pole_function_divergence_and_margin():
     f = pole_function()
     deep = PhasePoint("main", [0.3 - math.pi, 0.0], [1.0, 0.0])
     with pytest.raises(DivergenceError):
-        extend_by_series(tor, f, deep)
+        alone(extend_by_series_lanes, tor, f, deep)
     with pytest.raises(ChartDomainError):
-        extend_by_flow(tor, f, deep)
+        alone(extend_by_flow_lanes, tor, f, deep)
 
 
 def test_pole_function_convergent_region():
@@ -149,13 +151,13 @@ def test_exp_route_requires_closed_form():
         margin=np.inf,
     )
     with pytest.raises(UnsupportedModelError):
-        extend_by_exp(srf, plain, PhasePoint("main", [0.1, 0.2], [0.1, 0.0]))
+        alone(extend_by_exp_lanes, srf, plain, PhasePoint("main", [0.1, 0.2], [0.1, 0.0]))
     with pytest.raises(UnsupportedModelError):
         strip_identity_residual(srf, PhasePoint("main", [0.1, 0.2], [0.1, 0.0]), 0.3, 0.2)
     tor = catalog("flat_torus")
     no_ext = BaseFunction("bare", {"main": lambda qs: 1.0}, margin=np.inf)
     with pytest.raises(UnsupportedModelError):
-        extend_by_exp(tor, no_ext, PhasePoint("main", [0.0, 0.0], [0.1, 0.0]))
+        alone(extend_by_exp_lanes, tor, no_ext, PhasePoint("main", [0.0, 0.0], [0.1, 0.0]))
 
 
 def test_homogeneity_of_flow_derivatives():
@@ -213,9 +215,9 @@ def test_strip_scaling_series_vs_flow():
     for model, fn, z in cases:
         for tau in (0.25, 0.5, 1.0):
             scaled = PhasePoint(z.chart_id, z.q, tau * z.p)
-            s = extend_by_series(model, fn, scaled)
-            fl = extend_by_flow(model, fn, z, path=SigmaPath.straight(1j * tau))
-            assert abs(s.value - fl.value) < 1e-8
+            s = alone(extend_by_series_lanes, model, fn, scaled)
+            end = flow(model, z, sigma=1j * tau).point
+            assert abs(s.value - fn.chart_eval(end.chart_id, end.q)) < 1e-8
 
 
 @pytest.mark.parametrize("method", ["flow", "series"])
@@ -250,8 +252,8 @@ def test_series_flow_agree_on_random_waves(k1, k2, re, im, x0, x1, v0, v1):
     tor = catalog("flat_torus")
     f = torus_trig("h", {(k1, k2): re + 1j * im, (1, -1): 0.4})
     z = PhasePoint("main", [x0, x1], [v0, v1])
-    s = extend_by_series(tor, f, z)
-    fl = extend_by_flow(tor, f, z)
+    s = alone(extend_by_series_lanes, tor, f, z)
+    fl = alone(extend_by_flow_lanes, tor, f, z)
     assert abs(s.value - fl.value) < 1e-8
 
 
@@ -287,15 +289,15 @@ def test_batch_routes_equal_one_point_reads():
     ]
     for model, f, pts in cases:
         for z, rep in zip(pts, crosscheck(model, f, pts)):
-            _same_result(rep["results"]["series"], extend_by_series(model, f, z))
-            _same_result(rep["results"]["flow"], extend_by_flow(model, f, z))
-            _same_result(rep["results"]["exp_map"], extend_by_exp(model, f, z))
+            _same_result(rep["results"]["series"], alone(extend_by_series_lanes, model, f, z))
+            _same_result(rep["results"]["flow"], alone(extend_by_flow_lanes, model, f, z))
+            _same_result(rep["results"]["exp_map"], alone(extend_by_exp_lanes, model, f, z))
     srf = catalog("surface_of_revolution")
     f = _u_wave(srf)
     pts = sample_tube_points(srf, 8, 2, 0.1, 0.32)
     for z, s, fl in zip(pts, extend_by_series_lanes(srf, f, pts), extend_by_flow_lanes(srf, f, pts)):
-        _same_result(s, extend_by_series(srf, f, z))
-        _same_result(fl, extend_by_flow(srf, f, z))
+        _same_result(s, alone(extend_by_series_lanes, srf, f, z))
+        _same_result(fl, alone(extend_by_flow_lanes, srf, f, z))
 
 
 def test_exp_route_needs_neither_flow_nor_series(monkeypatch):
@@ -318,7 +320,7 @@ def test_exp_route_needs_neither_flow_nor_series(monkeypatch):
     # the torus's exponential map at v is the complex point q + i v
     z = PhasePoint("main", [0.4, -0.3], [0.25, 0.15])
     want = cmath.exp(1j * (0.4 + 0.25j)) + (0.3 - 0.2j) * cmath.exp(1j * (0.5 + 0.65j))
-    assert abs(extend_by_exp(tor, cases[1][1], z).value - want) < 1e-15
+    assert abs(alone(extend_by_exp_lanes, tor, cases[1][1], z).value - want) < 1e-15
 
 
 def test_extend_runs_one_series_and_one_flow_call_per_route(tmp_path, monkeypatch, kernel_calls):
@@ -349,7 +351,7 @@ def test_batch_raises_first_failing_point_series_before_flow():
     # far from the pole the series converges, but the flow ends outside the strip
     leaves_strip = PhasePoint("main", [0.0, 0.0], [0.8, 0.0])
     fine = PhasePoint("main", [0.0, 0.0], [0.2, 0.0])
-    assert isinstance(extend_by_series(tor, f, leaves_strip).value, complex)
+    assert isinstance(alone(extend_by_series_lanes, tor, f, leaves_strip).value, complex)
     with pytest.raises(DivergenceError):
         crosscheck(tor, f, [fine, diverges, leaves_strip])
     with pytest.raises(ChartDomainError):
@@ -359,9 +361,9 @@ def test_batch_raises_first_failing_point_series_before_flow():
     fl = extend_by_flow_lanes(tor, f, [diverges, leaves_strip, fine])
     assert isinstance(s[0], DivergenceError) and isinstance(fl[0], ChartDomainError)
     assert isinstance(fl[1], ChartDomainError)
-    _same_result(s[1], extend_by_series(tor, f, leaves_strip))
-    _same_result(s[2], extend_by_series(tor, f, fine))
-    _same_result(fl[2], extend_by_flow(tor, f, fine))
+    _same_result(s[1], alone(extend_by_series_lanes, tor, f, leaves_strip))
+    _same_result(s[2], alone(extend_by_series_lanes, tor, f, fine))
+    _same_result(fl[2], alone(extend_by_flow_lanes, tor, f, fine))
 
 
 def test_unknown_chart_stays_in_its_lane():
@@ -369,10 +371,9 @@ def test_unknown_chart_stays_in_its_lane():
     f = pole_function()
     fine = PhasePoint("main", [0.0, 0.0], [0.2, 0.0])
     nowhere = PhasePoint("nope", [0.0, 0.0], [0.2, 0.0])
-    for lanes, one in ((extend_by_series_lanes, extend_by_series),
-                       (extend_by_flow_lanes, extend_by_flow)):
+    for lanes in (extend_by_series_lanes, extend_by_flow_lanes):
         good, bad = lanes(tor, f, [fine, nowhere])
-        _same_result(good, one(tor, f, fine))
+        _same_result(good, alone(lanes, tor, f, fine))
         assert isinstance(bad, ChartDomainError)
 
 
@@ -391,11 +392,11 @@ def test_singular_series_retires_one_lane():
         assert isinstance(broken, SingularityError)
         assert broken.reason == "non-finite series"
         assert broken.last_good_sigma == 0
-        _same_result(first, extend_by_series(model, f, good[0]))
-        _same_result(last, extend_by_series(model, f, good[1]))
+        _same_result(first, alone(extend_by_series_lanes, model, f, good[0]))
+        _same_result(last, alone(extend_by_series_lanes, model, f, good[1]))
         # one point raises the typed breakdown, not an arithmetic error
         with pytest.raises(SingularityError) as exc:
-            extend_by_series(model, f, bad)
+            alone(extend_by_series_lanes, model, f, bad)
         assert exc.value.reason == "non-finite series"
     # on the flat torus the flow reaches q + i p at parameter i
     for z, lane in zip(good, (first, last)):
@@ -408,16 +409,14 @@ def test_point_outside_its_box_is_refused_by_every_route():
     pts = _both_sphere_charts(sph, 2, 3)
     # theta = 0.01 lies beyond chart a's box, short of its pole
     pts.insert(2, PhasePoint("a", [0.01, 0.0], [0.1, 0.1]))
-    routes = ((extend_by_series_lanes, extend_by_series), (extend_by_flow_lanes, extend_by_flow),
-              (extend_by_exp_lanes, extend_by_exp))
     refusals = set()
-    for lanes, one in routes:
+    for lanes in (extend_by_series_lanes, extend_by_flow_lanes, extend_by_exp_lanes):
         got = lanes(sph, f, pts)
         assert isinstance(got[2], ChartDomainError), lanes.__name__
         refusals.add(str(got[2]))
         for z, lane in zip(pts, got):
             if z is not pts[2]:
-                _same_result(lane, one(sph, f, z))
+                _same_result(lane, alone(lanes, sph, f, z))
     assert len(refusals) == 1
 
 
@@ -426,6 +425,6 @@ def test_non_finite_series_is_a_typed_breakdown():
     srf = catalog("surface_of_revolution")
     wave = torus_trig("wave", {(1, 0): 1.0})
     with pytest.raises(SingularityError) as exc:
-        extend_by_series(srf, wave, PhasePoint("main", [0.0, 0.0], [1e150, 0.0]))
+        alone(extend_by_series_lanes, srf, wave, PhasePoint("main", [0.0, 0.0], [1e150, 0.0]))
     assert exc.value.reason == "non-finite series"
     assert exc.value.last_good_sigma == 0j

@@ -15,7 +15,6 @@ from grauert.flow import PhasePoint
 from grauert.jacobi import continue_f_to_i, f_samples, first_f_singularity, rational_continuation
 from grauert.lagrangian import (
     FrameRays,
-    distribution_at,
     f_matrix_from_frame,
     j_tensor_from_frame,
     lift_coefficients,
@@ -171,7 +170,7 @@ def test_j_cross_route():
     z = PhasePoint("a", [1.3, -0.4], [0.28, 0.45])
     f_i, _ = continue_f_to_i(FrameRays(sph, [z], [1.5, -1.5]), 0, 1.5)
     J_pade = j_tensor_from_f(sph, z, f_i)
-    J_direct = j_tensor_from_frame(distribution_at(sph, z, 1j))
+    J_direct = j_tensor_from_frame(FrameRays(sph, [z], [1j]).at(1j))
     assert np.max(np.abs(J_pade - J_direct)) < 1e-6
 
 

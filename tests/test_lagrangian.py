@@ -18,7 +18,6 @@ from grauert import lagrangian
 from grauert.flow import PhasePoint, Segment, flow
 from grauert.lagrangian import (
     FrameRays,
-    distribution_at,
     f_matrix_from_frame,
     j_tensor_from_frame,
     lift_coefficients,
@@ -48,7 +47,7 @@ def lagrangian_residual(F):
 def test_flat_frame_is_constant_graph():
     flat = catalog("flat_space", dim=2)
     z = PhasePoint("main", [0.5, -1.0], [0.8, 0.2])
-    F = distribution_at(flat, z, 1j)
+    F = FrameRays(flat, [z], [1j]).at(1j)
     expected = np.vstack([1j * np.eye(2), np.eye(2)])
     assert np.max(np.abs(F - expected)) < 1e-12
     assert lagrangian_residual(F) < 1e-12
@@ -59,7 +58,7 @@ def test_flat_frame_is_constant_graph():
     assert np.max(np.abs(H - 2.0 * np.eye(2))) < 1e-12
     L = lifted_basis(flat, z)
     for sig in (0.5, 0.25j, 0.4 + 0.3j):
-        f = f_matrix_from_frame(L, distribution_at(flat, z, sig))
+        f = f_matrix_from_frame(L, FrameRays(flat, [z], [sig]).at(sig))
         assert np.max(np.abs(f - sig * np.eye(2))) < 1e-11
 
 
@@ -69,7 +68,7 @@ def test_sphere_f_matrix_matches_closed_form():
         z = sphere_point(0.3, 0.7)
         L = lifted_basis(sph, z)
         for sig in (0.4, 0.9, 1j, 0.3 + 0.5j):
-            f = f_matrix_from_frame(L, distribution_at(sph, z, sig))
+            f = f_matrix_from_frame(L, FrameRays(sph, [z], [sig]).at(sig))
             f_ref = sph.oracle.f_matrix("a", z.q, z.p, sig)
             assert np.max(np.abs(f - f_ref)) < 1e-9
             assert abs(f[0, 1]) < 1e-9 and abs(f[1, 0]) < 1e-9
@@ -78,7 +77,7 @@ def test_sphere_f_matrix_matches_closed_form():
 def test_sphere_f_at_i_hyperbolic_tangent():
     sph = catalog("round_sphere", radius=1.0)
     z = sphere_point(0.0, 0.9)
-    F = distribution_at(sph, z, 1j)
+    F = FrameRays(sph, [z], [1j]).at(1j)
     f = f_matrix_from_frame(lifted_basis(sph, z), F)
     assert abs(f[0, 0] - 1j) < 1e-10
     assert abs(f[1, 1] - 1j * math.tanh(0.9) / 0.9) < 1e-10
@@ -94,7 +93,7 @@ def test_j_tensor_properties_at_i():
         (catalog("surface_of_revolution"), PhasePoint("main", [0.5, -0.9], [0.45, 0.3])),
     ]
     for model, z in cases:
-        F = distribution_at(model, z, 1j)
+        F = FrameRays(model, [z], [1j]).at(1j)
         J = j_tensor_from_frame(F)
         assert np.max(np.abs(J.imag)) < 1e-9
         assert np.max(np.abs(J @ J + np.eye(4))) < 1e-9
@@ -111,8 +110,8 @@ def test_involution_flips_j():
     z = sphere_point(0.35, 0.55)
     z_flip = PhasePoint(z.chart_id, z.q, -z.p)
     S = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    J = j_tensor_from_frame(distribution_at(sph, z, 1j))
-    J_flip = j_tensor_from_frame(distribution_at(sph, z_flip, 1j))
+    J = j_tensor_from_frame(FrameRays(sph, [z], [1j]).at(1j))
+    J_flip = j_tensor_from_frame(FrameRays(sph, [z_flip], [1j]).at(1j))
     assert np.max(np.abs(S @ J_flip @ S + J)) < 1e-9
 
 
@@ -124,16 +123,16 @@ def test_fiber_scaling_moves_time():
     ]
     for model, z, c, sig in cases:
         zc = PhasePoint(z.chart_id, z.q, c * z.p)
-        F_left = distribution_at(model, zc, sig)
+        F_left = FrameRays(model, [zc], [sig]).at(sig)
         Lam = np.diag([1.0, 1.0, c, c]).astype(complex)
-        F_right = Lam @ distribution_at(model, z, c * sig)
+        F_right = Lam @ FrameRays(model, [z], [c * sig]).at(c * sig)
         ang = principal_angles(F_left, F_right)
         assert np.max(ang) < 1e-8
 
 
 def test_real_sigma_frame_not_transverse_to_conjugate():
     sph = catalog("round_sphere")
-    F = distribution_at(sph, sphere_point(), 0.6)
+    F = FrameRays(sph, [sphere_point()], [0.6]).at(0.6)
     with pytest.raises(TransversalityError):
         j_tensor_from_frame(F)
 
@@ -141,7 +140,7 @@ def test_real_sigma_frame_not_transverse_to_conjugate():
 def test_conjugate_degeneracy_detected():
     sph = catalog("round_sphere", radius=1.0)
     z = sphere_point(0.0, 1.0)  # speed 1, first spreading pole at pi/2
-    F = distribution_at(sph, z, math.pi / 2)
+    F = FrameRays(sph, [z], [math.pi / 2]).at(math.pi / 2)
     with pytest.raises(DegenerateFrameError):
         f_matrix_from_frame(lifted_basis(sph, z), F)
 
@@ -186,7 +185,7 @@ def test_principal_angles_reference_cases():
 def test_sphere_f_diagonal_in_adapted_basis(pt, pp, tau):
     sph = catalog("round_sphere")
     z = sphere_point(pt, pp)
-    F = distribution_at(sph, z, tau * 1j)
+    F = FrameRays(sph, [z], [tau * 1j]).at(tau * 1j)
     f = f_matrix_from_frame(lifted_basis(sph, z), F)
     f_ref = sph.oracle.f_matrix("a", z.q, z.p, tau * 1j)
     assert np.max(np.abs(f - f_ref)) < 1e-8
@@ -215,7 +214,7 @@ def test_frame_rays_match_fresh_frames():
             f_fresh = f_matrix_from_frame(L, fresh(u * s))
             assert np.max(np.abs(f_dense - f_fresh)) < 1e-9, (u, s)
             # a single frame is a one-ray read
-            f_single = f_matrix_from_frame(L, distribution_at(sph, z, u * s))
+            f_single = f_matrix_from_frame(L, FrameRays(sph, [z], [u * s]).at(u * s))
             assert np.max(np.abs(f_single - f_fresh)) < 1e-9, (u, s)
         if u == -1.0:
             # the negative ray's frames are read across a chart transition
@@ -237,7 +236,7 @@ def test_frame_rays_match_fresh_frames():
     with pytest.raises(SingularityError) as dense_exc:
         far.at(0.8j)
     with pytest.raises(SingularityError) as single_exc:
-        distribution_at(surf, m, 0.8j)
+        FrameRays(surf, [m], [0.8j]).at(0.8j)
     assert single_exc.value.reason == fresh_exc.value.reason
     assert single_exc.value.last_good_sigma == fresh_exc.value.last_good_sigma
     assert dense_exc.value.reason == fresh_exc.value.reason == "step collapse"
@@ -255,7 +254,7 @@ def test_frame_rays_read_the_rays_of_their_times():
     sigma = 0.6 + 0.6j
     assert sigma / abs(sigma) != (0.9 + 0.9j) / abs(0.9 + 0.9j)
     got = rays.at(sigma)
-    want = distribution_at(sph, z, sigma)
+    want = FrameRays(sph, [z], [sigma]).at(sigma)
     assert np.max(np.abs(got - want)) < 1e-12
     # a direction not given and a time beyond its ray's reach both raise
     with pytest.raises(ValueError):
@@ -294,7 +293,7 @@ def test_rank_deficient_lift_basis_is_a_degenerate_frame():
     # LinAlgError or a frame of NaNs
     flat = catalog("flat_space", dim=2)
     z = PhasePoint("main", [0.5, -1.0], [0.8, 0.2])
-    F = distribution_at(flat, z, 1j)
+    F = FrameRays(flat, [z], [1j]).at(1j)
     singular = np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex)
     with pytest.raises(DegenerateFrameError, match="singular"):
         lift_coefficients(lifted_basis(flat, z, singular), F)
@@ -320,11 +319,13 @@ def test_singular_backward_jacobian_is_a_degenerate_frame(monkeypatch, jacobian)
 
 
 def test_stacked_reads_equal_scalar_reads():
-    # a stack of reads is read the way each read is alone, bit for bit
+    # a stack of reads is read the way each read is alone, bit for bit, and
+    # a point's rays read alike in its batch and in a batch of one
     sph = catalog("round_sphere")
     z7 = sample_tube_points(sph, 1, 7, 1.0, 1.0)[0]
     pts = [PhasePoint("a", [1.2, 0.3], [0.2, 0.3]), z7, sphere_point(0.35, 0.55)]
     rays = FrameRays(sph, pts, [1.4j, 1.4, -1.4])
+    alone = [FrameRays(sph, [z], [1.4j, 1.4, -1.4]) for z in pts]
     sigmas = np.array([[0.5j, 1.4j, 0.0, 1.1, -1.3, 0.25 + 0j]])
     ks = np.array([[0], [1], [2]])
     F = rays.at(sigmas, ks)
@@ -334,6 +335,7 @@ def test_stacked_reads_equal_scalar_reads():
     for k in range(3):
         for i, s in enumerate(sigmas[0]):
             assert np.array_equal(F[k, i], rays.at(s, k))
+            assert np.array_equal(F[k, i], alone[k].at(s))
             assert np.array_equal(B[k, i], rays.jacobian(s, k))
             assert np.array_equal(np.linalg.solve(B[k, i], vertical_frame(2)), F[k, i])
     Fi = rays.at(1j, np.arange(3))

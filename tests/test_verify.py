@@ -12,7 +12,7 @@ from grauert.catalog import catalog
 from grauert.errors import GrauertError, InvalidParamsError, SingularityError
 from grauert.flow import PhasePoint, flow_lanes
 from grauert.geometry import metric_matrix
-from grauert.lagrangian import FrameRays, distribution_at, j_tensor_from_frame
+from grauert.lagrangian import FrameRays, j_tensor_from_frame
 from grauert import jacobi, verify
 from test_flow import MERIDIAN_TAU, _count_calls, meridian
 from grauert.verify import (
@@ -171,7 +171,7 @@ def test_theta_identity_flat_exact(flat):
     assert rep.verdict == "pass"
     assert rep.max_residual < 1e-12
     # sigma = 0 frame is vertical, so the pairing vanishes identically
-    F = distribution_at(flat, pts[0], 0.0)
+    F = FrameRays(flat, [pts[0]], [0.0]).at(0.0)
     assert np.max(np.abs(F[:2, :])) == 0.0
 
 
@@ -192,7 +192,7 @@ def test_kahler_potential_flat_calibration(flat):
 
     # the conjugate convention would fail loudly; this pins the dbar sign
     z = PhasePoint("main", np.array([0.4, -1.1]), np.array([0.8, 0.3]))
-    J = j_tensor_from_frame(distribution_at(flat, z, 1j))
+    J = j_tensor_from_frame(FrameRays(flat, [z], [1j]).at(1j))
     dk = 2.0 * verify._grad_energy(flat, "main", z.q, z.p)
     wrong = 0.5 * (dk[0] - 1j * (dk @ J[:, 0]))
     assert abs(wrong.imag - z.p[0].real) > 0.5
@@ -248,7 +248,7 @@ def test_adaptedness_raises_the_first_failing_node_breakdown(surfrev):
     first = None
     for k, w in enumerate(strip_nodes(covs)):
         try:
-            distribution_at(surfrev, w, 1j)
+            FrameRays(surfrev, [w], [1j]).at(1j)
         except SingularityError as e:
             first = e
             break
@@ -362,7 +362,7 @@ def test_battery_flows_each_main_ray_once(name, kernel_calls):
 def test_a_lane_does_not_care_which_batch_it_runs_in(name):
     # lanes of two routes, main-cloud rays and Nijenhuis stencil points, take
     # the same steps with the same coefficients and end on the same jacobian
-    # in calls of their own as merged into one call: the batch couples nothing
+    # in batches of one as merged into one call: the batch couples nothing
     model = catalog(name)
     pts = sample_tube_points(model, 2, 1, 0.5, 0.9)  # fast enough to take several steps
     rays, ray_sigmas = [pts[0], pts[1], pts[1]], [-1j, -1j, 1.5]
@@ -372,10 +372,9 @@ def test_a_lane_does_not_care_which_batch_it_runs_in(name):
         rays.append(sample_tube_points(model, 1, 7, 1.0, 1.0)[0])
         ray_sigmas.append(1.4)
     stencils = nijenhuis_points(pts[:1])
-    own = (flow_lanes(model, rays, sigma=ray_sigmas, variational=True)
-           + flow_lanes(model, stencils, sigma=-1j, variational=True))
-    merged = flow_lanes(model, rays + stencils, sigma=ray_sigmas + [-1j] * len(stencils),
-                        variational=True)
+    points, sigmas = rays + stencils, ray_sigmas + [-1j] * len(stencils)
+    own = [flow_lanes(model, [z], sigma=s, variational=True)[0] for z, s in zip(points, sigmas)]
+    merged = flow_lanes(model, points, sigma=sigmas, variational=True)
     assert len(own) == len(merged) == len(rays) + 16
     for a, b in zip(own, merged):
         assert a.diagnostics.steps == b.diagnostics.steps > 1
@@ -459,7 +458,7 @@ def test_tube_radius_by_fresh_frames(sphere, monkeypatch, kernel_calls):
 
     def transversal(tau):
         try:
-            j_tensor_from_frame(distribution_at(sphere, z, 1j * tau))
+            j_tensor_from_frame(FrameRays(sphere, [z], [1j * tau]).at(1j * tau))
             return True
         except GrauertError:
             return False
