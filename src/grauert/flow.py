@@ -12,11 +12,14 @@ Newton doubling (Brent-Kung): one field evaluation in truncated series
 arithmetic on the coefficients known so far gives the field's series and its
 jacobian series along them, and a linear recurrence in those doubles the
 number of known coefficients. The metric depends on q alone, so only the n
-position coordinates carry derivative channels, seeded with the identity:
-they give the q-columns of the jacobian, and its p-columns come by the chain
-rule through dq = g^-1 p, as products of value series; a state-only pass
-computes only the orders of the jacobian it reads. An order-16 step takes
-4 field evaluations (5 with the jacobian), not 16. The step size comes from
+position coordinates carry derivative channels, each seeded with one
+channel for its own coordinate: every intermediate carries the channels of
+the coordinates it depends on (see :mod:`grauert.jets`), and the field's
+channel rows give the q-columns of the jacobian that their sets name, the
+others staying zero. The p-columns come by the chain rule through
+dq = g^-1 p, as products of value series; a state-only pass computes only
+the orders of the jacobian it reads. An order-16 step takes 4 field
+evaluations (5 with the jacobian), not 16. The step size comes from
 the tail of the computed series, so a shrinking radius of convergence is felt
 directly: when the admissible step falls below the floor the flow reports a
 singularity with the last trustworthy time. No chart bounds the imaginary
@@ -291,25 +294,26 @@ def _field_series(model, chart_id, z, L, N, exact=None):
 
     The polynomials have the state coefficients z[:, :L] (z is (B, order+1, 2n),
     one row per order); they are evaluated as lane jets of length N. The
-    metric depends on q alone, so only the n position jets carry channels,
-    seeded with the identity; the momentum jets are value series. The
-    channels of the field give the q-columns of A = DX, and the p-columns
-    come from the value series of g^-1, dg and dq by the chain rule
-    (:func:`_momentum_columns`), so A_j[i, a], coefficient j of dX_i/dz_a,
-    comes out for every lane, for j < ``exact`` (all N orders by default;
-    zeros above). It is returned as Ahat (B, 2n, N*2n), the
-    blocks A_{N-1}, ..., A_1, A_0 side by side, so that every sum
-    sum_j A_j w_{k-j} of the recurrences is one matmul of a trailing block
-    range with the stacked w.
+    metric depends on q alone, so only the n position jets carry channels:
+    position jet a has one, channel set (a,), and every jet computed from
+    them carries the union of the sets it depends on. The momentum jets are
+    value series. The channel rows of each field entry give the q-columns
+    of A = DX that its set names, and the columns of the coordinates it does
+    not read stay zero; the p-columns come from the value series of g^-1,
+    dg and dq by the chain rule (:func:`_momentum_columns`), so A_j[i, a],
+    coefficient j of dX_i/dz_a, comes out for every lane, for j < ``exact``
+    (all N orders by default; zeros above). It is returned as Ahat
+    (B, 2n, N*2n), the blocks A_{N-1}, ..., A_1, A_0 side by side, so that
+    every sum sum_j A_j w_{k-j} of the recurrences is one matmul of a
+    trailing block range with the stacked w.
     """
     B, _, m = z.shape
     n = m // 2
-    c = np.zeros((m, B, 1 + n, N), dtype=complex)
+    c = np.zeros((m, B, 2, N), dtype=complex)
     c[:, :, 0, :L] = z[:, :L].transpose(2, 0, 1)
-    for a in range(n):
-        c[a, :, 1 + a, 0] = 1.0
+    c[:n, :, 1, 0] = 1.0
     K = N if exact is None else exact
-    _, gi, dg = model.metric(chart_id, [Jet(c[a], K) for a in range(n)])
+    _, gi, dg = model.metric(chart_id, [Jet(c[a], K, (a,)) for a in range(n)])
     dq, dp = _field_from_metric(gi, dg, [Jet(c[a, :, :1]) for a in range(n, m)])
     X = np.zeros((B, N, m), dtype=complex)
     Ahat = np.zeros((B, m, N, m), dtype=complex)
@@ -318,8 +322,8 @@ def _field_series(model, chart_id, z, L, N, exact=None):
             X[:, 0, i] = x
             continue
         X[:, :, i] = x.c[..., 0, :]
-        if x.R > 1:
-            Ahat[:, i, :, :n] = x.c[..., 1:, ::-1].swapaxes(-1, -2)
+        for r, a in enumerate(x.channels or ()):
+            Ahat[:, i, :, a] = x.c[..., 1 + r, ::-1]
     for i, row in enumerate(_momentum_columns(gi, dg, dq, K)):
         for a, x in enumerate(row):
             if isinstance(x, Jet):

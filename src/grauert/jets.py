@@ -9,11 +9,11 @@ One class does triple duty:
 * ``L == 1, R > 1``: a first-order dual number with ``R - 1`` derivative
   channels, used to push jacobians through closed-form maps (chart
   transitions, embeddings) without hand-coded derivative formulas.
-* ``L > 1, R > 1``: both at once. The series integrator seeds the channels
-  of the position polynomials with the identity, once per doubling pass, so
-  the channels of the field X(z(s)) carry the position columns of its
-  jacobian series DX(z(s)); the momentum polynomials are value series, and
-  the integrator adds the momentum columns by the chain rule on value
+* ``L > 1, R > 1``: both at once. The series integrator seeds each position
+  polynomial with one channel, for its own coordinate, once per doubling
+  pass, so the channels of the field X(z(s)) carry the position columns of
+  its jacobian series DX(z(s)); the momentum polynomials are value series,
+  and the integrator adds the momentum columns by the chain rule on value
   series. The flow's jacobian series then follows from the linear
   recurrence of the first variational equation.
 
@@ -22,15 +22,27 @@ value series, rows 1..R-1 the channels. The leading axes are lanes: a jet
 holds one independent scalar per lane, and every operation acts on all lanes
 at once, which is how the flow kernel integrates many trajectories with one
 pass of a model evaluator. A jet without leading axes is one scalar. Two jets
-in one operation have the same lanes and series length, and the same
-channels unless one is a value series (R == 1), which acts as if its channel
-rows were zeros. Products use the first-order rule in the channels (channels
-never multiply each other) and full truncated Cauchy products along the
-series axis, realized as small Toeplitz matmuls so the inner loops stay in
-BLAS. Order k of a product reads orders up to k only, so a jet records how
-many channel orders it computes (``exact``, by default all): operations
-compute the channel columns below the smaller count of their operands and
-leave zeros past it; the value series stays whole.
+in one operation have the same lanes and series length.
+
+A jet may name the coordinates its channel rows stand for (``channels``, a
+sorted tuple), which is sparse forward mode (Griewank and Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008): a jet depends on the
+coordinates in its set only, and the rows of the others, all zero, are
+never stored. An operation's result carries the sorted union of its
+operands' sets: operands with equal sets combine row by row, and operands
+with different sets are first scattered into zero rows on the union. So a
+metric that reads only some coordinates computes no channel for the
+others, while one that reads every coordinate gains nothing. A jet built
+without a set has dense channels, row r for coordinate r - 1, and mixes
+only with a jet of its own shape. A value series (R == 1) has no channels
+and mixes with any jet as if its channel rows were zeros. Products use the
+first-order rule in the channels (channels never multiply each other) and
+full truncated Cauchy products along the series axis, realized as small
+Toeplitz matmuls so the inner loops stay in BLAS. Order k of a product
+reads orders up to k only, so a jet records how many channel orders it
+computes (``exact``, by default all): operations compute the channel
+columns below the smaller count of their operands and leave zeros past it;
+the value series stays whole.
 
 Scalars (int/float/complex/numpy numbers) mix freely with jets. The
 functions at module level (``sincos``, ``exp``, ...) dispatch on type, so model
@@ -81,6 +93,14 @@ def _toep(series):
     [j, i] is a[i - j], zero above i = j; it is gathered from the series with
     L - 1 zeros in front of it. A large result is a view of the shared
     workspace, valid until the next call.
+
+    The operations multiply channel rows together with the value row, never
+    as a matmul of one row: numpy takes a one-row product through the BLAS
+    vector kernel, whose roundoff differs from the matrix kernel's, while a
+    row of a matmul of two rows or more comes out the same bits whatever the
+    other rows (so it measures with the OpenBLAS that numpy ships). So a jet
+    with a channel set gives the bits of its dense, zero-filled counterpart,
+    at the cost of one wasted row.
     """
     global _TOEP_WORK
     L = series.shape[-1]
@@ -102,12 +122,14 @@ def _toep(series):
 
 
 class Jet:
-    __slots__ = ("c", "exact")
+    __slots__ = ("c", "exact", "channels")
 
-    def __init__(self, c, exact=_ALL):
+    def __init__(self, c, exact=_ALL, channels=None):
         self.c = c
         # channel orders below this are computed; the columns past it are zeros
         self.exact = exact
+        # the sorted coordinates that channel rows 1..R-1 stand for; None: dense
+        self.channels = channels
 
     # -- taxonomy ---------------------------------------------------------
     @property
@@ -121,7 +143,7 @@ class Jet:
 
     @property
     def grad(self):
-        """Order-0 value of each derivative channel, shape (..., R-1)."""
+        """Order-0 value of each derivative channel, shape (..., R-1), in ``channels`` order."""
         return self.c[..., 1:, 0]
 
     # -- ring operations --------------------------------------------------
@@ -131,50 +153,57 @@ class Jet:
                 return self
             out = self.c.copy()
             out[..., 0, 0] += other
-            return Jet(out, self.exact)
+            return Jet(out, self.exact, self.channels)
         a, b = self.c, other.c
         k = self.exact if self.exact <= other.exact else other.exact
-        if a.shape == b.shape:
-            return Jet(a + b, k)
-        if not _has_channels(a, b):
-            a, b = b, a
-        out = a.copy()
-        out[..., 0, :] += b[..., 0, :]
-        return Jet(out, k)
+        ch = self.channels
+        if ch != other.channels or a.shape != b.shape:
+            a, b, ch = _common(self, other)
+            if a.shape != b.shape:
+                if a.shape[-2] == 1:
+                    a, b = b, a
+                out = a.copy()
+                out[..., 0, :] += b[..., 0, :]
+                return Jet(out, k, ch)
+        return Jet(a + b, k, ch)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.c, self.exact)
+        return Jet(-self.c, self.exact, self.channels)
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
             out = self.c.copy()
             out[..., 0, 0] -= other
-            return Jet(out, self.exact)
-        if self.c.shape != other.c.shape:
+            return Jet(out, self.exact, self.channels)
+        if self.channels != other.channels or self.c.shape != other.c.shape:
             return self + (-other)
-        return Jet(self.c - other.c, self.exact if self.exact <= other.exact else other.exact)
+        return Jet(self.c - other.c, self.exact if self.exact <= other.exact else other.exact,
+                   self.channels)
 
     def __rsub__(self, other):
         out = -self.c
         out[..., 0, 0] += other
-        return Jet(out, self.exact)
+        return Jet(out, self.exact, self.channels)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.c * other, self.exact)
+            return Jet(self.c * other, self.exact, self.channels)
         a, b = self.c, other.c
         k = self.exact if self.exact <= other.exact else other.exact
-        if a.shape != b.shape and not _has_channels(a, b):
-            a = np.zeros_like(b)
-            a[..., :1, :] = self.c
+        ch = self.channels
+        if ch != other.channels or a.shape != b.shape:
+            a, b, ch = _common(self, other)
+            if a.shape[-2] < b.shape[-2]:
+                a = np.zeros_like(b)
+                a[..., :1, :] = self.c
         out = a @ _toep(b[..., 0, :])
         if b.shape[-2] > 1:
-            out[..., 1:, :k] += b[..., 1:, :k] @ _toep(a[..., 0, :k])
+            out[..., 1:, :k] += (b[..., :k] @ _toep(a[..., 0, :k]))[..., 1:, :]
         if k < b.shape[-1]:
             out[..., 1:, k:] = 0.0
-        return Jet(out, k)
+        return Jet(out, k, ch)
 
     __rmul__ = __mul__
 
@@ -185,17 +214,17 @@ class Jet:
             return Jet(r0[..., None, :])
         k = self.exact
         out = np.empty_like(c)
-        out[..., 0, :] = r0
-        # d(1/b) = -db / b^2
+        # d(1/b) = -db / b^2, with the value row in the product (see _toep)
         t = _toep(r0[..., :k])
-        out[..., 1:, :k] = -((c[..., 1:, :k] @ t) @ t)
+        out[..., :k] = -((c[..., :k] @ t) @ t)
+        out[..., 0, :] = r0
         if k < c.shape[-1]:
             out[..., 1:, k:] = 0.0
-        return Jet(out, k)
+        return Jet(out, k, self.channels)
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.c * (1.0 / other), self.exact)
+            return Jet(self.c * (1.0 / other), self.exact, self.channels)
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -208,11 +237,11 @@ class Jet:
             return Jet(val_series[..., None, :])
         k = self.exact
         out = np.empty_like(c)
+        out[..., :k] = c[..., :k] @ _toep(dval_series[..., :k])
         out[..., 0, :] = val_series
-        out[..., 1:, :k] = c[..., 1:, :k] @ _toep(dval_series[..., :k])
         if k < c.shape[-1]:
             out[..., 1:, k:] = 0.0
-        return Jet(out, k)
+        return Jet(out, k, self.channels)
 
     def sincos(self):
         s, co = _sincos_series(self.c[..., 0, :])
@@ -231,16 +260,38 @@ class Jet:
         return self._apply(s, 0.5 * _recip_series(s))
 
 
-def _has_channels(a, b):
-    """Whether a is the one with channels, of two coefficient arrays of different shapes.
+def _common(x, y):
+    """The coefficients of x and y on one channel layout, and its set.
 
-    They mix only when they have the same lanes and series length and one of
-    them is a value series (one row); any other difference raises.
+    The path of an operation whose operands differ in shape or channel set.
+    A value series (one row) comes back as it is, to mix as zero channel
+    rows. Two jets with channel sets are scattered into zero rows on the
+    sorted union of their sets. Different lanes or series lengths raise, and
+    so does a jet with dense channels against another jet with channels.
     """
+    a, b = x.c, y.c
+    s, t = x.channels, y.channels
     (*lanes_a, ra, la), (*lanes_b, rb, lb) = a.shape, b.shape
-    if lanes_a != lanes_b or la != lb or min(ra, rb) > 1:
+    if lanes_a != lanes_b or la != lb or (ra > 1 and rb > 1 and s is None and t is None):
         raise ValueError(f"jet shapes differ: {a.shape} and {b.shape}")
-    return a.shape[-2] > 1
+    if rb == 1:
+        return a, b, s
+    if ra == 1:
+        return a, b, t
+    if s is None or t is None:
+        raise ValueError(f"jet channels differ: {s} and {t}, one of them dense")
+    u = tuple(sorted(set(s).union(t)))
+    return _scatter(a, s, u), _scatter(b, t, u), u
+
+
+def _scatter(a, s, u):
+    """Coefficients a, whose channel rows stand for the set s, on the rows of its superset u."""
+    if s == u:
+        return a
+    out = np.zeros(a.shape[:-2] + (1 + len(u), a.shape[-1]), dtype=complex)
+    out[..., 0, :] = a[..., 0, :]
+    out[..., [1 + u.index(v) for v in s], :] = a[..., 1:, :]
+    return out
 
 
 # -- series recurrences, all lanes at once -------------------------------------

@@ -152,6 +152,29 @@ def _skew_metric(consistent=True):
     return MetricModel("skew", 2, {}, [chart], "main", {"main": metric_fn})
 
 
+def _gap_metric():
+    """One dim-3 chart whose metric reads q0 and q2 but not q1.
+
+    Its jets carry the channel set (0, 2), a union with a gap, and the q1
+    column of the field's jacobian stays zero.
+    """
+    def metric_fn(qs):
+        s0, c0 = jets.sincos(qs[0])
+        s2, c2 = jets.sincos(qs[2])
+        s02, c02 = jets.sincos(qs[0] + qs[2])
+        g02, d02 = 0.3 * c02, -0.3 * s02
+        z = 0.0
+        g = [[2.0 + 0.3 * s0, z, g02], [z, 1.2 + 0.1 * s0 * c2, z], [g02, z, 1.5 + 0.2 * c2]]
+        dg = [[[0.3 * c0, z, d02], [z, 0.1 * c0 * c2, z], [d02, z, z]],
+              [[z, z, z], [z, z, z], [z, z, z]],
+              [[z, z, d02], [z, -0.1 * s0 * s2, z], [d02, z, -0.2 * s2]]]
+        return g, dg
+
+    chart = Chart(id="main", lo=np.full(3, -4.0), hi=np.full(3, 4.0),
+                  periodic=np.zeros(3, dtype=bool))
+    return MetricModel("gap", 3, {}, [chart], "main", {"main": metric_fn})
+
+
 @pytest.mark.parametrize("B", [1, 3])
 def test_field_series_matches_all_channel_reference(B):
     # position channels and chain-rule momentum columns against seeding all
@@ -164,11 +187,13 @@ def test_field_series_matches_all_channel_reference(B):
         (catalog("flat_torus"), "main", [0.2, 0.5]),
         (_skew_metric(), "main", [0.3, -0.6]),
         (_skew_metric(consistent=False), "main", [0.3, -0.6]),
+        (_gap_metric(), "main", [0.3, -0.6, 0.8]),
     ]
     for model, cid, q in cases:
-        z = 0.1 * (rng.standard_normal((B, 17, 4)) + 1j * rng.standard_normal((B, 17, 4)))
-        z[:, 0, :2] = np.array(q) + 0.1j * rng.standard_normal((B, 2))
-        z[:, 0, 2:] = [0.6 + 0.1j, -0.5 + 0.2j]
+        n = len(q)
+        z = 0.1 * (rng.standard_normal((B, 17, 2 * n)) + 1j * rng.standard_normal((B, 17, 2 * n)))
+        z[:, 0, :n] = np.array(q) + 0.1j * rng.standard_normal((B, n))
+        z[:, 0, n:] = [0.6 + 0.1j, -0.5 + 0.2j, 0.4 - 0.3j][:n]
         for L, N in ((1, 1), (2, 3), (4, 7), (8, 15), (16, 16), (2, 4), (4, 8), (8, 16)):
             got = flow_module._field_series(model, cid, z, L, N)
             want = _reference_field_series(model, cid, z, L, N)
@@ -205,6 +230,32 @@ def _build_passes(model, cid, q, B, D, order, field=flow_module._field_series):
         mp.setattr(flow_module, "_field_series", recorded)
         coeffs = flow_module._taylor_series(model, cid, qs, ps, Ds, np.exp(1j * rng.random(B)), order)
     return passes, coeffs
+
+
+def _jets_in(x):
+    """The jets among the nested lists of a metric evaluation."""
+    if isinstance(x, (list, tuple)):
+        return [j for y in x for j in _jets_in(y)]
+    return [x] if isinstance(x, jets.Jet) else []
+
+
+def test_curved_metrics_carry_only_the_first_coordinate_channel():
+    # round_sphere and surface_of_revolution read the first coordinate alone:
+    # every jet of g, g^-1 and dg inside _field_series carries the set (0,)
+    for name, cid, q in KERNEL_CASES[1:]:
+        model = catalog(name)
+        seen = []
+        metric = model.metric
+
+        def recorded(chart_id, qs):
+            out = metric(chart_id, qs)
+            seen.extend(_jets_in(out))
+            return out
+
+        model.metric = recorded
+        for D in (None, np.eye(4)):
+            _build_passes(model, cid, q, 3, D, 16)
+        assert seen and all(x.channels == (0,) for x in seen), (name, cid)
 
 
 def _zero_channel_field_series(model, cid, z, L, N, exact):

@@ -162,6 +162,63 @@ def test_value_series_mixes_as_zero_channel_rows():
                 assert np.array_equal(got.c, want.c)
 
 
+# channel sets of the operands of the next test; None is a value series
+CHANNEL_SETS = [(0,), (1,), (0, 1), (0, 2), None]
+
+
+def _dense(x, n=3):
+    """The dense counterpart of a jet with a channel set: zero rows for the other coordinates."""
+    if x.channels is None:
+        return x
+    c = np.zeros(x.c.shape[:-2] + (1 + n, x.c.shape[-1]), dtype=complex)
+    c[..., 0, :] = x.c[..., 0, :]
+    for r, a in enumerate(x.channels):
+        c[..., 1 + a, :] = x.c[..., 1 + r, :]
+    return Jet(c, x.exact)
+
+
+def test_channel_sets_equal_dense_zero_filled_channels():
+    # every pair of operands, equal shapes with different sets among them
+    # ((0,) and (1,), (0, 1) and (0, 2)): the result carries the union of the
+    # operands' sets and equals the same operation on dense, zero-filled jets
+    rng = np.random.default_rng(32)
+    L = 7
+    binary = [lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+              lambda x, y: x / y]
+    unary = [lambda x: -x, lambda x: 2.0 - x, lambda x: x - 0.5j, lambda x: 1.5j * x + 0.5,
+             lambda x: x / 3.0, lambda x: 2.0 / x, Jet.reciprocal, lambda x: x.sincos()[0],
+             lambda x: x.sincos()[1], Jet.exp, Jet.log, Jet.sqrt]
+    for lanes in ((), (5,)):
+        xs = []
+        for s in CHANNEL_SETS:
+            shape = lanes + (1 if s is None else 1 + len(s), L)
+            c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            c[..., 0, 0] += 3.0  # away from the branch points of reciprocal, log and sqrt
+            xs.append(Jet(c, channels=s))
+        cases = [(op(x, y), op(_dense(x), _dense(y)), {*(x.channels or ()), *(y.channels or ())})
+                 for op in binary for x in xs for y in xs]
+        cases += [(op(x), op(_dense(x)), set(x.channels or ())) for op in unary for x in xs]
+        for got, want, union in cases:
+            assert got.channels == (tuple(sorted(union)) if union else None)
+            got = _dense(got).c
+            assert got.shape == want.c.shape
+            assert np.max(np.abs(got - want.c)) <= 1e-15 * np.max(np.abs(want.c))
+
+
+def test_dense_channels_mix_with_no_channel_set():
+    # a jet built without a set has dense channels; against a jet with a set
+    # of any shape it raises, while a value series mixes with either
+    dense = Jet(np.ones((3, 4), dtype=complex))
+    for s in ((0, 1), (0,)):
+        sparse = Jet(np.ones((1 + len(s), 4), dtype=complex), channels=s)
+        for x, y in ((dense, sparse), (sparse, dense)):
+            with pytest.raises(ValueError, match="jet channels differ"):
+                x * y
+    v = Jet(np.ones((1, 4), dtype=complex))
+    assert (v * dense).channels is None
+    assert (v + Jet(np.ones((2, 4), dtype=complex), channels=(1,))).channels == (1,)
+
+
 def test_channels_past_the_exact_orders_are_zeros():
     # a jet with k exact channel orders: products, reciprocals and series
     # functions give the value series of the full jet to the bit, its first k
